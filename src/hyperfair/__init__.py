@@ -26,7 +26,6 @@ from .hyperfree import (
 from .linalg import (
     RatMatrix,
     Rational,
-    char_poly,
     fmt,
     kernel_basis,
     pseudo_inverse,
@@ -76,7 +75,7 @@ __version__ = "0.1.0"
 __all__ = [
     "DEFAULT_TOL", "UNBOUNDED", "UNCONSTRAINED", "MAXIMIZE",
     "Rational", "RatMatrix", "rat", "fmt", "rref", "kernel_basis",
-    "rank_factorization", "pseudo_inverse", "char_poly", "smallest_eigenvalue",
+    "rank_factorization", "pseudo_inverse", "smallest_eigenvalue",
     "LpProblem", "LpOutcome", "LpStatus", "simplex_solve",
     "Interval", "StepDensity", "MeasureProfile", "common_refinement",
     "measure_of", "rn_weights", "gram_matrix", "measure_relations",

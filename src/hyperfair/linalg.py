@@ -3,10 +3,10 @@
 Every entry is a ``fractions.Fraction``; nothing in this module ever
 rounds.  It provides the elimination kit used by the rest of the
 package (reduced row echelon form, kernel bases, rank factorization,
-the Moore-Penrose pseudo-inverse), the characteristic polynomial, and
-a rational enclosure of the smallest (nonzero) eigenvalue of a
-symmetric positive-semidefinite matrix, obtained by Sturm-chain
-bisection so the enclosure is rigorous rather than floating point.
+the Moore-Penrose pseudo-inverse) and a rational enclosure of the
+smallest (nonzero) eigenvalue of a symmetric positive-semidefinite
+matrix, obtained by bisection on exact inertia counts (Sylvester's law
+of inertia) so the enclosure is rigorous rather than floating point.
 """
 
 from __future__ import annotations
@@ -285,149 +285,85 @@ def pseudo_inverse(m: RatMatrix) -> RatMatrix:
     return ft @ inverse(f @ ft) @ inverse(ct @ c) @ ct
 
 
-def char_poly(m: RatMatrix) -> tuple[Fraction, ...]:
-    """Coefficients of det(xI - m), ascending: index k holds the x**k term.
 
-    Computed by the Faddeev-LeVerrier recurrence, which needs only
-    matrix products and exact division by integers.
+
+def _inertia(a: list[list[int]]) -> tuple[int, int]:
+    """Numbers of negative and of zero eigenvalues of the symmetric integer matrix ``a``.
+
+    Fraction-free symmetric elimination (Bareiss): after ``k`` steps the
+    working block is the Schur complement times the ``k``-th leading
+    principal minor, so every division is exact, and the ``k``-th LDL^T
+    pivot is negative exactly when consecutive minors differ in sign.
+    Each step is a congruence, so by Sylvester's law of inertia the
+    counts are those of ``a``.  Only a nonzero diagonal entry is used as
+    a pivot; when the whole remaining diagonal is zero but some
+    ``a[i][j]`` is not, adding row and column ``j`` to row and column
+    ``i`` (another congruence) makes ``a[i][i] = 2 a[i][j]`` nonzero.
+    When the remaining block is zero, its size is the nullity.  ``a`` is
+    consumed.
     """
-    if not m.is_square():
-        raise ValueError("characteristic polynomial needs a square matrix")
-    n = m.rows
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    acc = RatMatrix.zeros(n, n)
-    ident = RatMatrix.identity(n)
-    c = Fraction(1)
-    for k in range(1, n + 1):
-        acc = (m @ acc) + (c * ident)
-        c = -(m @ acc).trace() / k
-        coeffs[n - k] = c
-    return tuple(coeffs)
-
-
-# -- polynomial helpers (ascending coefficient lists) ------------------
-
-def poly_eval(p: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def _poly_trim(p: list[Fraction]) -> list[Fraction]:
-    while len(p) > 1 and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_deriv(p: Sequence[Fraction]) -> list[Fraction]:
-    return _poly_trim([c * k for k, c in enumerate(p)][1:] or [Fraction(0)])
-
-
-def _poly_divmod(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    a = _poly_trim(list(a))
-    b = _poly_trim(list(b))
-    if b == [Fraction(0)]:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
-    r = list(a)
-    while len(r) >= len(b) and _poly_trim(list(r)) != [Fraction(0)]:
-        shift = len(r) - len(b)
-        factor = r[-1] / b[-1]
-        if factor == 0:
-            r.pop()
-            continue
-        q[shift] = factor
-        for i, c in enumerate(b):
-            r[shift + i] -= factor * c
-        r.pop()
-    return _poly_trim(q), _poly_trim(r if r else [Fraction(0)])
-
-
-def _poly_gcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    a = _poly_trim(list(a))
-    b = _poly_trim(list(b))
-    while b != [Fraction(0)]:
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    if a[-1] != 0:
-        a = [c / a[-1] for c in a]
-    return a
-
-
-def _squarefree_part(p: Sequence[Fraction]) -> list[Fraction]:
-    g = _poly_gcd(p, _poly_deriv(p))
-    q, r = _poly_divmod(p, g)
-    assert _poly_trim(r) == [Fraction(0)]
-    return q
-
-
-def _sturm_chain(p: Sequence[Fraction]) -> list[list[Fraction]]:
-    chain = [_poly_trim(list(p)), _poly_deriv(p)]
-    while _poly_trim(list(chain[-1])) != [Fraction(0)]:
-        _, r = _poly_divmod(chain[-2], chain[-1])
-        if _poly_trim(list(r)) == [Fraction(0)]:
-            break
-        chain.append([-c for c in r])
-    return chain
-
-
-def _sign_variations(chain: list[list[Fraction]], x: Fraction) -> int:
-    signs = []
-    for p in chain:
-        v = poly_eval(p, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+    neg, prev = 0, 1
+    while a:
+        k = next((i for i, r in enumerate(a) if r[i]), None)
+        if k is None:
+            ij = next(((i, j) for i, r in enumerate(a) for j, x in enumerate(r) if x), None)
+            if ij is None:
+                return neg, len(a)
+            k, j = ij
+            a[k] = [x + y for x, y in zip(a[k], a[j])]
+            for r in a:
+                r[k] += r[j]
+        pivot_row = a.pop(k)
+        pivot = pivot_row.pop(k)
+        if (pivot < 0) != (prev < 0):
+            neg += 1
+        rest = []
+        for r in a:
+            f = r.pop(k)
+            rest.append([(pivot * x - f * y) // prev for x, y in zip(r, pivot_row)])
+        a, prev = rest, pivot
+    return neg, 0
 
 
 def smallest_eigenvalue(m: RatMatrix, tol: Fraction | int | str = Fraction(1, 2**40)) -> tuple[Fraction, Fraction]:
     """Rational enclosure of the smallest nonzero eigenvalue of ``m``.
 
     ``m`` must be symmetric and is assumed positive-semidefinite, so
-    its spectrum is real and nonnegative.  Zero eigenvalues are
-    stripped from the characteristic polynomial first; the remaining
-    squarefree part is bisected with Sturm counts until the enclosure
-    isolates the smallest root and its width is at most ``tol``.  For a
-    nonsingular matrix this is the smallest eigenvalue outright.
+    its spectrum is real and nonnegative.  The eigenvalues at most
+    ``sigma`` are counted from the inertia of ``m - sigma I``.  Starting
+    from ``(0, largest absolute row sum]``, which holds every positive
+    eigenvalue, the interval is halved until its width is at most
+    ``tol``: the lower half is kept when it holds an eigenvalue beyond
+    the count at 0 (the nullity), and the upper half otherwise.  No
+    step rounds, so the enclosure is rigorous.  For a nonsingular
+    matrix this is the smallest eigenvalue outright.
 
-    Returns ``(lo, hi)`` with ``lo < smallest root <= hi`` and
-    ``hi - lo <= tol``.
+    Returns ``(lo, hi)`` with ``lo < smallest nonzero eigenvalue <= hi``
+    and ``hi - lo <= tol``; both ends are dyadic rationals.
     """
     tol = rat(tol)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     if not m.is_symmetric():
         raise ValueError("smallest_eigenvalue needs a symmetric matrix")
-    p = list(char_poly(m))
-    first_nonzero = next(i for i, c in enumerate(p) if c != 0)
-    q = p[first_nonzero:]
-    if len(q) == 1:
+    den = reduce(math.lcm, (x.denominator for x in m.entries), 1)
+    scaled = [[int(x * den) for x in m.row(i)] for i in range(m.rows)]
+
+    def at_most(sigma: Fraction) -> int:
+        # q * den * (m - sigma I) with sigma = p/q: integer, same inertia
+        shift, q = sigma.numerator * den, sigma.denominator
+        neg, zero = _inertia([[q * x - (shift if i == j else 0) for j, x in enumerate(r)]
+                              for i, r in enumerate(scaled)])
+        return neg + zero
+
+    nullity = at_most(Fraction(0))
+    if nullity == m.rows:
         raise ValueError("matrix has no nonzero eigenvalue")
-    q = _squarefree_part(q)
-    q = [c / q[-1] for c in q]
-    bound = Fraction(1) + max(abs(c) for c in q[:-1])
-    chain = _sturm_chain(q)
-
-    def roots_up_to(x: Fraction) -> int:
-        # distinct roots in the half-open interval (0, x]
-        if poly_eval(q, x) == 0:
-            deflated, rem = _poly_divmod(q, [-x, Fraction(1)])
-            assert _poly_trim(rem) == [Fraction(0)]
-            sub = _sturm_chain(deflated)
-            return 1 + _sign_variations(sub, Fraction(0)) - _sign_variations(sub, x)
-        return _sign_variations(chain, Fraction(0)) - _sign_variations(chain, x)
-
-    lo, hi = Fraction(0), bound
-    n_hi = roots_up_to(hi)
-    if n_hi == 0:
-        raise ValueError("matrix has no positive eigenvalue; is it positive-semidefinite?")
-    while n_hi > 1 or hi - lo > tol:
+    lo, hi = Fraction(0), max(sum(map(abs, m.row(i)), Fraction(0)) for i in range(m.rows))
+    while hi - lo > tol:
         mid = (lo + hi) / 2
-        c = roots_up_to(mid)
-        if c >= 1:
-            hi, n_hi = mid, c
+        if at_most(mid) > nullity:
+            hi = mid
         else:
             lo = mid
     return lo, hi

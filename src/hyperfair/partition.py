@@ -198,11 +198,11 @@ def solve_alpha(profile: MeasureProfile, k: GoalMatrix, p: TargetPoint,
     assert outcome.witness is not None
     x = outcome.witness
     achieved = x[delta_var] if maximize else fixed
+    slot = {a: ai for ai, a in enumerate(active)}
     weight_rows: list[tuple[Fraction, ...]] = []
     for a in range(len(profile.atoms)):
-        if a in set(active):
-            ai = active.index(a)
-            weight_rows.append(tuple(x[ai * n + j] for j in range(n)))
+        if a in slot:
+            weight_rows.append(tuple(x[slot[a] * n + j] for j in range(n)))
         else:
             weight_rows.append(tuple(Fraction(1 if j == 0 else 0) for j in range(n)))
     return WeightSystem(tuple(weight_rows)), achieved

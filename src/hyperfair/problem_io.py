@@ -15,12 +15,10 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from .hyperfree import GoalMatrix, TargetPoint
-from .linalg import RatMatrix, fmt
+from .linalg import RatMatrix, fmt, rat
 from .measures import Interval, StepDensity
-from .partition import Partition
+from .partition import MAXIMIZE, Partition
 from .relations import RelationMatrix
-
-MAXIMIZE = "max"
 
 
 class ProblemFormatError(ValueError):
@@ -28,20 +26,15 @@ class ProblemFormatError(ValueError):
 
 
 def parse_rational(value: Any, where: str) -> Fraction:
-    if isinstance(value, bool):
-        raise ProblemFormatError(f"{where}: expected an exact rational, got {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
     if isinstance(value, float):
         raise ProblemFormatError(
             f"{where}: floating point {value!r} is not accepted; write an exact "
             f"string like \"1/3\""
         )
-    if isinstance(value, str):
-        from .linalg import _RAT_RE
-        if _RAT_RE.match(value):
-            return Fraction(value.replace(" ", ""))
-    raise ProblemFormatError(f"{where}: expected an integer or \"num/den\" string, got {value!r}")
+    try:
+        return rat(value)
+    except (TypeError, ValueError) as exc:
+        raise ProblemFormatError(f"{where}: {exc}") from None
 
 
 def _rational_list(value: Any, where: str) -> list[Fraction]:

@@ -1,7 +1,8 @@
 """Independent reference computations used to cross-check the library.
 
 Nothing here imports the code paths under test: the characteristic
-polynomial comes from literal cofactor expansion, LP optima from
+polynomial comes from literal cofactor expansion and its root counts
+from Budan-Fourier sign variations, LP optima from
 brute-force basis enumeration, and sign-pattern feasibility from grid
 sampling of the constraint subspace.  Keeping these routes separate is
 the point; do not "simplify" them to call the production code.
@@ -12,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product
 
-from hyperfair.linalg import RatMatrix, kernel_basis, poly_eval, rref
+from hyperfair.linalg import RatMatrix, kernel_basis, rref
 
 # -- polynomial arithmetic on ascending coefficient lists ---------------
 
@@ -35,6 +36,32 @@ def poly_mul(a, b):
         for j, y in enumerate(b):
             out[i + j] += x * y
     return out
+
+
+def poly_eval(p, x):
+    acc = Fraction(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def real_roots_in(p, a, b) -> int:
+    """Roots of ``p`` in ``(a, b]`` with multiplicity, by Budan-Fourier.
+
+    The count of sign changes along p, p', p'', ... drops by exactly the
+    number of roots crossed when every root of ``p`` is real, as it is
+    for the characteristic polynomial of a symmetric matrix.
+    """
+    def variations(x):
+        signs, q = [], list(p)
+        while q:
+            v = poly_eval(q, x)
+            if v != 0:
+                signs.append(v > 0)
+            q = [c * k for k, c in enumerate(q)][1:]
+        return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+
+    return variations(a) - variations(b)
 
 
 def charpoly_by_cofactors(m: RatMatrix) -> list[Fraction]:

@@ -8,10 +8,9 @@ from hypothesis import given, strategies as st
 
 from hyperfair.linalg import (
     RatMatrix,
-    char_poly,
+    _inertia,
     inverse,
     kernel_basis,
-    poly_eval,
     pseudo_inverse,
     rank,
     rank_factorization,
@@ -21,7 +20,7 @@ from hyperfair.linalg import (
 )
 
 from conftest import TRIO_GRAM_ROWS
-from oracles import charpoly_by_cofactors
+from oracles import charpoly_by_cofactors, poly_eval, real_roots_in
 
 F = Fraction
 
@@ -152,29 +151,10 @@ def test_penrose_identities_hold_exactly(rows, cols, deficient, rng):
     assert (plus @ m).transpose() == plus @ m
 
 
-# -- characteristic polynomial --------------------------------------------
+# -- characteristic polynomial oracle -------------------------------------
 
-def test_char_poly_identity_2x2():
-    assert char_poly(RatMatrix.identity(2)) == (F(1), F(-2), F(1))
-
-
-def test_char_poly_diag_1_2_3():
-    m = RatMatrix.from_rows([[1, 0, 0], [0, 2, 0], [0, 0, 3]])
-    assert char_poly(m) == (F(-6), F(11), F(-6), F(1))
-
-
-def test_char_poly_trio_gram_frozen_and_vs_cofactor_oracle():
-    g = trio_gram()
-    got = char_poly(g)
-    assert got == (F(0), F(182, 209), F(-391, 209), F(1))
-    assert list(got) == charpoly_by_cofactors(g)
-    assert got[0] == 0  # singular
-
-
-@given(st.integers(1, 4), st.randoms(use_true_random=False))
-def test_char_poly_matches_cofactor_expansion(n, rng):
-    m = _random_matrix(rng, n, n)
-    assert list(char_poly(m)) == charpoly_by_cofactors(m)
+def test_cofactor_oracle_trio_gram_frozen():
+    assert charpoly_by_cofactors(trio_gram()) == [F(0), F(182, 209), F(-391, 209), F(1)]
 
 
 # -- smallest eigenvalue ---------------------------------------------------
@@ -198,7 +178,7 @@ def test_smallest_eigenvalue_trio_gram_skips_zero():
     target = F(182, 209)
     assert lo < target <= hi
     assert hi - lo <= F(1, 2**30)
-    assert poly_eval(list(char_poly(trio_gram())), target) == 0
+    assert poly_eval(charpoly_by_cofactors(trio_gram()), target) == 0
 
 
 def test_smallest_eigenvalue_repeated_root():
@@ -214,9 +194,26 @@ def test_smallest_eigenvalue_rejects_asymmetric_and_zero():
         smallest_eigenvalue(RatMatrix.zeros(2, 2))
 
 
-@given(st.integers(1, 4), st.randoms(use_true_random=False))
-def test_smallest_eigenvalue_brackets_a_sign_change(n, rng):
-    b = _random_matrix(rng, n, n)
+def test_smallest_eigenvalue_split_point_on_an_eigenvalue():
+    # the first split point, 1/2, is itself an eigenvalue: m - I/2 is singular
+    m = RatMatrix.from_rows([["1/2", 0], [0, 1]])
+    lo, hi = smallest_eigenvalue(m, F(1, 2**20))
+    assert lo < F(1, 2) <= hi
+    assert hi - lo <= F(1, 2**20)
+
+
+def test_smallest_eigenvalue_zero_leading_pivot_off_the_spectrum():
+    # two identical players: at 1/2 the leading pivot of m - I/2 is zero,
+    # yet 1/2 is not an eigenvalue (the spectrum is {0, 1})
+    m = RatMatrix.from_rows([["1/2", "1/2"], ["1/2", "1/2"]])
+    lo, hi = smallest_eigenvalue(m, F(1, 2**20))
+    assert lo < 1 <= hi
+    assert hi - lo <= F(1, 2**20)
+
+
+@given(st.integers(1, 4), st.booleans(), st.randoms(use_true_random=False))
+def test_smallest_eigenvalue_encloses_the_first_positive_root(n, deficient, rng):
+    b = _random_matrix(rng, n, n, rank_limit=max(1, n - 1) if deficient else None)
     m = b.transpose() @ b  # symmetric positive-semidefinite
     tol = F(1, 2**20)
     try:
@@ -226,10 +223,19 @@ def test_smallest_eigenvalue_brackets_a_sign_change(n, rng):
         return
     assert hi - lo <= tol
     assert 0 <= lo < hi
-    # the squarefree positive-spectrum factor changes sign across the enclosure
-    from hyperfair.linalg import _squarefree_part
+    p = charpoly_by_cofactors(m)
+    assert real_roots_in(p, F(0), lo) == 0
+    assert real_roots_in(p, F(0), hi) >= 1
 
-    p = list(char_poly(m))
-    first = next(i for i, c in enumerate(p) if c != 0)
-    q = _squarefree_part(p[first:])
-    assert poly_eval(q, lo) * poly_eval(q, hi) <= 0
+
+@given(st.integers(1, 5), st.randoms(use_true_random=False))
+def test_inertia_matches_the_characteristic_polynomial(n, rng):
+    # small entries with many zeros reach the zero-diagonal congruence step
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            rows[i][j] = rows[j][i] = rng.choice([-2, -1, 0, 0, 0, 1, 2])
+    p = charpoly_by_cofactors(RatMatrix.from_rows(rows))
+    zero = next(k for k, c in enumerate(p) if c != 0)
+    below = real_roots_in(p, F(-2 * n - 1), F(0))  # eigenvalues in (-2n-1, 0]
+    assert _inertia([list(r) for r in rows]) == (below - zero, zero)
