@@ -11,8 +11,8 @@ over atoms.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -53,6 +53,8 @@ class StepDensity:
 
     breakpoints: tuple[Fraction, ...]
     values: tuple[Fraction, ...]
+    # cumulative[i] is the integral over [breakpoints[0], breakpoints[i]]
+    cumulative: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         bp, vals = self.breakpoints, self.values
@@ -66,15 +68,12 @@ class StepDensity:
             raise ValueError("need exactly one value per cell")
         if any(v < 0 for v in vals):
             raise ValueError("density values must be nonnegative")
-        mass = self._mass()
-        if mass != 1:
-            raise ValueError(f"density must integrate to 1, got {mass}")
-
-    def _mass(self) -> Fraction:
-        return sum(
-            (v * (b - a) for v, a, b in zip(self.values, self.breakpoints, self.breakpoints[1:])),
-            Fraction(0),
-        )
+        cumulative = [Fraction(0)]
+        for v, a, b in zip(vals, bp, bp[1:]):
+            cumulative.append(cumulative[-1] + v * (b - a))
+        object.__setattr__(self, "cumulative", tuple(cumulative))
+        if cumulative[-1] != 1:
+            raise ValueError(f"density must integrate to 1, got {cumulative[-1]}")
 
     @staticmethod
     def make(breakpoints: Sequence[int | str | Fraction],
@@ -103,13 +102,18 @@ class StepDensity:
         return self.values[cell]
 
     def integral(self, iv: Interval) -> Fraction:
-        """Exact integral of the density over ``iv``."""
-        total = Fraction(0)
-        for v, a, b in zip(self.values, self.breakpoints, self.breakpoints[1:]):
-            overlap = min(iv.hi, b) - max(iv.lo, a)
-            if overlap > 0:
-                total += v * overlap
-        return total
+        """Exact integral of the density over ``iv`` (clamped to the breakpoints)."""
+        bp, vals, cumulative = self.breakpoints, self.values, self.cumulative
+        lo, hi = max(iv.lo, bp[0]), min(iv.hi, bp[-1])
+        if hi <= lo:
+            return Fraction(0)
+        first = bisect_right(bp, lo) - 1  # bp[first] <= lo < bp[first + 1]
+        last = bisect_left(bp, hi) - 1  # bp[last] < hi <= bp[last + 1]
+        if first == last:
+            return vals[first] * (hi - lo)
+        return (vals[first] * (bp[first + 1] - lo)
+                + (cumulative[last] - cumulative[first + 1])
+                + vals[last] * (hi - bp[last]))
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,16 @@
 Problems are stated in standard equality form: optimize ``c . x``
 subject to ``A x = b`` and ``x >= 0``.  All pivoting uses Bland's rule
 (smallest eligible index enters, smallest basic index breaks ratio
-ties), which rules out cycling, and every number is a Fraction, so the
-reported optimum and witness are exact.
+ties), which rules out cycling.
+
+The tableau is fraction-free: each row, the cost row included, is a
+list of Python ints ``v`` with one positive int denominator ``d`` and
+stands for ``v / d``.  A pivot cross-multiplies and then divides each
+row by one ``gcd``, so every sign test and ratio comparison of Bland's
+rule is an integer comparison and the pivot sequence is the one a
+Fraction tableau takes.  Fractions appear only at the boundary: the
+:class:`LpProblem` going in and the :class:`LpOutcome` coming out, so
+the reported optimum and witness are exact.
 """
 
 from __future__ import annotations
@@ -12,8 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import gcd, lcm
 
 from .linalg import RatMatrix
+
+# A tableau row: integer numerators and one positive denominator.
+Row = tuple[list[int], int]
 
 
 class LpStatus(Enum):
@@ -45,46 +57,73 @@ class LpOutcome:
     witness: tuple[Fraction, ...] | None = None
 
 
-def _pivot(tableau: list[list[Fraction]], basis: list[int],
-           cost: list[Fraction] | None, row: int, col: int) -> None:
-    piv = tableau[row][col]
-    tableau[row] = [x / piv for x in tableau[row]]
-    for r in range(len(tableau)):
-        if r != row and tableau[r][col] != 0:
-            f = tableau[r][col]
-            tableau[r] = [x - f * y for x, y in zip(tableau[r], tableau[row])]
-    if cost is not None and cost[col] != 0:
-        f = cost[col]
-        cost[:] = [x - f * y for x, y in zip(cost, tableau[row])]
+def _to_row(values: list[Fraction]) -> Row:
+    den = lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values], den
+
+
+def _lowest_terms(v: list[int], d: int) -> Row:
+    g = gcd(d, *v)
+    if g > 1:
+        return [x // g for x in v], d // g
+    return v, d
+
+
+def _unit_at(v: list[int], col: int) -> Row:
+    """The row ``v`` divided by its entry ``v[col]``, which must be nonzero."""
+    e = v[col]
+    if e < 0:
+        v, e = [-x for x in v], -e
+    return _lowest_terms(v, e)
+
+
+def _eliminate(row: Row, pivot_row: Row, col: int) -> Row:
+    """``row`` minus its ``col`` entry times ``pivot_row``, whose ``col`` entry is 1."""
+    (v, d), (u, e) = row, pivot_row
+    f = v[col]
+    return _lowest_terms([e * x - f * y for x, y in zip(v, u)], d * e)
+
+
+def _pivot(rows: list[Row], basis: list[int], cost: Row | None,
+           row: int, col: int) -> Row | None:
+    rows[row] = pivot_row = _unit_at(rows[row][0], col)
+    for i, other in enumerate(rows):
+        if i != row and other[0][col] != 0:
+            rows[i] = _eliminate(other, pivot_row, col)
     basis[row] = col
+    if cost is not None and cost[0][col] != 0:
+        cost = _eliminate(cost, pivot_row, col)
+    return cost
 
 
-def _iterate(tableau: list[list[Fraction]], basis: list[int],
-             cost: list[Fraction], ncols: int) -> str:
+def _iterate(rows: list[Row], basis: list[int], cost: Row, ncols: int) -> tuple[str, Row]:
     # cost is the reduced-cost row (length ncols + 1, last slot tracks
     # minus the current objective value); minimization throughout.
     while True:
-        entering = next((j for j in range(ncols) if cost[j] < 0), None)
+        entering = next((j for j in range(ncols) if cost[0][j] < 0), None)
         if entering is None:
-            return "optimal"
-        leaving, best = None, None
-        for i, row in enumerate(tableau):
-            if row[entering] > 0:
-                ratio = row[-1] / row[entering]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
-                    best, leaving = ratio, i
+            return "optimal", cost
+        # Ratios rhs / entry compare by cross-multiplying; the row
+        # denominators cancel and every entry compared is positive.
+        leaving, best_num, best_den = None, 0, 1
+        for i, (v, _) in enumerate(rows):
+            a = v[entering]
+            if a > 0:
+                ours, best = v[-1] * best_den, best_num * a
+                if leaving is None or ours < best or (ours == best and basis[i] < basis[leaving]):
+                    leaving, best_num, best_den = i, v[-1], a
         if leaving is None:
-            return "unbounded"
-        _pivot(tableau, basis, cost, leaving, entering)
+            return "unbounded", cost
+        cost = _pivot(rows, basis, cost, leaving, entering)
 
 
-def _reduced_costs(tableau: list[list[Fraction]], basis: list[int],
-                   c: list[Fraction], ncols: int) -> list[Fraction]:
-    cost = list(c[:ncols]) + [Fraction(0)]
-    for i, bi in enumerate(basis):
-        cb = c[bi]
-        if cb != 0:
-            cost = [x - cb * y for x, y in zip(cost, tableau[i])]
+def _reduced_costs(rows: list[Row], basis: list[int], c: list[int]) -> Row:
+    # Every basic column is a unit column of the tableau, so the cost
+    # entry of basic column bi still equals c[bi] when row i comes up.
+    cost: Row = (c + [0], 1)
+    for row, bi in zip(rows, basis):
+        if c[bi] != 0:
+            cost = _eliminate(cost, row, bi)
     return cost
 
 
@@ -92,83 +131,78 @@ def simplex_solve(problem: LpProblem) -> LpOutcome:
     """Solve an exact LP; the witness (when optimal) is a basic feasible point."""
     nvars = problem.constraints.cols
     nrows = problem.constraints.rows
-    sense = Fraction(-1) if problem.maximize else Fraction(1)
-    c_internal = [sense * x for x in problem.objective]
+    sense = -1 if problem.maximize else 1
+    # A positive multiple of the objective prices every column the same.
+    c_internal, _ = _to_row([sense * x for x in problem.objective])
 
     # Phase 1.  Rows whose right-hand side lines up with a singleton
     # column (one nonzero in the whole column) can start basic in that
     # column; everything else gets an artificial variable whose sum is
-    # minimized.
-    base: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    # minimized.  Each row carries its right-hand side as last entry.
+    base: list[Row] = []
     for i in range(nrows):
-        row = list(problem.constraints.row(i))
-        b = problem.rhs[i]
-        if b < 0:
-            row = [-x for x in row]
-            b = -b
-        base.append(row)
-        rhs.append(b)
+        values = list(problem.constraints.row(i)) + [problem.rhs[i]]
+        if problem.rhs[i] < 0:
+            values = [-x for x in values]
+        base.append(_to_row(values))
     nonzeros = [0] * nvars
-    for row in base:
-        for j, x in enumerate(row):
-            if x != 0:
+    for v, _ in base:
+        for j in range(nvars):
+            if v[j] != 0:
                 nonzeros[j] += 1
     crash: list[int | None] = []
-    for i, row in enumerate(base):
+    for i, (v, _) in enumerate(base):
+        # rhs / entry >= 0 with rhs >= 0: a zero rhs or a positive entry
         col = next(
-            (j for j, x in enumerate(row)
-             if x != 0 and nonzeros[j] == 1 and rhs[i] / x >= 0),
+            (j for j in range(nvars)
+             if v[j] != 0 and nonzeros[j] == 1 and (v[-1] == 0 or v[j] > 0)),
             None,
         )
         crash.append(col)
         if col is not None:
-            piv = row[col]
-            base[i] = [x / piv for x in row]
-            rhs[i] /= piv
+            base[i] = _unit_at(v, col)
 
     art_slot = {i: k for k, i in enumerate(
         i for i, col in enumerate(crash) if col is None)}
     narts = len(art_slot)
-    tableau: list[list[Fraction]] = []
+    rows: list[Row] = []
     basis: list[int] = []
-    for i in range(nrows):
-        unit = [Fraction(0)] * narts
+    for i, (v, d) in enumerate(base):
+        unit = [0] * narts
         if crash[i] is None:
-            unit[art_slot[i]] = Fraction(1)
+            unit[art_slot[i]] = d
             basis.append(nvars + art_slot[i])
         else:
             basis.append(crash[i])
-        tableau.append(base[i] + unit + [rhs[i]])
-    phase1_c = [Fraction(0)] * nvars + [Fraction(1)] * narts
-    cost = _reduced_costs(tableau, basis, phase1_c, nvars + narts)
-    status = _iterate(tableau, basis, cost, nvars + narts)
+        rows.append((v[:-1] + unit + v[-1:], d))
+    cost = _reduced_costs(rows, basis, [0] * nvars + [1] * narts)
+    status, cost = _iterate(rows, basis, cost, nvars + narts)
     assert status == "optimal", "phase 1 is bounded below by zero"
-    if -cost[-1] != 0:
+    if cost[0][-1] != 0:
         return LpOutcome(LpStatus.INFEASIBLE)
 
     # Drive leftover artificials out of the basis; a row where that is
     # impossible is redundant and gets dropped.
     drop: list[int] = []
-    for i in range(len(tableau)):
+    for i in range(len(rows)):
         if basis[i] >= nvars:
-            col = next((j for j in range(nvars) if tableau[i][j] != 0), None)
+            col = next((j for j in range(nvars) if rows[i][0][j] != 0), None)
             if col is None:
                 drop.append(i)
             else:
-                _pivot(tableau, basis, None, i, col)
+                _pivot(rows, basis, None, i, col)
     for i in reversed(drop):
-        del tableau[i]
+        del rows[i]
         del basis[i]
-    tableau = [row[:nvars] + [row[-1]] for row in tableau]
+    rows = [_lowest_terms(v[:nvars] + v[-1:], d) for v, d in rows]
 
     # Phase 2 on the real objective.
-    cost = _reduced_costs(tableau, basis, c_internal, nvars)
-    status = _iterate(tableau, basis, cost, nvars)
+    cost = _reduced_costs(rows, basis, c_internal)
+    status, _ = _iterate(rows, basis, cost, nvars)
     if status == "unbounded":
         return LpOutcome(LpStatus.UNBOUNDED)
     x = [Fraction(0)] * nvars
-    for i, bi in enumerate(basis):
-        x[bi] = tableau[i][-1]
+    for (v, d), bi in zip(rows, basis):
+        x[bi] = Fraction(v[-1], d)
     value = sum((cj * xj for cj, xj in zip(problem.objective, x)), Fraction(0))
     return LpOutcome(LpStatus.OPTIMAL, value, tuple(x))

@@ -3,8 +3,10 @@
 Nothing here imports the code paths under test: the characteristic
 polynomial comes from literal cofactor expansion and its root counts
 from Budan-Fourier sign variations, LP optima from
-brute-force basis enumeration, and sign-pattern feasibility from grid
-sampling of the constraint subspace.  Keeping these routes separate is
+brute-force basis enumeration, the simplex's pivot sequence from a
+plain Fraction tableau that prices every column afresh at each step,
+and sign-pattern feasibility from grid sampling of the constraint
+subspace.  Keeping these routes separate is
 the point; do not "simplify" them to call the production code.
 """
 
@@ -162,6 +164,97 @@ def lp_value_reachable(objective, constraints, rhs, target) -> bool:
     new_rhs = list(rhs) + [target]
     vertices = lp_vertices(RatMatrix.from_rows(rows), new_rhs)
     return bool(vertices)
+
+
+def lp_bland_reference(objective, constraints: RatMatrix, rhs, maximize=True, events=None):
+    """Two-phase simplex with Bland's rule on a Fraction tableau.
+
+    Returns ``(status, value, witness)`` with status ``"optimal"``,
+    ``"infeasible"`` or ``"unbounded"`` (value and witness ``None``
+    unless optimal).  It follows the library's conventions, so its
+    witness is the same basic point: rows with a negative right-hand
+    side are negated; a row starts basic in its first column that is
+    nonzero only in that row, if the right-hand side over that entry is
+    nonnegative, and otherwise on an artificial; the entering column is
+    the first with a negative reduced cost, recomputed from scratch at
+    every step; the leaving row has the least ratio, ties going to the
+    least basic index; after phase 1 each row still basic on an
+    artificial pivots on its first nonzero real column or is dropped.
+
+    ``events``, when a set, collects which of ``negative_rhs``,
+    ``crash``, ``crash_negative``, ``tie`` and ``dropped_row`` occurred.
+    """
+    note = events.add if events is not None else (lambda _: None)
+    m, nv = constraints.rows, constraints.cols
+    rows = []
+    for i in range(m):
+        row = [Fraction(constraints[i, j]) for j in range(nv)] + [Fraction(rhs[i])]
+        if row[-1] < 0:
+            note("negative_rhs")
+            row = [-x for x in row]
+        rows.append(row)
+    basis = [None] * m
+    for i in range(m):
+        for j in range(nv):
+            a = rows[i][j]
+            if a != 0 and all(rows[k][j] == 0 for k in range(m) if k != i) and rows[i][-1] / a >= 0:
+                note("crash_negative" if a < 0 else "crash")
+                rows[i] = [x / a for x in rows[i]]
+                basis[i] = j
+                break
+    artificial = [i for i in range(m) if basis[i] is None]
+    for k, i in enumerate(artificial):
+        basis[i] = nv + k
+    rows = [row[:-1] + [Fraction(int(i == a)) for a in artificial] + row[-1:]
+            for i, row in enumerate(rows)]
+
+    def pivot(r, c):
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        basis[r] = c
+
+    def minimize(cost):
+        """Bland iterations; False when unbounded."""
+        while True:
+            reduced = [cost[j] - sum((cost[b] * rows[i][j] for i, b in enumerate(basis)), Fraction(0))
+                       for j in range(len(cost))]
+            entering = next((j for j, r in enumerate(reduced) if r < 0), None)
+            if entering is None:
+                return True
+            ratios = sorted((rows[i][-1] / rows[i][entering], basis[i], i)
+                            for i in range(len(rows)) if rows[i][entering] > 0)
+            if not ratios:
+                return False
+            if len(ratios) > 1 and ratios[1][0] == ratios[0][0]:
+                note("tie")
+            pivot(ratios[0][2], entering)
+
+    phase1 = [Fraction(0)] * nv + [Fraction(1)] * len(artificial)
+    minimize(phase1)
+    if sum((phase1[b] * rows[i][-1] for i, b in enumerate(basis)), Fraction(0)) != 0:
+        return "infeasible", None, None
+    keep = []
+    for i in range(len(rows)):
+        if basis[i] >= nv:
+            col = next((j for j in range(nv) if rows[i][j] != 0), None)
+            if col is None:
+                note("dropped_row")
+                continue
+            pivot(i, col)
+        keep.append(i)
+    rows = [rows[i][:nv] + rows[i][-1:] for i in keep]
+    basis = [basis[i] for i in keep]
+
+    sign = -1 if maximize else 1
+    if not minimize([sign * Fraction(c) for c in objective]):
+        return "unbounded", None, None
+    x = [Fraction(0)] * nv
+    for i, b in enumerate(basis):
+        x[b] = rows[i][-1]
+    return "optimal", sum((Fraction(c) * v for c, v in zip(objective, x)), Fraction(0)), tuple(x)
 
 
 # -- grid oracle for sign-pattern feasibility ---------------------------

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, strategies as st
@@ -79,6 +81,32 @@ def test_integral_crosses_cells():
     assert d.integral(Interval.make("1/4", "3/4")) == F(1, 2)
     assert d.integral(Interval.make("0", "1")) == 1
     assert d.integral(Interval.make("3/5", "1")) == 0
+
+
+# Interval refuses endpoints outside [0, 1]; integral() only reads .lo
+# and .hi, so this stand-in checks the clamping to the breakpoints.
+_Span = namedtuple("_Span", "lo hi")
+
+
+def _integral_cell_by_cell(d, lo, hi):
+    return sum((v * max(F(0), min(hi, b) - max(lo, a))
+                for v, a, b in zip(d.values, d.breakpoints, d.breakpoints[1:])), F(0))
+
+
+@given(st.randoms(use_true_random=False))
+def test_integral_matches_the_cell_by_cell_sum(rng):
+    cells = rng.randint(1, 6)
+    inner = sorted(rng.sample([F(i, 12) for i in range(1, 12)], cells - 1))
+    breakpoints = [F(0), *inner, F(1)]
+    values = [F(rng.choice([0, 0, 1, 2, 5])) for _ in range(cells)]
+    values[rng.randrange(cells)] += 1  # some mass somewhere
+    d = StepDensity.normalized(breakpoints, values)
+    points = breakpoints + [F(rng.randint(0, 24), 24) for _ in range(3)] + [F(-1, 2), F(3, 2)]
+    # every pair, so endpoints on breakpoints, zero lengths and spans
+    # past either end all occur
+    for lo, hi in combinations_with_replacement(sorted(set(points)), 2):
+        span = Interval(lo, hi) if 0 <= lo and hi <= 1 else _Span(lo, hi)
+        assert d.integral(span) == _integral_cell_by_cell(d, lo, hi)
 
 
 # -- common refinement -----------------------------------------------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, strategies as st
 from hyperfair.linalg import RatMatrix
 from hyperfair.simplex import LpOutcome, LpProblem, LpStatus, simplex_solve
 
-from oracles import lp_optimum_by_vertices, lp_value_reachable
+from oracles import lp_bland_reference, lp_optimum_by_vertices, lp_value_reachable
 
 F = Fraction
 
@@ -135,6 +136,85 @@ def test_random_infeasible_instances_are_reported(nvars, rng):
     rhs = (F(1), F(2))
     out = simplex_solve(LpProblem((F(0),) * nvars, a, rhs))
     assert out.status is LpStatus.INFEASIBLE
+
+
+def _pivot_stress_lp(rng):
+    """A small LP built to reach every branch of the two-phase method.
+
+    Entries are small and often zero or tied, so ratio tests tie and
+    vertices are degenerate; singleton columns of either sign (crash
+    candidates, the negative ones only usable on a zero right-hand
+    side) are mixed in; a multiple of an earlier row, possibly negated,
+    adds a redundant row; right-hand sides are zero, negative or
+    positive, from a nonnegative point or at random (often infeasible).
+    """
+    nvars, nrows = rng.randint(1, 5), rng.randint(1, 3)
+    entries = [0, 0, 0, 1, 1, -1, 2, F(1, 2), F(-3, 2)]
+    rows = [[F(rng.choice(entries)) for _ in range(nvars)] for _ in range(nrows)]
+    for i in range(nrows):
+        if rng.random() < 0.5:
+            for k, row in enumerate(rows):
+                row.append(F(rng.choice([1, 2, -1])) if k == i else F(0))
+    if rng.random() < 0.4:
+        source = rng.choice(rows)
+        scale = F(rng.choice([1, 2, -1, -2]))
+        rows.append([scale * x for x in source])
+    ncols = len(rows[0])
+    if rng.random() < 0.6:
+        point = [F(rng.choice([0, 0, 1, 2])) for _ in range(ncols)]
+        rhs = [sum((a * x for a, x in zip(row, point)), F(0)) for row in rows]
+    else:
+        rhs = [F(rng.choice([0, 1, -1, 2])) for _ in rows]
+    objective = tuple(F(rng.choice([-1, 0, 0, 1, 2])) for _ in range(ncols))
+    return objective, RatMatrix.from_rows(rows), tuple(rhs)
+
+
+def _agrees_with_reference(objective, a, rhs, maximize, events=None) -> LpOutcome:
+    out = simplex_solve(LpProblem(objective, a, rhs, maximize=maximize))
+    status, value, witness = lp_bland_reference(objective, a, rhs, maximize, events)
+    assert (out.status.value, out.value, out.witness) == (status, value, witness)
+    return out
+
+
+@given(st.booleans(), st.randoms(use_true_random=False))
+def test_pivots_match_the_fraction_tableau_reference(maximize, rng):
+    _agrees_with_reference(*_pivot_stress_lp(rng), maximize)
+
+
+def test_reference_comparison_reaches_every_branch():
+    # The property above only means something if its inputs reach each
+    # branch whose pivots could differ; this seeded sweep shows they do.
+    rng = random.Random(20171)
+    events, statuses = set(), set()
+    for _ in range(400):
+        out = _agrees_with_reference(*_pivot_stress_lp(rng), rng.random() < 0.5, events)
+        statuses.add(out.status)
+    assert statuses == set(LpStatus)
+    assert events == {"negative_rhs", "crash", "crash_negative", "tie", "dropped_row"}
+
+
+def test_ratio_tie_break_decides_the_witness():
+    # Both optima score 3; breaking ratio-test ties towards the
+    # larger basic index would end on (0, 0, 0, 3, 0) instead.
+    out = _agrees_with_reference(
+        (F(0), F(0), F(1), F(1), F(0)),
+        RatMatrix.from_rows([[2, 0, 1, 2, 1], [1, 0, 0, 1, 1]]),
+        (F(6), F(3)), True)
+    assert out.value == 3
+    assert out.witness == (F(0), F(0), F(3), F(0), F(3))
+
+
+def test_drive_out_pivot_decides_the_witness():
+    # Rows 0 and 1 cancel, so phase 1 ends with both on artificials at
+    # zero: row 0 pivots out on its first nonzero column and row 1 is
+    # dropped.  Pivoting on the last nonzero column instead would end
+    # on (4/3, 0, 2/3, 0), which also scores 2.
+    out = _agrees_with_reference(
+        (F(1), F(0), F(1), F(0)),
+        RatMatrix.from_rows([[-1, 2, 2, 0], [1, -2, -2, 0], [1, 0, 1, 2]]),
+        (F(0), F(0), F(2)), True)
+    assert out.value == 2
+    assert out.witness == (F(2), F(1), F(0), F(0))
 
 
 def test_problem_shape_validation():
