@@ -17,6 +17,7 @@ from .hyperfree import (
     PropernessReport,
     TargetPoint,
     delta_bound,
+    factor_delta_bound,
     is_proper,
     necessary_condition_check,
     spectral_delta_bound,
@@ -52,6 +53,7 @@ from .partition import (
     WeightSystem,
     build_from_weights,
     build_via_stochastic_factor,
+    factor_weights,
     solve_alpha,
 )
 from .relations import (
@@ -81,12 +83,12 @@ __all__ = [
     "measure_of", "rn_weights", "gram_matrix", "measure_relations",
     "TargetPoint", "GoalMatrix", "PropernessReport", "HyperFreeCertificate",
     "ImproperMatrixError", "DeltaTooLargeError", "is_proper", "target_matrix",
-    "delta_bound", "spectral_delta_bound", "stochastic_factor",
+    "delta_bound", "factor_delta_bound", "spectral_delta_bound", "stochastic_factor",
     "necessary_condition_check",
     "Relation", "RelationMatrix", "RelationSolution", "solve_relations",
     "verify_relation_solution",
     "WeightSystem", "Partition", "PartitionError", "InfeasibleError",
-    "build_from_weights", "solve_alpha", "build_via_stochastic_factor",
+    "build_from_weights", "solve_alpha", "build_via_stochastic_factor", "factor_weights",
     "SharingMatrix", "FairnessReport", "sharing_matrix", "check_fairness",
     "rawlsian_distance",
     "__version__",

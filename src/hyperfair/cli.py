@@ -23,13 +23,17 @@ from .hyperfree import (
     UNBOUNDED,
     UNCONSTRAINED,
     DEFAULT_TOL,
+    DeltaTooLargeError,
+    ImproperMatrixError,
     TargetPoint,
     delta_bound,
+    factor_delta_bound,
     spectral_delta_bound,
+    stochastic_factor,
 )
 from .linalg import RatMatrix, fmt, kernel_basis, pseudo_inverse, rat
 from .measures import common_refinement, gram_matrix
-from .partition import MAXIMIZE, InfeasibleError, build_from_weights, solve_alpha
+from .partition import MAXIMIZE, InfeasibleError, build_from_weights, factor_weights, solve_alpha
 from .problem_io import (
     Problem,
     load_partition,
@@ -92,6 +96,7 @@ def _analysis(problem: Problem, tol: Fraction) -> tuple[dict, dict]:
         "pseudo_inverse": matrix_to_strings(g_plus),
         "pinv_times_k": None,
         "delta_bound": None,
+        "factor_bound": None,
         "spectral_bound": None,
     }
     gk = None
@@ -100,6 +105,8 @@ def _analysis(problem: Problem, tol: Fraction) -> tuple[dict, dict]:
         report["pinv_times_k"] = matrix_to_strings(gk)
         bound = delta_bound(g_plus, problem.k, p)
         report["delta_bound"] = "unbounded" if bound is UNBOUNDED else fmt(bound)
+        bound = factor_delta_bound(gk, p)
+        report["factor_bound"] = "unbounded" if bound is UNBOUNDED else fmt(bound)
         if not relations and not problem.k.is_zero():
             lo, hi = spectral_delta_bound(g, problem.k, p, tol)
             report["spectral_bound"] = [fmt(lo), fmt(hi)]
@@ -162,14 +169,26 @@ def cmd_solve(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     delta_req = problem.delta if problem.delta is not None else MAXIMIZE
-    try:
-        weights, achieved = solve_alpha(profile, k, p, delta_req)
-    except InfeasibleError as exc:
-        report["delta"] = None
-        print(f"Construction: infeasible ({exc})")
-        if args.output:
-            write_json(args.output, report)
-        return EXIT_INFEASIBLE
+    weights = None
+    if delta_req != MAXIMIZE:
+        # A nonnegative exact factor (proper K, delta <= factor_bound)
+        # cuts the partition without an LP; anything else goes to the LP.
+        try:
+            cert = stochastic_factor(state["g"], state["g_plus"], k, p, delta_req)
+        except (DeltaTooLargeError, ImproperMatrixError):
+            pass
+        else:
+            weights, achieved = factor_weights(profile, cert.factor), cert.delta
+    report["route"] = "lp" if weights is None else "factor"
+    if weights is None:
+        try:
+            weights, achieved = solve_alpha(profile, k, p, delta_req)
+        except InfeasibleError as exc:
+            report["delta"] = None
+            print(f"Construction: infeasible ({exc})")
+            if args.output:
+                write_json(args.output, report)
+            return EXIT_INFEASIBLE
 
     part = build_from_weights(profile, weights)
     shares = sharing_matrix(profile, part)

@@ -8,9 +8,10 @@ player ``j``'s piece.  Whether such a plan is realizable with measures
 whose Gram matrix is ``G`` hinges on two things: ``K`` must be proper
 (compatible with every linear relation among the measures), and
 ``delta`` must be small enough that ``G^+ (P + delta K)`` stays
-entrywise nonnegative.  This module computes the relevant bound, an
-eigenvalue-based lower estimate of it, and the stochastic factor
-itself, all in exact rational arithmetic.
+entrywise nonnegative.  This module computes the relevant bounds (the
+sharp one, :func:`factor_delta_bound`, and the coarser
+:func:`delta_bound`), an eigenvalue-based lower estimate of them, and
+the stochastic factor itself, all in exact rational arithmetic.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ class _Sentinel:
         return self._name
 
 
-#: Returned by :func:`delta_bound` when no finite margin constraint exists.
+#: Returned by the margin bounds when no finite margin constraint exists.
 UNBOUNDED = _Sentinel("UNBOUNDED")
 #: Used where a margin exists but is not pinned down by the problem.
 UNCONSTRAINED = _Sentinel("UNCONSTRAINED")
@@ -175,6 +176,34 @@ def delta_bound(g_plus: RatMatrix, k: GoalMatrix, p: TargetPoint):
     if worst == 0:
         return UNBOUNDED
     return min(p.shares) / worst
+
+
+def factor_delta_bound(gk: RatMatrix, p: TargetPoint):
+    """Largest margin at which the stochastic factor stays nonnegative.
+
+    ``gk`` is ``g_plus @ K``.  Returns the exact
+    ``min p_j / -gk[i][j]`` over the entries with ``gk[i][j] < 0``, or
+    :data:`UNBOUNDED` when no entry is negative.
+
+    The factor is ``S = g_plus @ (P + delta K) = g_plus @ P + delta gk``,
+    and ``g_plus @ P = P``: the Gram matrix ``g`` is symmetric and
+    row-stochastic, so ``g @ 1 = 1`` puts ``1`` in the range of ``g``;
+    for symmetric ``g`` the product ``g_plus @ g`` is the orthogonal
+    projector onto that range, so ``g_plus @ 1 = g_plus @ g @ 1 = 1``,
+    and every column of ``P`` is a multiple of ``1``.  Entry ``(i, j)``
+    of ``S`` is therefore ``p_j + delta * gk[i][j]``, which is
+    nonnegative for every ``delta >= 0`` when ``gk[i][j] >= 0`` and
+    exactly up to ``p_j / -gk[i][j]`` otherwise.  So ``S >= 0`` exactly
+    when ``delta`` is at most this bound; it is never below
+    :func:`delta_bound`, and unlike that bound it is sharp.  Whether
+    ``S`` also reproduces the target is the separate properness
+    question that :func:`stochastic_factor` checks.
+    """
+    if not gk.is_square() or p.n != gk.rows:
+        raise ValueError("dimension mismatch between g_plus @ K and the target")
+    limits = [p.shares[j] / -gk[i, j]
+              for i in range(gk.rows) for j in range(gk.cols) if gk[i, j] < 0]
+    return min(limits) if limits else UNBOUNDED
 
 
 def spectral_delta_bound(g: RatMatrix, k: GoalMatrix, p: TargetPoint,

@@ -5,10 +5,18 @@ atom of the common refinement into consecutive player slices: if
 player ``j`` receives fraction ``alpha[a][j]`` of atom ``a`` then
 player ``i`` values player ``j``'s total piece at
 ``sum_a alpha[a][j] * measure_i(atom a)``, because densities are
-constant on atoms.  Finding weights that hit ``P + delta K`` is a
-linear program; composing the Gram stochastic factor with the
-normalized density weights gives a second, LP-free construction, and
-both land on the same sharing matrix.
+constant on atoms.  Weights that hit ``P + delta K`` come from one of
+two routes, and both land on the same sharing matrix:
+
+* :func:`factor_weights` composes the normalized density weights with
+  the Gram stochastic factor ``S = G^+ (P + delta K)``.  No LP is
+  needed; it applies whenever ``S`` is nonnegative and ``G S`` is the
+  target, that is for a proper ``K`` and ``delta`` up to
+  :func:`hyperfair.hyperfree.factor_delta_bound`.  ``hyperfair solve``
+  takes this route first for a fixed margin.
+* :func:`solve_alpha` solves an exact linear program.  It reaches every
+  realizable margin, so ``solve`` uses it to maximize the margin and
+  for fixed margins the factor cannot realize.
 """
 
 from __future__ import annotations
@@ -208,19 +216,18 @@ def solve_alpha(profile: MeasureProfile, k: GoalMatrix, p: TargetPoint,
     return WeightSystem(tuple(weight_rows)), achieved
 
 
-def build_via_stochastic_factor(profile: MeasureProfile, k: GoalMatrix, p: TargetPoint,
-                                delta: Fraction | int | str) -> Partition:
-    """LP-free construction through the Gram pseudo-inverse.
+def factor_weights(profile: MeasureProfile, factor: RatMatrix) -> WeightSystem:
+    """Weight system of a row-stochastic factor ``S``, without any LP.
 
-    The stochastic factor ``S`` reweights the normalized density
-    weights: on each atom, player ``j`` receives
-    ``sum_i S[i][j] * w_i(atom)``.  Null atoms go wholly to player 0.
-    Raises the :func:`hyperfair.hyperfree.stochastic_factor` errors when
-    the goal matrix is improper or the margin is too large.
+    On each atom, player ``j`` receives ``sum_i S[i][j] * w_i(atom)``,
+    where ``w`` are the :func:`rn_weights`; null atoms go wholly to
+    player 0.  When ``gram_matrix(profile) @ S`` is ``P + delta K``,
+    the cut realizes exactly that sharing matrix, because summing
+    ``w_l * measure_i`` over the atoms gives the Gram entry ``(i, l)``.
     """
-    g = gram_matrix(profile)
-    cert = stochastic_factor(g, pseudo_inverse(g), k, p, delta)
     n = profile.n
+    if factor.rows != n or factor.cols != n:
+        raise ValueError("factor and profile disagree on the number of players")
     rows = []
     for a in range(len(profile.atoms)):
         base = rn_weights(profile, a)
@@ -228,7 +235,21 @@ def build_via_stochastic_factor(profile: MeasureProfile, k: GoalMatrix, p: Targe
             rows.append(tuple(Fraction(1 if j == 0 else 0) for j in range(n)))
             continue
         rows.append(tuple(
-            sum((base[i] * cert.factor[i, j] for i in range(n)), Fraction(0))
+            sum((base[i] * factor[i, j] for i in range(n)), Fraction(0))
             for j in range(n)
         ))
-    return build_from_weights(profile, WeightSystem(tuple(rows)))
+    return WeightSystem(tuple(rows))
+
+
+def build_via_stochastic_factor(profile: MeasureProfile, k: GoalMatrix, p: TargetPoint,
+                                delta: Fraction | int | str) -> Partition:
+    """LP-free construction through the Gram pseudo-inverse.
+
+    Cuts the profile by :func:`factor_weights` of the stochastic factor
+    ``S = G^+ (P + delta K)``.  Raises the
+    :func:`hyperfair.hyperfree.stochastic_factor` errors when the goal
+    matrix is improper or the margin is too large.
+    """
+    g = gram_matrix(profile)
+    cert = stochastic_factor(g, pseudo_inverse(g), k, p, delta)
+    return build_from_weights(profile, factor_weights(profile, cert.factor))

@@ -5,7 +5,8 @@ polynomial comes from literal cofactor expansion and its root counts
 from Budan-Fourier sign variations, LP optima from
 brute-force basis enumeration, the simplex's pivot sequence from a
 plain Fraction tableau that prices every column afresh at each step,
-and sign-pattern feasibility from grid sampling of the constraint
+the pseudo-inverse of a symmetric matrix from its column space, and
+sign-pattern feasibility from grid sampling of the constraint
 subspace.  Keeping these routes separate is
 the point; do not "simplify" them to call the production code.
 """
@@ -255,6 +256,83 @@ def lp_bland_reference(objective, constraints: RatMatrix, rhs, maximize=True, ev
     for i, b in enumerate(basis):
         x[b] = rows[i][-1]
     return "optimal", sum((Fraction(c) * v for c, v in zip(objective, x)), Fraction(0)), tuple(x)
+
+
+# -- pseudo-inverse and factor threshold ---------------------------------
+
+def _independent_columns(rows) -> list[int]:
+    """Indices of a maximal independent set of columns, chosen greedily."""
+    reduced = []  # (pivot index, vector) with zeros at every earlier pivot
+    keep = []
+    for c in range(len(rows[0])):
+        v = [Fraction(row[c]) for row in rows]
+        for piv, b in reduced:
+            if v[piv]:
+                f = v[piv] / b[piv]
+                v = [x - f * y for x, y in zip(v, b)]
+        lead = next((i for i, x in enumerate(v) if x), None)
+        if lead is not None:
+            reduced.append((lead, v))
+            keep.append(c)
+    return keep
+
+
+def _inverse(rows) -> list[list[Fraction]]:
+    """Inverse of a nonsingular square matrix by Gauss-Jordan elimination."""
+    n = len(rows)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(rows)]
+    for c in range(n):
+        r = next(r for r in range(c, n) if aug[r][c])
+        aug[c], aug[r] = aug[r], aug[c]
+        piv = aug[c][c]
+        aug[c] = [x / piv for x in aug[c]]
+        for r in range(n):
+            if r != c and aug[r][c]:
+                f = aug[r][c]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
+    return [row[n:] for row in aug]
+
+
+def symmetric_pinv(m: RatMatrix) -> list[list[Fraction]]:
+    """Moore-Penrose inverse of a symmetric matrix as ``C (C^T M C)^-1 C^T``.
+
+    ``C`` holds a maximal independent set of the columns of ``M``.  As
+    ``M`` is symmetric, its range is the span of ``C`` and
+    ``M = C B C^T`` for an invertible ``B``, which gives the formula.
+    """
+    rows = m.to_rows()
+    n = len(rows)
+    keep = _independent_columns(rows)
+    c = [[rows[i][t] for t in keep] for i in range(n)]
+    middle = [[sum((c[i][s] * rows[i][j] * c[j][t] for i in range(n) for j in range(n)),
+                   Fraction(0)) for t in range(len(keep))] for s in range(len(keep))]
+    inv = _inverse(middle)
+    ci = [[sum((c[i][s] * inv[s][t] for s in range(len(keep))), Fraction(0))
+           for t in range(len(keep))] for i in range(n)]
+    return [[sum((ci[i][t] * c[j][t] for t in range(len(keep))), Fraction(0))
+             for j in range(n)] for i in range(n)]
+
+
+def factor_threshold(g: RatMatrix, k_rows, p):
+    """Largest ``delta`` with ``G^+ (P + delta K) >= 0``; None when unbounded.
+
+    Entry ``(i, j)`` of the factor is ``a + delta * b`` with ``a`` from
+    ``G^+ P`` and ``b`` from ``G^+ K``, both formed here from
+    :func:`symmetric_pinv`; ``G^+ P = P`` is not assumed.  Expects
+    ``G^+ P >= 0``, so that ``delta = 0`` is admissible.
+    """
+    gp = symmetric_pinv(g)
+    n = len(gp)
+    limits = []
+    for i in range(n):
+        for j in range(n):
+            a = sum((gp[i][l] * p[j] for l in range(n)), Fraction(0))
+            b = sum((gp[i][l] * k_rows[l][j] for l in range(n)), Fraction(0))
+            assert a >= 0
+            if b < 0:
+                limits.append(a / -b)
+    return min(limits) if limits else None
 
 
 # -- grid oracle for sign-pattern feasibility ---------------------------

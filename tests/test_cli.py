@@ -46,6 +46,7 @@ def test_gram_report_file_is_exact(capsys, tmp_path):
     assert report["pinv_times_k"] == TRIO_PINV_K_ROWS
     assert report["kernel_basis"] == [["1", "9", "-10"]]
     assert report["delta_bound"] == "455/1536"
+    assert report["factor_bound"] == "1820/6087"
     assert report["spectral_bound"] is None  # dependent measures
     assert report["atoms"] == [["0", "1/10"], ["1/10", "1"]]
 
@@ -82,6 +83,7 @@ def test_solve_constructs_the_trio_partition(capsys, tmp_path):
     assert "Margin delta: 1/6" in out
     assert "player 0: [0, 1/20] [1/10, 7/20]" in out
     report = json.loads(out_path.read_text())
+    assert report["route"] == "factor"  # 1/6 is below the factor bound 1820/6087
     assert report["delta"] == "1/6"
     assert report["sharing_matrix"] == TRIO_SHARING_ROWS
     assert report["partition"] == [
@@ -107,8 +109,22 @@ def test_solve_maximizes_the_margin(capsys, tmp_path):
     assert code == EXIT_OK
     assert "Margin delta: 1/3" in out
     report = json.loads(out_path.read_text())
+    assert report["route"] == "lp"
     assert report["delta"] == "1/3"
     assert report["fairness"]["hyper_delta"] == "1/3"
+
+
+def test_solve_margin_between_factor_bound_and_maximum_takes_the_lp(capsys, tmp_path):
+    problem = json.loads((PROBLEMS / "three_players.json").read_text())
+    problem["delta"] = "3/10"  # above 1820/6087, below the 1/3 maximum
+    out_path = tmp_path / "report.json"
+    code, out, _ = run(capsys, "solve", "--input", write(tmp_path, "p.json", problem),
+                       "--output", str(out_path))
+    assert code == EXIT_OK
+    assert "Margin delta: 3/10" in out
+    report = json.loads(out_path.read_text())
+    assert report["route"] == "lp"
+    assert report["fairness"]["hyper_delta"] == "3/10"
 
 
 def test_solve_rejects_an_infeasible_pattern(capsys, tmp_path):
@@ -171,9 +187,26 @@ def test_solve_without_plan_is_analysis_only(capsys, tmp_path):
 def test_solve_reports_infeasible_margins(capsys, tmp_path):
     problem = json.loads((PROBLEMS / "three_players.json").read_text())
     problem["delta"] = "1/2"  # past the 1/3 maximum
-    code, out, _ = run(capsys, "solve", "--input", write(tmp_path, "p.json", problem))
+    out_path = tmp_path / "report.json"
+    code, out, _ = run(capsys, "solve", "--input", write(tmp_path, "p.json", problem),
+                       "--output", str(out_path))
     assert code == EXIT_INFEASIBLE
     assert "Construction: infeasible" in out
+    report = json.loads(out_path.read_text())
+    assert report["route"] == "lp"
+    assert report["delta"] is None
+
+
+def test_solve_improper_goal_falls_back_to_the_lp(capsys, tmp_path):
+    problem = json.loads((PROBLEMS / "three_players.json").read_text())
+    problem["K"] = [["1", "-1", "0"], ["0", "0", "0"], ["0", "0", "0"]]  # breaks (1, 9, -10)
+    problem["delta"] = "1/100"
+    out_path = tmp_path / "report.json"
+    code, out, _ = run(capsys, "solve", "--input", write(tmp_path, "p.json", problem),
+                       "--output", str(out_path))
+    assert code == EXIT_INFEASIBLE
+    assert "Construction: infeasible" in out
+    assert json.loads(out_path.read_text())["route"] == "lp"
 
 
 # -- verify ----------------------------------------------------------------------

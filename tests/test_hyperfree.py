@@ -3,7 +3,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hyperfair.hyperfree import (
     UNBOUNDED,
@@ -12,6 +12,7 @@ from hyperfair.hyperfree import (
     ImproperMatrixError,
     TargetPoint,
     delta_bound,
+    factor_delta_bound,
     is_proper,
     necessary_condition_check,
     spectral_delta_bound,
@@ -20,6 +21,7 @@ from hyperfair.hyperfree import (
 )
 from hyperfair.linalg import RatMatrix, pseudo_inverse
 from hyperfair.measures import gram_matrix, measure_relations
+from hyperfair.partition import MAXIMIZE, solve_alpha
 
 from conftest import (
     TRIO_GRAM_ROWS,
@@ -31,6 +33,7 @@ from conftest import (
     random_proper_goal,
     random_target,
 )
+from oracles import factor_threshold, symmetric_pinv
 
 F = Fraction
 
@@ -120,6 +123,7 @@ def test_delta_bound_of_trio(trio_goal, uniform3):
 
 def test_delta_bound_unbounded_for_zero_goal(uniform3):
     assert delta_bound(trio_pinv(), GoalMatrix.zero(3), uniform3) is UNBOUNDED
+    assert factor_delta_bound(RatMatrix.zeros(3, 3), uniform3) is UNBOUNDED
     assert repr(UNBOUNDED) == "UNBOUNDED"
 
 
@@ -200,6 +204,7 @@ def test_stochastic_factor_true_threshold_is_above_the_bound(trio_goal, uniform3
     threshold = F(1, 3) / F(2029, 1820)
     assert threshold == F(1820, 6087)
     assert threshold > F(455, 1536)
+    assert factor_delta_bound(trio_pinv() @ trio_goal.mat, uniform3) == threshold
     cert = stochastic_factor(trio_gram(), trio_pinv(), trio_goal, uniform3, threshold)
     assert min(cert.factor.entries) == 0
     with pytest.raises(DeltaTooLargeError):
@@ -302,3 +307,47 @@ def test_spectral_enclosure_never_beats_the_pinv_bound(rng):
     lo, hi = spectral_delta_bound(g, k, p, F(1, 2**20))
     assert 0 <= lo < hi
     assert hi <= delta_bound(pseudo_inverse(g), k, p)
+
+
+@given(st.randoms(use_true_random=False))
+def test_pinv_keeps_the_ones_vector(rng):
+    # g is symmetric and g @ 1 = 1, so g_plus @ 1 = 1: every row of the
+    # pseudo-inverse sums to 1, dependent profiles included
+    profile = random_profile(rng, force_dependent=rng.random() < 0.5)
+    g = gram_matrix(profile)
+    oracle = symmetric_pinv(g)
+    assert all(sum(row) == 1 for row in oracle)
+    assert pseudo_inverse(g).to_rows() == oracle
+
+
+@given(st.randoms(use_true_random=False))
+def test_factor_bound_is_the_exact_threshold_of_the_factor(rng):
+    profile = random_profile(rng, force_dependent=rng.random() < 0.5)
+    g = gram_matrix(profile)
+    g_plus = pseudo_inverse(g)
+    k = random_proper_goal(rng, profile) if rng.random() < 0.9 else GoalMatrix.zero(profile.n)
+    p = random_target(rng, profile.n)
+    bound = factor_delta_bound(g_plus @ k.mat, p)
+    expected = factor_threshold(g, k.mat.to_rows(), p.shares)
+    assert bound == (UNBOUNDED if expected is None else expected)
+    if bound is UNBOUNDED:
+        return
+    cert = stochastic_factor(g, g_plus, k, p, bound)
+    assert min(cert.factor.entries) == 0
+    with pytest.raises(DeltaTooLargeError):
+        stochastic_factor(g, g_plus, k, p, bound * (1 + F(1, 1000)))
+
+
+@settings(max_examples=20)
+@given(st.randoms(use_true_random=False))
+def test_margin_bounds_form_a_ladder(rng):
+    # delta_bound <= factor_delta_bound <= the LP maximum
+    profile = random_profile(rng, n=rng.randint(2, 3), max_atoms=4,
+                             force_dependent=rng.random() < 0.5)
+    g = gram_matrix(profile)
+    g_plus = pseudo_inverse(g)
+    k = random_proper_goal(rng, profile)
+    p = random_target(rng, profile.n)
+    factor = factor_threshold(g, k.mat.to_rows(), p.shares)
+    _, lp_max = solve_alpha(profile, k, p, MAXIMIZE)
+    assert delta_bound(g_plus, k, p) <= factor_delta_bound(g_plus @ k.mat, p) == factor <= lp_max

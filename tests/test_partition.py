@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hyperfair.hyperfree import UNCONSTRAINED, GoalMatrix, TargetPoint, delta_bound
+from hyperfair.hyperfree import UNCONSTRAINED, GoalMatrix, TargetPoint, delta_bound, stochastic_factor
 from hyperfair.linalg import RatMatrix, pseudo_inverse
 from hyperfair.measures import Interval, gram_matrix, measure_of
 from hyperfair.partition import (
@@ -16,6 +16,7 @@ from hyperfair.partition import (
     WeightSystem,
     build_from_weights,
     build_via_stochastic_factor,
+    factor_weights,
     solve_alpha,
 )
 
@@ -191,6 +192,14 @@ def test_solve_alpha_sends_null_atoms_to_player_zero():
 def test_stochastic_route_reproduces_the_trio_partition(trio_profile, trio_goal, uniform3):
     part = build_via_stochastic_factor(trio_profile, trio_goal, uniform3, "1/6")
     assert part.pieces == TRIO_PIECES
+
+
+def test_factor_weights_of_the_trio_factor(trio_profile, trio_goal, uniform3):
+    g = gram_matrix(trio_profile)
+    cert = stochastic_factor(g, pseudo_inverse(g), trio_goal, uniform3, "1/6")
+    assert factor_weights(trio_profile, cert.factor) == TRIO_WEIGHTS
+    with pytest.raises(ValueError, match="number of players"):
+        factor_weights(trio_profile, RatMatrix.identity(2))
 
 
 def test_stochastic_route_sends_null_atoms_to_player_zero():
