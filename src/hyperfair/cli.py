@@ -24,16 +24,17 @@ from .hyperfree import (
     UNCONSTRAINED,
     DEFAULT_TOL,
     DeltaTooLargeError,
+    GoalMatrix,
     ImproperMatrixError,
     TargetPoint,
-    delta_bound,
+    _delta_bound_of,
     factor_delta_bound,
     spectral_delta_bound,
     stochastic_factor,
 )
 from .linalg import RatMatrix, fmt, kernel_basis, pseudo_inverse, rat
-from .measures import common_refinement, gram_matrix
-from .partition import MAXIMIZE, InfeasibleError, build_from_weights, factor_weights, solve_alpha
+from .measures import MeasureProfile, common_refinement, gram_matrix
+from .partition import MAXIMIZE, InfeasibleError, Partition, build_from_weights, factor_weights, solve_alpha
 from .problem_io import (
     Problem,
     load_partition,
@@ -44,8 +45,8 @@ from .problem_io import (
     vector_to_strings,
     write_json,
 )
-from .relations import solve_relations
-from .verify import FairnessReport, check_fairness, sharing_matrix
+from .relations import RelationMatrix, solve_relations
+from .verify import FairnessReport, SharingMatrix, check_fairness, sharing_matrix
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -59,14 +60,18 @@ def _print_matrix(title: str, m: RatMatrix) -> None:
         print(f"  {line}")
 
 
-def _fairness_dict(report: FairnessReport) -> dict:
-    def margin(x):
-        if x is None:
-            return None
-        if x is UNCONSTRAINED:
-            return "unconstrained"
-        return fmt(x)
+def _text(x) -> str | None:
+    """Report form of a margin or bound: a rational, a sentinel's name, or None."""
+    if x is None:
+        return None
+    if x is UNBOUNDED:
+        return "unbounded"
+    if x is UNCONSTRAINED:
+        return "unconstrained"
+    return fmt(x)
 
+
+def _fairness_dict(report: FairnessReport) -> dict:
     return {
         "proportional": report.proportional,
         "exact_division": report.exact_division,
@@ -74,7 +79,7 @@ def _fairness_dict(report: FairnessReport) -> dict:
         "envy_free": report.envy_free,
         "super_envy_free": report.super_envy_free,
         "hyper_envy_free": report.hyper_envy_free,
-        "hyper_delta": margin(report.hyper_delta),
+        "hyper_delta": _text(report.hyper_delta),
         "relation_satisfied": report.relation_satisfied,
         "rawlsian_distance": fmt(report.rawlsian),
     }
@@ -103,10 +108,8 @@ def _analysis(problem: Problem, tol: Fraction) -> tuple[dict, dict]:
     if problem.k is not None:
         gk = g_plus @ problem.k.mat
         report["pinv_times_k"] = matrix_to_strings(gk)
-        bound = delta_bound(g_plus, problem.k, p)
-        report["delta_bound"] = "unbounded" if bound is UNBOUNDED else fmt(bound)
-        bound = factor_delta_bound(gk, p)
-        report["factor_bound"] = "unbounded" if bound is UNBOUNDED else fmt(bound)
+        report["delta_bound"] = _text(_delta_bound_of(gk, p))
+        report["factor_bound"] = _text(factor_delta_bound(gk, p))
         if not relations and not problem.k.is_zero():
             lo, hi = spectral_delta_bound(g, problem.k, p, tol)
             report["spectral_bound"] = [fmt(lo), fmt(hi)]
@@ -114,7 +117,20 @@ def _analysis(problem: Problem, tol: Fraction) -> tuple[dict, dict]:
     return report, state
 
 
-def cmd_gram(args: argparse.Namespace) -> int:
+def _audit(profile: MeasureProfile, part: Partition, k: GoalMatrix | None, p: TargetPoint,
+           r: RelationMatrix | None) -> tuple[SharingMatrix, FairnessReport, dict]:
+    """Sharing matrix, fairness verdicts, and their three report fields."""
+    shares = sharing_matrix(profile, part)
+    fairness = check_fairness(shares, k=k, p=p, r=r)
+    fields = {
+        "partition": serialize_partition(part)["intervals"],
+        "sharing_matrix": matrix_to_strings(shares.mat),
+        "fairness": _fairness_dict(fairness),
+    }
+    return shares, fairness, fields
+
+
+def cmd_gram(args: argparse.Namespace) -> tuple[int, dict]:
     problem = load_problem(args.input)
     tol = rat(args.tol)
     report, state = _analysis(problem, tol)
@@ -133,12 +149,10 @@ def cmd_gram(args: argparse.Namespace) -> int:
         if report["spectral_bound"] is not None:
             lo, hi = report["spectral_bound"]
             print(f"Spectral margin bound: [{lo}, {hi}]")
-    if args.output:
-        write_json(args.output, report)
-    return EXIT_OK
+    return EXIT_OK, report
 
 
-def cmd_solve(args: argparse.Namespace) -> int:
+def cmd_solve(args: argparse.Namespace) -> tuple[int, dict]:
     problem = load_problem(args.input)
     tol = rat(args.tol)
     report, state = _analysis(problem, tol)
@@ -150,13 +164,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
         if not solution.feasible:
             report["feasibility"] = {"status": "infeasible", "margin": None, "k": None}
             print("Sign pattern: infeasible (no proper goal matrix matches)")
-            if args.output:
-                write_json(args.output, report)
-            return EXIT_INFEASIBLE
-        margin = solution.margin
+            return EXIT_INFEASIBLE, report
         report["feasibility"] = {
             "status": "feasible",
-            "margin": "unconstrained" if margin is UNCONSTRAINED else fmt(margin),
+            "margin": _text(solution.margin),
             "k": matrix_to_strings(solution.k.mat),
         }
         print(f"Sign pattern: feasible (slack {report['feasibility']['margin']})")
@@ -164,9 +175,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         k = solution.k
     elif k is None:
         print("Problem file has neither a goal matrix nor a sign pattern; analysis only.")
-        if args.output:
-            write_json(args.output, report)
-        return EXIT_OK
+        return EXIT_OK, report
 
     delta_req = problem.delta if problem.delta is not None else MAXIMIZE
     weights = None
@@ -186,19 +195,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
         except InfeasibleError as exc:
             report["delta"] = None
             print(f"Construction: infeasible ({exc})")
-            if args.output:
-                write_json(args.output, report)
-            return EXIT_INFEASIBLE
+            return EXIT_INFEASIBLE, report
 
     part = build_from_weights(profile, weights)
-    shares = sharing_matrix(profile, part)
-    fairness = check_fairness(shares, k=k, p=p, r=problem.r)
-
-    report["delta"] = "unconstrained" if achieved is UNCONSTRAINED else fmt(achieved)
+    shares, fairness, audit = _audit(profile, part, k, p, problem.r)
+    report["delta"] = _text(achieved)
     report["weight_system"] = [vector_to_strings(row) for row in weights.weights]
-    report["partition"] = serialize_partition(part)["intervals"]
-    report["sharing_matrix"] = matrix_to_strings(shares.mat)
-    report["fairness"] = _fairness_dict(fairness)
+    report.update(audit)
 
     print(f"Margin delta: {report['delta']}")
     print("Partition:")
@@ -207,31 +210,20 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print(f"  player {j}: {spans}")
     _print_matrix("Sharing matrix", shares.mat)
     print(f"Rawlsian distance: {fmt(fairness.rawlsian)}")
-    if args.output:
-        write_json(args.output, report)
-    return EXIT_OK
+    return EXIT_OK, report
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> tuple[int, dict]:
     problem = load_problem(args.input)
     part = load_partition(args.partition)
     profile = common_refinement(problem.densities)
     p = problem.p if problem.p is not None else TargetPoint.uniform(problem.n)
 
-    shares = sharing_matrix(profile, part)
-    fairness = check_fairness(shares, k=problem.k, p=p, r=problem.r)
-
+    shares, fairness, audit = _audit(profile, part, problem.k, p, problem.r)
+    report = {"inputs": serialize_problem(problem), **audit}
     _print_matrix("Sharing matrix", shares.mat)
-    report = {
-        "inputs": serialize_problem(problem),
-        "partition": serialize_partition(part)["intervals"],
-        "sharing_matrix": matrix_to_strings(shares.mat),
-        "fairness": _fairness_dict(fairness),
-    }
     for key, value in report["fairness"].items():
         print(f"  {key}: {value}")
-    if args.output:
-        write_json(args.output, report)
 
     failed = []
     if problem.k is not None and fairness.hyper_envy_free is not True:
@@ -240,8 +232,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         failed.append("relation_satisfied")
     if failed:
         print(f"FAILED: {', '.join(failed)}")
-        return EXIT_INFEASIBLE
-    return EXIT_OK
+        return EXIT_INFEASIBLE, report
+    return EXIT_OK, report
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -270,13 +262,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, report = args.func(args)
+        if args.output:
+            write_json(args.output, report)
+        return code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except InfeasibleError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
     except Exception:
         traceback.print_exc()
         return EXIT_INTERNAL

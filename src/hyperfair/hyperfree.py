@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import RatMatrix, rank, rat, smallest_eigenvalue
+from .linalg import DEFAULT_TOL, RatMatrix, rank, rat, smallest_eigenvalue
 
 
 class _Sentinel:
@@ -37,8 +37,6 @@ class _Sentinel:
 UNBOUNDED = _Sentinel("UNBOUNDED")
 #: Used where a margin exists but is not pinned down by the problem.
 UNCONSTRAINED = _Sentinel("UNCONSTRAINED")
-
-DEFAULT_TOL = Fraction(1, 2**40)
 
 
 class ImproperMatrixError(ValueError):
@@ -172,7 +170,12 @@ def delta_bound(g_plus: RatMatrix, k: GoalMatrix, p: TargetPoint):
     """
     if g_plus.rows != k.n or p.n != k.n:
         raise ValueError("dimension mismatch between pseudo-inverse, goal matrix, and target")
-    worst = (g_plus @ k.mat).max_abs()
+    return _delta_bound_of(g_plus @ k.mat, p)
+
+
+def _delta_bound_of(gk: RatMatrix, p: TargetPoint):
+    """:func:`delta_bound` from ``gk = g_plus @ K`` when the caller holds it."""
+    worst = gk.max_abs()
     if worst == 0:
         return UNBOUNDED
     return min(p.shares) / worst

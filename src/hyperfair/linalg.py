@@ -1,12 +1,17 @@
 """Exact dense linear algebra over the rationals.
 
-Every entry is a ``fractions.Fraction``; nothing in this module ever
-rounds.  It provides the elimination kit used by the rest of the
+Every matrix entry is a ``fractions.Fraction``; nothing in this module
+ever rounds.  It provides the elimination kit used by the rest of the
 package (reduced row echelon form, kernel bases, rank factorization,
 the Moore-Penrose pseudo-inverse) and a rational enclosure of the
 smallest (nonzero) eigenvalue of a symmetric positive-semidefinite
 matrix, obtained by bisection on exact inertia counts (Sylvester's law
 of inertia) so the enclosure is rigorous rather than floating point.
+
+Row reduction runs on integer rows (int numerators over one positive
+denominator per row, in lowest terms).  Their private primitives are
+the package's one exact row reduction: :func:`rref` and the simplex
+tableau both use them; only the inertia count has its own (Bareiss).
 """
 
 from __future__ import annotations
@@ -96,9 +101,6 @@ class RatMatrix:
     def row(self, i: int) -> tuple[Fraction, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def col(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
     def to_rows(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
@@ -115,9 +117,6 @@ class RatMatrix:
     def __sub__(self, other: RatMatrix) -> RatMatrix:
         self._same_shape(other)
         return RatMatrix(self.rows, self.cols, tuple(a - b for a, b in zip(self.entries, other.entries)))
-
-    def __neg__(self) -> RatMatrix:
-        return RatMatrix(self.rows, self.cols, tuple(-a for a in self.entries))
 
     def __mul__(self, scalar: int | Fraction) -> RatMatrix:
         c = rat(scalar)
@@ -148,11 +147,6 @@ class RatMatrix:
             self[i, j] == self[j, i] for i in range(self.rows) for j in range(i)
         )
 
-    def trace(self) -> Fraction:
-        if not self.is_square():
-            raise ValueError("trace needs a square matrix")
-        return sum((self[i, i] for i in range(self.rows)), Fraction(0))
-
     def row_sums(self) -> tuple[Fraction, ...]:
         return tuple(sum(self.row(i), Fraction(0)) for i in range(self.rows))
 
@@ -179,6 +173,37 @@ def hstack(left: RatMatrix, right: RatMatrix) -> RatMatrix:
     return RatMatrix(left.rows, left.cols + right.cols, tuple(out))
 
 
+# An integer row: numerators ``v`` over one positive denominator ``d``.
+_Row = tuple[list[int], int]
+
+
+def _to_row(values: Sequence[Fraction]) -> _Row:
+    den = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values], den
+
+
+def _lowest_terms(v: list[int], d: int) -> _Row:
+    g = math.gcd(d, *v)
+    if g > 1:
+        return [x // g for x in v], d // g
+    return v, d
+
+
+def _unit_at(v: list[int], col: int) -> _Row:
+    """The row ``v`` divided by its entry ``v[col]``, which must be nonzero."""
+    e = v[col]
+    if e < 0:
+        v, e = [-x for x in v], -e
+    return _lowest_terms(v, e)
+
+
+def _eliminate(row: _Row, pivot_row: _Row, col: int) -> _Row:
+    """``row`` minus its ``col`` entry times ``pivot_row``, whose ``col`` entry is 1."""
+    (v, d), (u, e) = row, pivot_row
+    f = v[col]
+    return _lowest_terms([e * x - f * y for x, y in zip(v, u)], d * e)
+
+
 def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
     """Reduced row echelon form and the pivot column indices.
 
@@ -186,25 +211,22 @@ def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
     the output deterministic; with exact arithmetic there is no
     numerical reason to prefer any other choice.
     """
-    work = [list(m.row(i)) for i in range(m.rows)]
+    work = [_to_row(m.row(i)) for i in range(m.rows)]
     pivots: list[int] = []
-    r = 0
     for c in range(m.cols):
-        pivot_row = next((i for i in range(r, m.rows) if work[i][c] != 0), None)
+        r = len(pivots)
+        if r == m.rows:
+            break
+        pivot_row = next((i for i in range(r, m.rows) if work[i][0][c] != 0), None)
         if pivot_row is None:
             continue
         work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = work[r][c]
-        work[r] = [x / inv for x in work[r]]
-        for i in range(m.rows):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        work[r] = unit = _unit_at(work[r][0], c)
+        for i, other in enumerate(work):
+            if i != r and other[0][c] != 0:
+                work[i] = _eliminate(other, unit, c)
         pivots.append(c)
-        r += 1
-        if r == m.rows:
-            break
-    flat = tuple(x for row in work for x in row)
+    flat = tuple(Fraction(x, d) for v, d in work for x in v)
     return RatMatrix(m.rows, m.cols, flat), tuple(pivots)
 
 
@@ -274,15 +296,16 @@ def pseudo_inverse(m: RatMatrix) -> RatMatrix:
 
     With ``m = c @ f`` as in :func:`rank_factorization`, the
     pseudo-inverse is ``f' (f f')^-1 (c' c)^-1 c'`` where the primes are
-    transposes.  Both inner matrices are r x r and nonsingular, so the
-    result is exact and satisfies the four Penrose identities with
-    equality, not approximately.
+    transposes.  Both inner matrices are r x r and nonsingular, and
+    ``c' m f' = (c' c)(f f')``, so one inverse gives the product
+    ``f' (c' m f')^-1 c'``.  The result is exact and satisfies the four
+    Penrose identities with equality, not approximately.
     """
     c, f = rank_factorization(m)
     if c.cols == 0:
         return RatMatrix.zeros(m.cols, m.rows)
     ft, ct = f.transpose(), c.transpose()
-    return ft @ inverse(f @ ft) @ inverse(ct @ c) @ ct
+    return ft @ inverse(ct @ m @ ft) @ ct
 
 
 
@@ -325,7 +348,12 @@ def _inertia(a: list[list[int]]) -> tuple[int, int]:
     return neg, 0
 
 
-def smallest_eigenvalue(m: RatMatrix, tol: Fraction | int | str = Fraction(1, 2**40)) -> tuple[Fraction, Fraction]:
+#: Default enclosure width for :func:`smallest_eigenvalue` and the
+#: spectral margin bound built on it.
+DEFAULT_TOL = Fraction(1, 2**40)
+
+
+def smallest_eigenvalue(m: RatMatrix, tol: Fraction | int | str = DEFAULT_TOL) -> tuple[Fraction, Fraction]:
     """Rational enclosure of the smallest nonzero eigenvalue of ``m``.
 
     ``m`` must be symmetric and is assumed positive-semidefinite, so

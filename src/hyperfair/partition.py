@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .hyperfree import UNCONSTRAINED, GoalMatrix, TargetPoint, stochastic_factor
 from .linalg import RatMatrix, pseudo_inverse, rat
@@ -134,6 +134,15 @@ def build_from_weights(profile: MeasureProfile, w: WeightSystem) -> Partition:
     return Partition(tuple(tuple(p) for p in pieces))
 
 
+def _weight_rows(profile: MeasureProfile,
+                 row_of: Callable[[int], tuple[Fraction, ...]]) -> WeightSystem:
+    """Weight system with row ``row_of(a)`` on each atom ``a``; null atoms
+    (every density zero there) go wholly to player 0."""
+    to_player_0 = tuple(Fraction(int(j == 0)) for j in range(profile.n))
+    return WeightSystem(tuple(to_player_0 if profile.is_null_atom(a) else row_of(a)
+                              for a in range(len(profile.atoms))))
+
+
 def solve_alpha(profile: MeasureProfile, k: GoalMatrix, p: TargetPoint,
                 delta: Fraction | int | str = MAXIMIZE):
     """Weight system realizing ``P + delta K``, by linear programming.
@@ -207,13 +216,7 @@ def solve_alpha(profile: MeasureProfile, k: GoalMatrix, p: TargetPoint,
     x = outcome.witness
     achieved = x[delta_var] if maximize else fixed
     slot = {a: ai for ai, a in enumerate(active)}
-    weight_rows: list[tuple[Fraction, ...]] = []
-    for a in range(len(profile.atoms)):
-        if a in slot:
-            weight_rows.append(tuple(x[slot[a] * n + j] for j in range(n)))
-        else:
-            weight_rows.append(tuple(Fraction(1 if j == 0 else 0) for j in range(n)))
-    return WeightSystem(tuple(weight_rows)), achieved
+    return _weight_rows(profile, lambda a: x[slot[a] * n: slot[a] * n + n]), achieved
 
 
 def factor_weights(profile: MeasureProfile, factor: RatMatrix) -> WeightSystem:
@@ -228,17 +231,13 @@ def factor_weights(profile: MeasureProfile, factor: RatMatrix) -> WeightSystem:
     n = profile.n
     if factor.rows != n or factor.cols != n:
         raise ValueError("factor and profile disagree on the number of players")
-    rows = []
-    for a in range(len(profile.atoms)):
+
+    def row(a: int) -> tuple[Fraction, ...]:
         base = rn_weights(profile, a)
-        if all(v == 0 for v in base):
-            rows.append(tuple(Fraction(1 if j == 0 else 0) for j in range(n)))
-            continue
-        rows.append(tuple(
-            sum((base[i] * factor[i, j] for i in range(n)), Fraction(0))
-            for j in range(n)
-        ))
-    return WeightSystem(tuple(rows))
+        return tuple(sum((base[i] * factor[i, j] for i in range(n)), Fraction(0))
+                     for j in range(n))
+
+    return _weight_rows(profile, row)
 
 
 def build_via_stochastic_factor(profile: MeasureProfile, k: GoalMatrix, p: TargetPoint,

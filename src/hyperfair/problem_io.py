@@ -160,13 +160,16 @@ def serialize_problem(problem: Problem) -> dict:
     return out
 
 
-def load_problem(path: str | Path) -> Problem:
+def _read_json(path: str | Path) -> Any:
     text = Path(path).read_text(encoding="utf-8")
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ProblemFormatError(f"{path}: not valid JSON ({exc})") from None
-    return parse_problem(obj, source=str(path))
+
+
+def load_problem(path: str | Path) -> Problem:
+    return parse_problem(_read_json(path), source=str(path))
 
 
 def parse_partition(obj: Any, source: str = "partition") -> Partition:
@@ -195,12 +198,7 @@ def parse_partition(obj: Any, source: str = "partition") -> Partition:
 
 
 def load_partition(path: str | Path) -> Partition:
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ProblemFormatError(f"{path}: not valid JSON ({exc})") from None
-    return parse_partition(obj, source=str(path))
+    return parse_partition(_read_json(path), source=str(path))
 
 
 def serialize_partition(part: Partition) -> dict:

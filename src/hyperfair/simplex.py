@@ -5,12 +5,14 @@ subject to ``A x = b`` and ``x >= 0``.  All pivoting uses Bland's rule
 (smallest eligible index enters, smallest basic index breaks ratio
 ties), which rules out cycling.
 
-The tableau is fraction-free: each row, the cost row included, is a
-list of Python ints ``v`` with one positive int denominator ``d`` and
-stands for ``v / d``.  A pivot cross-multiplies and then divides each
-row by one ``gcd``, so every sign test and ratio comparison of Bland's
-rule is an integer comparison and the pivot sequence is the one a
-Fraction tableau takes.  Fractions appear only at the boundary: the
+The tableau is fraction-free: each row, the cost row included, is one
+of :mod:`hyperfair.linalg`'s integer rows, a list of Python ints ``v``
+with one positive int denominator ``d`` standing for ``v / d``, and a
+pivot uses the row operations that :func:`hyperfair.linalg.rref` also
+runs.  Each cross-multiplies and then divides the row by one ``gcd``,
+so every sign test and ratio comparison of Bland's rule is an integer
+comparison and the pivot sequence is the one a Fraction tableau takes.
+Fractions appear only at the boundary: the
 :class:`LpProblem` going in and the :class:`LpOutcome` coming out, so
 the reported optimum and witness are exact.
 """
@@ -20,12 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd, lcm
 
-from .linalg import RatMatrix
-
-# A tableau row: integer numerators and one positive denominator.
-Row = tuple[list[int], int]
+from .linalg import RatMatrix, _eliminate, _lowest_terms, _Row, _to_row, _unit_at
 
 
 class LpStatus(Enum):
@@ -57,35 +55,8 @@ class LpOutcome:
     witness: tuple[Fraction, ...] | None = None
 
 
-def _to_row(values: list[Fraction]) -> Row:
-    den = lcm(*(x.denominator for x in values))
-    return [x.numerator * (den // x.denominator) for x in values], den
-
-
-def _lowest_terms(v: list[int], d: int) -> Row:
-    g = gcd(d, *v)
-    if g > 1:
-        return [x // g for x in v], d // g
-    return v, d
-
-
-def _unit_at(v: list[int], col: int) -> Row:
-    """The row ``v`` divided by its entry ``v[col]``, which must be nonzero."""
-    e = v[col]
-    if e < 0:
-        v, e = [-x for x in v], -e
-    return _lowest_terms(v, e)
-
-
-def _eliminate(row: Row, pivot_row: Row, col: int) -> Row:
-    """``row`` minus its ``col`` entry times ``pivot_row``, whose ``col`` entry is 1."""
-    (v, d), (u, e) = row, pivot_row
-    f = v[col]
-    return _lowest_terms([e * x - f * y for x, y in zip(v, u)], d * e)
-
-
-def _pivot(rows: list[Row], basis: list[int], cost: Row | None,
-           row: int, col: int) -> Row | None:
+def _pivot(rows: list[_Row], basis: list[int], cost: _Row | None,
+           row: int, col: int) -> _Row | None:
     rows[row] = pivot_row = _unit_at(rows[row][0], col)
     for i, other in enumerate(rows):
         if i != row and other[0][col] != 0:
@@ -96,7 +67,7 @@ def _pivot(rows: list[Row], basis: list[int], cost: Row | None,
     return cost
 
 
-def _iterate(rows: list[Row], basis: list[int], cost: Row, ncols: int) -> tuple[str, Row]:
+def _iterate(rows: list[_Row], basis: list[int], cost: _Row, ncols: int) -> tuple[str, _Row]:
     # cost is the reduced-cost row (length ncols + 1, last slot tracks
     # minus the current objective value); minimization throughout.
     while True:
@@ -117,10 +88,10 @@ def _iterate(rows: list[Row], basis: list[int], cost: Row, ncols: int) -> tuple[
         cost = _pivot(rows, basis, cost, leaving, entering)
 
 
-def _reduced_costs(rows: list[Row], basis: list[int], c: list[int]) -> Row:
+def _reduced_costs(rows: list[_Row], basis: list[int], c: list[int]) -> _Row:
     # Every basic column is a unit column of the tableau, so the cost
     # entry of basic column bi still equals c[bi] when row i comes up.
-    cost: Row = (c + [0], 1)
+    cost: _Row = (c + [0], 1)
     for row, bi in zip(rows, basis):
         if c[bi] != 0:
             cost = _eliminate(cost, row, bi)
@@ -139,7 +110,7 @@ def simplex_solve(problem: LpProblem) -> LpOutcome:
     # column (one nonzero in the whole column) can start basic in that
     # column; everything else gets an artificial variable whose sum is
     # minimized.  Each row carries its right-hand side as last entry.
-    base: list[Row] = []
+    base: list[_Row] = []
     for i in range(nrows):
         values = list(problem.constraints.row(i)) + [problem.rhs[i]]
         if problem.rhs[i] < 0:
@@ -165,7 +136,7 @@ def simplex_solve(problem: LpProblem) -> LpOutcome:
     art_slot = {i: k for k, i in enumerate(
         i for i, col in enumerate(crash) if col is None)}
     narts = len(art_slot)
-    rows: list[Row] = []
+    rows: list[_Row] = []
     basis: list[int] = []
     for i, (v, d) in enumerate(base):
         unit = [0] * narts

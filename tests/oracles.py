@@ -1,7 +1,9 @@
 """Independent reference computations used to cross-check the library.
 
-Nothing here imports the code paths under test: the characteristic
-polynomial comes from literal cofactor expansion and its root counts
+Nothing here imports the code paths under test (only the
+``RatMatrix`` container): reduced row echelon forms and kernels come
+from a plain Fraction Gauss-Jordan, the characteristic
+polynomial from literal cofactor expansion and its root counts
 from Budan-Fourier sign variations, LP optima from
 brute-force basis enumeration, the simplex's pivot sequence from a
 plain Fraction tableau that prices every column afresh at each step,
@@ -15,8 +17,59 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd, lcm
 
-from hyperfair.linalg import RatMatrix, kernel_basis, rref
+from hyperfair.linalg import RatMatrix
+
+# -- Gauss-Jordan reference -------------------------------------------------
+
+def gauss_jordan(m: RatMatrix) -> tuple[list[list[Fraction]], tuple[int, ...]]:
+    """Reduced row echelon form of ``m`` as Fraction rows, and its pivot columns.
+
+    Each column's pivot is its first nonzero entry at or below the
+    current row; the pivot row is scaled to a leading 1 and the column
+    is cleared above and below it.
+    """
+    work = m.to_rows()
+    pivots: list[int] = []
+    for c in range(m.cols):
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, m.rows) if work[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        inv = work[r][c]
+        work[r] = [x / inv for x in work[r]]
+        for i in range(m.rows):
+            if i != r and work[i][c] != 0:
+                f = work[i][c]
+                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        pivots.append(c)
+    return work, tuple(pivots)
+
+
+def integer_kernel(m: RatMatrix) -> list[tuple[Fraction, ...]]:
+    """Right null space basis of ``m``, one vector per non-pivot column.
+
+    The vector of free column ``c`` has a 1 at ``c`` and minus column
+    ``c`` of the reduced rows at the pivots; it is then scaled to
+    coprime integers with a positive first nonzero entry.
+    """
+    red, pivots = gauss_jordan(m)
+    basis = []
+    for free in range(m.cols):
+        if free in pivots:
+            continue
+        v = [Fraction(0)] * m.cols
+        v[free] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][free]
+        den = lcm(*(x.denominator for x in v))
+        ints = [int(x * den) for x in v]
+        scale = gcd(*ints) * (1 if next(x for x in ints if x != 0) > 0 else -1)
+        basis.append(tuple(Fraction(x, scale) for x in ints))
+    return basis
+
 
 # -- polynomial arithmetic on ascending coefficient lists ---------------
 
@@ -103,8 +156,8 @@ def _independent_rows(a_rows, b):
         trial_rhs = keep_rhs + [rhs]
         m = RatMatrix.from_rows(trial)
         aug = RatMatrix.from_rows([r + [v] for r, v in zip(trial, trial_rhs)])
-        r_plain = len(rref(m)[1])
-        r_aug = len(rref(aug)[1])
+        r_plain = len(gauss_jordan(m)[1])
+        r_aug = len(gauss_jordan(aug)[1])
         if r_aug > r_plain:
             return None  # inconsistent
         if r_plain == len(trial):
@@ -115,10 +168,10 @@ def _independent_rows(a_rows, b):
 def _solve_square(rows, rhs):
     n = len(rows)
     aug = RatMatrix.from_rows([list(r) + [v] for r, v in zip(rows, rhs)])
-    red, pivots = rref(aug)
-    if tuple(pivots) != tuple(range(n)):
+    red, pivots = gauss_jordan(aug)
+    if pivots != tuple(range(n)):
         return None
-    return [red[i, n] for i in range(n)]
+    return [red[i][n] for i in range(n)]
 
 def lp_vertices(constraints: RatMatrix, rhs):
     """Basic feasible points of {A x = b, x >= 0}, by basis enumeration."""
@@ -365,7 +418,7 @@ def grid_sign_feasible(r_cells, relations, n, steps=None) -> bool:
                 row = [Fraction(0)] * (n * n)
                 row[i * n + j] = Fraction(1)
                 eq_rows.append(row)
-    basis = kernel_basis(RatMatrix.from_rows(eq_rows))
+    basis = integer_kernel(RatMatrix.from_rows(eq_rows))
     if not basis:
         # only the zero matrix satisfies the equalities
         return all(r_cells[i][j] == "=" for i in range(n) for j in range(n))

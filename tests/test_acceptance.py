@@ -20,7 +20,7 @@ from hyperfair.hyperfree import (
     spectral_delta_bound,
     stochastic_factor,
 )
-from hyperfair.linalg import RatMatrix, hstack, pseudo_inverse, rref
+from hyperfair.linalg import RatMatrix, pseudo_inverse
 from hyperfair.measures import gram_matrix, measure_relations
 from hyperfair.partition import MAXIMIZE, build_from_weights, build_via_stochastic_factor, solve_alpha
 from hyperfair.relations import RelationMatrix, solve_relations, verify_relation_solution
@@ -36,6 +36,7 @@ from conftest import (
     random_proper_goal,
     random_target,
 )
+from oracles import gauss_jordan
 
 F = Fraction
 
@@ -124,14 +125,10 @@ def _unique_weight_solution(profile, k, p, delta):
                 row[a * n + j] = profile.atom_measure(i, a)
             rows.append(row)
             rhs.append(p.shares[j] + k.mat[i, j] * delta)
-    aug = hstack(
-        RatMatrix(len(rows), nvars, tuple(x for row in rows for x in row)),
-        RatMatrix(len(rhs), 1, tuple(rhs)),
-    )
-    red, pivots = rref(aug)
-    if tuple(pivots) != tuple(range(nvars)):
+    red, pivots = gauss_jordan(RatMatrix.from_rows([row + [b] for row, b in zip(rows, rhs)]))
+    if pivots != tuple(range(nvars)):
         return None
-    return [red[t, nvars] for t in range(nvars)]
+    return [red[t][nvars] for t in range(nvars)]
 
 
 def test_criterion_06_margin_maximization(trio_profile, trio_goal, uniform3):

@@ -239,6 +239,43 @@ def test_verify_checks_sign_patterns(capsys, tmp_path):
     assert "FAILED: relation_satisfied" in out
 
 
+# -- report files ------------------------------------------------------------------
+
+def test_report_file_is_written_on_every_exit_but_invalid_input(capsys, tmp_path):
+    plain = {
+        "players": 2,
+        "densities": [
+            {"breakpoints": ["0", "1"], "values": ["1"]},
+            {"breakpoints": ["0", "1"], "values": ["1"]},
+        ],
+    }
+    analysis = tmp_path / "analysis.json"
+    code, _, _ = run(capsys, "solve", "--input", write(tmp_path, "p.json", plain),
+                     "--output", str(analysis))
+    assert code == EXIT_OK
+    report = json.loads(analysis.read_text())
+    assert report["kernel_basis"] == [["1", "-1"]]
+    assert "route" not in report
+
+    failed = tmp_path / "failed.json"
+    grab_all = write(tmp_path, "partition.json", {"intervals": [[["0", "1"]], [], []]})
+    code, out, _ = run(capsys, "verify", "--input", str(PROBLEMS / "three_players.json"),
+                       "--partition", grab_all, "--output", str(failed))
+    assert code == EXIT_INFEASIBLE
+    assert "FAILED: hyper_envy_free" in out
+    report = json.loads(failed.read_text())
+    assert report["partition"] == [[["0", "1"]], [], []]
+    assert report["fairness"]["hyper_envy_free"] is False
+
+    invalid = tmp_path / "invalid.json"
+    for argv in (["gram", "--input", str(PROBLEMS / "three_players.json"), "--tol", "fast"],
+                 ["verify", "--input", str(PROBLEMS / "three_players.json"),
+                  "--partition", str(tmp_path / "missing.json")]):
+        code, _, _ = run(capsys, *argv, "--output", str(invalid))
+        assert code == EXIT_INVALID
+        assert not invalid.exists()
+
+
 # -- error handling ----------------------------------------------------------------
 
 def test_missing_input_file_is_an_input_error(capsys, tmp_path):

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from hyperfair.linalg import (
     RatMatrix,
@@ -20,7 +20,7 @@ from hyperfair.linalg import (
 )
 
 from conftest import TRIO_GRAM_ROWS
-from oracles import charpoly_by_cofactors, poly_eval, real_roots_in
+from oracles import charpoly_by_cofactors, gauss_jordan, integer_kernel, poly_eval, real_roots_in
 
 F = Fraction
 
@@ -44,6 +44,43 @@ def test_rat_rejects_floats_and_decimal_strings():
         rat("1.5")
     with pytest.raises(TypeError):
         rat(True)
+
+
+# -- rref ------------------------------------------------------------------
+
+@st.composite
+def rectangular_matrices(draw):
+    """Matrices up to 5 x 6, empty shapes included, with zero rows, zero
+    columns and rows that combine earlier ones, so many are rank-deficient."""
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 6))
+    entry = st.sampled_from([F(0), F(0), F(1), F(-1), F(2), F(-3, 2), F(1, 3), F(5, 7)])
+    grid = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+    for i in range(rows):
+        kind = draw(st.sampled_from(["free", "free", "zero", "combination"]))
+        if kind == "zero":
+            grid[i] = [F(0)] * cols
+        elif kind == "combination" and i > 0:
+            a, b = draw(entry), draw(entry)
+            j, k = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+            grid[i] = [a * x + b * y for x, y in zip(grid[j], grid[k])]
+    if cols:
+        for c in draw(st.lists(st.integers(0, cols - 1), max_size=2)):
+            for row in grid:
+                row[c] = F(0)
+    return RatMatrix(rows, cols, tuple(x for row in grid for x in row))
+
+
+@given(rectangular_matrices())
+@example(RatMatrix.zeros(0, 3))
+@example(RatMatrix.zeros(3, 0))
+@example(RatMatrix.zeros(2, 3))
+@example(RatMatrix.from_rows([[0, 2, 4, 1], [0, 1, 2, 0], [0, 3, 6, 1]]))
+def test_rref_matches_the_gauss_jordan_oracle(m):
+    red, pivots = rref(m)
+    want, want_pivots = gauss_jordan(m)
+    assert pivots == want_pivots
+    assert red == RatMatrix(m.rows, m.cols, tuple(x for row in want for x in row))
+    assert kernel_basis(m) == integer_kernel(m)
 
 
 # -- kernel --------------------------------------------------------------
