@@ -132,8 +132,7 @@ def _audit(profile: MeasureProfile, part: Partition, k: GoalMatrix | None, p: Ta
 
 def cmd_gram(args: argparse.Namespace) -> tuple[int, dict]:
     problem = load_problem(args.input)
-    tol = rat(args.tol)
-    report, state = _analysis(problem, tol)
+    report, state = _analysis(problem, args.tol)
 
     _print_matrix("Gram matrix", state["g"])
     if state["relations"]:
@@ -154,8 +153,7 @@ def cmd_gram(args: argparse.Namespace) -> tuple[int, dict]:
 
 def cmd_solve(args: argparse.Namespace) -> tuple[int, dict]:
     problem = load_problem(args.input)
-    tol = rat(args.tol)
-    report, state = _analysis(problem, tol)
+    report, state = _analysis(problem, args.tol)
     profile, relations, p = state["profile"], state["relations"], state["p"]
 
     k = problem.k
@@ -262,6 +260,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        args.tol = rat(args.tol)
+        if args.tol <= 0:
+            raise ValueError("tolerance must be positive")
         code, report = args.func(args)
         if args.output:
             write_json(args.output, report)

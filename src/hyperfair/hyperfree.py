@@ -141,23 +141,22 @@ def is_proper(k: GoalMatrix | RatMatrix,
     """Check that a goal matrix is compatible with the measure relations.
 
     Proper means: every row sums to zero, and every relation vector
-    annihilates every column.  The report lists offending rows and
-    (relation, column) pairs; ``GoalMatrix`` inputs satisfy the row
-    half by construction.
+    annihilates every column, that is ``L @ K`` is zero for the matrix
+    ``L`` whose rows are the relations.  The report lists offending
+    rows and (relation, column) pairs; ``GoalMatrix`` inputs satisfy the
+    row half by construction.
     """
     mat = k.mat if isinstance(k, GoalMatrix) else k
     if not mat.is_square():
         raise ValueError("goal matrix must be square")
     n = mat.rows
     bad_rows = tuple(i for i, s in enumerate(mat.row_sums()) if s != 0)
-    bad_pairs = []
     for a, lam in enumerate(relations):
         if len(lam) != n:
             raise ValueError(f"relation {a} has length {len(lam)}, expected {n}")
-        for j in range(n):
-            if sum((lam[i] * mat[i, j] for i in range(n)), Fraction(0)) != 0:
-                bad_pairs.append((a, j))
-    return PropernessReport(not bad_rows and not bad_pairs, bad_rows, tuple(bad_pairs))
+    lam_k = RatMatrix(len(relations), n, tuple(x for lam in relations for x in lam)) @ mat
+    bad_pairs = tuple((a, j) for a in range(lam_k.rows) for j in range(n) if lam_k[a, j] != 0)
+    return PropernessReport(not bad_rows and not bad_pairs, bad_rows, bad_pairs)
 
 
 def delta_bound(g_plus: RatMatrix, k: GoalMatrix, p: TargetPoint):

@@ -8,15 +8,17 @@ smallest (nonzero) eigenvalue of a symmetric positive-semidefinite
 matrix, obtained by bisection on exact inertia counts (Sylvester's law
 of inertia) so the enclosure is rigorous rather than floating point.
 
-Row reduction runs on integer rows (int numerators over one positive
-denominator per row, in lowest terms).  Their private primitives are
-the package's one exact row reduction: :func:`rref` and the simplex
-tableau both use them; only the inertia count has its own (Bareiss).
+Row reduction and products run on integer rows (int numerators over
+one positive denominator per row, in lowest terms).  Their private
+primitives are the package's one exact row reduction, used by
+:func:`rref` and the simplex tableau (only the inertia count has its
+own, Bareiss), and its one exact sum of products, ``RatMatrix.__matmul__``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -125,19 +127,19 @@ class RatMatrix:
     __rmul__ = __mul__
 
     def __matmul__(self, other: RatMatrix) -> RatMatrix:
+        """Exact product: each entry is one dot product of two integer rows."""
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                out.append(sum((ri[k] * other.entries[k * other.cols + j] for k in range(self.cols)), Fraction(0)))
-        return RatMatrix(self.rows, other.cols, tuple(out))
+        rows = [_to_row(self.row(i)) for i in range(self.rows)]
+        cols = [_to_row(other.entries[j::other.cols]) for j in range(other.cols)]
+        return RatMatrix(self.rows, other.cols, tuple(
+            Fraction(sum(map(operator.mul, v, u)), d * e) for v, d in rows for u, e in cols
+        ))
 
     def mat_vec(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
         if len(v) != self.cols:
             raise ValueError("vector length does not match column count")
-        return tuple(sum((a * b for a, b in zip(self.row(i), v)), Fraction(0)) for i in range(self.rows))
+        return (self @ RatMatrix(len(v), 1, tuple(v))).entries
 
     def is_square(self) -> bool:
         return self.rows == self.cols

@@ -6,13 +6,14 @@ merged onto one shared grid by :func:`common_refinement`; the cells of
 that grid are called atoms, and every exact computation downstream
 (measures of intervals, the Gram matrix of the normalized density
 weights, linear relations between the measures) reduces to finite sums
-over atoms.
+over atoms; the Gram and sharing matrices form them as products with
+:meth:`MeasureProfile.value_matrix`.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -42,6 +43,11 @@ class Interval:
         return f"[{self.lo}, {self.hi}]"
 
 
+def _mass(breakpoints: Sequence[Fraction], values: Sequence[Fraction]) -> Fraction:
+    """Integral over [0, 1] of the step function with these cells and values."""
+    return sum((v * (b - a) for v, a, b in zip(values, breakpoints, breakpoints[1:])), Fraction(0))
+
+
 @dataclass(frozen=True)
 class StepDensity:
     """Step-function probability density on [0, 1].
@@ -53,8 +59,6 @@ class StepDensity:
 
     breakpoints: tuple[Fraction, ...]
     values: tuple[Fraction, ...]
-    # cumulative[i] is the integral over [breakpoints[0], breakpoints[i]]
-    cumulative: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         bp, vals = self.breakpoints, self.values
@@ -68,12 +72,9 @@ class StepDensity:
             raise ValueError("need exactly one value per cell")
         if any(v < 0 for v in vals):
             raise ValueError("density values must be nonnegative")
-        cumulative = [Fraction(0)]
-        for v, a, b in zip(vals, bp, bp[1:]):
-            cumulative.append(cumulative[-1] + v * (b - a))
-        object.__setattr__(self, "cumulative", tuple(cumulative))
-        if cumulative[-1] != 1:
-            raise ValueError(f"density must integrate to 1, got {cumulative[-1]}")
+        mass = _mass(bp, vals)
+        if mass != 1:
+            raise ValueError(f"density must integrate to 1, got {mass}")
 
     @staticmethod
     def make(breakpoints: Sequence[int | str | Fraction],
@@ -86,7 +87,7 @@ class StepDensity:
         """Rescale arbitrary nonnegative step values so the mass is exactly 1."""
         bp = tuple(rat(b) for b in breakpoints)
         vals = tuple(rat(v) for v in values)
-        mass = sum((v * (b - a) for v, a, b in zip(vals, bp, bp[1:])), Fraction(0))
+        mass = _mass(bp, vals)
         if mass <= 0:
             raise ValueError("cannot normalize a density with zero total mass")
         return StepDensity(bp, tuple(v / mass for v in vals))
@@ -103,17 +104,9 @@ class StepDensity:
 
     def integral(self, iv: Interval) -> Fraction:
         """Exact integral of the density over ``iv`` (clamped to the breakpoints)."""
-        bp, vals, cumulative = self.breakpoints, self.values, self.cumulative
-        lo, hi = max(iv.lo, bp[0]), min(iv.hi, bp[-1])
-        if hi <= lo:
-            return Fraction(0)
-        first = bisect_right(bp, lo) - 1  # bp[first] <= lo < bp[first + 1]
-        last = bisect_left(bp, hi) - 1  # bp[last] < hi <= bp[last + 1]
-        if first == last:
-            return vals[first] * (hi - lo)
-        return (vals[first] * (bp[first + 1] - lo)
-                + (cumulative[last] - cumulative[first + 1])
-                + vals[last] * (hi - bp[last]))
+        bp = self.breakpoints
+        return sum((v * max(min(iv.hi, b) - max(iv.lo, a), 0)
+                    for v, a, b in zip(self.values, bp, bp[1:])), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -131,6 +124,10 @@ class MeasureProfile:
     @property
     def n(self) -> int:
         return len(self.densities)
+
+    def value_matrix(self) -> RatMatrix:
+        """``atom_values`` as an n x (number of atoms) matrix."""
+        return RatMatrix(self.n, len(self.atoms), tuple(x for row in self.atom_values for x in row))
 
     def atom_measure(self, player: int, atom: int) -> Fraction:
         """Measure the given player assigns to one whole atom."""
@@ -178,27 +175,13 @@ def gram_matrix(profile: MeasureProfile) -> RatMatrix:
     """Pairwise integrals of the normalized weights against the sum measure.
 
     Entry (i, j) is the sum over atoms of ``w_i * w_j`` times the total
-    measure of the atom, where ``w`` are the :func:`rn_weights`.  The
-    result is symmetric, row-stochastic, and positive-semidefinite,
+    measure of the atom, where ``w`` are the :func:`rn_weights`: the
+    product of :meth:`MeasureProfile.value_matrix` with the matrix whose
+    row ``a`` is ``w`` times the length of atom ``a``.  The result is symmetric, row-stochastic, and positive-semidefinite,
     with diagonal entries at least 1/n.
     """
-    n = profile.n
-    g = [[Fraction(0)] * n for _ in range(n)]
-    for a, iv in enumerate(profile.atoms):
-        column = [profile.atom_values[i][a] for i in range(n)]
-        total = sum(column, Fraction(0))
-        if total == 0:
-            continue
-        scale = iv.length / total
-        for i in range(n):
-            if column[i] == 0:
-                continue
-            for j in range(i, n):
-                g[i][j] += column[i] * column[j] * scale
-    for i in range(n):
-        for j in range(i):
-            g[i][j] = g[j][i]
-    return RatMatrix(n, n, tuple(x for row in g for x in row))
+    scaled = tuple(x * iv.length for a, iv in enumerate(profile.atoms) for x in rn_weights(profile, a))
+    return profile.value_matrix() @ RatMatrix(len(profile.atoms), profile.n, scaled)
 
 
 def measure_relations(profile: MeasureProfile) -> list[tuple[Fraction, ...]]:

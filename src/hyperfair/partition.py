@@ -222,8 +222,8 @@ def solve_alpha(profile: MeasureProfile, k: GoalMatrix, p: TargetPoint,
 def factor_weights(profile: MeasureProfile, factor: RatMatrix) -> WeightSystem:
     """Weight system of a row-stochastic factor ``S``, without any LP.
 
-    On each atom, player ``j`` receives ``sum_i S[i][j] * w_i(atom)``,
-    where ``w`` are the :func:`rn_weights`; null atoms go wholly to
+    The weights are the product ``W @ S``, where row ``a`` of ``W``
+    holds the :func:`rn_weights` of atom ``a``; null atoms go wholly to
     player 0.  When ``gram_matrix(profile) @ S`` is ``P + delta K``,
     the cut realizes exactly that sharing matrix, because summing
     ``w_l * measure_i`` over the atoms gives the Gram entry ``(i, l)``.
@@ -231,13 +231,9 @@ def factor_weights(profile: MeasureProfile, factor: RatMatrix) -> WeightSystem:
     n = profile.n
     if factor.rows != n or factor.cols != n:
         raise ValueError("factor and profile disagree on the number of players")
-
-    def row(a: int) -> tuple[Fraction, ...]:
-        base = rn_weights(profile, a)
-        return tuple(sum((base[i] * factor[i, j] for i in range(n)), Fraction(0))
-                     for j in range(n))
-
-    return _weight_rows(profile, row)
+    atoms = len(profile.atoms)
+    w = RatMatrix(atoms, n, tuple(x for a in range(atoms) for x in rn_weights(profile, a)))
+    return _weight_rows(profile, (w @ factor).row)
 
 
 def build_via_stochastic_factor(profile: MeasureProfile, k: GoalMatrix, p: TargetPoint,

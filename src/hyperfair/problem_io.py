@@ -132,8 +132,9 @@ def parse_problem(obj: Any, source: str = "problem") -> Problem:
             delta = MAXIMIZE
         else:
             delta = parse_rational(obj["delta"], f"{source}.delta")
-            if delta < 0:
-                raise ProblemFormatError(f"{source}.delta: margin must be nonnegative")
+            if delta <= 0:
+                raise ProblemFormatError(
+                    f"{source}.delta: margin must be positive, not merely nonnegative")
 
     return Problem(tuple(densities), p, k, r, delta)
 

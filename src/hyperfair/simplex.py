@@ -175,5 +175,5 @@ def simplex_solve(problem: LpProblem) -> LpOutcome:
     x = [Fraction(0)] * nvars
     for (v, d), bi in zip(rows, basis):
         x[bi] = Fraction(v[-1], d)
-    value = sum((cj * xj for cj, xj in zip(problem.objective, x)), Fraction(0))
+    (value,) = RatMatrix(1, nvars, tuple(problem.objective)).mat_vec(x)
     return LpOutcome(LpStatus.OPTIMAL, value, tuple(x))

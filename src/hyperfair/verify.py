@@ -2,18 +2,20 @@
 
 The sharing matrix of a partition lists, exactly, the value player
 ``i``'s measure assigns to player ``j``'s piece.  Every fairness
-notion tested here is a statement about that matrix alone, so the
+notion tested here is a statement about that matrix alone, and the
+matrix is computed from the profile and the intervals alone, so the
 audit is independent of how the partition was produced.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .hyperfree import UNCONSTRAINED, GoalMatrix, TargetPoint
 from .linalg import RatMatrix
-from .measures import MeasureProfile, measure_of
+from .measures import MeasureProfile
 from .partition import Partition
 
 
@@ -63,17 +65,27 @@ class FairnessReport:
 
 
 def sharing_matrix(profile: MeasureProfile, part: Partition) -> SharingMatrix:
-    """Exact cross-valuation matrix of a partition."""
+    """Exact cross-valuation matrix of a partition.
+
+    It is the product of the density values on the atoms with ``held``,
+    where ``held[a][j]`` is the length of player ``j``'s pieces inside
+    atom ``a``.  One bisect over the atom starts finds the first atom of
+    each interval, which then walks right to its end.
+    """
     if part.n != profile.n:
         raise ValueError(f"partition has {part.n} players, profile has {profile.n}")
-    n = profile.n
-    entries = []
-    for i in range(n):
-        for j in range(n):
-            entries.append(sum(
-                (measure_of(profile, i, iv) for iv in part.pieces[j]), Fraction(0)
-            ))
-    return SharingMatrix(RatMatrix(n, n, tuple(entries)))
+    n, atoms = profile.n, profile.atoms
+    starts = [iv.lo for iv in atoms]
+    held = [[Fraction(0)] * n for _ in atoms]
+    for j, pieces in enumerate(part.pieces):
+        for iv in pieces:
+            cursor, a = iv.lo, bisect_right(starts, iv.lo) - 1
+            while cursor < iv.hi:
+                end = min(iv.hi, atoms[a].hi)
+                held[a][j] += end - cursor
+                cursor, a = end, a + 1
+    mat = profile.value_matrix() @ RatMatrix(len(atoms), n, tuple(x for row in held for x in row))
+    return SharingMatrix(mat)
 
 
 def rawlsian_distance(m: SharingMatrix | RatMatrix) -> Fraction:

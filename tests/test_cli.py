@@ -4,6 +4,8 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from hyperfair.cli import EXIT_INFEASIBLE, EXIT_INVALID, EXIT_OK, main
 
 from conftest import TRIO_GRAM_ROWS, TRIO_PINV_K_ROWS, TRIO_PINV_ROWS, TRIO_SHARING_ROWS
@@ -312,6 +314,34 @@ def test_junk_tolerance_is_an_input_error(capsys):
                        "--tol", "fast")
     assert code == EXIT_INVALID
     assert "error:" in err
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "-1/3", "fast"])
+@pytest.mark.parametrize("command", ["gram", "solve", "verify"])
+def test_tolerance_must_be_a_positive_rational_for_every_command(capsys, tmp_path, command, tol):
+    # three_players.json has a measure relation, so no spectral bound
+    # is computed that could trip over the tolerance later
+    partition = ["--partition", str(PROBLEMS / "three_players_partition.json")]
+    out_path = tmp_path / "report.json"
+    code, out, err = run(capsys, command, "--input", str(PROBLEMS / "three_players.json"),
+                         *(partition if command == "verify" else []),
+                         f"--tol={tol}", "--output", str(out_path))
+    assert code == EXIT_INVALID
+    assert err.startswith("error:")
+    assert out == ""
+    assert not out_path.exists()
+
+
+def test_zero_margin_is_an_input_error(capsys, tmp_path):
+    problem = json.loads((PROBLEMS / "three_players.json").read_text())
+    problem["delta"] = "0"
+    out_path = tmp_path / "report.json"
+    code, out, err = run(capsys, "solve", "--input", write(tmp_path, "p.json", problem),
+                         "--output", str(out_path))
+    assert code == EXIT_INVALID
+    assert ".delta" in err
+    assert out == ""
+    assert not out_path.exists()
 
 
 def test_wrong_player_count_partition_is_an_input_error(capsys, tmp_path):

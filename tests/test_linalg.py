@@ -46,6 +46,58 @@ def test_rat_rejects_floats_and_decimal_strings():
         rat(True)
 
 
+# -- products --------------------------------------------------------------
+
+@st.composite
+def product_operands(draw):
+    """``(a, b, v)``: ``a`` is m x k, ``b`` is k x p and ``v`` has length k.
+    Any of m, k and p may be 0; entries are signed with unlike denominators."""
+    m, k, p = (draw(st.integers(0, 4)) for _ in range(3))
+    entry = st.fractions(min_value=-20, max_value=20, max_denominator=30)
+
+    def matrix(rows, cols):
+        return RatMatrix(rows, cols, tuple(draw(entry) for _ in range(rows * cols)))
+
+    return matrix(m, k), matrix(k, p), tuple(draw(entry) for _ in range(k))
+
+
+def _triple_loop(a, b):
+    out = [[F(0)] * b.cols for _ in range(a.rows)]
+    for i in range(a.rows):
+        for j in range(b.cols):
+            for t in range(a.cols):
+                out[i][j] += a[i, t] * b[t, j]
+    return out
+
+
+@given(product_operands())
+@example((RatMatrix.zeros(0, 3), RatMatrix.zeros(3, 2), (F(1), F(2), F(3))))
+@example((RatMatrix.zeros(3, 0), RatMatrix.zeros(0, 2), ()))
+@example((RatMatrix.zeros(2, 3), RatMatrix.zeros(3, 0), (F(0), F(-1), F(1, 2))))
+@example((RatMatrix.from_rows([["1/2", "-2/3"], ["-5/6", "7/10"]]),
+          RatMatrix.from_rows([["3/5", "-1"], ["-7/4", "1/9"]]),
+          (F(-1, 6), F(5, 9))))
+def test_products_match_a_plain_fraction_triple_loop(operands):
+    a, b, v = operands
+    c = a @ b
+    assert (c.rows, c.cols) == (a.rows, b.cols)
+    assert c.to_rows() == _triple_loop(a, b)
+    assert all(type(x) is Fraction for x in c.entries)
+    expected = [F(0)] * a.rows
+    for i in range(a.rows):
+        for t in range(a.cols):
+            expected[i] += a[i, t] * v[t]
+    assert a.mat_vec(v) == tuple(expected)
+    assert all(type(x) is Fraction for x in a.mat_vec(v))
+
+
+def test_products_reject_mismatched_shapes():
+    with pytest.raises(ValueError, match="cannot multiply 2x3 by 2x3"):
+        RatMatrix.zeros(2, 3) @ RatMatrix.zeros(2, 3)
+    with pytest.raises(ValueError, match="vector length"):
+        RatMatrix.zeros(2, 3).mat_vec((F(1), F(2)))
+
+
 # -- rref ------------------------------------------------------------------
 
 @st.composite

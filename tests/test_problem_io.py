@@ -167,6 +167,14 @@ def test_parse_problem_validates_delta():
         parse_problem(obj)
 
 
+@pytest.mark.parametrize("zero", ["0", 0, "0/5"])
+def test_parse_problem_rejects_a_zero_margin(zero):
+    obj = json.loads(json.dumps(FULL_PROBLEM))
+    obj["delta"] = zero
+    with pytest.raises(ProblemFormatError, match=r"problem\.delta: margin must be positive"):
+        parse_problem(obj)
+
+
 def test_load_problem_round_trips_through_a_file(tmp_path):
     path = tmp_path / "problem.json"
     write_json(path, FULL_PROBLEM)

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from hyperfair.hyperfree import UNCONSTRAINED, GoalMatrix, TargetPoint
 from hyperfair.linalg import RatMatrix
-from hyperfair.measures import Interval
+from hyperfair.measures import Interval, StepDensity, common_refinement, measure_of
 from hyperfair.partition import Partition, build_from_weights, solve_alpha
 from hyperfair.relations import RelationMatrix
 from hyperfair.verify import (
@@ -58,6 +58,42 @@ def test_sharing_matrix_when_one_player_takes_everything(trio_profile):
     part = Partition(((Interval.make("0", "1"),), (), ()))
     got = sharing_matrix(trio_profile, part)
     assert got.mat == RatMatrix.from_rows([[1, 0, 0]] * 3)
+
+
+@st.composite
+def profiles_with_off_grid_partitions(draw):
+    """A profile on a 1/12 grid with a null atom (when there are two or
+    more), and a partition cut on a 1/60 grid that ignores the atoms.
+    Repeated cuts and the extra [0, 0] and [1, 1] give zero-length
+    pieces; the first and last pieces touch 0 and 1; with few cuts a
+    piece spans several atoms, and with none one player takes [0, 1]."""
+    n = draw(st.integers(1, 4))
+    cells = draw(st.integers(1, 5))
+    inner = sorted(draw(st.sets(st.integers(1, 11), min_size=cells - 1, max_size=cells - 1)))
+    breaks = [F(0), *(F(c, 12) for c in inner), F(1)]
+    null = draw(st.integers(0, cells - 1)) if cells > 1 else None
+    densities = []
+    for _ in range(n):
+        values = [F(draw(st.integers(0, 5))) for _ in range(cells)]
+        if null is not None:
+            values[null] = F(0)
+        if not any(values):
+            values[0 if null != 0 else 1] = F(1)
+        densities.append(StepDensity.normalized(breaks, values))
+    points = [F(0), *sorted(F(c, 60) for c in draw(st.lists(st.integers(0, 60), max_size=8))), F(1)]
+    pieces = [[] for _ in range(n)]
+    for lo, hi in [*zip(points, points[1:]), (F(0), F(0)), (F(1), F(1))]:
+        pieces[draw(st.integers(0, n - 1))].append(Interval(lo, hi))
+    return common_refinement(densities), Partition(tuple(map(tuple, pieces)))
+
+
+@given(profiles_with_off_grid_partitions())
+def test_sharing_matrix_equals_per_piece_sums_of_measure_of(case):
+    profile, part = case
+    n = profile.n
+    expected = [[sum((measure_of(profile, i, iv) for iv in part.pieces[j]), F(0))
+                 for j in range(n)] for i in range(n)]
+    assert sharing_matrix(profile, part).mat.to_rows() == expected
 
 
 def test_sharing_matrix_rejects_player_count_mismatch(trio_profile):
