@@ -10,8 +10,9 @@ builds a proper goal matrix from the Gram range, and then:
     LP and stochastic factor) and verifies they produce the same
     sharing matrix,
   * audits the result with the fairness checker,
-  * maximizes the margin by LP and records how conservative the
-    sufficient bound is, plus the spectral bound when it applies.
+  * maximizes the margin by LP, cuts and audits that partition too,
+    and records how conservative the sufficient bound is, plus the
+    spectral bound when it applies.
 
     python3 scripts/random_roundtrip.py --trials 100 --seed 7
 """
@@ -126,8 +127,11 @@ def main(argv=None) -> int:
         audit = check_fairness(m, k, p)
         assert audit.hyper_envy_free and audit.hyper_delta == half
 
-        _, best = solve_alpha(profile, k, p, MAXIMIZE)
+        weights, best = solve_alpha(profile, k, p, MAXIMIZE)
         assert best >= bound
+        best_part = build_from_weights(profile, weights)
+        audit = check_fairness(sharing_matrix(profile, best_part), k, p)
+        assert audit.hyper_envy_free and audit.hyper_delta == best
         ratios.append(bound / best)
 
         if not relations:

@@ -300,12 +300,16 @@ def pseudo_inverse(m: RatMatrix) -> RatMatrix:
     pseudo-inverse is ``f' (f f')^-1 (c' c)^-1 c'`` where the primes are
     transposes.  Both inner matrices are r x r and nonsingular, and
     ``c' m f' = (c' c)(f f')``, so one inverse gives the product
-    ``f' (c' m f')^-1 c'``.  The result is exact and satisfies the four
-    Penrose identities with equality, not approximately.
+    ``f' (c' m f')^-1 c'``.  A nonsingular ``m`` (full rank and square)
+    skips both products: its pseudo-inverse is ``inverse(m)``.  The
+    result is exact and satisfies the four Penrose identities with
+    equality, not approximately.
     """
     c, f = rank_factorization(m)
     if c.cols == 0:
         return RatMatrix.zeros(m.cols, m.rows)
+    if c.cols == m.rows == m.cols:
+        return inverse(m)
     ft, ct = f.transpose(), c.transpose()
     return ft @ inverse(ct @ m @ ft) @ ct
 

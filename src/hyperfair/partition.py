@@ -16,7 +16,12 @@ two routes, and both land on the same sharing matrix:
   takes this route first for a fixed margin.
 * :func:`solve_alpha` solves an exact linear program.  It reaches every
   realizable margin, so ``solve`` uses it to maximize the margin and
-  for fixed margins the factor cannot realize.
+  for fixed margins the factor cannot realize.  Atoms with equal
+  :func:`rn_weights` have proportional measures, so the LP takes them
+  as one block with the summed measure and every atom of a block gets
+  the block's row: the realizable sharing matrices do not change.  Of
+  the coupling rows it keeps ``n - 1`` per player, as the last follows
+  from the others.
 """
 
 from __future__ import annotations
@@ -150,7 +155,13 @@ def solve_alpha(profile: MeasureProfile, k: GoalMatrix, p: TargetPoint,
     ``delta`` may be an exact rational (realize that margin or raise
     :class:`InfeasibleError`) or :data:`MAXIMIZE` (find the largest
     admissible margin).  Atoms where every density vanishes carry no
-    constraints and are handed wholly to player 0.  Returns
+    constraints and are handed wholly to player 0.  The others are
+    grouped into blocks by their :func:`rn_weights`, in order of first
+    appearance; the LP has ``n`` variables per block, each player's
+    share of it, and every atom of the block gets those shares as its
+    weight row.  Constraint ``(i, j)`` says that player ``i`` values
+    player ``j``'s piece at ``P[j] + delta K[i][j]``; the one for
+    ``j = n - 1`` is left out, as it follows from the others.  Returns
     ``(weights, delta)``; when the goal matrix is zero and the margin
     was to be maximized, the margin is :data:`UNCONSTRAINED` because
     any value realizes the same target.
@@ -174,22 +185,36 @@ def solve_alpha(profile: MeasureProfile, k: GoalMatrix, p: TargetPoint,
         weights, _ = solve_alpha(profile, k, p, Fraction(0))
         return weights, UNCONSTRAINED
 
-    active = [a for a in range(len(profile.atoms)) if not profile.is_null_atom(a)]
-    nvars = len(active) * n + (1 if maximize else 0)
-    delta_var = len(active) * n
+    # slot[a] is the block of non-null atom a; a block's measure sums its atoms'.
+    block_of: dict[tuple[Fraction, ...], int] = {}
+    slot: dict[int, int] = {}
+    for a in range(len(profile.atoms)):
+        if not profile.is_null_atom(a):
+            slot[a] = block_of.setdefault(rn_weights(profile, a), len(block_of))
+    blocks = len(block_of)
+    measure = [[Fraction(0)] * blocks for _ in range(n)]
+    for a, b in slot.items():
+        for i in range(n):
+            measure[i][b] += profile.atom_measure(i, a)
+
+    nvars = blocks * n + (1 if maximize else 0)
+    delta_var = blocks * n
     rows: list[list[Fraction]] = []
     rhs: list[Fraction] = []
-    for ai in range(len(active)):  # each atom fully distributed
+    for b in range(blocks):  # each block fully distributed
         row = [Fraction(0)] * nvars
         for j in range(n):
-            row[ai * n + j] = Fraction(1)
+            row[b * n + j] = Fraction(1)
         rows.append(row)
         rhs.append(Fraction(1))
-    for i in range(n):  # player i's value of player j's piece
-        for j in range(n):
+    # Player i's value of player j's piece.  Row (i, n-1) would be 1
+    # minus the others on both sides: the block rows sum to 1, and so
+    # do player i's measure, P and every row of P + delta K.
+    for i in range(n):
+        for j in range(n - 1):
             row = [Fraction(0)] * nvars
-            for ai, a in enumerate(active):
-                row[ai * n + j] = profile.atom_measure(i, a)
+            for b in range(blocks):
+                row[b * n + j] = measure[i][b]
             if maximize:
                 row[delta_var] = -k.mat[i, j]
                 rhs.append(p.shares[j])
@@ -215,7 +240,6 @@ def solve_alpha(profile: MeasureProfile, k: GoalMatrix, p: TargetPoint,
     assert outcome.witness is not None
     x = outcome.witness
     achieved = x[delta_var] if maximize else fixed
-    slot = {a: ai for ai, a in enumerate(active)}
     return _weight_rows(profile, lambda a: x[slot[a] * n: slot[a] * n + n]), achieved
 
 

@@ -280,6 +280,25 @@ def test_report_file_is_written_on_every_exit_but_invalid_input(capsys, tmp_path
 
 # -- error handling ----------------------------------------------------------------
 
+def test_missing_input_option_returns_the_input_error_code(capsys):
+    code, out, err = run(capsys, "gram")
+    assert code == EXIT_INVALID
+    assert "the following arguments are required: --input" in err
+    assert out == ""
+
+
+def test_unknown_subcommand_returns_the_input_error_code(capsys):
+    code, _, err = run(capsys, "split", "--input", str(PROBLEMS / "three_players.json"))
+    assert code == EXIT_INVALID
+    assert "invalid choice: 'split'" in err
+
+
+def test_help_returns_success(capsys):
+    code, out, _ = run(capsys, "--help")
+    assert code == EXIT_OK
+    assert "usage: hyperfair" in out
+
+
 def test_missing_input_file_is_an_input_error(capsys, tmp_path):
     code, _, err = run(capsys, "gram", "--input", str(tmp_path / "missing.json"))
     assert code == EXIT_INVALID

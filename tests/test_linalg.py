@@ -20,7 +20,14 @@ from hyperfair.linalg import (
 )
 
 from conftest import TRIO_GRAM_ROWS
-from oracles import charpoly_by_cofactors, gauss_jordan, integer_kernel, poly_eval, real_roots_in
+from oracles import (
+    charpoly_by_cofactors,
+    gauss_jordan,
+    integer_kernel,
+    poly_eval,
+    real_roots_in,
+    symmetric_pinv,
+)
 
 F = Fraction
 
@@ -238,6 +245,26 @@ def test_penrose_identities_hold_exactly(rows, cols, deficient, rng):
     assert plus @ m @ plus == plus
     assert (m @ plus).transpose() == m @ plus
     assert (plus @ m).transpose() == plus @ m
+
+
+@given(st.integers(1, 5), st.booleans(), st.randoms(use_true_random=False))
+def test_pseudo_inverse_of_a_gram_like_matrix_on_both_rank_branches(n, deficient, rng):
+    # m = a a^T has the rank of a: n takes the inverse shortcut, n - 1
+    # the rank-factorization formula.
+    width = n - 1 if deficient else n
+    while True:
+        a = _random_matrix(rng, n, width) if width else RatMatrix.zeros(n, 1)
+        if rank(a) == width:
+            break
+    m = a @ a.transpose()
+    plus = pseudo_inverse(m)
+    assert m @ plus @ m == m
+    assert plus @ m @ plus == plus
+    assert (m @ plus).transpose() == m @ plus
+    assert (plus @ m).transpose() == plus @ m
+    assert plus == RatMatrix.from_rows(symmetric_pinv(m))
+    if not deficient:
+        assert plus == inverse(m)
 
 
 # -- characteristic polynomial oracle -------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from hyperfair.hyperfree import UNCONSTRAINED, GoalMatrix, TargetPoint, delta_bound, stochastic_factor
 from hyperfair.linalg import RatMatrix, pseudo_inverse
-from hyperfair.measures import Interval, gram_matrix, measure_of
+from hyperfair.measures import Interval, StepDensity, common_refinement, gram_matrix, measure_of
 from hyperfair.partition import (
     MAXIMIZE,
     InfeasibleError,
@@ -19,8 +19,10 @@ from hyperfair.partition import (
     factor_weights,
     solve_alpha,
 )
+from hyperfair.verify import check_fairness, sharing_matrix
 
-from conftest import random_profile, random_proper_goal
+from conftest import random_profile, random_proper_goal, random_target
+from oracles import lp_bland_reference
 
 F = Fraction
 
@@ -244,3 +246,82 @@ def test_both_routes_realize_the_same_sharing_values(rng):
             for j in range(profile.n):
                 got = sum((measure_of(profile, i, iv) for iv in part.pieces[j]), F(0))
                 assert got == expected[i, j]
+
+
+# -- the block-merged LP against the full per-atom LP ---------------------------
+
+def blocky_profile(rng, kind):
+    """Densities constant over runs of cells, many cells sharing one column.
+
+    Each cell takes a column from a small palette of value vectors, at
+    scale 1 or 2, so equal and proportional columns repeat along the
+    grid.  ``kind`` is ``"null"`` to make one cell vanish for every
+    player, or ``"dependent"`` to replace the last density by a mix of
+    the others (a forced measure relation).
+    """
+    n = rng.randint(2, 3)
+    cells = rng.randint(3, 8)
+    palette = [[rng.randint(0, 4) for _ in range(n)] for _ in range(rng.randint(1, 3))]
+    columns = [[rng.randint(1, 2) * v for v in rng.choice(palette)] for _ in range(cells)]
+    if kind == "null":
+        columns[rng.randrange(cells)] = [0] * n
+    for i in range(n):  # every density needs some mass
+        if not any(col[i] for col in columns):
+            columns[rng.randrange(cells)][i] = 1
+    breaks = [F(c, cells) for c in range(cells + 1)]
+    densities = [StepDensity.normalized(breaks, [col[i] for col in columns]) for i in range(n)]
+    if kind == "dependent":
+        mix = [F(rng.randint(1, 3)) for _ in range(n - 1)]
+        values = [sum((w * d.values[c] for w, d in zip(mix, densities)), F(0)) / sum(mix)
+                  for c in range(cells)]
+        densities[-1] = StepDensity(tuple(breaks), tuple(values))
+    return common_refinement(densities)
+
+
+def full_atom_lp_max(profile, k, p):
+    """Max margin of the LP with one row per atom and all n * n coupling rows."""
+    n, atoms = profile.n, len(profile.atoms)
+    nvars = atoms * n + 1
+    rows, rhs = [], []
+    for a in range(atoms):
+        rows.append([F(int(v // n == a)) for v in range(nvars - 1)] + [F(0)])
+        rhs.append(F(1))
+    for i in range(n):
+        for j in range(n):
+            row = [F(0)] * nvars
+            for a in range(atoms):
+                row[a * n + j] = profile.atom_values[i][a] * profile.atoms[a].length
+            row[-1] = -k.mat[i, j]
+            rows.append(row)
+            rhs.append(p.shares[j])
+    objective = [F(0)] * (nvars - 1) + [F(1)]
+    status, value, _ = lp_bland_reference(objective, RatMatrix.from_rows(rows), rhs)
+    assert status == "optimal"
+    return value
+
+
+@settings(max_examples=15)
+@pytest.mark.parametrize("kind", ["plain", "null", "dependent"])
+@given(rng=st.randoms(use_true_random=False))
+def test_block_merged_lp_matches_the_full_atom_lp(kind, rng):
+    profile = blocky_profile(rng, kind)
+    n = profile.n
+    k = random_proper_goal(rng, profile)
+    p = random_target(rng, n)
+
+    w, best = solve_alpha(profile, k, p, MAXIMIZE)
+    assert best == full_atom_lp_max(profile, k, p)
+    with pytest.raises(InfeasibleError):
+        solve_alpha(profile, k, p, best + F(1, 10**9))
+
+    rows_of: dict[tuple[Fraction, ...], tuple[Fraction, ...]] = {}
+    for a in range(len(profile.atoms)):
+        column = [profile.atom_values[i][a] for i in range(n)]
+        total = sum(column, F(0))
+        if total:
+            key = tuple(v / total for v in column)
+            assert rows_of.setdefault(key, w.weights[a]) == w.weights[a]
+
+    audit = check_fairness(sharing_matrix(profile, build_from_weights(profile, w)), k, p)
+    assert audit.hyper_envy_free is True
+    assert audit.hyper_delta == best
