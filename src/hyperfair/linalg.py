@@ -30,22 +30,42 @@ Rational = Fraction
 _RAT_RE = re.compile(r"^\s*[+-]?\d+(\s*/\s*[1-9]\d*)?\s*$")
 
 
+def _is_digits(s: str) -> bool:
+    return s.isascii() and s.isdigit()
+
+
 def rat(value: int | str | Fraction) -> Fraction:
     """Coerce an int, a Fraction, or a string like ``"-3/4"`` to a Fraction.
+
+    A string is an optional sign and an integer, optionally followed by
+    ``/`` and a denominator that does not start with ``0``, with
+    whitespace allowed around the whole and spaces around the slash.
+    The common form, an optional ``-`` and ASCII digits only, is split
+    on ``/`` and read with ``int``; every other string goes through
+    ``_RAT_RE`` and ``Fraction(str)``.  Both paths accept the same
+    strings with the same values and errors, and an integer longer
+    than Python's string conversion limit (4300 digits by default)
+    raises ``ValueError`` on either.
 
     Floats and decimal strings are rejected: they have no place in an
     exact pipeline, and accepting them would hide rounding at the door.
     """
+    if isinstance(value, str):
+        num, slash, den = value.partition("/")
+        if _is_digits(num.removeprefix("-")):
+            if not slash:
+                return Fraction(int(num))
+            if _is_digits(den) and den[0] != "0":
+                return Fraction(int(num), int(den))
+        if not _RAT_RE.match(value):
+            raise ValueError(f"expected an integer or 'num/den' string, got {value!r}")
+        return Fraction(value.replace(" ", ""))
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
         raise TypeError(f"expected an exact rational, got bool {value!r}")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
-        if not _RAT_RE.match(value):
-            raise ValueError(f"expected an integer or 'num/den' string, got {value!r}")
-        return Fraction(value.replace(" ", ""))
     raise TypeError(f"expected an exact rational, got {type(value).__name__} {value!r}")
 
 

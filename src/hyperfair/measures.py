@@ -12,12 +12,13 @@ over atoms; the Gram and sharing matrices form them as products with
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import RatMatrix, kernel_basis, rat
+from .linalg import RatMatrix, _to_row, kernel_basis, rat
 
 
 @dataclass(frozen=True)
@@ -43,9 +44,22 @@ class Interval:
         return f"[{self.lo}, {self.hi}]"
 
 
-def _mass(breakpoints: Sequence[Fraction], values: Sequence[Fraction]) -> Fraction:
-    """Integral over [0, 1] of the step function with these cells and values."""
-    return sum((v * (b - a) for v, a, b in zip(values, breakpoints, breakpoints[1:])), Fraction(0))
+# Cells per integer row.  A row holds its numerators over the lcm of its
+# denominators, so bounded chunks keep rows short when thousands of cells
+# have distinct denominators.
+_CHUNK = 64
+
+
+def _cell_rows(breakpoints: Sequence[Fraction], values: Sequence[Fraction]) -> list:
+    """Integer rows of the breakpoints and of the values, ``_CHUNK`` cells at a time."""
+    return [(_to_row(breakpoints[s:s + _CHUNK + 1]), _to_row(values[s:s + _CHUNK]))
+            for s in range(0, len(breakpoints) - 1, _CHUNK)]
+
+
+def _mass(rows: list) -> Fraction:
+    """Integral over [0, 1] of the step function with these cell rows."""
+    return sum((Fraction(sum(map(operator.mul, v, map(operator.sub, b[1:], b))), d * e)
+                for (b, d), (v, e) in rows), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -54,7 +68,10 @@ class StepDensity:
 
     ``values[i]`` is the density on ``[breakpoints[i], breakpoints[i+1]]``.
     Breakpoints must start at 0, end at 1, and strictly increase; values
-    must be nonnegative and integrate to exactly 1.
+    must be nonnegative and integrate to exactly 1.  The checks run in
+    that order on integer rows (``linalg``'s numerators over one common
+    denominator), one row of breakpoints and one of values per 64 cells,
+    so the mass is one integer dot product per 64 cells.
     """
 
     breakpoints: tuple[Fraction, ...]
@@ -66,13 +83,14 @@ class StepDensity:
             raise ValueError("need at least two breakpoints")
         if bp[0] != 0 or bp[-1] != 1:
             raise ValueError("breakpoints must start at 0 and end at 1")
-        if any(a >= b for a, b in zip(bp, bp[1:])):
+        rows = _cell_rows(bp, vals)
+        if any(any(map(operator.ge, b, b[1:])) for (b, _), _ in rows):
             raise ValueError("breakpoints must strictly increase")
         if len(vals) != len(bp) - 1:
             raise ValueError("need exactly one value per cell")
-        if any(v < 0 for v in vals):
+        if any(v.numerator < 0 for v in vals):
             raise ValueError("density values must be nonnegative")
-        mass = _mass(bp, vals)
+        mass = _mass(rows)
         if mass != 1:
             raise ValueError(f"density must integrate to 1, got {mass}")
 
@@ -87,7 +105,7 @@ class StepDensity:
         """Rescale arbitrary nonnegative step values so the mass is exactly 1."""
         bp = tuple(rat(b) for b in breakpoints)
         vals = tuple(rat(v) for v in values)
-        mass = _mass(bp, vals)
+        mass = _mass(_cell_rows(bp, vals))
         if mass <= 0:
             raise ValueError("cannot normalize a density with zero total mass")
         return StepDensity(bp, tuple(v / mass for v in vals))
@@ -141,13 +159,19 @@ class MeasureProfile:
 def common_refinement(densities: Sequence[StepDensity]) -> MeasureProfile:
     """Merge densities onto the coarsest grid refining all of them.
 
-    Coincident breakpoints collapse, so no atom has zero length.
+    Coincident breakpoints collapse, so no atom has zero length.  When
+    every density has the same breakpoints they are the grid and the
+    values are taken as they stand.
     """
     if not densities:
         raise ValueError("need at least one density")
-    cuts = sorted({b for d in densities for b in d.breakpoints})
+    cuts = densities[0].breakpoints
+    shared = all(d.breakpoints == cuts for d in densities)
+    if not shared:
+        cuts = sorted({b for d in densities for b in d.breakpoints})
     atoms = tuple(Interval(a, b) for a, b in zip(cuts, cuts[1:]))
-    values = tuple(tuple(d.value_on(iv) for iv in atoms) for d in densities)
+    values = tuple(d.values if shared else tuple(d.value_on(iv) for iv in atoms)
+                   for d in densities)
     return MeasureProfile(tuple(densities), atoms, values)
 
 

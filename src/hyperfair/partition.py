@@ -91,9 +91,11 @@ class Partition:
     pieces: tuple[tuple[Interval, ...], ...]
 
     def __post_init__(self) -> None:
+        # Correctly rounded floats are monotone, so this key orders the
+        # intervals by (lo, hi) and compares Fractions only on float ties.
         marked = sorted(
-            ((iv, owner) for owner, ivs in enumerate(self.pieces) for iv in ivs if iv.length > 0),
-            key=lambda pair: (pair[0].lo, pair[0].hi),
+            ((iv, owner) for owner, ivs in enumerate(self.pieces) for iv in ivs if iv.hi != iv.lo),
+            key=lambda pair: (float(pair[0].lo), pair[0].lo, float(pair[0].hi), pair[0].hi),
         )
         cursor = Fraction(0)
         for iv, owner in marked:

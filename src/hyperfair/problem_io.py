@@ -167,6 +167,8 @@ def _read_json(path: str | Path) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ProblemFormatError(f"{path}: not valid JSON ({exc})") from None
+    except RecursionError:
+        raise ProblemFormatError(f"{path}: JSON nested too deeply") from None
 
 
 def load_problem(path: str | Path) -> Problem:

@@ -444,3 +444,27 @@ def grid_sign_feasible(r_cells, relations, n, steps=None) -> bool:
         if ok:
             return True
     return False
+
+
+# -- common refinement by cell lookup ---------------------------------------
+
+def refine(densities):
+    """Atoms ``(lo, hi)`` and per-density atom values of a density family.
+
+    Reads only the ``breakpoints`` and ``values`` of each density: the
+    cuts are the sorted set of all breakpoints, and a density's value on
+    an atom is the value of the cell that contains the atom's midpoint,
+    found by scanning the cells.
+    """
+    cuts = sorted({b for d in densities for b in d.breakpoints})
+    atoms = list(zip(cuts, cuts[1:]))
+    values = []
+    for d in densities:
+        row = []
+        for lo, hi in atoms:
+            mid = (lo + hi) / 2
+            cell = next(i for i in range(len(d.values))
+                        if d.breakpoints[i] <= mid <= d.breakpoints[i + 1])
+            row.append(d.values[cell])
+        values.append(row)
+    return atoms, values

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import contextlib
+import copy
+import io
 import json
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, strategies as st
 
 from hyperfair.cli import EXIT_INFEASIBLE, EXIT_INVALID, EXIT_OK, main
 
@@ -369,3 +374,105 @@ def test_wrong_player_count_partition_is_an_input_error(capsys, tmp_path):
                        "--partition", two)
     assert code == EXIT_INVALID
     assert "players" in err
+
+
+# -- hostile input files -------------------------------------------------------------
+
+BASE_PROBLEM = {
+    **json.loads((PROBLEMS / "three_players.json").read_text()),
+    "R": json.loads((PROBLEMS / "three_players_feasible_pattern.json").read_text())["R"],
+}
+BASE_PARTITION = json.loads((PROBLEMS / "three_players_partition.json").read_text())
+BAD_RATIONALS = [
+    "3/", "1/0", "1/01", "1_0", "+1", " 1 / 2 ", "\u0661", "\u0663/\u0664", "1.5", "",
+    "1" * 4301, "-" + "7" * 4301, "1/" + "3" * 4301, "3" * 4301 + "/0",
+]
+JSON_VALUES = st.sampled_from([None, True, 0, 7, 2.5, "x", "1/2", [], {}, [[]], {"a": 1}])
+
+
+def _spots(node):
+    """``(container, key)`` for every value below ``node``."""
+    keys = node if isinstance(node, dict) else range(len(node))
+    for key in list(keys):
+        yield node, key
+        if isinstance(node[key], (dict, list)):
+            yield from _spots(node[key])
+
+
+@st.composite
+def hostile_inputs(draw):
+    """A problem and a partition file with one hostile mutation."""
+    problem, partition = copy.deepcopy(BASE_PROBLEM), copy.deepcopy(BASE_PARTITION)
+    kind = draw(st.sampled_from(
+        ["rational", "breakpoints", "ragged", "type", "unsorted", "tiling", "intervals"]))
+    if kind == "rational":
+        target = draw(st.sampled_from([problem, partition]))
+        spots = [(c, k) for c, k in _spots(target) if isinstance(c[k], str)]
+        container, key = draw(st.sampled_from(spots))
+        container[key] = draw(st.sampled_from(BAD_RATIONALS))
+    elif kind == "breakpoints":
+        cells = draw(st.integers(1000, 4000))
+        values = ["1"] * cells
+        values[draw(st.integers(0, cells - 1))] = draw(st.sampled_from(["1", "2", "0", "-1"]))
+        problem["densities"][draw(st.integers(0, 2))] = {
+            "breakpoints": [f"{k}/{cells}" for k in range(cells + 1)], "values": values}
+    elif kind == "ragged":
+        row = problem[draw(st.sampled_from(["K", "R"]))][draw(st.integers(0, 2))]
+        if draw(st.booleans()):
+            row.pop()
+        else:
+            row.append(row[0])
+    elif kind == "type":
+        target = draw(st.sampled_from([problem, partition]))
+        container, key = draw(st.sampled_from(list(_spots(target))))
+        container[key] = draw(JSON_VALUES)
+    elif kind == "unsorted":
+        # a third breakpoint at or before the second one
+        density = problem["densities"][draw(st.integers(0, 1))]
+        density["breakpoints"].insert(2, draw(st.sampled_from(["0", "1/20", "1/10"])))
+        density["values"].append("0")
+    elif kind == "tiling":
+        pieces = partition["intervals"][draw(st.integers(0, 2))]
+        pair = pieces[draw(st.integers(0, len(pieces) - 1))]
+        end = draw(st.integers(0, 1))
+        value = F(pair[end]) + draw(st.sampled_from([F(1, 1000), F(-1, 1000), F(1, 10**30)]))
+        pair[end] = str(min(max(value, F(0)), F(1)))
+    else:
+        # thousands of intervals, dealt round-robin; sometimes one is dropped or doubled
+        count = draw(st.integers(1000, 3000))
+        cuts = [f"{k}/{count}" for k in range(count + 1)]
+        pairs = [[a, b] for a, b in zip(cuts, cuts[1:])]
+        change = draw(st.sampled_from(["none", "drop", "double"]))
+        at = draw(st.integers(0, count - 1))
+        if change == "drop":
+            del pairs[at]
+        elif change == "double":
+            pairs.insert(at, pairs[at])
+        partition = {"intervals": [pairs[j::3] for j in range(3)]}
+    event(kind)
+    return problem, partition
+
+
+@given(hostile_inputs())
+def test_hostile_input_files_end_in_an_input_error_or_a_result(files):
+    problem, partition = files
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for name, obj in (("problem.json", problem), ("partition.json", partition)):
+            path = Path(tmp) / name
+            path.write_text(json.dumps(obj), encoding="utf-8")
+            paths.append(str(path))
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            code = main(["verify", "--input", paths[0], "--partition", paths[1]])
+    assert code in (EXIT_OK, EXIT_INFEASIBLE, EXIT_INVALID), sink.getvalue()
+    event(f"exit {code}")
+
+
+def test_deeply_nested_json_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text('{"players": 1, "densities": ' + "[" * 100000 + "]" * 100000 + "}")
+    code, out, err = run(capsys, "gram", "--input", str(path))
+    assert code == EXIT_INVALID
+    assert err == f"error: {path}: JSON nested too deeply\n"
+    assert out == ""

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -51,6 +52,45 @@ def test_rat_rejects_floats_and_decimal_strings():
         rat("1.5")
     with pytest.raises(TypeError):
         rat(True)
+
+
+# The accepted grammar, written out here rather than imported: an
+# optional sign and digits, then optionally a slash and digits that do
+# not start with 0, with whitespace around the whole and spaces around
+# the slash.  The value is Fraction's reading with the spaces removed.
+REFERENCE_RATIONAL = re.compile(r"\s*[-+]?\d+(?:\s*/\s*[1-9]\d*)?\s*")
+
+
+def reference_rat(text):
+    if not REFERENCE_RATIONAL.fullmatch(text):
+        raise ValueError(text)
+    return F(text.replace(" ", ""))
+
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError:
+        return ValueError
+
+
+@given(st.text(alphabet="0123456789-+/ _\t\n\u00a0\u0661\u0662\u00b2x.e", max_size=12))
+@example("3/")
+@example("1/0")
+@example("1/01")
+@example("1_0")
+@example("+1")
+@example(" 1 / 2 ")
+@example("\u0661/2")
+@example("-0/7")
+@example("1" * 4301)
+@example("-" + "7" * 4301)
+@example("1/" + "3" * 4301)
+@example("4" * 4300 + "/" + "9" * 4300)
+def test_rat_agrees_with_an_independent_reading_of_the_grammar(text):
+    got, want = outcome(rat, text), outcome(reference_rat, text)
+    assert got == want
+    assert type(got) is type(want)
 
 
 # -- products --------------------------------------------------------------

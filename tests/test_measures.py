@@ -20,6 +20,7 @@ from hyperfair.measures import (
 )
 
 from conftest import TRIO_GRAM_ROWS, random_profile
+from oracles import refine
 
 F = Fraction
 
@@ -273,3 +274,53 @@ def test_measure_is_additive_over_a_split(rng):
         )
         assert measure_of(profile, player, whole) == split
     assert measure_of(profile, 0, Interval.make(0, 1)) == 1
+
+
+# -- exact density checks and refinement on mixed grids -------------------------
+
+def test_mass_error_names_the_exact_mass():
+    with pytest.raises(ValueError, match=r"^density must integrate to 1, got 5/4$"):
+        StepDensity.make(["0", "1/2", "1"], ["2", "1/2"])
+    # 100 cells span two integer rows of the check
+    cuts = [F(k, 100) for k in range(101)]
+    with pytest.raises(ValueError, match=r"^density must integrate to 1, got 101/100$"):
+        StepDensity(tuple(cuts), (F(2),) + (F(1),) * 99)
+    assert StepDensity(tuple(cuts), (F(1),) * 100).values[-1] == 1
+
+
+@pytest.mark.parametrize("repeat", [62, 63, 64, 65])
+def test_repeated_breakpoint_is_caught_on_either_side_of_a_row_boundary(repeat):
+    cuts = [F(k, 130) for k in range(131)]
+    cuts[repeat + 1] = cuts[repeat]
+    with pytest.raises(ValueError, match="strictly increase"):
+        StepDensity(tuple(cuts), (F(1),) * 130)
+
+
+@st.composite
+def mixed_grid_densities(draw):
+    """Densities on shared, partly shared and disjoint breakpoint grids.
+
+    Some candidate cuts differ by 10**-30, so their floats tie.
+    """
+    tiny = F(1, 10**30)
+    pool = sorted({F(k, 12) for k in range(1, 12)} | {F(1, 3) + tiny, F(1, 2) - tiny})
+    shared = draw(st.lists(st.sampled_from(pool), max_size=5, unique=True))
+    densities = []
+    for _ in range(draw(st.integers(1, 4))):
+        mode = draw(st.sampled_from(["shared", "partly", "own"]))
+        own = draw(st.lists(st.sampled_from(pool), max_size=5, unique=True))
+        inner = {"shared": shared, "partly": shared[: len(shared) // 2] + own, "own": own}[mode]
+        breaks = [F(0), *sorted(set(inner)), F(1)]
+        vals = draw(st.lists(st.integers(0, 5), min_size=len(breaks) - 1,
+                             max_size=len(breaks) - 1).filter(any))
+        densities.append(StepDensity.normalized(breaks, vals))
+    return densities
+
+
+@given(mixed_grid_densities())
+def test_refinement_matches_the_cell_lookup_oracle(densities):
+    profile = common_refinement(densities)
+    atoms, values = refine(densities)
+    assert [(iv.lo, iv.hi) for iv in profile.atoms] == atoms
+    assert [list(row) for row in profile.atom_values] == values
+    assert all(isinstance(row, tuple) for row in profile.atom_values)

@@ -88,6 +88,42 @@ def test_partition_reports_overlap():
         ))
 
 
+# -- tiling order when endpoints tie as floats ---------------------------------
+
+HALF, TINY = F(1, 2), F(1, 10**30)  # HALF + k * TINY all round to the float 0.5
+
+
+def test_partition_orders_endpoints_whose_floats_tie():
+    # player 0's first interval lies after player 1's second one
+    part = Partition((
+        (Interval(HALF + TINY, HALF + 2 * TINY), Interval(HALF + 2 * TINY, F(1))),
+        (Interval(F(0), HALF), Interval(HALF, HALF + TINY)),
+    ))
+    assert part.total_length(0) + part.total_length(1) == 1
+
+
+def test_partition_overlap_among_float_ties_is_named_in_exact_order():
+    with pytest.raises(PartitionError) as exc:
+        Partition((
+            (Interval(HALF + TINY, HALF + 3 * TINY), Interval(HALF + 3 * TINY, F(1))),
+            (Interval(F(0), HALF),),
+            (Interval(HALF, HALF + 2 * TINY),),
+        ))
+    assert str(exc.value) == (
+        f"interval [{HALF + TINY}, {HALF + 3 * TINY}] of player 0 overlaps "
+        f"[{HALF + TINY}, {HALF + 2 * TINY}]"
+    )
+    with pytest.raises(PartitionError) as exc:
+        Partition(((Interval(HALF, F(1)),), (Interval(F(0), HALF + TINY),)))
+    assert str(exc.value) == f"interval [1/2, 1] of player 0 overlaps [1/2, {HALF + TINY}]"
+
+
+def test_partition_gap_among_float_ties_is_named_exactly():
+    with pytest.raises(PartitionError) as exc:
+        Partition(((Interval(HALF + TINY, F(1)),), (Interval(F(0), HALF),)))
+    assert str(exc.value) == f"coverage gap [1/2, {HALF + TINY}] is assigned to nobody"
+
+
 # -- cutting atoms by weights -------------------------------------------------
 
 def test_build_from_weights_reproduces_the_trio_partition(trio_profile):
