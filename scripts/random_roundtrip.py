@@ -12,7 +12,9 @@ builds a proper goal matrix from the Gram range, and then:
   * audits the result with the fairness checker,
   * maximizes the margin by LP, cuts and audits that partition too,
     and records how conservative the sufficient bound is, plus the
-    spectral bound when it applies.
+    spectral bound when it applies,
+  * checks that the eigenvalue enclosure behind the spectral bound is
+    one cell of its dyadic grid, no wider than the default tolerance.
 
     python3 scripts/random_roundtrip.py --trials 100 --seed 7
 """
@@ -24,6 +26,7 @@ import random
 from fractions import Fraction
 
 from hyperfair import (
+    DEFAULT_TOL,
     MAXIMIZE,
     GoalMatrix,
     StepDensity,
@@ -38,6 +41,7 @@ from hyperfair import (
     measure_relations,
     pseudo_inverse,
     sharing_matrix,
+    smallest_eigenvalue,
     solve_alpha,
     spectral_delta_bound,
 )
@@ -138,6 +142,15 @@ def main(argv=None) -> int:
             lo, hi = spectral_delta_bound(g, k, p)
             assert 0 < lo and hi <= bound
             spectral_ratios.append(hi / bound)
+            # The eigenvalue enclosure is one cell of the grid of width
+            # R / 2^k (R the largest absolute row sum, k the least level
+            # at which a cell is no wider than the tolerance).
+            lam_lo, lam_hi = smallest_eigenvalue(g)
+            width = lam_hi - lam_lo
+            cells = max(sum(map(abs, g.row(i))) for i in range(g.rows)) / width
+            assert width <= DEFAULT_TOL and (cells == 1 or 2 * width > DEFAULT_TOL)
+            assert cells.denominator == 1 and cells.numerator & (cells.numerator - 1) == 0
+            assert (lam_lo / width).denominator == 1
 
     def stats(values):
         lo, hi = min(values), max(values)

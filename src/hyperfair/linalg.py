@@ -5,8 +5,12 @@ ever rounds.  It provides the elimination kit used by the rest of the
 package (reduced row echelon form, kernel bases, rank factorization,
 the Moore-Penrose pseudo-inverse) and a rational enclosure of the
 smallest (nonzero) eigenvalue of a symmetric positive-semidefinite
-matrix, obtained by bisection on exact inertia counts (Sylvester's law
-of inertia) so the enclosure is rigorous rather than floating point.
+matrix, certified by exact inertia counts (Sylvester's law of
+inertia).  Floats appear in one place only: a float estimate of that
+eigenvalue picks the candidate cell of the enclosure, two exact
+inertia counts certify it, and bisection on exact counts takes over
+when they do not, so the enclosure is rigorous rather than floating
+point.
 
 Row reduction and products run on integer rows (int numerators over
 one positive denominator per row, in lowest terms).  Their private
@@ -27,7 +31,7 @@ from typing import Sequence
 
 Rational = Fraction
 
-_RAT_RE = re.compile(r"^\s*[+-]?\d+(\s*/\s*[1-9]\d*)?\s*$")
+_RAT_RE = re.compile(r"^\s*[+-]?\d+( */ *[1-9]\d*)?\s*$")
 
 
 def _is_digits(s: str) -> bool:
@@ -39,7 +43,8 @@ def rat(value: int | str | Fraction) -> Fraction:
 
     A string is an optional sign and an integer, optionally followed by
     ``/`` and a denominator that does not start with ``0``, with
-    whitespace allowed around the whole and spaces around the slash.
+    whitespace allowed around the whole and spaces (no other
+    whitespace, on every Python version) around the slash.
     The common form, an optional ``-`` and ASCII digits only, is split
     on ``/`` and read with ``int``; every other string goes through
     ``_RAT_RE`` and ``Fraction(str)``.  Both paths accept the same
@@ -219,11 +224,25 @@ def _unit_at(v: list[int], col: int) -> _Row:
     return _lowest_terms(v, e)
 
 
-def _eliminate(row: _Row, pivot_row: _Row, col: int) -> _Row:
-    """``row`` minus its ``col`` entry times ``pivot_row``, whose ``col`` entry is 1."""
+def _support(v: list[int]) -> list[int]:
+    """Indices of the nonzero entries of ``v``."""
+    return [j for j, x in enumerate(v) if x]
+
+
+def _eliminate(row: _Row, pivot_row: _Row, col: int, support: list[int]) -> _Row:
+    """``row`` minus its ``col`` entry times ``pivot_row``, whose ``col`` entry is 1.
+
+    ``support`` lists the nonzero columns of ``pivot_row``; only those
+    entries of ``row`` change beyond the common scaling.
+    """
     (v, d), (u, e) = row, pivot_row
     f = v[col]
-    return _lowest_terms([e * x - f * y for x, y in zip(v, u)], d * e)
+    w = v.copy() if e == 1 else [e * x for x in v]
+    for j in support:
+        w[j] -= f * u[j]
+    if d * e == 1:
+        return w, 1
+    return _lowest_terms(w, d * e)
 
 
 def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
@@ -244,9 +263,10 @@ def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
             continue
         work[r], work[pivot_row] = work[pivot_row], work[r]
         work[r] = unit = _unit_at(work[r][0], c)
+        support = _support(unit[0])
         for i, other in enumerate(work):
             if i != r and other[0][c] != 0:
-                work[i] = _eliminate(other, unit, c)
+                work[i] = _eliminate(other, unit, c, support)
         pivots.append(c)
     flat = tuple(Fraction(x, d) for v, d in work for x in v)
     return RatMatrix(m.rows, m.cols, flat), tuple(pivots)
@@ -378,6 +398,50 @@ def _inertia(a: list[list[int]]) -> tuple[int, int]:
 #: spectral margin bound built on it.
 DEFAULT_TOL = Fraction(1, 2**40)
 
+#: Sweep limit of the float estimate in :func:`smallest_eigenvalue`.
+#: Jacobi converges quadratically, so a few sweeps reach float accuracy;
+#: an estimate that falls short only costs the bisection fallback.
+_JACOBI_SWEEPS = 8
+
+
+def _float_eigenvalue(m: RatMatrix, index: int) -> float:
+    """Float estimate of the ``index``-th smallest eigenvalue of the symmetric ``m``.
+
+    Cyclic Jacobi rotations on float copies of the entries, stopped
+    when the off-diagonal part is negligible or after
+    ``_JACOBI_SWEEPS`` sweeps.  The result is a guess with no
+    guarantee: it may be inaccurate or not finite, and ``float`` raises
+    ``OverflowError`` on an entry beyond float range.
+    """
+    n = m.rows
+    a = [[float(x) for x in m.row(i)] for i in range(n)]
+    pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
+    # off-diagonal norm at most 2^-55 of the whole: below float accuracy
+    negligible = sum(x * x for r in a for x in r) * 2.0**-110
+    for _ in range(_JACOBI_SWEEPS):
+        if sum(a[p][q] * a[p][q] for p, q in pairs) <= negligible:
+            break
+        for p, q in pairs:
+            apq = a[p][q]
+            if apq == 0.0:
+                continue
+            # The rotation that zeroes a[p][q], in the stable form of
+            # Rutishauser (Numerical Recipes, section 11.1).
+            theta = (a[q][q] - a[p][p]) / (2.0 * apq)
+            t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
+            c = 1.0 / math.hypot(t, 1.0)
+            s = t * c
+            tau = s / (1.0 + c)
+            a[p][p] -= t * apq
+            a[q][q] += t * apq
+            a[p][q] = a[q][p] = 0.0
+            for r in range(n):
+                if r != p and r != q:
+                    g, h = a[r][p], a[r][q]
+                    a[r][p] = a[p][r] = g - s * (h + g * tau)
+                    a[r][q] = a[q][r] = h + s * (g - h * tau)
+    return sorted(a[i][i] for i in range(n))[index]
+
 
 def smallest_eigenvalue(m: RatMatrix, tol: Fraction | int | str = DEFAULT_TOL) -> tuple[Fraction, Fraction]:
     """Rational enclosure of the smallest nonzero eigenvalue of ``m``.
@@ -386,11 +450,22 @@ def smallest_eigenvalue(m: RatMatrix, tol: Fraction | int | str = DEFAULT_TOL) -
     its spectrum is real and nonnegative.  The eigenvalues at most
     ``sigma`` are counted from the inertia of ``m - sigma I``.  Starting
     from ``(0, largest absolute row sum]``, which holds every positive
-    eigenvalue, the interval is halved until its width is at most
-    ``tol``: the lower half is kept when it holds an eigenvalue beyond
-    the count at 0 (the nullity), and the upper half otherwise.  No
-    step rounds, so the enclosure is rigorous.  For a nonsingular
-    matrix this is the smallest eigenvalue outright.
+    eigenvalue, halving the interval until its width is at most ``tol``
+    (keeping the lower half when it holds an eigenvalue beyond the
+    count at 0, the nullity, and the upper half otherwise) ends in one
+    cell ``(j w, (j + 1) w]`` of a fixed dyadic grid: ``w`` is the row
+    sum over ``2^k`` for the least ``k`` that makes ``w <= tol``.  The
+    count is monotone in ``sigma``, so that cell is the only one whose
+    lower end counts just the nullity and whose upper end counts more.
+
+    A float estimate of the eigenvalue (:func:`_float_eigenvalue`)
+    picks the candidate ``j``, and two exact inertia counts at the
+    cell's ends certify it.  The floats only choose which cell to
+    test: when the estimate is not finite, overflows, or lands in the
+    wrong cell, the halving above runs on exact counts instead, and it
+    returns the same cell.  No step of the certificate rounds, so the
+    enclosure is rigorous.  For a nonsingular matrix this is the
+    smallest eigenvalue outright.
 
     Returns ``(lo, hi)`` with ``lo < smallest nonzero eigenvalue <= hi``
     and ``hi - lo <= tol``; both ends are dyadic rationals.
@@ -414,6 +489,18 @@ def smallest_eigenvalue(m: RatMatrix, tol: Fraction | int | str = DEFAULT_TOL) -
     if nullity == m.rows:
         raise ValueError("matrix has no nonzero eigenvalue")
     lo, hi = Fraction(0), max(sum(map(abs, m.row(i)), Fraction(0)) for i in range(m.rows))
+    steps = (math.ceil(hi / tol) - 1).bit_length()  # least k with hi / 2^k <= tol
+    width = hi / 2**steps
+    try:
+        j = math.ceil(Fraction(_float_eigenvalue(m, nullity)) / width) - 1
+    except (OverflowError, ValueError):
+        pass
+    else:
+        j = min(max(j, 0), 2**steps - 1)
+        cell = j * width, (j + 1) * width
+        # at_most(0) is the nullity by definition
+        if (j == 0 or at_most(cell[0]) == nullity) and at_most(cell[1]) > nullity:
+            return cell
     while hi - lo > tol:
         mid = (lo + hi) / 2
         if at_most(mid) > nullity:

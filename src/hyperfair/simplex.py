@@ -9,7 +9,8 @@ The tableau is fraction-free: each row, the cost row included, is one
 of :mod:`hyperfair.linalg`'s integer rows, a list of Python ints ``v``
 with one positive int denominator ``d`` standing for ``v / d``, and a
 pivot uses the row operations that :func:`hyperfair.linalg.rref` also
-runs.  Each cross-multiplies and then divides the row by one ``gcd``,
+runs.  Each cross-multiplies in the pivot row's nonzero columns, scales
+the rest, and then divides the row by one ``gcd``,
 so every sign test and ratio comparison of Bland's rule is an integer
 comparison and the pivot sequence is the one a Fraction tableau takes.
 Fractions appear only at the boundary: the
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .linalg import RatMatrix, _eliminate, _lowest_terms, _Row, _to_row, _unit_at
+from .linalg import RatMatrix, _eliminate, _lowest_terms, _Row, _support, _to_row, _unit_at
 
 
 class LpStatus(Enum):
@@ -58,12 +59,13 @@ class LpOutcome:
 def _pivot(rows: list[_Row], basis: list[int], cost: _Row | None,
            row: int, col: int) -> _Row | None:
     rows[row] = pivot_row = _unit_at(rows[row][0], col)
+    support = _support(pivot_row[0])
     for i, other in enumerate(rows):
         if i != row and other[0][col] != 0:
-            rows[i] = _eliminate(other, pivot_row, col)
+            rows[i] = _eliminate(other, pivot_row, col, support)
     basis[row] = col
     if cost is not None and cost[0][col] != 0:
-        cost = _eliminate(cost, pivot_row, col)
+        cost = _eliminate(cost, pivot_row, col, support)
     return cost
 
 
@@ -94,7 +96,7 @@ def _reduced_costs(rows: list[_Row], basis: list[int], c: list[int]) -> _Row:
     cost: _Row = (c + [0], 1)
     for row, bi in zip(rows, basis):
         if c[bi] != 0:
-            cost = _eliminate(cost, row, bi)
+            cost = _eliminate(cost, row, bi, _support(row[0]))
     return cost
 
 

@@ -5,9 +5,11 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
+from hyperfair import gram_matrix, linalg
 from hyperfair.linalg import (
+    DEFAULT_TOL,
     RatMatrix,
     _inertia,
     inverse,
@@ -20,7 +22,7 @@ from hyperfair.linalg import (
     smallest_eigenvalue,
 )
 
-from conftest import TRIO_GRAM_ROWS
+from conftest import TRIO_GRAM_ROWS, random_independent_profile, random_profile
 from oracles import (
     charpoly_by_cofactors,
     gauss_jordan,
@@ -58,7 +60,7 @@ def test_rat_rejects_floats_and_decimal_strings():
 # optional sign and digits, then optionally a slash and digits that do
 # not start with 0, with whitespace around the whole and spaces around
 # the slash.  The value is Fraction's reading with the spaces removed.
-REFERENCE_RATIONAL = re.compile(r"\s*[-+]?\d+(?:\s*/\s*[1-9]\d*)?\s*")
+REFERENCE_RATIONAL = re.compile(r"\s*[-+]?\d+(?: */ *[1-9]\d*)?\s*")
 
 
 def reference_rat(text):
@@ -81,6 +83,8 @@ def outcome(parse, text):
 @example("1_0")
 @example("+1")
 @example(" 1 / 2 ")
+@example("1\t/2")
+@example("1/\u00a02")
 @example("\u0661/2")
 @example("-0/7")
 @example("1" * 4301)
@@ -382,6 +386,111 @@ def test_smallest_eigenvalue_encloses_the_first_positive_root(n, deficient, rng)
     p = charpoly_by_cofactors(m)
     assert real_roots_in(p, F(0), lo) == 0
     assert real_roots_in(p, F(0), hi) >= 1
+
+
+def _oracle_cell(m, tol):
+    """The cell ``((J - 1) w, J w]`` that bisection from ``(0, R]`` ends in.
+
+    ``w`` is ``R`` halved until it is at most ``tol``, and ``J`` the least
+    integer with a root of the characteristic polynomial in ``(0, J w]``.
+    """
+    p = charpoly_by_cofactors(m)
+    width, cells = max(sum(map(abs, m.row(i)), F(0)) for i in range(m.rows)), 1
+    while width > tol:
+        width, cells = width / 2, cells * 2
+    low, high = 1, cells
+    while low < high:
+        mid = (low + high) // 2
+        if real_roots_in(p, F(0), mid * width) >= 1:
+            high = mid
+        else:
+            low = mid + 1
+    return (low - 1) * width, low * width
+
+
+@given(st.integers(1, 4), st.booleans(), st.sampled_from([F(1, 3), F(1, 2**20), DEFAULT_TOL]),
+       st.randoms(use_true_random=False))
+def test_smallest_eigenvalue_is_the_bisection_cell_of_the_first_positive_root(n, deficient, tol, rng):
+    b = _random_matrix(rng, n, n, rank_limit=max(1, n - 1) if deficient else None)
+    m = b.transpose() @ b
+    assume(any(m.entries))
+    assert smallest_eigenvalue(m, tol) == _oracle_cell(m, tol)
+
+
+def _counting_inertia(monkeypatch):
+    calls = []
+
+    def counting(a):
+        calls.append(len(a))
+        return _inertia(a)
+
+    monkeypatch.setattr(linalg, "_inertia", counting)
+    return calls
+
+
+BAD_ESTIMATES = {
+    "nan": lambda good, width: float("nan"),
+    "inf": lambda good, width: float("inf"),
+    "-inf": lambda good, width: float("-inf"),
+    "cell above": lambda good, width: float(good[1] + width / 2),
+    "cell below": lambda good, width: float(good[0] - width / 2),
+}
+
+
+@pytest.mark.parametrize("rows", [TRIO_GRAM_ROWS, [["1/4", 0], [0, 3]]])
+@pytest.mark.parametrize("estimate", [*BAD_ESTIMATES, "overflow"])
+def test_smallest_eigenvalue_falls_back_to_bisection_on_a_bad_estimate(monkeypatch, rows, estimate):
+    m = RatMatrix.from_rows(rows)
+    good = _oracle_cell(m, DEFAULT_TOL)
+    width = good[1] - good[0]
+
+    def bad(matrix, index):
+        if estimate == "overflow":
+            raise OverflowError("estimate out of range")
+        return BAD_ESTIMATES[estimate](good, width)
+
+    monkeypatch.setattr(linalg, "_float_eigenvalue", bad)
+    calls = _counting_inertia(monkeypatch)
+    assert smallest_eigenvalue(m) == good
+    assert len(calls) > 3  # the bisection ran
+
+
+@pytest.mark.parametrize("rows, estimate", [
+    ([[F(1, 2**50), 0], [0, 1]], -1.0),  # eigenvalue in the first cell, (0, w]
+    ([[1, 0], [0, 1]], 5.0),  # eigenvalue R, in the last cell
+])
+def test_smallest_eigenvalue_clamps_an_estimate_outside_the_grid(monkeypatch, rows, estimate):
+    m = RatMatrix.from_rows(rows)
+    monkeypatch.setattr(linalg, "_float_eigenvalue", lambda matrix, index: estimate)
+    calls = _counting_inertia(monkeypatch)
+    assert smallest_eigenvalue(m) == _oracle_cell(m, DEFAULT_TOL)
+    assert len(calls) <= 3
+
+
+def test_smallest_eigenvalue_beyond_float_range():
+    # float(10**400) overflows, so the estimate fails and bisection answers
+    big = 10**400
+    m = RatMatrix.from_rows([[2 * big, big], [big, 2 * big]])  # spectrum {big, 3 big}
+    lo, hi = smallest_eigenvalue(m)
+    assert lo < big <= hi and hi - lo <= DEFAULT_TOL
+    assert (lo, hi) == _oracle_cell(m, DEFAULT_TOL)
+
+
+def test_smallest_eigenvalue_certifies_the_estimate_with_three_inertia_counts(monkeypatch):
+    rng = random.Random(1)
+    grams = [trio_gram()]
+    for _ in range(6):
+        grams.append(gram_matrix(random_independent_profile(rng, n=8, max_atoms=16)))
+        grams.append(gram_matrix(random_profile(rng, n=8, max_atoms=16, force_dependent=True)))
+    calls = _counting_inertia(monkeypatch)
+    cells = []
+    for g in grams:
+        calls.clear()
+        cells.append(smallest_eigenvalue(g))
+        assert len(calls) <= 3
+    assert cells[0] == _oracle_cell(grams[0], DEFAULT_TOL)
+    monkeypatch.setattr(linalg, "_float_eigenvalue", lambda m, index: float("nan"))
+    assert [smallest_eigenvalue(g) for g in grams] == cells
 
 
 @given(st.integers(1, 5), st.randoms(use_true_random=False))
