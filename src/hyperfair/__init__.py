@@ -63,7 +63,7 @@ from .relations import (
     solve_relations,
     verify_relation_solution,
 )
-from .simplex import LpOutcome, LpProblem, LpStatus, simplex_solve
+from .simplex import LpOutcome, LpProblem, LpStatus, certified_solve, simplex_solve
 from .verify import (
     FairnessReport,
     SharingMatrix,
@@ -78,7 +78,7 @@ __all__ = [
     "DEFAULT_TOL", "UNBOUNDED", "UNCONSTRAINED", "MAXIMIZE",
     "Rational", "RatMatrix", "rat", "fmt", "rref", "kernel_basis",
     "rank_factorization", "pseudo_inverse", "smallest_eigenvalue",
-    "LpProblem", "LpOutcome", "LpStatus", "simplex_solve",
+    "LpProblem", "LpOutcome", "LpStatus", "simplex_solve", "certified_solve",
     "Interval", "StepDensity", "MeasureProfile", "common_refinement",
     "measure_of", "rn_weights", "gram_matrix", "measure_relations",
     "TargetPoint", "GoalMatrix", "PropernessReport", "HyperFreeCertificate",

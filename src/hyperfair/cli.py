@@ -15,6 +15,7 @@ Exit codes are stable: 0 success, 1 infeasible or a failed audit,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import traceback
 from fractions import Fraction
@@ -234,18 +235,20 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, dict]:
     return EXIT_OK, report
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="hyperfair",
         description="Exact construction and audit of sign-constrained fair divisions of [0, 1].",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     specs = {
-        "gram": ("Gram matrix, measure relations, pseudo-inverse, margin bounds", cmd_gram, False),
-        "solve": ("decide a sign pattern and build an explicit partition", cmd_solve, False),
-        "verify": ("audit a partition file against a problem file", cmd_verify, True),
+        "gram": ("Gram matrix, measure relations, pseudo-inverse, margin bounds", False),
+        "solve": ("decide a sign pattern and build an explicit partition", False),
+        "verify": ("audit a partition file against a problem file", True),
     }
-    for name, (help_text, func, needs_partition) in specs.items():
+    for name, (help_text, needs_partition) in specs.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--input", required=True, help="problem file (JSON)")
         p.add_argument("--output", help="write the full report here (JSON)")
@@ -253,7 +256,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="enclosure width for eigenvalue bounds (exact rational)")
         if needs_partition:
             p.add_argument("--partition", required=True, help="partition file (JSON)")
-        p.set_defaults(func=func)
     return parser
 
 
@@ -266,7 +268,9 @@ def main(argv: list[str] | None = None) -> int:
         args.tol = rat(args.tol)
         if args.tol <= 0:
             raise ValueError("tolerance must be positive")
-        code, report = args.func(args)
+        # looked up per call, so a wrapped command function is the one run
+        command = {"gram": cmd_gram, "solve": cmd_solve, "verify": cmd_verify}[args.command]
+        code, report = command(args)
         if args.output:
             write_json(args.output, report)
         return code

@@ -216,8 +216,10 @@ def spectral_delta_bound(g: RatMatrix, k: GoalMatrix, p: TargetPoint,
     eigenvalue of ``g`` is its distance to the singular matrices in the
     spectral norm, and ``min(p) * that / (n * max |k_ij|)`` is a valid
     margin.  Returns a rational enclosure of that quantity obtained
-    from :func:`smallest_eigenvalue` at tolerance ``tol``.  It never
-    exceeds :func:`delta_bound`.
+    from :func:`smallest_eigenvalue` at tolerance ``tol``.  The
+    enclosed margin never exceeds :func:`delta_bound`; the upper end can,
+    by less than the enclosure's width, when the eigenvalue lies in the
+    first cell ``(0, w]``.
     """
     if not g.is_square() or g.rows != k.n or p.n != k.n:
         raise ValueError("dimension mismatch")

@@ -404,6 +404,12 @@ DEFAULT_TOL = Fraction(1, 2**40)
 _JACOBI_SWEEPS = 8
 
 
+#: Finest level of :func:`smallest_eigenvalue`'s dyadic grid on which a
+#: float estimate picks the cell: a width of 2^-44 of the row-sum bound
+#: leaves room for the estimate's rounding, about 2^-52 of it.
+_FLOAT_LEVELS = 44
+
+
 def _float_eigenvalue(m: RatMatrix, index: int) -> float:
     """Float estimate of the ``index``-th smallest eigenvalue of the symmetric ``m``.
 
@@ -460,9 +466,13 @@ def smallest_eigenvalue(m: RatMatrix, tol: Fraction | int | str = DEFAULT_TOL) -
 
     A float estimate of the eigenvalue (:func:`_float_eigenvalue`)
     picks the candidate ``j``, and two exact inertia counts at the
-    cell's ends certify it.  The floats only choose which cell to
-    test: when the estimate is not finite, overflows, or lands in the
-    wrong cell, the halving above runs on exact counts instead, and it
+    cell's ends certify it.  A ``tol`` below about ``2^-44`` of the row
+    sum asks for a cell finer than the estimate resolves; when that
+    cell fails, the estimate's cell at level ``_FLOAT_LEVELS`` is
+    certified the same way and the halving runs from there, one count
+    per level.  The floats only choose which cell to test: when the
+    estimate is not finite, overflows, or lands in the wrong cell, the
+    halving above runs on exact counts from ``(0, R]`` instead, and it
     returns the same cell.  No step of the certificate rounds, so the
     enclosure is rigorous.  For a nonsingular matrix this is the
     smallest eigenvalue outright.
@@ -490,17 +500,21 @@ def smallest_eigenvalue(m: RatMatrix, tol: Fraction | int | str = DEFAULT_TOL) -
         raise ValueError("matrix has no nonzero eigenvalue")
     lo, hi = Fraction(0), max(sum(map(abs, m.row(i)), Fraction(0)) for i in range(m.rows))
     steps = (math.ceil(hi / tol) - 1).bit_length()  # least k with hi / 2^k <= tol
-    width = hi / 2**steps
     try:
-        j = math.ceil(Fraction(_float_eigenvalue(m, nullity)) / width) - 1
+        estimate = Fraction(_float_eigenvalue(m, nullity))
     except (OverflowError, ValueError):
-        pass
-    else:
-        j = min(max(j, 0), 2**steps - 1)
+        estimate = None
+    # The estimate's cell at level ``steps``, else at the finest level a
+    # float resolves, from which the halving goes on down.
+    levels = dict.fromkeys((steps, min(steps, _FLOAT_LEVELS))) if estimate is not None else {}
+    for level in levels:
+        width = hi / 2**level
+        j = min(max(math.ceil(estimate / width) - 1, 0), 2**level - 1)
         cell = j * width, (j + 1) * width
         # at_most(0) is the nullity by definition
         if (j == 0 or at_most(cell[0]) == nullity) and at_most(cell[1]) > nullity:
-            return cell
+            lo, hi = cell
+            break
     while hi - lo > tol:
         mid = (lo + hi) / 2
         if at_most(mid) > nullity:

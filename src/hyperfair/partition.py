@@ -21,7 +21,11 @@ two routes, and both land on the same sharing matrix:
   as one block with the summed measure and every atom of a block gets
   the block's row: the realizable sharing matrices do not change.  Of
   the coupling rows it keeps ``n - 1`` per player, as the last follows
-  from the others.
+  from the others.  The LP goes to
+  :func:`hyperfair.simplex.certified_solve`: floats only pick the
+  basis, one exact elimination certifies it, and the exact Bland
+  simplex answers whenever it does not, so every weight and margin is
+  exact.
 """
 
 from __future__ import annotations
@@ -33,7 +37,9 @@ from typing import Callable, Sequence
 from .hyperfree import UNCONSTRAINED, GoalMatrix, TargetPoint, stochastic_factor
 from .linalg import RatMatrix, pseudo_inverse, rat
 from .measures import Interval, MeasureProfile, gram_matrix, rn_weights
-from .simplex import LpProblem, LpStatus, simplex_solve
+# simplex_solve stays importable from here, where the benchmark's tracer
+# (perfbench/spans.py) has always looked it up.
+from .simplex import LpProblem, LpStatus, certified_solve, simplex_solve  # noqa: F401
 
 #: Mode marker for :func:`solve_alpha`: maximize the margin instead of fixing it.
 MAXIMIZE = "max"
@@ -227,7 +233,7 @@ def solve_alpha(profile: MeasureProfile, k: GoalMatrix, p: TargetPoint,
     objective = [Fraction(0)] * nvars
     if maximize:
         objective[delta_var] = Fraction(1)
-    outcome = simplex_solve(LpProblem(
+    outcome = certified_solve(LpProblem(
         tuple(objective),
         RatMatrix(len(rows), nvars, tuple(x for row in rows for x in row)),
         tuple(rhs),

@@ -16,6 +16,18 @@ comparison and the pivot sequence is the one a Fraction tableau takes.
 Fractions appear only at the boundary: the
 :class:`LpProblem` going in and the :class:`LpOutcome` coming out, so
 the reported optimum and witness are exact.
+
+:func:`simplex_solve` is that exact method.  :func:`certified_solve`
+answers the same problems faster: it runs the same two phases, with the
+same starting basis and Bland's rule, on floats, and takes from them
+only the final basis.  One exact Gauss-Jordan elimination on the integer
+rows of ``[A | b]`` then certifies that basis: the rows it leaves over
+must vanish, the basic values must be nonnegative and every reduced
+cost must have the optimal sign.  A certified basis gives the exact
+vertex and value, Bland's own whenever the float comparisons agreed
+with the exact ones; anything uncertified, and every infeasible or
+unbounded verdict, comes from :func:`simplex_solve` run from scratch.
+So floats only pick which basis to test, and every answer is exact.
 """
 
 from __future__ import annotations
@@ -54,6 +66,17 @@ class LpOutcome:
     status: LpStatus
     value: Fraction | None = None
     witness: tuple[Fraction, ...] | None = None
+
+
+#: Tolerance of every sign test and ratio tie in :func:`certified_solve`'s
+#: float stage.  It only steers which basis gets certified.
+_EPS = 1e-9
+
+#: Pivot limit of :func:`certified_solve`'s float stage, some 20 times
+#: the Bland pivots of a 12-player max-margin weight LP on 16 cells; a
+#: float run that would take more (it may cycle where exact Bland
+#: cannot) hands the problem to :func:`simplex_solve`.
+_FLOAT_PIVOTS = 20_000
 
 
 def _pivot(rows: list[_Row], basis: list[int], cost: _Row | None,
@@ -100,31 +123,32 @@ def _reduced_costs(rows: list[_Row], basis: list[int], c: list[int]) -> _Row:
     return cost
 
 
-def simplex_solve(problem: LpProblem) -> LpOutcome:
-    """Solve an exact LP; the witness (when optimal) is a basic feasible point."""
-    nvars = problem.constraints.cols
-    nrows = problem.constraints.rows
-    sense = -1 if problem.maximize else 1
-    # A positive multiple of the objective prices every column the same.
-    c_internal, _ = _to_row([sense * x for x in problem.objective])
-
-    # Phase 1.  Rows whose right-hand side lines up with a singleton
-    # column (one nonzero in the whole column) can start basic in that
-    # column; everything else gets an artificial variable whose sum is
-    # minimized.  Each row carries its right-hand side as last entry.
-    base: list[_Row] = []
-    for i in range(nrows):
+def _equality_rows(problem: LpProblem) -> list[_Row]:
+    """The integer rows of ``[A | b]``, each negated where ``b`` is negative."""
+    rows = []
+    for i in range(problem.constraints.rows):
         values = list(problem.constraints.row(i)) + [problem.rhs[i]]
         if problem.rhs[i] < 0:
             values = [-x for x in values]
-        base.append(_to_row(values))
+        rows.append(_to_row(values))
+    return rows
+
+
+def _phase1_tableau(base: list[_Row], nvars: int) -> tuple[list[_Row], list[int]]:
+    """Phase-1 rows (real columns, artificial columns, rhs) and starting basis.
+
+    Rows whose right-hand side lines up with a singleton column (one
+    nonzero in the whole column) can start basic in that column;
+    everything else gets an artificial variable, numbered in row order.
+    """
     nonzeros = [0] * nvars
     for v, _ in base:
         for j in range(nvars):
             if v[j] != 0:
                 nonzeros[j] += 1
     crash: list[int | None] = []
-    for i, (v, _) in enumerate(base):
+    start: list[_Row] = []
+    for v, d in base:
         # rhs / entry >= 0 with rhs >= 0: a zero rhs or a positive entry
         col = next(
             (j for j in range(nvars)
@@ -132,15 +156,14 @@ def simplex_solve(problem: LpProblem) -> LpOutcome:
             None,
         )
         crash.append(col)
-        if col is not None:
-            base[i] = _unit_at(v, col)
+        start.append((v, d) if col is None else _unit_at(v, col))
 
     art_slot = {i: k for k, i in enumerate(
         i for i, col in enumerate(crash) if col is None)}
     narts = len(art_slot)
     rows: list[_Row] = []
     basis: list[int] = []
-    for i, (v, d) in enumerate(base):
+    for i, (v, d) in enumerate(start):
         unit = [0] * narts
         if crash[i] is None:
             unit[art_slot[i]] = d
@@ -148,6 +171,37 @@ def simplex_solve(problem: LpProblem) -> LpOutcome:
         else:
             basis.append(crash[i])
         rows.append((v[:-1] + unit + v[-1:], d))
+    return rows, basis
+
+
+def _vertex(problem: LpProblem, rows: list[_Row], basis: list[int]) -> LpOutcome:
+    """The basic point of ``basis`` (row ``i`` holding basic column ``basis[i]``)."""
+    nvars = problem.constraints.cols
+    x = [Fraction(0)] * nvars
+    for (v, d), bi in zip(rows, basis):
+        x[bi] = Fraction(v[-1], d)
+    (value,) = RatMatrix(1, nvars, tuple(problem.objective)).mat_vec(x)
+    return LpOutcome(LpStatus.OPTIMAL, value, tuple(x))
+
+
+def _min_costs(problem: LpProblem) -> list[int]:
+    """Integer costs of the objective in min form.
+
+    They are a positive multiple of it, which prices every column the same.
+    """
+    sense = -1 if problem.maximize else 1
+    return _to_row([sense * x for x in problem.objective])[0]
+
+
+def simplex_solve(problem: LpProblem) -> LpOutcome:
+    """Solve an exact LP; the witness (when optimal) is a basic feasible point."""
+    nvars = problem.constraints.cols
+    c_internal = _min_costs(problem)
+
+    # Phase 1 minimizes the sum of the artificials.  Each row carries
+    # its right-hand side as last entry.
+    rows, basis = _phase1_tableau(_equality_rows(problem), nvars)
+    narts = len(rows[0][0]) - nvars - 1 if rows else 0
     cost = _reduced_costs(rows, basis, [0] * nvars + [1] * narts)
     status, cost = _iterate(rows, basis, cost, nvars + narts)
     assert status == "optimal", "phase 1 is bounded below by zero"
@@ -174,8 +228,146 @@ def simplex_solve(problem: LpProblem) -> LpOutcome:
     status, _ = _iterate(rows, basis, cost, nvars)
     if status == "unbounded":
         return LpOutcome(LpStatus.UNBOUNDED)
-    x = [Fraction(0)] * nvars
-    for (v, d), bi in zip(rows, basis):
-        x[bi] = Fraction(v[-1], d)
-    (value,) = RatMatrix(1, nvars, tuple(problem.objective)).mat_vec(x)
-    return LpOutcome(LpStatus.OPTIMAL, value, tuple(x))
+    return _vertex(problem, rows, basis)
+
+
+# -- the float stage and the exact certificate of certified_solve --------
+
+def _float_pivot(rows: list[list[float]], basis: list[int], cost: list[float] | None,
+                 row: int, col: int) -> None:
+    """:func:`_pivot` on float rows, updating them and ``cost`` in place."""
+    a = rows[row][col]
+    rows[row] = pivot_row = [x / a for x in rows[row]]
+    # as in linalg's _eliminate, only the pivot row's nonzero columns change
+    nonzero = [(j, y) for j, y in enumerate(pivot_row) if y != 0.0]
+    for other in rows if cost is None else rows + [cost]:
+        f = other[col]
+        if f != 0.0 and other is not pivot_row:
+            for j, y in nonzero:
+                other[j] -= f * y
+    basis[row] = col
+
+
+def _float_iterate(rows: list[list[float]], basis: list[int], cost: list[float],
+                   ncols: int, budget: int) -> tuple[str, int]:
+    """:func:`_iterate` on floats, with sign tests and ratio ties up to ``_EPS``.
+
+    Stops with ``"capped"`` rather than take pivot ``budget + 1``;
+    returns the status and the pivots left.
+    """
+    while True:
+        entering = next((j for j in range(ncols) if cost[j] < -_EPS), None)
+        if entering is None:
+            return "optimal", budget
+        leaving, best = None, 0.0
+        for i, row in enumerate(rows):
+            a = row[entering]
+            if a > _EPS:
+                ratio = row[-1] / a
+                if (leaving is None or ratio < best - _EPS
+                        or (ratio <= best + _EPS and basis[i] < basis[leaving])):
+                    leaving, best = i, ratio
+        if leaving is None:
+            return "unbounded", budget
+        if budget == 0:
+            return "capped", budget
+        budget -= 1
+        _float_pivot(rows, basis, cost, leaving, entering)
+
+
+def _float_costs(rows: list[list[float]], basis: list[int], c: list[float]) -> list[float]:
+    cost = c + [0.0]
+    for row, bi in zip(rows, basis):
+        f = cost[bi]
+        if f != 0.0:
+            cost = [x - f * y for x, y in zip(cost, row)]
+    return cost
+
+
+def _float_basis(problem: LpProblem, base: list[_Row]) -> list[int] | None:
+    """Bland's final basis of ``problem``, found in floats.
+
+    Runs :func:`simplex_solve` step for step on floats: the same crash
+    columns and artificials, the same entering, leaving and drive-out
+    rules, phase 2 on the rows kept.  Returns the basic columns, or
+    ``None`` when the floats end infeasible, unbounded or at the pivot
+    limit ``_FLOAT_PIVOTS``.  A guess without guarantee; raises
+    ``OverflowError`` on an entry beyond float range.
+    """
+    nvars = problem.constraints.cols
+    sense = -1.0 if problem.maximize else 1.0
+    c = [sense * float(x) for x in problem.objective]
+    exact_rows, basis = _phase1_tableau(base, nvars)
+    rows = [[x / d for x in v] for v, d in exact_rows]
+    ncols = len(rows[0]) - 1 if rows else nvars
+    cost = _float_costs(rows, basis, [0.0] * nvars + [1.0] * (ncols - nvars))
+    status, budget = _float_iterate(rows, basis, cost, ncols, _FLOAT_PIVOTS)
+    if status != "optimal" or cost[-1] < -_EPS:
+        return None
+    keep = []
+    for i in range(len(rows)):
+        if basis[i] >= nvars:
+            col = next((j for j in range(nvars) if abs(rows[i][j]) > _EPS), None)
+            if col is None:
+                continue
+            _float_pivot(rows, basis, None, i, col)
+        keep.append(i)
+    rows = [rows[i][:nvars] + rows[i][-1:] for i in keep]
+    basis = [basis[i] for i in keep]
+    status, _ = _float_iterate(rows, basis, _float_costs(rows, basis, c), nvars, budget)
+    return basis if status == "optimal" else None
+
+
+def _certify(problem: LpProblem, base: list[_Row], basis: list[int]) -> LpOutcome | None:
+    """The exact optimum at ``basis``, or ``None`` if ``basis`` is not optimal.
+
+    One Gauss-Jordan pass over the integer rows ``base`` of ``[A | b]``
+    pivots on each basic column in turn, in any row not yet used that
+    has a nonzero entry there.  The basis is accepted only if the rows
+    left over vanish (right-hand side included), every basic value is
+    nonnegative and every reduced cost of the objective in min form is
+    nonnegative.
+    """
+    nvars = problem.constraints.cols
+    if len(set(basis)) != len(basis) or not all(0 <= j < nvars for j in basis):
+        return None
+    rows = list(base)
+    used = [False] * len(rows)
+    order: list[int] = []
+    for col in basis:
+        r = next((i for i, (v, _) in enumerate(rows) if not used[i] and v[col] != 0), None)
+        if r is None:
+            return None
+        used[r] = True
+        order.append(r)
+        rows[r] = pivot_row = _unit_at(rows[r][0], col)
+        support = _support(pivot_row[0])
+        for i, other in enumerate(rows):
+            if i != r and other[0][col] != 0:
+                rows[i] = _eliminate(other, pivot_row, col, support)
+    if any(any(v) for i, (v, _) in enumerate(rows) if not used[i]):
+        return None
+    rows = [rows[r] for r in order]
+    if any(v[-1] < 0 for v, _ in rows):
+        return None
+    cost, _ = _reduced_costs(rows, basis, _min_costs(problem))
+    if any(x < 0 for x in cost[:nvars]):
+        return None
+    return _vertex(problem, rows, basis)
+
+
+def certified_solve(problem: LpProblem) -> LpOutcome:
+    """:func:`simplex_solve`'s answer, with the basis searched in floats.
+
+    Status and value always equal :func:`simplex_solve`'s, and so does
+    the witness whenever the float run ends on Bland's basis.  Only an
+    optimal basis that one exact elimination certifies is taken from the
+    float stage; everything else is solved by :func:`simplex_solve`.
+    """
+    base = _equality_rows(problem)
+    try:
+        basis = _float_basis(problem, base)
+    except OverflowError:
+        basis = None
+    outcome = None if basis is None else _certify(problem, base, basis)
+    return outcome if outcome is not None else simplex_solve(problem)

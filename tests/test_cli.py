@@ -304,6 +304,18 @@ def test_help_returns_success(capsys):
     assert "usage: hyperfair" in out
 
 
+def test_one_parser_serves_every_call_in_a_process(capsys):
+    # main builds its parser once; calls must not see each other's state
+    problem = str(PROBLEMS / "three_players.json")
+    first = run(capsys, "solve", "--input", problem)
+    assert first[0] == EXIT_OK
+    assert run(capsys, "solve", "--tol", "1/3")[0] == EXIT_INVALID
+    assert run(capsys, "solve", "--input", problem) == first
+    assert run(capsys, "--help")[0] == EXIT_OK
+    assert run(capsys, "gram", "--input", problem, "--bogus")[0] == EXIT_INVALID
+    assert run(capsys, "solve", "--input", problem) == first
+
+
 def test_missing_input_file_is_an_input_error(capsys, tmp_path):
     code, _, err = run(capsys, "gram", "--input", str(tmp_path / "missing.json"))
     assert code == EXIT_INVALID

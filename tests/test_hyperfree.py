@@ -20,7 +20,7 @@ from hyperfair.hyperfree import (
     target_matrix,
 )
 from hyperfair.linalg import RatMatrix, pseudo_inverse
-from hyperfair.measures import gram_matrix, measure_relations
+from hyperfair.measures import StepDensity, common_refinement, gram_matrix, measure_relations
 from hyperfair.partition import MAXIMIZE, solve_alpha
 
 from conftest import (
@@ -33,7 +33,7 @@ from conftest import (
     random_proper_goal,
     random_target,
 )
-from oracles import factor_threshold, symmetric_pinv
+from oracles import charpoly_by_cofactors, factor_threshold, real_roots_in, symmetric_pinv
 
 F = Fraction
 
@@ -298,15 +298,45 @@ def test_realized_targets_pass_the_audit(rng):
     assert necessary_condition_check(cert.target, delta, measure_relations(profile))
 
 
+def _assert_spectral_enclosure_within_the_pinv_bound(g, k, p, tol):
+    # The theorem bounds the enclosed margin min(p) lambda / (n max|k|),
+    # not the enclosure's upper end: lambda may lie below tol, where the
+    # cell is (0, tol].  So some eigenvalue of g lies in (0, bound / scale].
+    lo, hi = spectral_delta_bound(g, k, p, tol)
+    bound = delta_bound(pseudo_inverse(g), k, p)
+    assert 0 <= lo < hi
+    assert lo <= bound
+    scale = min(p.shares) / (k.n * k.mat.max_abs())
+    assert real_roots_in(charpoly_by_cofactors(g), F(0), bound / scale) >= 1
+    return lo, hi, bound
+
+
 @given(st.randoms(use_true_random=False))
 def test_spectral_enclosure_never_beats_the_pinv_bound(rng):
     profile = random_independent_profile(rng, max_atoms=4)
     g = gram_matrix(profile)
     k = random_proper_goal(rng, profile)
     p = random_target(rng, profile.n)
-    lo, hi = spectral_delta_bound(g, k, p, F(1, 2**20))
-    assert 0 <= lo < hi
-    assert hi <= delta_bound(pseudo_inverse(g), k, p)
+    _assert_spectral_enclosure_within_the_pinv_bound(g, k, p, F(1, 2**20))
+
+
+def test_spectral_enclosure_upper_end_may_pass_the_pinv_bound():
+    # The smallest eigenvalue is below tol = 2^-20, so the enclosure is
+    # the first cell (0, w], and its upper end passes delta_bound.
+    breaks = [0, F(1, 2), F(7, 12), F(23, 24), 1]
+    profile = common_refinement([StepDensity.normalized(breaks, vals) for vals in
+                                 ([6, 4, 1, 3], [6, 1, 3, 6], [6, 0, 5, 4], [5, 2, 3, 1])])
+    k = GoalMatrix(RatMatrix.from_rows([
+        ["-1/8", "3/8", "3/8", "-5/8"],
+        ["-35/24", "11/8", "1/24", "1/24"],
+        ["1/2", "-1/6", "1/6", "-1/2"],
+        [0, "3/4", -1, "1/4"],
+    ]))
+    p = TargetPoint((F(1, 12), F(1, 6), F(1, 3), F(5, 12)))
+    lo, hi, bound = _assert_spectral_enclosure_within_the_pinv_bound(
+        gram_matrix(profile), k, p, F(1, 2**20))
+    assert (lo, hi) == (0, F(1, 73400320))
+    assert bound == F(7383, 597344776430) < hi
 
 
 @given(st.randoms(use_true_random=False))

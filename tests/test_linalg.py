@@ -493,6 +493,27 @@ def test_smallest_eigenvalue_certifies_the_estimate_with_three_inertia_counts(mo
     assert [smallest_eigenvalue(g) for g in grams] == cells
 
 
+@pytest.mark.parametrize("exponent", [56, 60, 80])
+def test_smallest_eigenvalue_below_float_resolution_bisects_from_the_estimate(monkeypatch, exponent):
+    # A cell of width 2^-56 or less is finer than the float estimate
+    # resolves, so its check may fail; the estimate's cell at the finest
+    # level a float resolves is certified instead, and the halving runs
+    # from there.
+    m, tol = trio_gram(), F(1, 2**exponent)
+    width, steps = max(sum(map(abs, m.row(i)), F(0)) for i in range(m.rows)), 0
+    while width > tol:
+        width, steps = width / 2, steps + 1
+    coarse = min(steps, linalg._FLOAT_LEVELS)
+    calls = _counting_inertia(monkeypatch)
+    cell = smallest_eigenvalue(m, tol)
+    assert len(calls) <= steps - coarse + 5
+    assert cell == _oracle_cell(m, tol)
+    monkeypatch.setattr(linalg, "_float_eigenvalue", lambda matrix, index: float("nan"))
+    calls.clear()
+    assert smallest_eigenvalue(m, tol) == cell
+    assert len(calls) == steps + 1  # the count at 0, then one per halving
+
+
 @given(st.integers(1, 5), st.randoms(use_true_random=False))
 def test_inertia_matches_the_characteristic_polynomial(n, rng):
     # small entries with many zeros reach the zero-diagonal congruence step

@@ -6,9 +6,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from hyperfair import simplex
 from hyperfair.linalg import RatMatrix
-from hyperfair.simplex import LpOutcome, LpProblem, LpStatus, simplex_solve
+from hyperfair.partition import MAXIMIZE, solve_alpha
+from hyperfair.simplex import LpOutcome, LpProblem, LpStatus, certified_solve, simplex_solve
 
+from conftest import random_profile, random_proper_goal, random_target
 from oracles import lp_bland_reference, lp_optimum_by_vertices, lp_value_reachable
 
 F = Fraction
@@ -222,3 +225,132 @@ def test_problem_shape_validation():
         LpProblem((F(1),), RatMatrix.from_rows([[1, 1]]), (F(1),))
     with pytest.raises(ValueError):
         LpProblem((F(1), F(1)), RatMatrix.from_rows([[1, 1]]), (F(1), F(2)))
+
+
+# -- certified_solve: floats pick the basis, one exact elimination proves it --
+
+def _certified_agrees_with_reference(objective, a, rhs, maximize) -> LpOutcome:
+    out = certified_solve(LpProblem(objective, a, rhs, maximize=maximize))
+    status, value, _ = lp_bland_reference(objective, a, rhs, maximize)
+    assert (out.status.value, out.value) == (status, value)
+    if out.status is LpStatus.OPTIMAL:
+        x = out.witness
+        assert all(v >= 0 for v in x)
+        assert a.mat_vec(x) == tuple(rhs)
+        assert sum((c * v for c, v in zip(objective, x)), F(0)) == out.value
+    else:
+        assert out.witness is None
+    return out
+
+
+@given(st.booleans(), st.booleans(), st.integers(1, 7), st.integers(1, 5),
+       st.randoms(use_true_random=False))
+def test_certified_solve_matches_the_bland_reference(stress, maximize, nvars, nrows, rng):
+    lp = _pivot_stress_lp(rng) if stress else _random_lp(rng, nvars, nrows)
+    _certified_agrees_with_reference(*lp, maximize)
+
+
+def test_certified_solve_reaches_every_status_on_the_stress_family():
+    # On these small entries every float comparison agrees with the exact
+    # one, so the float run ends on Bland's basis and the witness is his.
+    rng = random.Random(20172)
+    statuses = set()
+    for _ in range(300):
+        lp, maximize = _pivot_stress_lp(rng), rng.random() < 0.5
+        out = _certified_agrees_with_reference(*lp, maximize)
+        assert out == simplex_solve(LpProblem(*lp, maximize=maximize))
+        statuses.add(out.status)
+    assert statuses == set(LpStatus)
+
+
+def test_certified_solve_keeps_the_frozen_bland_witnesses():
+    for objective, rows, rhs, witness in [
+        ((0, 0, 1, 1, 0), [[2, 0, 1, 2, 1], [1, 0, 0, 1, 1]], (6, 3), (0, 0, 3, 0, 3)),
+        ((1, 0, 1, 0), [[-1, 2, 2, 0], [1, -2, -2, 0], [1, 0, 1, 2]], (0, 0, 2), (2, 1, 0, 0)),
+    ]:
+        problem = LpProblem(tuple(map(F, objective)), RatMatrix.from_rows(rows), tuple(map(F, rhs)))
+        assert certified_solve(problem).witness == tuple(map(F, witness))
+
+
+def _counting_simplex_solve(monkeypatch):
+    calls = []
+
+    def counting(problem):
+        calls.append(problem)
+        return simplex_solve(problem)
+
+    monkeypatch.setattr(simplex, "simplex_solve", counting)
+    return calls
+
+
+# max x0 over x0 + 2 x1 + x2 = 2, 2 x0 + 4 x1 + x3 = 5; Bland ends on
+# columns {0, 3}.  Columns 0 and 1 are parallel (a singular basis),
+# {0, 2} puts x2 at -1/2 (primal infeasible) and {2, 3} is the
+# feasible vertex x0 = 0 (not optimal).
+SMALL_LP = LpProblem((F(1), F(0), F(0), F(0)),
+                     RatMatrix.from_rows([[1, 2, 1, 0], [2, 4, 0, 1]]), (F(2), F(5)))
+
+
+def test_certified_solve_takes_the_float_basis_it_can_prove(monkeypatch):
+    calls = _counting_simplex_solve(monkeypatch)
+    assert simplex._float_basis(SMALL_LP, simplex._equality_rows(SMALL_LP)) == [0, 3]
+    assert certified_solve(SMALL_LP) == simplex_solve(SMALL_LP)
+    assert certified_solve(SMALL_LP).witness == (F(2), F(0), F(0), F(1))
+    assert calls == []
+
+
+def _overflow(problem, base):
+    raise OverflowError("entry beyond float range")
+
+
+@pytest.mark.parametrize("float_stage", [
+    lambda problem, base: [0, 1],  # singular
+    lambda problem, base: [0, 2],  # primal infeasible
+    lambda problem, base: [2, 3],  # feasible, not optimal
+    lambda problem, base: [0],  # too short: row 1 is left over
+    lambda problem, base: [0, 0],  # a column twice
+    lambda problem, base: [0, 9],  # no such column
+    lambda problem, base: None,
+    _overflow,
+], ids=["singular", "infeasible", "not_optimal", "short", "repeated", "out_of_range", "none",
+        "overflow"])
+def test_an_unproven_float_basis_falls_back_to_bland(monkeypatch, float_stage):
+    expected = simplex_solve(SMALL_LP)
+    monkeypatch.setattr(simplex, "_float_basis", float_stage)
+    calls = _counting_simplex_solve(monkeypatch)
+    assert certified_solve(SMALL_LP) == expected
+    assert calls == [SMALL_LP]
+
+
+def test_the_float_pivot_limit_falls_back_to_bland(monkeypatch):
+    monkeypatch.setattr(simplex, "_FLOAT_PIVOTS", 0)
+    calls = _counting_simplex_solve(monkeypatch)
+    rng = random.Random(5)
+    for _ in range(40):
+        problem = LpProblem(*_pivot_stress_lp(rng), maximize=rng.random() < 0.5)
+        assert certified_solve(problem) == simplex_solve(problem)
+    calls.clear()
+    assert certified_solve(SMALL_LP) == simplex_solve(SMALL_LP)
+    assert calls == [SMALL_LP]  # Bland needs a pivot here
+
+
+@pytest.mark.parametrize("huge", [10**400, F(1, 10**400)])
+def test_certified_solve_is_exact_beyond_float_range(huge):
+    # float(10**400) overflows; 10**-400 rounds to zero, so the float
+    # stage sees a different problem and its basis must not be trusted
+    objective = (F(1), F(huge), F(0))
+    a = RatMatrix.from_rows([[huge, 1, 1], [1, huge, 0]])
+    for rhs in ((F(1), F(huge)), (F(huge), F(2))):
+        for maximize in (True, False):
+            _certified_agrees_with_reference(objective, a, rhs, maximize)
+
+
+def test_weight_lps_are_certified_without_bland(monkeypatch, trio_profile, trio_goal, uniform3):
+    calls = _counting_simplex_solve(monkeypatch)
+    weights, delta = solve_alpha(trio_profile, trio_goal, uniform3, MAXIMIZE)
+    assert delta == F(1, 3)
+    rng = random.Random(1)
+    for _ in range(30):
+        profile = random_profile(rng, max_atoms=8, force_dependent=rng.random() < 0.5)
+        solve_alpha(profile, random_proper_goal(rng, profile), random_target(rng, profile.n), MAXIMIZE)
+    assert calls == []
