@@ -13,6 +13,11 @@ builds a proper goal matrix from the Gram range, and then:
   * maximizes the margin by LP, cuts and audits that partition too,
     and records how conservative the sufficient bound is, plus the
     spectral bound when it applies,
+  * checks what the spectral theorem states: the enclosure's lower end
+    lies in [0, bound], and G - (bound / scale) I, with
+    scale = min p / (n max |k_ij|), is not positive definite (a plain
+    LDL^T of it meets a nonpositive pivot), so G has an eigenvalue at
+    most bound / scale,
   * checks that the eigenvalue enclosure behind the spectral bound is
     one cell of its dyadic grid, no wider than the default tolerance.
 
@@ -94,6 +99,24 @@ def random_target(rng: random.Random, n: int) -> TargetPoint:
     return TargetPoint.make([r / total for r in raw])
 
 
+def has_nonpositive_pivot(a) -> bool:
+    """True when the symmetric ``a`` is not positive definite.
+
+    Gaussian elimination without pivoting (LDL^T) on Fractions: a
+    symmetric matrix is positive definite exactly when every pivot is
+    positive, so the first pivot <= 0 proves it is not.
+    """
+    a = [list(row) for row in a]
+    for k in range(len(a)):
+        if a[k][k] <= 0:
+            return True
+        for i in range(k + 1, len(a)):
+            f = a[i][k] / a[k][k]
+            for j in range(k + 1, len(a)):
+                a[i][j] -= f * a[k][j]
+    return False
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--trials", type=int, default=100)
@@ -140,7 +163,12 @@ def main(argv=None) -> int:
 
         if not relations:
             lo, hi = spectral_delta_bound(g, k, p)
-            assert 0 < lo and hi <= bound
+            assert 0 <= lo <= bound
+            # the theorem: scale * (smallest eigenvalue of G) <= bound
+            scale = min(p.shares) / (args.players * k.mat.max_abs())
+            shift = bound / scale
+            assert has_nonpositive_pivot(
+                [[x - shift * (i == j) for j, x in enumerate(g.row(i))] for i in range(g.rows)])
             spectral_ratios.append(hi / bound)
             # The eigenvalue enclosure is one cell of the grid of width
             # R / 2^k (R the largest absolute row sum, k the least level

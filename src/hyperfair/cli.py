@@ -33,7 +33,7 @@ from .hyperfree import (
     spectral_delta_bound,
     stochastic_factor,
 )
-from .linalg import RatMatrix, fmt, kernel_basis, pseudo_inverse, rat
+from .linalg import RatMatrix, _kernel_and_pseudo_inverse, fmt, rat
 from .measures import MeasureProfile, common_refinement, gram_matrix
 from .partition import MAXIMIZE, InfeasibleError, Partition, build_from_weights, factor_weights, solve_alpha
 from .problem_io import (
@@ -90,8 +90,7 @@ def _analysis(problem: Problem, tol: Fraction) -> tuple[dict, dict]:
     """Shared first stage: profile, Gram data, and bound block."""
     profile = common_refinement(problem.densities)
     g = gram_matrix(profile)
-    relations = kernel_basis(g)
-    g_plus = pseudo_inverse(g)
+    relations, g_plus = _kernel_and_pseudo_inverse(g)
     p = problem.p if problem.p is not None else TargetPoint.uniform(problem.n)
 
     report: dict = {

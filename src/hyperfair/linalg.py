@@ -13,10 +13,12 @@ when they do not, so the enclosure is rigorous rather than floating
 point.
 
 Row reduction and products run on integer rows (int numerators over
-one positive denominator per row, in lowest terms).  Their private
-primitives are the package's one exact row reduction, used by
-:func:`rref` and the simplex tableau (only the inertia count has its
-own, Bareiss), and its one exact sum of products, ``RatMatrix.__matmul__``.
+one positive denominator per row, in lowest terms).  ``_pivot_at`` is
+the package's one exact pivot, run by :func:`rref`, the simplex tableau
+and its certificate (only the inertia count has its own, Bareiss), and
+``RatMatrix.__matmul__`` its one exact sum of products.  One
+:func:`rref` of ``[m | I]`` gives the kernel, rank factors and inverse
+of ``m``, so ``hyperfair gram`` reduces G once.
 """
 
 from __future__ import annotations
@@ -26,16 +28,11 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from typing import Sequence
 
 Rational = Fraction
 
-_RAT_RE = re.compile(r"^\s*[+-]?\d+( */ *[1-9]\d*)?\s*$")
-
-
-def _is_digits(s: str) -> bool:
-    return s.isascii() and s.isdigit()
+_RAT_RE = re.compile(r"\s*([+-]?\d+)(?: */ *([1-9]\d*))?\s*")
 
 
 def rat(value: int | str | Fraction) -> Fraction:
@@ -44,27 +41,21 @@ def rat(value: int | str | Fraction) -> Fraction:
     A string is an optional sign and an integer, optionally followed by
     ``/`` and a denominator that does not start with ``0``, with
     whitespace allowed around the whole and spaces (no other
-    whitespace, on every Python version) around the slash.
-    The common form, an optional ``-`` and ASCII digits only, is split
-    on ``/`` and read with ``int``; every other string goes through
-    ``_RAT_RE`` and ``Fraction(str)``.  Both paths accept the same
-    strings with the same values and errors, and an integer longer
+    whitespace, on every Python version) around the slash.  One regex,
+    ``_RAT_RE``, matches the whole string and captures the numerator
+    and the denominator, and ``int`` reads each; so an integer longer
     than Python's string conversion limit (4300 digits by default)
-    raises ``ValueError`` on either.
+    raises ``ValueError``.
 
     Floats and decimal strings are rejected: they have no place in an
     exact pipeline, and accepting them would hide rounding at the door.
     """
     if isinstance(value, str):
-        num, slash, den = value.partition("/")
-        if _is_digits(num.removeprefix("-")):
-            if not slash:
-                return Fraction(int(num))
-            if _is_digits(den) and den[0] != "0":
-                return Fraction(int(num), int(den))
-        if not _RAT_RE.match(value):
+        match = _RAT_RE.fullmatch(value)
+        if match is None:
             raise ValueError(f"expected an integer or 'num/den' string, got {value!r}")
-        return Fraction(value.replace(" ", ""))
+        num, den = match.groups()
+        return Fraction(int(num), int(den)) if den else Fraction(int(num))
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -245,6 +236,17 @@ def _eliminate(row: _Row, pivot_row: _Row, col: int, support: list[int]) -> _Row
     return _lowest_terms(w, d * e)
 
 
+def _pivot_at(rows: list[_Row], r: int, c: int) -> list[int]:
+    """Make row ``r`` the unit row at column ``c`` (its entry there is nonzero)
+    and clear ``c`` from every other row; returns row ``r``'s nonzero columns."""
+    rows[r] = unit = _unit_at(rows[r][0], c)
+    support = _support(unit[0])
+    for i, other in enumerate(rows):
+        if i != r and other[0][c] != 0:
+            rows[i] = _eliminate(other, unit, c, support)
+    return support
+
+
 def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
     """Reduced row echelon form and the pivot column indices.
 
@@ -262,11 +264,7 @@ def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
         if pivot_row is None:
             continue
         work[r], work[pivot_row] = work[pivot_row], work[r]
-        work[r] = unit = _unit_at(work[r][0], c)
-        support = _support(unit[0])
-        for i, other in enumerate(work):
-            if i != r and other[0][c] != 0:
-                work[i] = _eliminate(other, unit, c, support)
+        _pivot_at(work, r, c)
         pivots.append(c)
     flat = tuple(Fraction(x, d) for v, d in work for x in v)
     return RatMatrix(m.rows, m.cols, flat), tuple(pivots)
@@ -277,14 +275,36 @@ def rank(m: RatMatrix) -> int:
 
 
 def _canonical_kernel_vector(v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    # Scale so the first nonzero entry is +1, clear denominators, and
-    # divide out the integer content.  The leading entry stays positive.
-    lead = next(x for x in v if x != 0)
-    scaled = [x / lead for x in v]
-    den = reduce(math.lcm, (x.denominator for x in scaled), 1)
-    ints = [int(x * den) for x in scaled]
-    content = reduce(math.gcd, (abs(i) for i in ints))
-    return tuple(Fraction(i // content) for i in ints)
+    # The integer multiple of v with content 1 and a positive leading entry.
+    ints, _ = _to_row(v)
+    content = math.gcd(*ints)
+    if next(x for x in ints if x) < 0:
+        content = -content
+    return tuple(Fraction(x // content) for x in ints)
+
+
+def _reduce(m: RatMatrix) -> tuple[list[tuple[Fraction, ...]], RatMatrix, RatMatrix, RatMatrix | None]:
+    """Kernel basis, rank factors ``c, f`` and inverse (or ``None``) of ``m``.
+
+    All four come from one :func:`rref` of ``[m | I]``.  Its left block
+    is ``rref(m)``: the pivots there are found as for ``m`` alone, and
+    any later pivot lies in a row that is zero there.  When every row of
+    a square ``m`` pivots in the left block, the right block is ``m^-1``.
+    """
+    n, w = m.rows, m.cols
+    red, pivots = rref(hstack(m, RatMatrix.identity(n)))
+    pivots = tuple(j for j in pivots if j < w)
+    rows = [red.row(i) for i in range(n)]
+    # free column j: 1 at j, and minus rref(m)'s column j at the pivot columns
+    row_of = {pc: r for r, pc in enumerate(pivots)}
+    kernel = [_canonical_kernel_vector([-rows[row_of[i]][j] if i in row_of else Fraction(i == j)
+                                        for i in range(w)])
+              for j in range(w) if j not in row_of]
+    r = len(pivots)
+    c = RatMatrix(n, r, tuple(m[i, p] for i in range(n) for p in pivots))
+    f = RatMatrix(r, w, tuple(x for row in rows[:r] for x in row[:w]))
+    inv = RatMatrix(n, n, tuple(x for row in rows for x in row[w:])) if r == n == w else None
+    return kernel, c, f, inv
 
 
 def kernel_basis(m: RatMatrix) -> list[tuple[Fraction, ...]]:
@@ -294,18 +314,7 @@ def kernel_basis(m: RatMatrix) -> list[tuple[Fraction, ...]]:
     leading entry, so equal subspaces produce identical bases and tests
     can compare them literally.  A full-rank matrix yields ``[]``.
     """
-    red, pivots = rref(m)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(m.cols):
-        if free in pivot_set:
-            continue
-        v = [Fraction(0)] * m.cols
-        v[free] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r, free]
-        basis.append(_canonical_kernel_vector(v))
-    return basis
+    return _reduce(m)[0]
 
 
 def rank_factorization(m: RatMatrix) -> tuple[RatMatrix, RatMatrix]:
@@ -316,21 +325,15 @@ def rank_factorization(m: RatMatrix) -> tuple[RatMatrix, RatMatrix]:
     the factors have a zero inner dimension and the product is still
     exact.
     """
-    red, pivots = rref(m)
-    r = len(pivots)
-    c = RatMatrix(m.rows, r, tuple(m[i, p] for i in range(m.rows) for p in pivots))
-    f = RatMatrix(r, m.cols, tuple(red[i, j] for i in range(r) for j in range(m.cols)))
-    return c, f
+    return _reduce(m)[1:3]
 
 
 def inverse(m: RatMatrix) -> RatMatrix:
     if not m.is_square():
         raise ValueError("only square matrices have inverses")
-    n = m.rows
-    red, pivots = rref(hstack(m, RatMatrix.identity(n)))
-    if tuple(pivots[:n]) != tuple(range(n)) or len(pivots) < n:
+    if (inv := _reduce(m)[3]) is None:
         raise ValueError("matrix is singular")
-    return RatMatrix(n, n, tuple(red[i, n + j] for i in range(n) for j in range(n)))
+    return inv
 
 
 def pseudo_inverse(m: RatMatrix) -> RatMatrix:
@@ -340,20 +343,22 @@ def pseudo_inverse(m: RatMatrix) -> RatMatrix:
     pseudo-inverse is ``f' (f f')^-1 (c' c)^-1 c'`` where the primes are
     transposes.  Both inner matrices are r x r and nonsingular, and
     ``c' m f' = (c' c)(f f')``, so one inverse gives the product
-    ``f' (c' m f')^-1 c'``.  A nonsingular ``m`` (full rank and square)
-    skips both products: its pseudo-inverse is ``inverse(m)``.  The
-    result is exact and satisfies the four Penrose identities with
+    ``f' (c' m f')^-1 c'``.  The factors, and for a nonsingular ``m``
+    the inverse itself, come from one :func:`rref` of ``[m | I]``; only
+    a singular ``m`` reduces a second matrix, the r x r ``c' m f'``.
+    The result is exact and satisfies the four Penrose identities with
     equality, not approximately.
     """
-    c, f = rank_factorization(m)
-    if c.cols == 0:
-        return RatMatrix.zeros(m.cols, m.rows)
-    if c.cols == m.rows == m.cols:
-        return inverse(m)
-    ft, ct = f.transpose(), c.transpose()
-    return ft @ inverse(ct @ m @ ft) @ ct
+    return _kernel_and_pseudo_inverse(m)[1]
 
 
+def _kernel_and_pseudo_inverse(m: RatMatrix) -> tuple[list[tuple[Fraction, ...]], RatMatrix]:
+    """:func:`kernel_basis` and :func:`pseudo_inverse` of ``m`` from its one reduction."""
+    kernel, c, f, inv = _reduce(m)
+    if inv is None:  # at rank 0 the factors are empty and the product is zero
+        ft, ct = f.transpose(), c.transpose()
+        inv = ft @ inverse(ct @ m @ ft) @ ct
+    return kernel, inv
 
 
 def _inertia(a: list[list[int]]) -> tuple[int, int]:
@@ -480,13 +485,18 @@ def smallest_eigenvalue(m: RatMatrix, tol: Fraction | int | str = DEFAULT_TOL) -
     Returns ``(lo, hi)`` with ``lo < smallest nonzero eigenvalue <= hi``
     and ``hi - lo <= tol``; both ends are dyadic rationals.
     """
+    return _nullity_and_enclosure(m, tol)[1:]
+
+
+def _nullity_and_enclosure(m: RatMatrix, tol: Fraction | int | str) -> tuple[int, Fraction, Fraction]:
+    """The nullity of ``m``, its count at 0, and :func:`smallest_eigenvalue`'s enclosure."""
     tol = rat(tol)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     if not m.is_symmetric():
         raise ValueError("smallest_eigenvalue needs a symmetric matrix")
-    den = reduce(math.lcm, (x.denominator for x in m.entries), 1)
-    scaled = [[int(x * den) for x in m.row(i)] for i in range(m.rows)]
+    flat, den = _to_row(m.entries)
+    scaled = [flat[i * m.cols:(i + 1) * m.cols] for i in range(m.rows)]
 
     def at_most(sigma: Fraction) -> int:
         # q * den * (m - sigma I) with sigma = p/q: integer, same inertia
@@ -521,4 +531,4 @@ def smallest_eigenvalue(m: RatMatrix, tol: Fraction | int | str = DEFAULT_TOL) -
             hi = mid
         else:
             lo = mid
-    return lo, hi
+    return nullity, lo, hi

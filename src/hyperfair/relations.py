@@ -174,9 +174,8 @@ def solve_relations(r: RelationMatrix,
         tuple(rhs),
         maximize=True,
     ))
-    if outcome.status is LpStatus.INFEASIBLE:
-        return RelationSolution(False)
-    assert outcome.status is LpStatus.OPTIMAL, "slack is bounded by the unit box"
+    assert outcome.status is LpStatus.OPTIMAL, \
+        "K = 0 and t = 0, every surplus 0 and box slack 1, meet every row; the box bounds t"
     assert outcome.value is not None and outcome.witness is not None
     if outcome.value <= 0:
         return RelationSolution(False)

@@ -7,11 +7,10 @@ ties), which rules out cycling.
 
 The tableau is fraction-free: each row, the cost row included, is one
 of :mod:`hyperfair.linalg`'s integer rows, a list of Python ints ``v``
-with one positive int denominator ``d`` standing for ``v / d``, and a
-pivot uses the row operations that :func:`hyperfair.linalg.rref` also
-runs.  Each cross-multiplies in the pivot row's nonzero columns, scales
-the rest, and then divides the row by one ``gcd``,
-so every sign test and ratio comparison of Bland's rule is an integer
+with one positive int denominator ``d`` standing for ``v / d``, and
+every pivot, here and in the certificate below, is ``linalg``'s one
+pivot routine, the one :func:`hyperfair.linalg.rref` runs.  So every
+sign test and ratio comparison of Bland's rule is an integer
 comparison and the pivot sequence is the one a Fraction tableau takes.
 Fractions appear only at the boundary: the
 :class:`LpProblem` going in and the :class:`LpOutcome` coming out, so
@@ -36,7 +35,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .linalg import RatMatrix, _eliminate, _lowest_terms, _Row, _support, _to_row, _unit_at
+from .linalg import RatMatrix, _eliminate, _lowest_terms, _pivot_at, _Row, _support, _to_row, _unit_at
 
 
 class LpStatus(Enum):
@@ -81,14 +80,10 @@ _FLOAT_PIVOTS = 20_000
 
 def _pivot(rows: list[_Row], basis: list[int], cost: _Row | None,
            row: int, col: int) -> _Row | None:
-    rows[row] = pivot_row = _unit_at(rows[row][0], col)
-    support = _support(pivot_row[0])
-    for i, other in enumerate(rows):
-        if i != row and other[0][col] != 0:
-            rows[i] = _eliminate(other, pivot_row, col, support)
+    support = _pivot_at(rows, row, col)
     basis[row] = col
     if cost is not None and cost[0][col] != 0:
-        cost = _eliminate(cost, pivot_row, col, support)
+        cost = _eliminate(cost, rows[row], col, support)
     return cost
 
 
@@ -322,32 +317,25 @@ def _certify(problem: LpProblem, base: list[_Row], basis: list[int]) -> LpOutcom
     """The exact optimum at ``basis``, or ``None`` if ``basis`` is not optimal.
 
     One Gauss-Jordan pass over the integer rows ``base`` of ``[A | b]``
-    pivots on each basic column in turn, in any row not yet used that
-    has a nonzero entry there.  The basis is accepted only if the rows
-    left over vanish (right-hand side included), every basic value is
-    nonnegative and every reduced cost of the objective in min form is
-    nonnegative.
+    pivots on each basic column in turn, as :func:`rref` does: in the
+    first row not yet pivoted that has a nonzero entry there, swapped up
+    to the next place.  The basis is accepted only if the rows left over
+    vanish (right-hand side included), every basic value is nonnegative
+    and every reduced cost of the objective in min form is nonnegative.
     """
     nvars = problem.constraints.cols
     if len(set(basis)) != len(basis) or not all(0 <= j < nvars for j in basis):
         return None
     rows = list(base)
-    used = [False] * len(rows)
-    order: list[int] = []
-    for col in basis:
-        r = next((i for i, (v, _) in enumerate(rows) if not used[i] and v[col] != 0), None)
+    for k, col in enumerate(basis):
+        r = next((i for i in range(k, len(rows)) if rows[i][0][col] != 0), None)
         if r is None:
             return None
-        used[r] = True
-        order.append(r)
-        rows[r] = pivot_row = _unit_at(rows[r][0], col)
-        support = _support(pivot_row[0])
-        for i, other in enumerate(rows):
-            if i != r and other[0][col] != 0:
-                rows[i] = _eliminate(other, pivot_row, col, support)
-    if any(any(v) for i, (v, _) in enumerate(rows) if not used[i]):
+        rows[k], rows[r] = rows[r], rows[k]
+        _pivot_at(rows, k, col)
+    if any(any(v) for v, _ in rows[len(basis):]):
         return None
-    rows = [rows[r] for r in order]
+    rows = rows[:len(basis)]
     if any(v[-1] < 0 for v, _ in rows):
         return None
     cost, _ = _reduced_costs(rows, basis, _min_costs(problem))

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import event, given, strategies as st
 
+from hyperfair import GoalMatrix, RatMatrix, TargetPoint, linalg, spectral_delta_bound
 from hyperfair.cli import EXIT_INFEASIBLE, EXIT_INVALID, EXIT_OK, main
 
 from conftest import TRIO_GRAM_ROWS, TRIO_PINV_K_ROWS, TRIO_PINV_ROWS, TRIO_SHARING_ROWS
@@ -78,6 +79,42 @@ def test_gram_reports_a_spectral_enclosure_for_independent_measures(capsys, tmp_
     assert lo < F(1, 4) <= hi
     assert hi - lo <= F(1, 1024)
     assert report["delta_bound"] == "1/2"
+
+
+def test_gram_and_solve_reduce_the_gram_matrix_once(capsys, tmp_path, monkeypatch):
+    # One rref of [G | I] gives the kernel and, for a nonsingular G, the
+    # pseudo-inverse; a singular G of rank r adds the r x r inverse
+    # (c' G f')^-1.  The spectral bound's nullity check runs no rref.
+    shapes = []
+    rref = linalg.rref
+
+    def counting_rref(m):
+        shapes.append((m.rows, m.cols))
+        return rref(m)
+
+    monkeypatch.setattr(linalg, "rref", counting_rref)
+    thirds = ["0", "1/3", "2/3", "1"]
+    independent = {
+        "players": 3,
+        "densities": [{"breakpoints": thirds, "values": ["3" if i == j else "0" for j in range(3)]}
+                      for i in range(3)],
+        "K": [["2", "-1", "-1"], ["-1", "2", "-1"], ["-1", "-1", "2"]],
+    }
+    code, out, _ = run(capsys, "gram", "--input", write(tmp_path, "p.json", independent))
+    assert code == EXIT_OK and "Spectral margin bound" in out
+    assert shapes == [(3, 6)]
+
+    for command in ("gram", "solve"):
+        shapes.clear()
+        code, _, _ = run(capsys, command, "--input", str(PROBLEMS / "three_players.json"))
+        assert code == EXIT_OK
+        assert shapes == [(3, 6), (2, 4)]  # rank 2
+
+    shapes.clear()
+    g = RatMatrix.from_rows(TRIO_GRAM_ROWS)
+    with pytest.raises(ValueError, match="nonsingular"):
+        spectral_delta_bound(g, GoalMatrix.make(independent["K"]), TargetPoint.uniform(3))
+    assert shapes == []
 
 
 # -- solve ----------------------------------------------------------------------

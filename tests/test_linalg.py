@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import ast
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, strategies as st
@@ -37,6 +39,17 @@ F = Fraction
 
 def trio_gram():
     return RatMatrix.from_rows(TRIO_GRAM_ROWS)
+
+
+def test_oracles_import_nothing_from_the_package_but_the_matrix_type():
+    # the oracles check linalg's results, so they must not share its code
+    tree = ast.parse((Path(__file__).resolve().parent / "oracles.py").read_text(encoding="utf-8"))
+    imports = [(node.module, [a.name for a in node.names]) for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)]
+    imports += [(a.name, None) for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for a in node.names]
+    ours = [(module, names) for module, names in imports if module and module.split(".")[0] == "hyperfair"]
+    assert ours == [("hyperfair.linalg", ["RatMatrix"])]
 
 
 # -- rat / fmt -----------------------------------------------------------
