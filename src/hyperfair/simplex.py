@@ -12,9 +12,12 @@ every pivot, here and in the certificate below, is ``linalg``'s one
 pivot routine, the one :func:`hyperfair.linalg.rref` runs.  So every
 sign test and ratio comparison of Bland's rule is an integer
 comparison and the pivot sequence is the one a Fraction tableau takes.
-Fractions appear only at the boundary: the
-:class:`LpProblem` going in and the :class:`LpOutcome` coming out, so
-the reported optimum and witness are exact.
+The package's own LPs, the weight LP and the sign LP, enter as integer
+rows of ``[A | b]`` built by their callers; an :class:`LpProblem` is
+converted to such rows once, on entry, and goes to the same integer-row
+core.  Fractions appear in the :class:`LpOutcome` coming out, so the
+reported optimum and witness are exact, and in the :class:`LpProblem`
+rebuilt from an uncertified integer-row LP for its exact fallback.
 
 :func:`simplex_solve` is that exact method.  :func:`certified_solve`
 answers the same problems faster: it runs the same two phases, with the
@@ -34,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from .linalg import RatMatrix, _eliminate, _lowest_terms, _pivot_at, _Row, _support, _to_row, _unit_at
 
@@ -65,6 +69,16 @@ class LpOutcome:
     status: LpStatus
     value: Fraction | None = None
     witness: tuple[Fraction, ...] | None = None
+
+
+class _Objective(NamedTuple):
+    """The objective of an LP handed over as integer rows, one coefficient per column."""
+
+    objective: tuple[int, ...]
+    maximize: bool = True
+
+
+_Goal = LpProblem | _Objective  # the integer-row core reads objective and maximize
 
 
 #: Tolerance of every sign test and ratio tie in :func:`certified_solve`'s
@@ -169,33 +183,50 @@ def _phase1_tableau(base: list[_Row], nvars: int) -> tuple[list[_Row], list[int]
     return rows, basis
 
 
-def _vertex(problem: LpProblem, rows: list[_Row], basis: list[int]) -> LpOutcome:
+def _vertex(goal: _Goal, rows: list[_Row], basis: list[int]) -> LpOutcome:
     """The basic point of ``basis`` (row ``i`` holding basic column ``basis[i]``)."""
-    nvars = problem.constraints.cols
+    nvars = len(goal.objective)
     x = [Fraction(0)] * nvars
     for (v, d), bi in zip(rows, basis):
         x[bi] = Fraction(v[-1], d)
-    (value,) = RatMatrix(1, nvars, tuple(problem.objective)).mat_vec(x)
+    (value,) = RatMatrix(1, nvars, tuple(goal.objective)).mat_vec(x)
     return LpOutcome(LpStatus.OPTIMAL, value, tuple(x))
 
 
-def _min_costs(problem: LpProblem) -> list[int]:
+def _min_costs(goal: _Goal) -> list[int]:
     """Integer costs of the objective in min form.
 
     They are a positive multiple of it, which prices every column the same.
     """
-    sense = -1 if problem.maximize else 1
-    return _to_row([sense * x for x in problem.objective])[0]
+    sense = -1 if goal.maximize else 1
+    return _to_row([sense * x for x in goal.objective])[0]
+
+
+def _problem(goal: _Goal, rows: list[_Row]) -> LpProblem:
+    """``goal`` over the integer rows ``rows`` as an :class:`LpProblem`."""
+    if isinstance(goal, LpProblem):
+        return goal
+    return LpProblem(
+        tuple(map(Fraction, goal.objective)),
+        RatMatrix(len(rows), len(goal.objective),
+                  tuple(Fraction(x, d) for v, d in rows for x in v[:-1])),
+        tuple(Fraction(v[-1], d) for v, d in rows),
+        goal.maximize,
+    )
 
 
 def simplex_solve(problem: LpProblem) -> LpOutcome:
     """Solve an exact LP; the witness (when optimal) is a basic feasible point."""
-    nvars = problem.constraints.cols
-    c_internal = _min_costs(problem)
+    return _solve(problem, _equality_rows(problem))
+
+
+def _solve(goal: _Goal, base: list[_Row]) -> LpOutcome:
+    """:func:`simplex_solve` on the integer rows ``base`` of ``[A | b]``, with ``b >= 0``."""
+    nvars = len(goal.objective)
 
     # Phase 1 minimizes the sum of the artificials.  Each row carries
     # its right-hand side as last entry.
-    rows, basis = _phase1_tableau(_equality_rows(problem), nvars)
+    rows, basis = _phase1_tableau(base, nvars)
     narts = len(rows[0][0]) - nvars - 1 if rows else 0
     cost = _reduced_costs(rows, basis, [0] * nvars + [1] * narts)
     status, cost = _iterate(rows, basis, cost, nvars + narts)
@@ -219,11 +250,11 @@ def simplex_solve(problem: LpProblem) -> LpOutcome:
     rows = [_lowest_terms(v[:nvars] + v[-1:], d) for v, d in rows]
 
     # Phase 2 on the real objective.
-    cost = _reduced_costs(rows, basis, c_internal)
+    cost = _reduced_costs(rows, basis, _min_costs(goal))
     status, _ = _iterate(rows, basis, cost, nvars)
     if status == "unbounded":
         return LpOutcome(LpStatus.UNBOUNDED)
-    return _vertex(problem, rows, basis)
+    return _vertex(goal, rows, basis)
 
 
 # -- the float stage and the exact certificate of certified_solve --------
@@ -279,8 +310,8 @@ def _float_costs(rows: list[list[float]], basis: list[int], c: list[float]) -> l
     return cost
 
 
-def _float_basis(problem: LpProblem, base: list[_Row]) -> list[int] | None:
-    """Bland's final basis of ``problem``, found in floats.
+def _float_basis(goal: _Goal, base: list[_Row]) -> list[int] | None:
+    """Bland's final basis of ``goal`` over the rows ``base``, found in floats.
 
     Runs :func:`simplex_solve` step for step on floats: the same crash
     columns and artificials, the same entering, leaving and drive-out
@@ -289,9 +320,9 @@ def _float_basis(problem: LpProblem, base: list[_Row]) -> list[int] | None:
     limit ``_FLOAT_PIVOTS``.  A guess without guarantee; raises
     ``OverflowError`` on an entry beyond float range.
     """
-    nvars = problem.constraints.cols
-    sense = -1.0 if problem.maximize else 1.0
-    c = [sense * float(x) for x in problem.objective]
+    nvars = len(goal.objective)
+    sense = -1.0 if goal.maximize else 1.0
+    c = [sense * float(x) for x in goal.objective]
     exact_rows, basis = _phase1_tableau(base, nvars)
     rows = [[x / d for x in v] for v, d in exact_rows]
     ncols = len(rows[0]) - 1 if rows else nvars
@@ -313,7 +344,7 @@ def _float_basis(problem: LpProblem, base: list[_Row]) -> list[int] | None:
     return basis if status == "optimal" else None
 
 
-def _certify(problem: LpProblem, base: list[_Row], basis: list[int]) -> LpOutcome | None:
+def _certify(goal: _Goal, base: list[_Row], basis: list[int]) -> LpOutcome | None:
     """The exact optimum at ``basis``, or ``None`` if ``basis`` is not optimal.
 
     One Gauss-Jordan pass over the integer rows ``base`` of ``[A | b]``
@@ -323,7 +354,7 @@ def _certify(problem: LpProblem, base: list[_Row], basis: list[int]) -> LpOutcom
     vanish (right-hand side included), every basic value is nonnegative
     and every reduced cost of the objective in min form is nonnegative.
     """
-    nvars = problem.constraints.cols
+    nvars = len(goal.objective)
     if len(set(basis)) != len(basis) or not all(0 <= j < nvars for j in basis):
         return None
     rows = list(base)
@@ -338,10 +369,10 @@ def _certify(problem: LpProblem, base: list[_Row], basis: list[int]) -> LpOutcom
     rows = rows[:len(basis)]
     if any(v[-1] < 0 for v, _ in rows):
         return None
-    cost, _ = _reduced_costs(rows, basis, _min_costs(problem))
+    cost, _ = _reduced_costs(rows, basis, _min_costs(goal))
     if any(x < 0 for x in cost[:nvars]):
         return None
-    return _vertex(problem, rows, basis)
+    return _vertex(goal, rows, basis)
 
 
 def certified_solve(problem: LpProblem) -> LpOutcome:
@@ -352,10 +383,18 @@ def certified_solve(problem: LpProblem) -> LpOutcome:
     optimal basis that one exact elimination certifies is taken from the
     float stage; everything else is solved by :func:`simplex_solve`.
     """
-    base = _equality_rows(problem)
+    return _certified_solve(problem, _equality_rows(problem))
+
+
+def _certified_solve(goal: _Goal, base: list[_Row]) -> LpOutcome:
+    """:func:`certified_solve` on the integer rows ``base`` of ``[A | b]``, with ``b >= 0``.
+
+    Only the fallback builds an :class:`LpProblem` from the rows, so
+    that every uncertified LP still goes through :func:`simplex_solve`.
+    """
     try:
-        basis = _float_basis(problem, base)
+        basis = _float_basis(goal, base)
     except OverflowError:
         basis = None
-    outcome = None if basis is None else _certify(problem, base, basis)
-    return outcome if outcome is not None else simplex_solve(problem)
+    outcome = None if basis is None else _certify(goal, base, basis)
+    return outcome if outcome is not None else simplex_solve(_problem(goal, base))

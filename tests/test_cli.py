@@ -241,6 +241,23 @@ def test_solve_reports_infeasible_margins(capsys, tmp_path):
     assert report["delta"] is None
 
 
+@pytest.mark.parametrize("delta", ["max", "1/4"])
+def test_solve_reports_a_zero_margin_as_infeasible(capsys, tmp_path, delta):
+    # two identical players can realize this improper K only at margin 0
+    problem = {"players": 2, "densities": [{"breakpoints": ["0", "1"], "values": ["1"]}] * 2,
+               "K": [["1", "-1"], ["-1", "1"]], "delta": delta}
+    out_path = tmp_path / "report.json"
+    code, out, _ = run(capsys, "solve", "--input", write(tmp_path, "p.json", problem),
+                       "--output", str(out_path))
+    assert code == EXIT_INFEASIBLE
+    assert "Construction: infeasible (no weight system realizes the target at" in out
+    assert "Margin delta" not in out
+    report = json.loads(out_path.read_text())
+    assert report["route"] == "lp"
+    assert report["delta"] is None
+    assert "weight_system" not in report
+
+
 def test_solve_improper_goal_falls_back_to_the_lp(capsys, tmp_path):
     problem = json.loads((PROBLEMS / "three_players.json").read_text())
     problem["K"] = [["1", "-1", "0"], ["0", "0", "0"], ["0", "0", "0"]]  # breaks (1, 9, -10)

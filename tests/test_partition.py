@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hyperfair import simplex
 from hyperfair.hyperfree import UNCONSTRAINED, GoalMatrix, TargetPoint, delta_bound, stochastic_factor
 from hyperfair.linalg import RatMatrix, pseudo_inverse
 from hyperfair.measures import Interval, StepDensity, common_refinement, gram_matrix, measure_of
@@ -189,6 +190,29 @@ def test_solve_alpha_maximizes_to_one_third(trio_profile, trio_goal, uniform3):
         ["2/3", "1/3", "0"],
         ["2/9", "10/27", "11/27"],
     ])
+
+
+def _overflow(goal, base):
+    raise OverflowError("entry beyond float range")
+
+
+@pytest.mark.parametrize("float_stage", [lambda goal, base: None, _overflow], ids=["none", "overflow"])
+def test_an_unproven_weight_lp_basis_falls_back_to_bland(monkeypatch, trio_profile, trio_goal,
+                                                         uniform3, float_stage):
+    best = solve_alpha(trio_profile, trio_goal, uniform3, MAXIMIZE)
+    monkeypatch.setattr(simplex, "_float_basis", float_stage)
+    calls = []
+
+    def counting(problem, solve=simplex.simplex_solve):
+        calls.append(problem)
+        return solve(problem)
+
+    monkeypatch.setattr(simplex, "simplex_solve", counting)
+    assert solve_alpha(trio_profile, trio_goal, uniform3, MAXIMIZE) == best
+    assert best[1] == F(1, 3)
+    assert len(calls) == 1
+    assert solve_alpha(trio_profile, trio_goal, uniform3, F(1, 6)) == (TRIO_WEIGHTS, F(1, 6))
+    assert len(calls) == 2
 
 
 def test_solve_alpha_rejects_margins_past_the_maximum(trio_profile, trio_goal, uniform3):

@@ -5,9 +5,10 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hyperfair.hyperfree import UNCONSTRAINED, GoalMatrix
+from hyperfair.linalg import RatMatrix
 from hyperfair.relations import (
     Relation,
     RelationMatrix,
@@ -16,7 +17,7 @@ from hyperfair.relations import (
     verify_relation_solution,
 )
 
-from oracles import grid_sign_feasible
+from oracles import grid_sign_feasible, lp_bland_reference
 
 F = Fraction
 
@@ -195,3 +196,79 @@ def test_three_player_patterns_against_grid_oracle(flat):
         # the grid oracle only ever finds genuinely feasible points, so
         # it must come up empty on anything the solver rejects
         assert not grid_sign_feasible(symbols, [lam], 3)
+
+
+def _sign_lp_by_fractions(r: RelationMatrix, relations):
+    """``solve_relations``' LP written out in Fractions, same columns and rows.
+
+    Columns: ``u`` then ``v`` (``k = u - v``, row-major), the slack ``t``,
+    then a surplus and a box slack per strict cell.  Rows: row sums,
+    each relation against each column, two rows per strict cell, then
+    one row per equality cell.
+    """
+    n = r.n
+    strict = [(i, j) for i in range(n) for j in range(n) if r[i, j] is not Relation.EQ]
+    t = 2 * n * n
+    nvars = t + 1 + 2 * len(strict)
+    rows, rhs = [], []
+
+    def add(entries, b=0):
+        row = [F(0)] * nvars
+        for col, x in entries:
+            row[col] = F(x)
+        rows.append(row)
+        rhs.append(F(b))
+
+    def k(i, j, x):
+        return [(i * n + j, x), (n * n + i * n + j, -x)]
+
+    for i in range(n):
+        add([e for j in range(n) for e in k(i, j, 1)])
+    for lam in relations:
+        for j in range(n):
+            add([e for i in range(n) for e in k(i, j, lam[i])])
+    for idx, (i, j) in enumerate(strict):
+        sign = r[i, j].sign
+        add(k(i, j, sign) + [(t, -1), (t + 1 + 2 * idx, -1)])
+        add(k(i, j, sign) + [(t + 2 + 2 * idx, 1)], 1)
+    for i in range(n):
+        for j in range(n):
+            if r[i, j] is Relation.EQ:
+                add(k(i, j, 1))
+    objective = [F(0)] * nvars
+    objective[t] = F(1)
+    return objective, RatMatrix.from_rows(rows), rhs
+
+
+@settings(max_examples=30)
+@given(st.data())
+def test_sign_lp_keeps_blands_witness(data):
+    # The witness K is the basic point Bland's rule ends on; the Fraction
+    # tableau reference must end on the same one.  Half the patterns are
+    # the signs of a proper K (rows summing to zero, and rows a and b
+    # equal for a relation c * (e_a - e_b)), so that most of those are
+    # feasible; the other half are drawn freely.
+    n = data.draw(st.integers(2, 4))
+    ints = st.integers(-2, 2)
+    k = [row + [-sum(row)] for row in data.draw(
+        st.lists(st.lists(ints, min_size=n - 1, max_size=n - 1), min_size=n, max_size=n))]
+    relations = []
+    for a, b, c in data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                                st.sampled_from([-3, -1, 2])), max_size=2)):
+        if a != b:
+            k[b] = k[a]
+            relations.append(tuple(F(c * ((i == a) - (i == b))) for i in range(n)))
+    if data.draw(st.booleans()):
+        symbols = [["<=>"[(x > 0) - (x < 0) + 1] for x in row] for row in k]
+    else:
+        symbols = data.draw(st.lists(st.lists(st.sampled_from("<=>"), min_size=n, max_size=n),
+                                     min_size=n, max_size=n))
+    r = RelationMatrix.from_symbols(symbols)
+    assume(r.has_strict)
+    sol = solve_relations(r, relations)
+    status, value, x = lp_bland_reference(*_sign_lp_by_fractions(r, relations))
+    assert status == "optimal"
+    assert sol.feasible == (value > 0)
+    if sol.feasible:
+        assert sol.margin == value
+        assert sol.k.mat == RatMatrix(n, n, tuple(x[i] - x[n * n + i] for i in range(n * n)))
