@@ -30,6 +30,7 @@ from .hyperfree import (
     TargetPoint,
     _delta_bound_of,
     factor_delta_bound,
+    is_proper,
     spectral_delta_bound,
     stochastic_factor,
 )
@@ -108,8 +109,9 @@ def _analysis(problem: Problem, tol: Fraction) -> tuple[dict, dict]:
     if problem.k is not None:
         gk = g_plus @ problem.k.mat
         report["pinv_times_k"] = matrix_to_strings(gk)
-        report["delta_bound"] = _text(_delta_bound_of(gk, p))
-        report["factor_bound"] = _text(factor_delta_bound(gk, p))
+        if is_proper(problem.k, relations):  # no margin is admissible otherwise
+            report["delta_bound"] = _text(_delta_bound_of(gk, p))
+            report["factor_bound"] = _text(factor_delta_bound(gk, p))
         if not relations and not problem.k.is_zero():
             lo, hi = spectral_delta_bound(g, problem.k, p, tol)
             report["spectral_bound"] = [fmt(lo), fmt(hi)]
@@ -144,7 +146,7 @@ def cmd_gram(args: argparse.Namespace) -> tuple[int, dict]:
     _print_matrix("Pseudo-inverse", state["g_plus"])
     if problem.k is not None:
         _print_matrix("Pseudo-inverse times goal matrix", state["gk"])
-        print(f"Margin bound: {report['delta_bound']}")
+        print(f"Margin bound: {report['delta_bound'] or 'none (the goal matrix is not proper)'}")
         if report["spectral_bound"] is not None:
             lo, hi = report["spectral_bound"]
             print(f"Spectral margin bound: [{lo}, {hi}]")

@@ -145,13 +145,13 @@ def is_proper(k: GoalMatrix | RatMatrix,
     annihilates every column, that is ``L @ K`` is zero for the matrix
     ``L`` whose rows are the relations.  The report lists offending
     rows and (relation, column) pairs; ``GoalMatrix`` inputs satisfy the
-    row half by construction.
+    row half by construction and are not summed again.
     """
     mat = k.mat if isinstance(k, GoalMatrix) else k
     if not mat.is_square():
         raise ValueError("goal matrix must be square")
     n = mat.rows
-    bad_rows = tuple(i for i, s in enumerate(mat.row_sums()) if s != 0)
+    bad_rows = () if isinstance(k, GoalMatrix) else tuple(i for i, s in enumerate(mat.row_sums()) if s != 0)
     for a, lam in enumerate(relations):
         if len(lam) != n:
             raise ValueError(f"relation {a} has length {len(lam)}, expected {n}")

@@ -14,8 +14,9 @@ point.
 
 Row reduction and products run on integer rows (int numerators over
 one positive denominator per row, in lowest terms).  ``_pivot_at`` is
-the package's one exact pivot, run by :func:`rref`, the simplex tableau
-and its certificate (only the inertia count has its own, Bareiss), and
+the package's one exact pivot, run by the simplex tableau and by
+``_pivot_on``, the one column-pivot loop of :func:`rref` and the
+simplex certificate (only the inertia count has its own, Bareiss), and
 ``RatMatrix.__matmul__`` its one exact sum of products.  One
 :func:`rref` of ``[m | I]`` gives the kernel, rank factors and inverse
 of ``m``, so ``hyperfair gram`` reduces G once.
@@ -247,6 +248,20 @@ def _pivot_at(rows: list[_Row], r: int, c: int) -> list[int]:
     return support
 
 
+def _pivot_on(rows: list[_Row], columns: Sequence[int]) -> list[int]:
+    """Pivot on each of ``columns`` in the first row not yet pivoted that is
+    nonzero there, swapped up to the next place; returns the columns pivoted."""
+    pivots: list[int] = []
+    for c in columns:
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][0][c] != 0), None)
+        if pivot_row is not None:
+            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+            _pivot_at(rows, r, c)
+            pivots.append(c)
+    return pivots
+
+
 def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
     """Reduced row echelon form and the pivot column indices.
 
@@ -255,17 +270,7 @@ def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
     numerical reason to prefer any other choice.
     """
     work = [_to_row(m.row(i)) for i in range(m.rows)]
-    pivots: list[int] = []
-    for c in range(m.cols):
-        r = len(pivots)
-        if r == m.rows:
-            break
-        pivot_row = next((i for i in range(r, m.rows) if work[i][0][c] != 0), None)
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        _pivot_at(work, r, c)
-        pivots.append(c)
+    pivots = _pivot_on(work, range(m.cols))
     flat = tuple(Fraction(x, d) for v, d in work for x in v)
     return RatMatrix(m.rows, m.cols, flat), tuple(pivots)
 

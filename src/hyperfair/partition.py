@@ -21,8 +21,9 @@ two routes, and both land on the same sharing matrix:
   as one block with the summed measure and every atom of a block gets
   the block's row: the realizable sharing matrices do not change.  Of
   the coupling rows it keeps ``n - 1`` per player, as the last follows
-  from the others.  The LP's rows are built as ``linalg`` integer rows,
-  with no Fraction matrix, and go to the integer-row core of
+  from the others.  ``simplex._row`` lays out the LP's integer rows,
+  with no Fraction matrix and ``b`` of either sign (phase 1 makes
+  ``b >= 0``), for the integer-row core of
   :func:`hyperfair.simplex.certified_solve`: floats only pick the
   basis, one exact elimination certifies it, and the exact Bland
   simplex answers whenever it does not, so every weight and margin is
@@ -37,11 +38,11 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .hyperfree import UNCONSTRAINED, GoalMatrix, TargetPoint, stochastic_factor
-from .linalg import RatMatrix, _Row, _to_row, pseudo_inverse, rat
+from .linalg import RatMatrix, _to_row, pseudo_inverse, rat
 from .measures import Interval, MeasureProfile, gram_matrix, rn_weights
 # simplex_solve stays importable from here, where the benchmark's tracer
 # (perfbench/spans.py) has always looked it up.
-from .simplex import LpStatus, _certified_solve, _Objective, simplex_solve  # noqa: F401
+from .simplex import LpStatus, _certified_solve, _Objective, _row, simplex_solve  # noqa: F401
 
 #: Mode marker for :func:`solve_alpha`: maximize the margin instead of fixing it.
 MAXIMIZE = "max"
@@ -216,12 +217,10 @@ def solve_alpha(profile: MeasureProfile, k: GoalMatrix, p: TargetPoint,
         for i, (v, _) in enumerate(values):
             measure[i][b] += v[a] * lengths[a]
 
-    # The LP's integer rows of [A | b], right-hand side last.
     nvars = blocks * n + (1 if maximize else 0)
     delta_var = blocks * n
-    rows: list[_Row] = []
-    for b in range(blocks):  # each block fully distributed
-        rows.append(([0] * (b * n) + [1] * n + [0] * (nvars - b * n - n) + [1], 1))
+    # The LP's integer rows of [A | b]: first, each block fully distributed.
+    rows = [_row(nvars, ((b * n + j, 1) for j in range(n)), 1) for b in range(blocks)]
     # Player i's value of player j's piece.  Row (i, n-1) would be 1
     # minus the others on both sides: the block rows sum to 1, and so
     # do player i's measure, P and every row of P + delta K.
@@ -231,13 +230,10 @@ def solve_alpha(profile: MeasureProfile, k: GoalMatrix, p: TargetPoint,
             rhs = p.shares[j] if maximize else p.shares[j] + kij * fixed
             den = math.lcm(d * e, kij.denominator, rhs.denominator)
             scale = den // (d * e)
-            row = [0] * (nvars + 1)
-            for b in range(blocks):
-                row[b * n + j] = measure[i][b] * scale
+            terms = [(b * n + j, measure[i][b] * scale) for b in range(blocks)]
             if maximize:
-                row[delta_var] = -kij.numerator * (den // kij.denominator)
-            row[-1] = rhs.numerator * (den // rhs.denominator)
-            rows.append(([-x for x in row] if rhs < 0 else row, den))
+                terms.append((delta_var, -kij.numerator * (den // kij.denominator)))
+            rows.append(_row(nvars, terms, rhs.numerator * (den // rhs.denominator), den))
 
     objective = (0,) * delta_var + ((1,) if maximize else ())
     outcome = _certified_solve(_Objective(objective), rows)

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .hyperfree import GoalMatrix, TargetPoint
 from .linalg import RatMatrix, fmt, rat
@@ -23,6 +23,14 @@ from .relations import RelationMatrix
 
 class ProblemFormatError(ValueError):
     """A problem or partition file does not match the schema."""
+
+
+def _checked(where: str, make: Callable[..., Any], *args: Any) -> Any:
+    """``make(*args)``, with the ``ValueError`` it may raise reported against ``where``."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ProblemFormatError(f"{where}: {exc}") from None
 
 
 def parse_rational(value: Any, where: str) -> Fraction:
@@ -85,35 +93,23 @@ def parse_problem(obj: Any, source: str = "problem") -> Problem:
         where = f"{source}.densities[{i}]"
         if not isinstance(d, dict) or set(d) != {"breakpoints", "values"}:
             raise ProblemFormatError(f"{where}: expected an object with 'breakpoints' and 'values'")
-        try:
-            densities.append(StepDensity(
-                tuple(_rational_list(d["breakpoints"], f"{where}.breakpoints")),
-                tuple(_rational_list(d["values"], f"{where}.values")),
-            ))
-        except ValueError as exc:
-            if isinstance(exc, ProblemFormatError):
-                raise
-            raise ProblemFormatError(f"{where}: {exc}") from None
+        densities.append(_checked(where, StepDensity,
+                                  tuple(_rational_list(d["breakpoints"], f"{where}.breakpoints")),
+                                  tuple(_rational_list(d["values"], f"{where}.values"))))
 
     p = None
     if "p" in obj:
         shares = _rational_list(obj["p"], f"{source}.p")
         if len(shares) != players:
             raise ProblemFormatError(f"{source}.p: expected {players} shares")
-        try:
-            p = TargetPoint(tuple(shares))
-        except ValueError as exc:
-            raise ProblemFormatError(f"{source}.p: {exc}") from None
+        p = _checked(f"{source}.p", TargetPoint, tuple(shares))
 
     k = None
     if "K" in obj:
         grid = _rational_grid(obj["K"], f"{source}.K")
         if len(grid) != players or any(len(row) != players for row in grid):
             raise ProblemFormatError(f"{source}.K: expected a {players}x{players} matrix")
-        try:
-            k = GoalMatrix(RatMatrix.from_rows(grid))
-        except ValueError as exc:
-            raise ProblemFormatError(f"{source}.K: {exc}") from None
+        k = _checked(f"{source}.K", GoalMatrix, RatMatrix.from_rows(grid))
 
     r = None
     if "R" in obj:
@@ -121,10 +117,7 @@ def parse_problem(obj: Any, source: str = "problem") -> Problem:
         if (not isinstance(raw, list) or len(raw) != players
                 or any(not isinstance(row, list) or len(row) != players for row in raw)):
             raise ProblemFormatError(f"{source}.R: expected a {players}x{players} grid of symbols")
-        try:
-            r = RelationMatrix.from_symbols(raw)
-        except ValueError as exc:
-            raise ProblemFormatError(f"{source}.R: {exc}") from None
+        r = _checked(f"{source}.R", RelationMatrix.from_symbols, raw)
 
     delta: Fraction | str | None = None
     if "delta" in obj:
@@ -192,10 +185,7 @@ def parse_partition(obj: Any, source: str = "partition") -> Partition:
                 raise ProblemFormatError(f"{where}[{t}]: expected a [lo, hi] pair")
             lo = parse_rational(pair[0], f"{where}[{t}][0]")
             hi = parse_rational(pair[1], f"{where}[{t}][1]")
-            try:
-                ivs.append(Interval(lo, hi))
-            except ValueError as exc:
-                raise ProblemFormatError(f"{where}[{t}]: {exc}") from None
+            ivs.append(_checked(f"{where}[{t}]", Interval, lo, hi))
         pieces.append(tuple(ivs))
     return Partition(tuple(pieces))
 

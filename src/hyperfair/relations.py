@@ -7,7 +7,8 @@ given sign pattern is a linear program: maximize a uniform slack ``t``
 with every strict entry at least ``t`` away from zero, inside the box
 ``|k_ij| <= 1``.  The pattern is feasible exactly when the optimal
 slack is positive, and the maximizing matrix is returned as a witness.
-The LP's rows go to the exact Bland simplex as ``linalg`` integer rows.
+The LP's rows are laid out by ``hyperfair.simplex._row`` as integer
+rows and go to the exact Bland simplex, whose phase 1 makes ``b >= 0``.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ from fractions import Fraction
 from typing import Sequence
 
 from .hyperfree import UNCONSTRAINED, GoalMatrix, is_proper
-from .linalg import RatMatrix, _Row, _to_row
+from .linalg import RatMatrix, _to_row
 # simplex_solve stays importable from here, where the benchmark's tracer
 # (perfbench/spans.py) has always looked it up.
-from .simplex import LpStatus, _Objective, _solve, simplex_solve  # noqa: F401
+from .simplex import LpStatus, _Objective, _row, _solve, simplex_solve  # noqa: F401
 
 
 class Relation(Enum):
@@ -117,55 +118,28 @@ def solve_relations(r: RelationMatrix,
         # positive slack is required of it.
         return RelationSolution(True, GoalMatrix.zero(n), UNCONSTRAINED, has_strict=False)
 
-    def u(i: int, j: int) -> int:
-        return i * n + j
-
-    def v(i: int, j: int) -> int:
-        return n * n + i * n + j
+    def k_ij(i: int, j: int, c: int = 1) -> list[tuple[int, int]]:
+        """The terms of ``c * k_ij = c * (u_ij - v_ij)``; u and v are row-major blocks."""
+        return [(i * n + j, c), (n * n + i * n + j, -c)]
 
     t_var = 2 * n * n
     strict_cells = [(i, j) for i in range(n) for j in range(n) if r[i, j] is not Relation.EQ]
     nvars = t_var + 1 + 2 * len(strict_cells)  # sign slacks then box slacks
-    # The LP's integer rows of [A | b], right-hand side last; every
-    # entry but a relation's is an integer, and every b is 0 or 1.
-    rows: list[_Row] = []
-
-    def new_row(d: int = 1) -> list[int]:
-        row = [0] * (nvars + 1)
-        rows.append((row, d))
-        return row
-
-    for i in range(n):  # rows of k sum to zero
-        row = new_row()
-        for j in range(n):
-            row[u(i, j)] = 1
-            row[v(i, j)] = -1
+    # The LP's integer rows of [A | b]; every entry but a relation's is
+    # an integer, and every b is 0 or 1.  First, rows of k sum to zero.
+    rows = [_row(nvars, (t for j in range(n) for t in k_ij(i, j))) for i in range(n)]
     for lam in relations:  # every relation annihilates every column
         ints, d = _to_row(lam)
         for j in range(n):
-            row = new_row(d)
-            for i in range(n):
-                row[u(i, j)] = ints[i]
-                row[v(i, j)] = -ints[i]
+            rows.append(_row(nvars, (t for i in range(n) for t in k_ij(i, j, ints[i])), d=d))
     slack = t_var + 1
     for idx, (i, j) in enumerate(strict_cells):
         sign = r[i, j].sign
-        row = new_row()  # sign * k_ij - t - surplus = 0, i.e. sign * k_ij >= t
-        row[u(i, j)] = sign
-        row[v(i, j)] = -sign
-        row[t_var] = -1
-        row[slack + 2 * idx] = -1
-        row = new_row()  # sign * k_ij + box slack = 1, i.e. |k_ij| <= 1
-        row[u(i, j)] = sign
-        row[v(i, j)] = -sign
-        row[slack + 2 * idx + 1] = 1
-        row[-1] = 1
-    for i in range(n):
-        for j in range(n):
-            if r[i, j] is Relation.EQ:
-                row = new_row()
-                row[u(i, j)] = 1
-                row[v(i, j)] = -1
+        # sign * k_ij - t - surplus = 0, i.e. sign * k_ij >= t
+        rows.append(_row(nvars, k_ij(i, j, sign) + [(t_var, -1), (slack + 2 * idx, -1)]))
+        # sign * k_ij + box slack = 1, i.e. |k_ij| <= 1
+        rows.append(_row(nvars, k_ij(i, j, sign) + [(slack + 2 * idx + 1, 1)], 1))
+    rows += [_row(nvars, k_ij(i, j)) for i in range(n) for j in range(n) if r[i, j] is Relation.EQ]
 
     outcome = _solve(_Objective((0,) * t_var + (1,) + (0,) * (nvars - t_var - 1)), rows)
     assert outcome.status is LpStatus.OPTIMAL, \
@@ -174,9 +148,8 @@ def solve_relations(r: RelationMatrix,
     if outcome.value <= 0:
         return RelationSolution(False)
     x = outcome.witness
-    k = GoalMatrix(RatMatrix(n, n, tuple(
-        x[u(i, j)] - x[v(i, j)] for i in range(n) for j in range(n)
-    )))
+    # k_ij = u_ij - v_ij, with u and v laid out row-major as in k_ij
+    k = GoalMatrix(RatMatrix(n, n, tuple(a - b for a, b in zip(x[:n * n], x[n * n:t_var]))))
     return RelationSolution(True, k, outcome.value, has_strict=True)
 
 

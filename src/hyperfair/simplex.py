@@ -13,9 +13,10 @@ pivot routine, the one :func:`hyperfair.linalg.rref` runs.  So every
 sign test and ratio comparison of Bland's rule is an integer
 comparison and the pivot sequence is the one a Fraction tableau takes.
 The package's own LPs, the weight LP and the sign LP, enter as integer
-rows of ``[A | b]`` built by their callers; an :class:`LpProblem` is
+rows of ``[A | b]`` laid out by :func:`_row`; an :class:`LpProblem` is
 converted to such rows once, on entry, and goes to the same integer-row
-core.  Fractions appear in the :class:`LpOutcome` coming out, so the
+core.  ``b`` may have either sign: phase 1 negates the rows where it is
+negative.  Fractions appear in the :class:`LpOutcome` coming out, so the
 reported optimum and witness are exact, and in the :class:`LpProblem`
 rebuilt from an uncertified integer-row LP for its exact fallback.
 
@@ -37,9 +38,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
-from .linalg import RatMatrix, _eliminate, _lowest_terms, _pivot_at, _Row, _support, _to_row, _unit_at
+from .linalg import RatMatrix, _eliminate, _lowest_terms, _pivot_at, _pivot_on, _Row, _support, _to_row, _unit_at
 
 
 class LpStatus(Enum):
@@ -132,24 +133,31 @@ def _reduced_costs(rows: list[_Row], basis: list[int], c: list[int]) -> _Row:
     return cost
 
 
+def _row(nvars: int, terms: Iterable[tuple[int, int]], rhs: int = 0, d: int = 1) -> _Row:
+    """The integer row of ``[A | b]`` over ``d`` with the ``(column, numerator)``
+    ``terms`` in its ``nvars`` columns and numerator ``rhs`` last."""
+    v = [0] * (nvars + 1)
+    for j, x in terms:
+        v[j] = x
+    v[-1] = rhs
+    return v, d
+
+
 def _equality_rows(problem: LpProblem) -> list[_Row]:
-    """The integer rows of ``[A | b]``, each negated where ``b`` is negative."""
-    rows = []
-    for i in range(problem.constraints.rows):
-        values = list(problem.constraints.row(i)) + [problem.rhs[i]]
-        if problem.rhs[i] < 0:
-            values = [-x for x in values]
-        rows.append(_to_row(values))
-    return rows
+    """The integer rows of ``[A | b]``."""
+    return [_to_row(problem.constraints.row(i) + (problem.rhs[i],))
+            for i in range(problem.constraints.rows)]
 
 
 def _phase1_tableau(base: list[_Row], nvars: int) -> tuple[list[_Row], list[int]]:
     """Phase-1 rows (real columns, artificial columns, rhs) and starting basis.
 
-    Rows whose right-hand side lines up with a singleton column (one
-    nonzero in the whole column) can start basic in that column;
-    everything else gets an artificial variable, numbered in row order.
+    Rows of ``base`` with ``b < 0`` are negated first.  Rows whose
+    right-hand side lines up with a singleton column (one nonzero in the
+    whole column) can start basic in that column; everything else gets
+    an artificial variable, numbered in row order.
     """
+    base = [([-x for x in v], d) if v[-1] < 0 else (v, d) for v, d in base]
     nonzeros = [0] * nvars
     for v, _ in base:
         for j in range(nvars):
@@ -221,7 +229,7 @@ def simplex_solve(problem: LpProblem) -> LpOutcome:
 
 
 def _solve(goal: _Goal, base: list[_Row]) -> LpOutcome:
-    """:func:`simplex_solve` on the integer rows ``base`` of ``[A | b]``, with ``b >= 0``."""
+    """:func:`simplex_solve` on the integer rows ``base`` of ``[A | b]``, ``b`` of either sign."""
     nvars = len(goal.objective)
 
     # Phase 1 minimizes the sum of the artificials.  Each row carries
@@ -347,24 +355,18 @@ def _float_basis(goal: _Goal, base: list[_Row]) -> list[int] | None:
 def _certify(goal: _Goal, base: list[_Row], basis: list[int]) -> LpOutcome | None:
     """The exact optimum at ``basis``, or ``None`` if ``basis`` is not optimal.
 
-    One Gauss-Jordan pass over the integer rows ``base`` of ``[A | b]``
-    pivots on each basic column in turn, as :func:`rref` does: in the
-    first row not yet pivoted that has a nonzero entry there, swapped up
-    to the next place.  The basis is accepted only if the rows left over
-    vanish (right-hand side included), every basic value is nonnegative
-    and every reduced cost of the objective in min form is nonnegative.
+    ``linalg._pivot_on``, as in :func:`rref`, pivots on each basic column
+    of the integer rows ``base`` of ``[A | b]`` (``b`` of either sign, as
+    each pivot row is divided by its pivot entry).  The basis is accepted
+    only if every column pivots, the rows left over vanish (right-hand
+    side included), every basic value is nonnegative and every reduced
+    cost of the objective in min form is nonnegative.
     """
     nvars = len(goal.objective)
-    if len(set(basis)) != len(basis) or not all(0 <= j < nvars for j in basis):
+    if not all(0 <= j < nvars for j in basis):
         return None
     rows = list(base)
-    for k, col in enumerate(basis):
-        r = next((i for i in range(k, len(rows)) if rows[i][0][col] != 0), None)
-        if r is None:
-            return None
-        rows[k], rows[r] = rows[r], rows[k]
-        _pivot_at(rows, k, col)
-    if any(any(v) for v, _ in rows[len(basis):]):
+    if _pivot_on(rows, basis) != basis or any(any(v) for v, _ in rows[len(basis):]):
         return None
     rows = rows[:len(basis)]
     if any(v[-1] < 0 for v, _ in rows):
@@ -387,7 +389,7 @@ def certified_solve(problem: LpProblem) -> LpOutcome:
 
 
 def _certified_solve(goal: _Goal, base: list[_Row]) -> LpOutcome:
-    """:func:`certified_solve` on the integer rows ``base`` of ``[A | b]``, with ``b >= 0``.
+    """:func:`certified_solve` on the integer rows ``base`` of ``[A | b]``, ``b`` of either sign.
 
     Only the fallback builds an :class:`LpProblem` from the rows, so
     that every uncertified LP still goes through :func:`simplex_solve`.

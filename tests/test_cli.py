@@ -59,6 +59,29 @@ def test_gram_report_file_is_exact(capsys, tmp_path):
     assert report["atoms"] == [["0", "1/10"], ["1/10", "1"]]
 
 
+TRIO = json.loads((PROBLEMS / "three_players.json").read_text())
+
+
+@pytest.mark.parametrize("problem, bound", [
+    # the trio's densities with a K that breaks the relation (1, 9, -10)
+    (dict(TRIO, K=[["1", "-1", "0"], ["0", "0", "0"], ["0", "0", "0"]]), None),
+    # two identical players: G^+ K is zero, yet no positive margin is admissible
+    ({"players": 2, "densities": [{"breakpoints": ["0", "1"], "values": ["1"]}] * 2,
+      "K": [["1", "-1"], ["-1", "1"]]}, None),
+    # a zero K is proper, and every margin realizes the target P
+    (dict(TRIO, K=[["0"] * 3] * 3), "unbounded"),
+], ids=["trio", "twins", "zero"])
+def test_gram_gives_a_margin_bound_only_for_a_proper_goal_matrix(capsys, tmp_path, problem, bound):
+    out_path = tmp_path / "report.json"
+    code, out, _ = run(capsys, "gram", "--input", write(tmp_path, "p.json", problem),
+                       "--output", str(out_path))
+    assert code == EXIT_OK
+    assert f"Margin bound: {bound or 'none (the goal matrix is not proper)'}\n" in out
+    report = json.loads(out_path.read_text())
+    assert report["pinv_times_k"] is not None
+    assert report["delta_bound"] == report["factor_bound"] == bound
+
+
 def test_gram_reports_a_spectral_enclosure_for_independent_measures(capsys, tmp_path):
     problem = {
         "players": 2,

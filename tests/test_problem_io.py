@@ -115,8 +115,9 @@ def test_parse_problem_rejects_density_count_mismatch():
 def test_parse_problem_names_the_broken_density():
     obj = json.loads(json.dumps(FULL_PROBLEM))
     obj["densities"][1]["values"] = ["0", "1"]  # mass 9/10, not 1
-    with pytest.raises(ProblemFormatError, match=r"densities\[1\].*integrate to 1"):
+    with pytest.raises(ProblemFormatError, match=r"densities\[1\].*integrate to 1") as exc:
         parse_problem(obj)
+    assert str(exc.value) == "problem.densities[1]: density must integrate to 1, got 9/10"
 
 
 def test_parse_problem_rejects_floats_in_densities():
@@ -132,8 +133,9 @@ def test_parse_problem_validates_the_target_point():
     with pytest.raises(ProblemFormatError, match="expected 3 shares"):
         parse_problem(obj)
     obj["p"] = ["1/2", "1/2", "1/2"]
-    with pytest.raises(ProblemFormatError, match=r"\.p: shares must sum to 1"):
+    with pytest.raises(ProblemFormatError, match=r"\.p: shares must sum to 1") as exc:
         parse_problem(obj)
+    assert str(exc.value) == "problem.p: shares must sum to 1, got 3/2"
 
 
 def test_parse_problem_validates_the_goal_matrix():
@@ -142,8 +144,9 @@ def test_parse_problem_validates_the_goal_matrix():
     with pytest.raises(ProblemFormatError, match="3x3"):
         parse_problem(obj)
     obj["K"] = [["1", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]]
-    with pytest.raises(ProblemFormatError, match="sum to 0"):
+    with pytest.raises(ProblemFormatError, match="sum to 0") as exc:
         parse_problem(obj)
+    assert str(exc.value) == "problem.K: goal matrix rows must sum to 0; rows [0] do not"
 
 
 def test_parse_problem_validates_the_relation_matrix():
@@ -153,8 +156,9 @@ def test_parse_problem_validates_the_relation_matrix():
     with pytest.raises(ProblemFormatError, match="3x3 grid"):
         parse_problem(obj)
     obj["R"] = [[">", "=", "<"], ["<", ">", ">"], ["<", ">", ">="]]
-    with pytest.raises(ProblemFormatError, match="expected one of"):
+    with pytest.raises(ProblemFormatError, match="expected one of") as exc:
         parse_problem(obj)
+    assert str(exc.value) == "problem.R: expected one of '<', '=', '>', got '>='"
 
 
 def test_parse_problem_validates_delta():
@@ -218,8 +222,10 @@ def test_parse_partition_schema_errors():
 
 
 def test_parse_partition_rejects_backwards_intervals():
-    with pytest.raises(ProblemFormatError, match=r"intervals\[0\]\[0\]"):
+    with pytest.raises(ProblemFormatError, match=r"intervals\[0\]\[0\]") as exc:
         parse_partition({"intervals": [[["1/2", "1/4"]], [["1/2", "1"]]]})
+    assert str(exc.value) == ("partition.intervals[0][0]: "
+                              "interval [1/2, 1/4] must satisfy 0 <= lo <= hi <= 1")
 
 
 def test_parse_partition_rejects_gaps_and_overlaps():

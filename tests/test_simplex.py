@@ -272,6 +272,20 @@ def test_certified_solve_keeps_the_frozen_bland_witnesses():
         assert certified_solve(problem).witness == tuple(map(F, witness))
 
 
+@given(st.booleans(), st.integers(1, 5), st.integers(1, 4), st.randoms(use_true_random=False))
+def test_integer_row_entries_take_b_of_either_sign(maximize, nvars, nrows, rng):
+    # Negating a row with b > 0 states the same constraint; both
+    # integer-row entries must give simplex_solve's outcome, witness too.
+    objective, a, rhs = _random_lp(rng, nvars, nrows)
+    problem = LpProblem(objective, a, rhs, maximize=maximize)
+    rows = [([-x for x in v], d) if v[-1] > 0 and rng.random() < 0.5 else (v, d)
+            for v, d in simplex._equality_rows(problem)]
+    expected = simplex_solve(problem)
+    goal = simplex._Objective(tuple(int(c) for c in objective), maximize)  # integral costs
+    assert simplex._solve(goal, rows) == expected
+    assert simplex._certified_solve(goal, rows) == expected
+
+
 def _counting_simplex_solve(monkeypatch):
     calls = []
 
