@@ -26,7 +26,6 @@ from .hyperfree import (
     DEFAULT_TOL,
     DeltaTooLargeError,
     GoalMatrix,
-    ImproperMatrixError,
     TargetPoint,
     _delta_bound_of,
     factor_delta_bound,
@@ -105,17 +104,19 @@ def _analysis(problem: Problem, tol: Fraction) -> tuple[dict, dict]:
         "factor_bound": None,
         "spectral_bound": None,
     }
-    gk = None
+    gk = proper = None
     if problem.k is not None:
         gk = g_plus @ problem.k.mat
         report["pinv_times_k"] = matrix_to_strings(gk)
-        if is_proper(problem.k, relations):  # no margin is admissible otherwise
+        proper = is_proper(problem.k, relations)
+        if proper:  # no margin is admissible otherwise
             report["delta_bound"] = _text(_delta_bound_of(gk, p))
             report["factor_bound"] = _text(factor_delta_bound(gk, p))
         if not relations and not problem.k.is_zero():
             lo, hi = spectral_delta_bound(g, problem.k, p, tol)
             report["spectral_bound"] = [fmt(lo), fmt(hi)]
-    state = {"profile": profile, "g": g, "relations": relations, "g_plus": g_plus, "gk": gk, "p": p}
+    state = {"profile": profile, "g": g, "relations": relations, "g_plus": g_plus, "gk": gk,
+             "proper": proper, "p": p}
     return report, state
 
 
@@ -176,15 +177,22 @@ def cmd_solve(args: argparse.Namespace) -> tuple[int, dict]:
     elif k is None:
         print("Problem file has neither a goal matrix nor a sign pattern; analysis only.")
         return EXIT_OK, report
+    elif not state["proper"]:
+        # Every realizable M - P is proper, so no division has a positive margin.
+        report["delta"] = None
+        print("Construction: infeasible (no weight system realizes the target at a positive "
+              "margin: the goal matrix is not proper)")
+        return EXIT_INFEASIBLE, report
 
+    # k is proper from here on: the given one or the sign pattern's witness.
     delta_req = problem.delta if problem.delta is not None else MAXIMIZE
     weights = None
     if delta_req != MAXIMIZE:
-        # A nonnegative exact factor (proper K, delta <= factor_bound)
-        # cuts the partition without an LP; anything else goes to the LP.
+        # A nonnegative exact factor (delta <= factor_bound) cuts the
+        # partition without an LP; a larger delta goes to the LP.
         try:
             cert = stochastic_factor(state["g"], state["g_plus"], k, p, delta_req)
-        except (DeltaTooLargeError, ImproperMatrixError):
+        except DeltaTooLargeError:
             pass
         else:
             weights, achieved = factor_weights(profile, cert.factor), cert.delta
@@ -192,12 +200,13 @@ def cmd_solve(args: argparse.Namespace) -> tuple[int, dict]:
     if weights is None:
         try:
             weights, achieved = solve_alpha(profile, k, p, delta_req)
-            if achieved == 0:  # only "max" gets here with 0: fixed margins are positive
-                raise InfeasibleError("no weight system realizes the target at a positive margin")
         except InfeasibleError as exc:
             report["delta"] = None
             print(f"Construction: infeasible ({exc})")
             return EXIT_INFEASIBLE, report
+        # "max" on a proper nonzero K reaches at least the factor bound,
+        # which is positive; fixed margins are positive by input checks.
+        assert achieved != 0, "a proper nonzero goal matrix has a positive maximum margin"
 
     part = build_from_weights(profile, weights)
     shares, fairness, audit = _audit(profile, part, k, p, problem.r)

@@ -24,7 +24,8 @@ two routes, and both land on the same sharing matrix:
   from the others.  ``simplex._row`` lays out the LP's integer rows,
   with no Fraction matrix and ``b`` of either sign (phase 1 makes
   ``b >= 0``), for the integer-row core of
-  :func:`hyperfair.simplex.certified_solve`: floats only pick the
+  :func:`hyperfair.simplex.certified_solve`, which also solves the
+  sign-pattern LP of :mod:`hyperfair.relations`: floats only pick the
   basis, one exact elimination certifies it, and the exact Bland
   simplex answers whenever it does not, so every weight and margin is
   exact.

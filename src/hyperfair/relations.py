@@ -8,7 +8,10 @@ with every strict entry at least ``t`` away from zero, inside the box
 ``|k_ij| <= 1``.  The pattern is feasible exactly when the optimal
 slack is positive, and the maximizing matrix is returned as a witness.
 The LP's rows are laid out by ``hyperfair.simplex._row`` as integer
-rows and go to the exact Bland simplex, whose phase 1 makes ``b >= 0``.
+rows and go to the integer-row core of
+:func:`hyperfair.simplex.certified_solve`, as the weight LP's do: floats
+pick the basis, one exact elimination certifies it, and the exact Bland
+simplex answers whenever it does not, so the slack and witness are exact.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .hyperfree import UNCONSTRAINED, GoalMatrix, is_proper
 from .linalg import RatMatrix, _to_row
 # simplex_solve stays importable from here, where the benchmark's tracer
 # (perfbench/spans.py) has always looked it up.
-from .simplex import LpStatus, _Objective, _row, _solve, simplex_solve  # noqa: F401
+from .simplex import LpStatus, _certified_solve, _Objective, _row, simplex_solve  # noqa: F401
 
 
 class Relation(Enum):
@@ -141,7 +144,7 @@ def solve_relations(r: RelationMatrix,
         rows.append(_row(nvars, k_ij(i, j, sign) + [(slack + 2 * idx + 1, 1)], 1))
     rows += [_row(nvars, k_ij(i, j)) for i in range(n) for j in range(n) if r[i, j] is Relation.EQ]
 
-    outcome = _solve(_Objective((0,) * t_var + (1,) + (0,) * (nvars - t_var - 1)), rows)
+    outcome = _certified_solve(_Objective((0,) * t_var + (1,) + (0,) * (nvars - t_var - 1)), rows)
     assert outcome.status is LpStatus.OPTIMAL, \
         "K = 0 and t = 0, every surplus 0 and box slack 1, meet every row; the box bounds t"
     assert outcome.value is not None and outcome.witness is not None

@@ -31,6 +31,10 @@ vertex and value, Bland's own whenever the float comparisons agreed
 with the exact ones; anything uncertified, and every infeasible or
 unbounded verdict, comes from :func:`simplex_solve` run from scratch.
 So floats only pick which basis to test, and every answer is exact.
+
+Both of the package's LPs go to :func:`certified_solve`'s integer-row
+core, :func:`_certified_solve`; :func:`simplex_solve` is left as the
+reference method and as that core's fallback.
 """
 
 from __future__ import annotations

@@ -7,9 +7,10 @@ polynomial from literal cofactor expansion and its root counts
 from Budan-Fourier sign variations, LP optima from
 brute-force basis enumeration, the simplex's pivot sequence from a
 plain Fraction tableau that prices every column afresh at each step,
-the pseudo-inverse of a symmetric matrix from its column space, and
+the pseudo-inverse of a symmetric matrix from its column space,
 sign-pattern feasibility from grid sampling of the constraint
-subspace.  Keeping these routes separate is
+subspace, and sign-pattern realizability by a division from an LP
+over the atom weights themselves.  Keeping these routes separate is
 the point; do not "simplify" them to call the production code.
 """
 
@@ -444,6 +445,47 @@ def grid_sign_feasible(r_cells, relations, n, steps=None) -> bool:
         if ok:
             return True
     return False
+
+
+# -- sign patterns realized by a division, as an LP over atom weights -------
+
+def weight_sign_lp(masses, p, r_cells):
+    """LP whose optimum ``t*`` is positive iff some division realizes ``r_cells``.
+
+    ``masses[i][a]`` is player ``i``'s measure of atom ``a``.  Player
+    ``j`` gets the fraction ``alpha[a][j]`` of atom ``a``, so player
+    ``i`` values that piece at ``M[i][j] = sum_a alpha[a][j] masses[i][a]``.
+    Columns: ``alpha`` atom by atom, then ``t``, then a surplus per
+    strict cell.  Rows: each atom's fractions sum to 1; a strict cell
+    with sign ``s`` reads ``s (M[i][j] - p[j]) - t - surplus = 0``; an
+    ``"="`` cell reads ``M[i][j] = p[j]``.  The objective maximizes
+    ``t``.  Returns ``(objective, constraints, rhs)``, the arguments of
+    :func:`lp_bland_reference`.  Every ``alpha[a][j] = p[j]`` with
+    ``t = 0`` is feasible, and ``|M - p| <= 1`` bounds ``t``.
+    """
+    n, atoms = len(masses), len(masses[0])
+    sign = {"<": -1, ">": 1}
+    strict = [(i, j) for i in range(n) for j in range(n) if r_cells[i][j] != "="]
+    t = atoms * n
+    nvars = t + 1 + len(strict)
+    rows, rhs = [], []
+    for a in range(atoms):
+        rows.append([Fraction(int(a * n <= c < a * n + n)) for c in range(nvars)])
+        rhs.append(Fraction(1))
+    for i in range(n):
+        for j in range(n):
+            s = sign.get(r_cells[i][j], 1)
+            row = [Fraction(0)] * nvars
+            for a in range(atoms):
+                row[a * n + j] = s * Fraction(masses[i][a])
+            if r_cells[i][j] != "=":
+                row[t] = Fraction(-1)
+                row[t + 1 + strict.index((i, j))] = Fraction(-1)
+            rows.append(row)
+            rhs.append(s * Fraction(p[j]))
+    objective = [Fraction(0)] * nvars
+    objective[t] = Fraction(1)
+    return objective, RatMatrix.from_rows(rows), rhs
 
 
 # -- common refinement by cell lookup ---------------------------------------

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import event, given, strategies as st
 
-from hyperfair import GoalMatrix, RatMatrix, TargetPoint, linalg, spectral_delta_bound
+from hyperfair import GoalMatrix, RatMatrix, TargetPoint, cli, linalg, spectral_delta_bound
 from hyperfair.cli import EXIT_INFEASIBLE, EXIT_INVALID, EXIT_OK, main
 
 from conftest import TRIO_GRAM_ROWS, TRIO_PINV_K_ROWS, TRIO_PINV_ROWS, TRIO_SHARING_ROWS
@@ -276,7 +276,7 @@ def test_solve_reports_a_zero_margin_as_infeasible(capsys, tmp_path, delta):
     assert "Construction: infeasible (no weight system realizes the target at" in out
     assert "Margin delta" not in out
     report = json.loads(out_path.read_text())
-    assert report["route"] == "lp"
+    assert "route" not in report
     assert report["delta"] is None
     assert "weight_system" not in report
 
@@ -290,7 +290,38 @@ def test_solve_improper_goal_falls_back_to_the_lp(capsys, tmp_path):
                        "--output", str(out_path))
     assert code == EXIT_INFEASIBLE
     assert "Construction: infeasible" in out
-    assert json.loads(out_path.read_text())["route"] == "lp"
+    assert "route" not in json.loads(out_path.read_text())
+
+
+@pytest.mark.parametrize("delta", ["max", "1/100"])
+def test_solve_answers_an_improper_goal_without_a_construction(capsys, tmp_path, monkeypatch, delta):
+    # the properness check of the analysis settles it: no factor probe, no LP
+    def refuse(*_):
+        raise AssertionError("an improper goal matrix needs no construction")
+
+    monkeypatch.setattr(cli, "solve_alpha", refuse)
+    monkeypatch.setattr(cli, "stochastic_factor", refuse)
+    problem = json.loads((PROBLEMS / "three_players.json").read_text())
+    problem["K"] = [["1", "-1", "0"], ["0", "0", "0"], ["0", "0", "0"]]  # breaks (1, 9, -10)
+    problem["delta"] = delta
+    out_path = tmp_path / "report.json"
+    code, out, _ = run(capsys, "solve", "--input", write(tmp_path, "p.json", problem),
+                       "--output", str(out_path))
+    assert code == EXIT_INFEASIBLE
+    assert out.endswith("Construction: infeasible (no weight system realizes the target at a "
+                        "positive margin: the goal matrix is not proper)\n")
+    report = json.loads(out_path.read_text())
+    assert report["delta"] is None and report["delta_bound"] is None
+    assert "route" not in report and "weight_system" not in report
+
+
+def test_readme_shows_what_solve_prints(capsys):
+    readme = (PROBLEMS.parent / "README.md").read_text(encoding="utf-8")
+    _, after = readme.split("`solve` on the bundled three-player instance prints:\n\n```\n", 1)
+    shown, _ = after.split("```\n", 1)
+    code, out, _ = run(capsys, "solve", "--input", str(PROBLEMS / "three_players.json"))
+    assert code == EXIT_OK
+    assert out == shown
 
 
 # -- verify ----------------------------------------------------------------------

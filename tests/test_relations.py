@@ -5,10 +5,12 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
+from hyperfair import simplex
 from hyperfair.hyperfree import UNCONSTRAINED, GoalMatrix
 from hyperfair.linalg import RatMatrix
+from hyperfair.measures import measure_relations
 from hyperfair.relations import (
     Relation,
     RelationMatrix,
@@ -17,7 +19,8 @@ from hyperfair.relations import (
     verify_relation_solution,
 )
 
-from oracles import grid_sign_feasible, lp_bland_reference
+from conftest import random_profile, random_proper_goal
+from oracles import grid_sign_feasible, integer_kernel, lp_bland_reference, weight_sign_lp
 
 F = Fraction
 
@@ -272,3 +275,71 @@ def test_sign_lp_keeps_blands_witness(data):
     if sol.feasible:
         assert sol.margin == value
         assert sol.k.mat == RatMatrix(n, n, tuple(x[i] - x[n * n + i] for i in range(n * n)))
+
+
+def _signs(rows) -> list[list[str]]:
+    return [["<=>"[(x > 0) - (x < 0) + 1] for x in row] for row in rows]
+
+
+def test_sign_lps_are_certified_without_bland(monkeypatch, trio_relation):
+    # Each sign LP is one float run and one exact certificate: neither
+    # falls back to the exact Bland simplex.
+    float_runs, bland_runs = [], []
+    float_basis, simplex_solve = simplex._float_basis, simplex.simplex_solve
+    monkeypatch.setattr(simplex, "_float_basis",
+                        lambda goal, base: float_runs.append(goal) or float_basis(goal, base))
+    monkeypatch.setattr(simplex, "simplex_solve",
+                        lambda problem: bland_runs.append(problem) or simplex_solve(problem))
+    cases = [(INFEASIBLE_SYMBOLS, [trio_relation]), (FEASIBLE_SYMBOLS, [trio_relation])]
+    rng = random.Random(1)
+    for _ in range(30):
+        profile = random_profile(rng, max_atoms=8, force_dependent=rng.random() < 0.5)
+        symbols = _signs(random_proper_goal(rng, profile).mat.to_rows())
+        if rng.random() < 0.5:  # a pattern drawn freely, often infeasible
+            symbols = [[rng.choice("<=>") for _ in row] for row in symbols]
+        cases.append((symbols, measure_relations(profile)))
+    patterns = [(RelationMatrix.from_symbols(s), rel) for s, rel in cases]
+    verdicts = [solve_relations(r, rel).feasible for r, rel in patterns if r.has_strict]
+    assert verdicts[:2] == [False, True]
+    assert True in verdicts[2:] and False in verdicts[2:]
+    assert len(float_runs) == len(verdicts)
+    assert bland_runs == []
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_a_feasible_pattern_is_one_some_division_realizes(data):
+    # The paper's theorem, against an LP over the atom weights that
+    # never forms a goal matrix: a proper goal matrix has the signs of
+    # r exactly when some division's sharing matrix M has the signs of
+    # r against p.  Atoms are abstract: player i's measure of atom a is
+    # masses[i][a], and the relations are the kernel of those measures.
+    # Half the patterns are the signs of some division's M - P.
+    n = data.draw(st.integers(2, 3))
+    atoms = data.draw(st.integers(1, 4))
+
+    def unit(length, lo=0):
+        raw = data.draw(st.lists(st.integers(lo, 4), min_size=length, max_size=length))
+        raw = raw if any(raw) else [1] * length
+        return [F(x, sum(raw)) for x in raw]
+
+    masses = [unit(atoms) for _ in range(n)]
+    if data.draw(st.booleans()):  # the last measure mixes the others
+        mix = unit(n - 1, lo=1)
+        masses[-1] = [sum(w * row[a] for w, row in zip(mix, masses)) for a in range(atoms)]
+    p = unit(n, lo=1)
+    if data.draw(st.booleans()):
+        alpha = [unit(n) for _ in range(atoms)]
+        symbols = _signs([[sum(alpha[a][j] * masses[i][a] for a in range(atoms)) - p[j]
+                           for j in range(n)] for i in range(n)])
+    else:
+        symbols = data.draw(st.lists(st.lists(st.sampled_from("<=>"), min_size=n, max_size=n),
+                                     min_size=n, max_size=n))
+    r = RelationMatrix.from_symbols(symbols)
+    assume(r.has_strict)
+    relations = integer_kernel(RatMatrix(atoms, n, tuple(
+        masses[i][a] for a in range(atoms) for i in range(n))))
+    status, t_star, _ = lp_bland_reference(*weight_sign_lp(masses, p, symbols))
+    assert status == "optimal"
+    event(f"realizable: {t_star > 0}")
+    assert solve_relations(r, relations).feasible == (t_star > 0)
