@@ -24,14 +24,12 @@ from .hyperfree import (
     UNBOUNDED,
     UNCONSTRAINED,
     DEFAULT_TOL,
-    DeltaTooLargeError,
     GoalMatrix,
     TargetPoint,
     _delta_bound_of,
     factor_delta_bound,
     is_proper,
     spectral_delta_bound,
-    stochastic_factor,
 )
 from .linalg import RatMatrix, _kernel_and_pseudo_inverse, fmt, rat
 from .measures import MeasureProfile, common_refinement, gram_matrix
@@ -188,14 +186,12 @@ def cmd_solve(args: argparse.Namespace) -> tuple[int, dict]:
     delta_req = problem.delta if problem.delta is not None else MAXIMIZE
     weights = None
     if delta_req != MAXIMIZE:
-        # A nonnegative exact factor (delta <= factor_bound) cuts the
-        # partition without an LP; a larger delta goes to the LP.
-        try:
-            cert = stochastic_factor(state["g"], state["g_plus"], k, p, delta_req)
-        except DeltaTooLargeError:
-            pass
-        else:
-            weights, achieved = factor_weights(profile, cert.factor), cert.delta
+        # The factor S = G^+ (P + delta K) = P + delta G^+ K is nonnegative up
+        # to the factor bound and cuts the partition without an LP.
+        gk = state["gk"] if problem.r is None else state["g_plus"] @ k.mat
+        bound = factor_delta_bound(gk, p)
+        if bound is UNBOUNDED or delta_req <= bound:
+            weights, achieved = factor_weights(profile, p.as_matrix() + delta_req * gk), delta_req
     report["route"] = "lp" if weights is None else "factor"
     if weights is None:
         try:

@@ -15,9 +15,10 @@ point.
 Row reduction and products run on integer rows (int numerators over
 one positive denominator per row, in lowest terms).  ``_pivot_at`` is
 the package's one exact pivot, run by the simplex tableau and by
-``_pivot_on``, the one column-pivot loop of :func:`rref` and the
-simplex certificate (only the inertia count has its own, Bareiss), and
-``RatMatrix.__matmul__`` its one exact sum of products.  One
+``_pivot_on``, the one column-pivot loop of :func:`rref` (Gauss-Jordan)
+and of the simplex certificate (forward elimination, followed there by
+back-substitution); only the inertia count has its own, Bareiss.
+``RatMatrix.__matmul__`` is its one exact sum of products.  One
 :func:`rref` of ``[m | I]`` gives the kernel, rank factors and inverse
 of ``m``, so ``hyperfair gram`` reduces G once.
 """
@@ -237,27 +238,29 @@ def _eliminate(row: _Row, pivot_row: _Row, col: int, support: list[int]) -> _Row
     return _lowest_terms(w, d * e)
 
 
-def _pivot_at(rows: list[_Row], r: int, c: int) -> list[int]:
+def _pivot_at(rows: list[_Row], r: int, c: int, first: int = 0) -> list[int]:
     """Make row ``r`` the unit row at column ``c`` (its entry there is nonzero)
-    and clear ``c`` from every other row; returns row ``r``'s nonzero columns."""
+    and clear ``c`` from the other rows from ``first`` on; returns its support."""
     rows[r] = unit = _unit_at(rows[r][0], c)
     support = _support(unit[0])
-    for i, other in enumerate(rows):
-        if i != r and other[0][c] != 0:
-            rows[i] = _eliminate(other, unit, c, support)
+    for i in range(first, len(rows)):
+        if i != r and rows[i][0][c] != 0:
+            rows[i] = _eliminate(rows[i], unit, c, support)
     return support
 
 
-def _pivot_on(rows: list[_Row], columns: Sequence[int]) -> list[int]:
+def _pivot_on(rows: list[_Row], columns: Sequence[int], below: bool = False) -> list[int]:
     """Pivot on each of ``columns`` in the first row not yet pivoted that is
-    nonzero there, swapped up to the next place; returns the columns pivoted."""
+    nonzero there, swapped up to the next place; returns the columns pivoted.
+    With ``below``, a column is cleared below its pivot row only (forward
+    elimination), and the pivoted rows end upper triangular, not reduced."""
     pivots: list[int] = []
     for c in columns:
         r = len(pivots)
         pivot_row = next((i for i in range(r, len(rows)) if rows[i][0][c] != 0), None)
         if pivot_row is not None:
             rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            _pivot_at(rows, r, c)
+            _pivot_at(rows, r, c, r + 1 if below else 0)
             pivots.append(c)
     return pivots
 

@@ -23,11 +23,11 @@ rebuilt from an uncertified integer-row LP for its exact fallback.
 :func:`simplex_solve` is that exact method.  :func:`certified_solve`
 answers the same problems faster: it runs the same two phases, with the
 same starting basis and Bland's rule, on floats, and takes from them
-only the final basis.  One exact Gauss-Jordan elimination on the integer
-rows of ``[A | b]`` then certifies that basis: the rows it leaves over
-must vanish, the basic values must be nonnegative and every reduced
-cost must have the optimal sign.  A certified basis gives the exact
-vertex and value, Bland's own whenever the float comparisons agreed
+only the final basis.  One exact forward elimination on its columns of
+the integer rows of ``[A | b]`` then certifies that basis: the rows it
+leaves over must vanish, the basic values, back-substituted, must be
+nonnegative and every reduced cost must have the optimal sign.  A
+certified basis gives the exact vertex and value, Bland's own whenever the float comparisons agreed
 with the exact ones; anything uncertified, and every infeasible or
 unbounded verdict, comes from :func:`simplex_solve` run from scratch.
 So floats only pick which basis to test, and every answer is exact.
@@ -39,6 +39,7 @@ reference method and as that core's fallback.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -128,11 +129,11 @@ def _iterate(rows: list[_Row], basis: list[int], cost: _Row, ncols: int) -> tupl
 
 
 def _reduced_costs(rows: list[_Row], basis: list[int], c: list[int]) -> _Row:
-    # Every basic column is a unit column of the tableau, so the cost
-    # entry of basic column bi still equals c[bi] when row i comes up.
+    # Row i is zero at the basic columns of earlier rows (in a unit or a
+    # triangular tableau), so clearing column bi keeps those cleared.
     cost: _Row = (c + [0], 1)
     for row, bi in zip(rows, basis):
-        if c[bi] != 0:
+        if cost[0][bi] != 0:
             cost = _eliminate(cost, row, bi, _support(row[0]))
     return cost
 
@@ -195,12 +196,12 @@ def _phase1_tableau(base: list[_Row], nvars: int) -> tuple[list[_Row], list[int]
     return rows, basis
 
 
-def _vertex(goal: _Goal, rows: list[_Row], basis: list[int]) -> LpOutcome:
-    """The basic point of ``basis`` (row ``i`` holding basic column ``basis[i]``)."""
+def _vertex(goal: _Goal, basis: list[int], values: Iterable[Fraction]) -> LpOutcome:
+    """The basic point with ``values`` in the basic columns ``basis``, in order."""
     nvars = len(goal.objective)
     x = [Fraction(0)] * nvars
-    for (v, d), bi in zip(rows, basis):
-        x[bi] = Fraction(v[-1], d)
+    for bi, value in zip(basis, values):
+        x[bi] = value
     (value,) = RatMatrix(1, nvars, tuple(goal.objective)).mat_vec(x)
     return LpOutcome(LpStatus.OPTIMAL, value, tuple(x))
 
@@ -266,7 +267,7 @@ def _solve(goal: _Goal, base: list[_Row]) -> LpOutcome:
     status, _ = _iterate(rows, basis, cost, nvars)
     if status == "unbounded":
         return LpOutcome(LpStatus.UNBOUNDED)
-    return _vertex(goal, rows, basis)
+    return _vertex(goal, basis, (Fraction(v[-1], d) for v, d in rows))
 
 
 # -- the float stage and the exact certificate of certified_solve --------
@@ -359,26 +360,36 @@ def _float_basis(goal: _Goal, base: list[_Row]) -> list[int] | None:
 def _certify(goal: _Goal, base: list[_Row], basis: list[int]) -> LpOutcome | None:
     """The exact optimum at ``basis``, or ``None`` if ``basis`` is not optimal.
 
-    ``linalg._pivot_on``, as in :func:`rref`, pivots on each basic column
-    of the integer rows ``base`` of ``[A | b]`` (``b`` of either sign, as
-    each pivot row is divided by its pivot entry).  The basis is accepted
-    only if every column pivots, the rows left over vanish (right-hand
-    side included), every basic value is nonnegative and every reduced
-    cost of the objective in min form is nonnegative.
+    ``linalg._pivot_on`` runs one forward elimination on the basic
+    columns of the integer rows ``base`` of ``[A | b]``; every column
+    must pivot and the rows left over must vanish (right-hand side
+    included).  Back-substitution sweeps the right-hand side alone,
+    bottom-up, as one integer row over a common denominator in lowest
+    terms (``b`` may have either sign); every basic value must be
+    nonnegative.  The cost row in min form, cleared against the
+    triangular rows in basis order, must be nonnegative.
     """
-    nvars = len(goal.objective)
+    nvars, m = len(goal.objective), len(basis)
     if not all(0 <= j < nvars for j in basis):
         return None
     rows = list(base)
-    if _pivot_on(rows, basis) != basis or any(any(v) for v, _ in rows[len(basis):]):
+    if _pivot_on(rows, basis, below=True) != basis or any(any(v) for v, _ in rows[m:]):
         return None
-    rows = rows[:len(basis)]
-    if any(v[-1] < 0 for v, _ in rows):
+    x, den = [0] * m, 1  # x[k] / den is the basic value of row k, once swept
+    for r in reversed(range(m)):
+        v, d = rows[r]
+        num = v[-1] * den - sum(v[basis[k]] * x[k] for k in range(r + 1, m))
+        if num < 0:
+            return None
+        q = d * den // math.gcd(num, d * den)  # the denominator of x_r = num / (d den)
+        s = q // math.gcd(den, q)  # den * s = lcm(den, q)
+        if s != 1:
+            x = [e * s for e in x]
+        x[r], den = num * s // d, den * s
+    cost, _ = _reduced_costs(rows, basis, _min_costs(goal))  # zip stops at row m
+    if any(c < 0 for c in cost[:nvars]):
         return None
-    cost, _ = _reduced_costs(rows, basis, _min_costs(goal))
-    if any(x < 0 for x in cost[:nvars]):
-        return None
-    return _vertex(goal, rows, basis)
+    return _vertex(goal, basis, (Fraction(e, den) for e in x))
 
 
 def certified_solve(problem: LpProblem) -> LpOutcome:
@@ -386,8 +397,9 @@ def certified_solve(problem: LpProblem) -> LpOutcome:
 
     Status and value always equal :func:`simplex_solve`'s, and so does
     the witness whenever the float run ends on Bland's basis.  Only an
-    optimal basis that one exact elimination certifies is taken from the
-    float stage; everything else is solved by :func:`simplex_solve`.
+    optimal basis that :func:`_certify` proves, by one exact forward
+    elimination and back-substitution, is taken from the float stage;
+    everything else is solved by :func:`simplex_solve`.
     """
     return _certified_solve(problem, _equality_rows(problem))
 

@@ -7,6 +7,7 @@ polynomial from literal cofactor expansion and its root counts
 from Budan-Fourier sign variations, LP optima from
 brute-force basis enumeration, the simplex's pivot sequence from a
 plain Fraction tableau that prices every column afresh at each step,
+the optimality of one candidate basis from a plain Gauss-Jordan,
 the pseudo-inverse of a symmetric matrix from its column space,
 sign-pattern feasibility from grid sampling of the constraint
 subspace, and sign-pattern realizability by a division from an LP
@@ -309,6 +310,44 @@ def lp_bland_reference(objective, constraints: RatMatrix, rhs, maximize=True, ev
     x = [Fraction(0)] * nv
     for i, b in enumerate(basis):
         x[b] = rows[i][-1]
+    return "optimal", sum((Fraction(c) * v for c, v in zip(objective, x)), Fraction(0)), tuple(x)
+
+
+def basis_verdict(objective, constraints: RatMatrix, rhs, maximize, basis):
+    """Is the column list ``basis`` an optimal basis of the LP, and its vertex if so.
+
+    Returns ``(verdict, value, witness)``.  The verdict is the first of
+    ``"out_of_range"`` (a column that is not a variable), ``"singular"``
+    (the basic columns are dependent, a repeated one included),
+    ``"leftover_rows"`` (``[A | b]`` has rank above the basis size: the
+    basis is short or the system inconsistent), ``"negative_value"``
+    and ``"negative_cost"`` (a reduced cost in min form) that applies,
+    else ``"optimal"`` with the objective value and the basic point.
+    All of it comes from one Gauss-Jordan of ``[A_B | A | b]``, the
+    basic columns placed first: the basis pivots on the first block,
+    the middle block is then ``B^-1 A`` and the last is ``x_B``.
+    """
+    nv, k = constraints.cols, len(basis)
+    if not all(0 <= j < nv for j in basis):
+        return "out_of_range", None, None
+    red, pivots = gauss_jordan(RatMatrix.from_rows([
+        [row[j] for j in basis] + row + [Fraction(b)]
+        for row, b in zip(constraints.to_rows(), rhs)]))
+    if pivots[:k] != tuple(range(k)):
+        return "singular", None, None
+    if any(any(row) for row in red[k:]):
+        return "leftover_rows", None, None
+    values = [red[i][-1] for i in range(k)]
+    if any(v < 0 for v in values):
+        return "negative_value", None, None
+    cost = [(-1 if maximize else 1) * Fraction(c) for c in objective]
+    reduced = [cost[j] - sum((cost[b] * red[i][k + j] for i, b in enumerate(basis)), Fraction(0))
+               for j in range(nv)]
+    if any(r < 0 for r in reduced):
+        return "negative_cost", None, None
+    x = [Fraction(0)] * nv
+    for b, v in zip(basis, values):
+        x[b] = v
     return "optimal", sum((Fraction(c) * v for c, v in zip(objective, x)), Fraction(0)), tuple(x)
 
 

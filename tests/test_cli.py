@@ -300,7 +300,7 @@ def test_solve_answers_an_improper_goal_without_a_construction(capsys, tmp_path,
         raise AssertionError("an improper goal matrix needs no construction")
 
     monkeypatch.setattr(cli, "solve_alpha", refuse)
-    monkeypatch.setattr(cli, "stochastic_factor", refuse)
+    monkeypatch.setattr(cli, "factor_weights", refuse)
     problem = json.loads((PROBLEMS / "three_players.json").read_text())
     problem["K"] = [["1", "-1", "0"], ["0", "0", "0"], ["0", "0", "0"]]  # breaks (1, 9, -10)
     problem["delta"] = delta

@@ -12,7 +12,7 @@ from hyperfair.partition import MAXIMIZE, solve_alpha
 from hyperfair.simplex import LpOutcome, LpProblem, LpStatus, certified_solve, simplex_solve
 
 from conftest import random_profile, random_proper_goal, random_target
-from oracles import lp_bland_reference, lp_optimum_by_vertices, lp_value_reachable
+from oracles import basis_verdict, lp_bland_reference, lp_optimum_by_vertices, lp_value_reachable
 
 F = Fraction
 
@@ -286,6 +286,40 @@ def test_integer_row_entries_take_b_of_either_sign(maximize, nvars, nrows, rng):
     assert simplex._certified_solve(goal, rows) == expected
 
 
+def _certify_agrees_with_the_oracle(rng) -> str:
+    # The candidate is the float stage's basis or a random column list,
+    # which may repeat a column or name one that is not a variable (the
+    # last, ncols, is the right-hand side of the integer rows).
+    objective, a, rhs = _pivot_stress_lp(rng)
+    problem = LpProblem(objective, a, rhs, maximize=rng.random() < 0.5)
+    rows = simplex._equality_rows(problem)
+    basis = simplex._float_basis(problem, rows) if rng.random() < 0.4 else None
+    if basis is None:
+        size = rng.randint(0, a.rows + 1)
+        basis = (rng.sample(range(a.cols), min(size, a.cols)) if rng.random() < 0.6
+                 else [rng.randrange(a.cols) for _ in range(size)])
+        if basis and rng.random() < 0.15:
+            basis[rng.randrange(len(basis))] = rng.choice([-1, a.cols, a.cols + 1])
+    # negating a row states the same constraint with b of the other sign
+    rows = [([-x for x in v], d) if rng.random() < 0.5 else (v, d) for v, d in rows]
+    verdict, value, witness = basis_verdict(objective, a, rhs, problem.maximize, basis)
+    expected = LpOutcome(LpStatus.OPTIMAL, value, witness) if verdict == "optimal" else None
+    assert simplex._certify(problem, rows, basis) == expected
+    return verdict
+
+
+@given(st.randoms(use_true_random=False))
+def test_certify_accepts_exactly_the_optimal_bases(rng):
+    _certify_agrees_with_the_oracle(rng)
+
+
+def test_certify_comparison_reaches_every_verdict():
+    rng = random.Random(20173)
+    verdicts = {_certify_agrees_with_the_oracle(rng) for _ in range(400)}
+    assert verdicts == {"out_of_range", "singular", "leftover_rows", "negative_value",
+                        "negative_cost", "optimal"}
+
+
 def _counting_simplex_solve(monkeypatch):
     calls = []
 
@@ -367,4 +401,9 @@ def test_weight_lps_are_certified_without_bland(monkeypatch, trio_profile, trio_
     for _ in range(30):
         profile = random_profile(rng, max_atoms=8, force_dependent=rng.random() < 0.5)
         solve_alpha(profile, random_proper_goal(rng, profile), random_target(rng, profile.n), MAXIMIZE)
+    rng = random.Random(20)  # one 6-player max-margin LP on 16 cells
+    profile = random_profile(rng, n=6, max_atoms=16)
+    assert len(profile.atoms) == 16
+    _, delta = solve_alpha(profile, random_proper_goal(rng, profile), random_target(rng, 6), MAXIMIZE)
+    assert delta == F(28788, 3901709)
     assert calls == []
