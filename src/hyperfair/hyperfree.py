@@ -239,26 +239,26 @@ def stochastic_factor(g: RatMatrix, g_plus: RatMatrix, k: GoalMatrix,
                       p: TargetPoint, delta: Fraction | int | str) -> HyperFreeCertificate:
     """Row-stochastic ``S`` with ``g @ S`` equal to ``P + delta K`` exactly.
 
-    ``S`` is ``g_plus @ (P + delta K)``.  Raises
-    :class:`ImproperMatrixError` when the product fails to reproduce
-    the target (the goal matrix conflicts with the kernel of ``g``) and
-    :class:`DeltaTooLargeError` when some entry of ``S`` is negative.
-    The delta bound is sufficient, not necessary, so the negativity
-    check is on the actual entries rather than on the bound.
+    ``S`` is ``g_plus @ (P + delta K) = P + delta (g_plus @ K)``, as
+    :func:`factor_delta_bound` shows.  Raises :class:`ImproperMatrixError`
+    when ``S`` fails to reproduce the target (the goal matrix conflicts
+    with the kernel of ``g``), and then :class:`DeltaTooLargeError` when
+    ``delta`` exceeds :func:`factor_delta_bound`, where ``S`` turns negative.
     """
     delta = rat(delta)
     if delta < 0:
         raise ValueError("margin must be nonnegative")
     tgt = target_matrix(p, k, delta)
-    factor = g_plus @ tgt
+    gk = g_plus @ k.mat
+    factor = p.as_matrix() + delta * gk
     if (g @ factor) != tgt:
         raise ImproperMatrixError(
             "goal matrix is not compatible with the measure relations: "
             "the factored product cannot reproduce the target"
         )
-    if any(e < 0 for e in factor.entries):
+    bound = factor_delta_bound(gk, p)
+    if bound is not UNBOUNDED and delta > bound:
         raise DeltaTooLargeError(f"margin {delta} drives the stochastic factor negative")
-    assert factor.row_sums() == tuple(Fraction(1) for _ in range(k.n))
     return HyperFreeCertificate(delta, factor, tgt)
 
 
@@ -266,19 +266,17 @@ def necessary_condition_check(m: RatMatrix, delta: Fraction | int | str,
                               relations: Sequence[Sequence[Fraction]]) -> bool:
     """Audit a sharing matrix claimed to realize a uniform-target plan.
 
-    Given a row-stochastic ``m`` and a margin ``delta > 0``, recover
-    the direction ``K = (m - P) / delta`` against the uniform target
-    and report whether it is proper.  Any realizable plan must pass.
+    Given a margin ``delta > 0`` and ``m``, which must pass
+    :class:`hyperfair.verify.SharingMatrix`'s checks, recover the
+    direction ``K = (m - P) / delta`` against the uniform target and
+    report whether it is proper.  Any realizable plan must pass.
     """
+    from .verify import SharingMatrix  # verify imports this module
+
     delta = rat(delta)
     if delta <= 0:
         raise ValueError("margin must be strictly positive")
-    if not m.is_square():
-        raise ValueError("sharing matrix must be square")
-    if any(e < 0 for e in m.entries):
-        raise ValueError("sharing matrix entries must be nonnegative")
-    if any(s != 1 for s in m.row_sums()):
-        raise ValueError("sharing matrix rows must sum to 1")
+    SharingMatrix(m)
     p = TargetPoint.uniform(m.rows)
     k = (m - p.as_matrix()) * (Fraction(1) / delta)
     return bool(is_proper(k, relations))

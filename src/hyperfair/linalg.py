@@ -16,8 +16,8 @@ Row reduction and products run on integer rows (int numerators over
 one positive denominator per row, in lowest terms).  ``_pivot_at`` is
 the package's one exact pivot, run by the simplex tableau and by
 ``_pivot_on``, the one column-pivot loop of :func:`rref` (Gauss-Jordan)
-and of the simplex certificate (forward elimination, followed there by
-back-substitution); only the inertia count has its own, Bareiss.
+and of :func:`hyperfair.simplex.certified_solve` (forward elimination);
+only the inertia count has its own, Bareiss.
 ``RatMatrix.__matmul__`` is its one exact sum of products.  One
 :func:`rref` of ``[m | I]`` gives the kernel, rank factors and inverse
 of ``m``, so ``hyperfair gram`` reduces G once.

@@ -21,14 +21,9 @@ two routes, and both land on the same sharing matrix:
   as one block with the summed measure and every atom of a block gets
   the block's row: the realizable sharing matrices do not change.  Of
   the coupling rows it keeps ``n - 1`` per player, as the last follows
-  from the others.  ``simplex._row`` lays out the LP's integer rows,
-  with no Fraction matrix and ``b`` of either sign (phase 1 makes
-  ``b >= 0``), for the integer-row core of
-  :func:`hyperfair.simplex.certified_solve`, which also solves the
-  sign-pattern LP of :mod:`hyperfair.relations`: floats only pick the
-  basis, one exact elimination certifies it, and the exact Bland
-  simplex answers whenever it does not, so every weight and margin is
-  exact.
+  from the others.  ``simplex._row`` lays out the LP's integer rows
+  for the integer-row core of :func:`hyperfair.simplex.certified_solve`,
+  so every weight and margin is exact.
 """
 
 from __future__ import annotations
@@ -140,13 +135,13 @@ def build_from_weights(profile: MeasureProfile, w: WeightSystem) -> Partition:
     if w.n != profile.n:
         raise ValueError("weight system and profile disagree on the number of players")
     pieces: list[list[Interval]] = [[] for _ in range(profile.n)]
-    for a, atom in enumerate(profile.atoms):
-        cursor = atom.lo
-        for j in range(profile.n):
-            width = w.weights[a][j] * atom.length
-            if width > 0:
-                pieces[j].append(Interval(cursor, cursor + width))
-                cursor += width
+    for atom, row in zip(profile.atoms, w.weights):
+        cursor, length = atom.lo, atom.length
+        for j, weight in enumerate(row):
+            if weight > 0:
+                end = cursor + weight * length
+                pieces[j].append(Interval(cursor, end))
+                cursor = end
         assert cursor == atom.hi
     return Partition(tuple(tuple(p) for p in pieces))
 
@@ -272,9 +267,8 @@ def build_via_stochastic_factor(profile: MeasureProfile, k: GoalMatrix, p: Targe
     """LP-free construction through the Gram pseudo-inverse.
 
     Cuts the profile by :func:`factor_weights` of the stochastic factor
-    ``S = G^+ (P + delta K)``.  Raises the
-    :func:`hyperfair.hyperfree.stochastic_factor` errors when the goal
-    matrix is improper or the margin is too large.
+    ``S = G^+ (P + delta K)`` and raises the errors of
+    :func:`hyperfair.hyperfree.stochastic_factor`.
     """
     g = gram_matrix(profile)
     cert = stochastic_factor(g, pseudo_inverse(g), k, p, delta)

@@ -7,11 +7,8 @@ given sign pattern is a linear program: maximize a uniform slack ``t``
 with every strict entry at least ``t`` away from zero, inside the box
 ``|k_ij| <= 1``.  The pattern is feasible exactly when the optimal
 slack is positive, and the maximizing matrix is returned as a witness.
-The LP's rows are laid out by ``hyperfair.simplex._row`` as integer
-rows and go to the integer-row core of
-:func:`hyperfair.simplex.certified_solve`, as the weight LP's do: floats
-pick the basis, one exact elimination certifies it, and the exact Bland
-simplex answers whenever it does not, so the slack and witness are exact.
+The LP's integer rows go to the core of
+:func:`hyperfair.simplex.certified_solve`, so slack and witness are exact.
 """
 
 from __future__ import annotations

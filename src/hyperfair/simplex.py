@@ -17,24 +17,20 @@ rows of ``[A | b]`` laid out by :func:`_row`; an :class:`LpProblem` is
 converted to such rows once, on entry, and goes to the same integer-row
 core.  ``b`` may have either sign: phase 1 negates the rows where it is
 negative.  Fractions appear in the :class:`LpOutcome` coming out, so the
-reported optimum and witness are exact, and in the :class:`LpProblem`
-rebuilt from an uncertified integer-row LP for its exact fallback.
+reported optimum and witness are exact.
 
-:func:`simplex_solve` is that exact method.  :func:`certified_solve`
-answers the same problems faster: it runs the same two phases, with the
-same starting basis and Bland's rule, on floats, and takes from them
-only the final basis.  One exact forward elimination on its columns of
-the integer rows of ``[A | b]`` then certifies that basis: the rows it
-leaves over must vanish, the basic values, back-substituted, must be
-nonnegative and every reduced cost must have the optimal sign.  A
-certified basis gives the exact vertex and value, Bland's own whenever the float comparisons agreed
-with the exact ones; anything uncertified, and every infeasible or
-unbounded verdict, comes from :func:`simplex_solve` run from scratch.
-So floats only pick which basis to test, and every answer is exact.
-
-Both of the package's LPs go to :func:`certified_solve`'s integer-row
-core, :func:`_certified_solve`; :func:`simplex_solve` is left as the
-reference method and as that core's fallback.
+:func:`simplex_solve` is that exact method, kept as the reference.
+:func:`certified_solve` answers the same problems faster, and both of
+the package's LPs go to its integer-row core, :func:`_certified_solve`.
+A float run of the same two phases, from the same starting basis under
+Bland's rule, gives only its final basis.  One exact forward
+elimination on that basis's columns of ``[A | b]`` certifies it: the
+rows it leaves over must vanish, the basic values, back-substituted,
+must be nonnegative and every reduced cost must have the optimal sign.
+A certified basis gives the exact vertex and value, Bland's own
+whenever the float comparisons agreed with the exact ones; anything
+uncertified, and every infeasible or unbounded float verdict, comes
+from :func:`simplex_solve`.  So floats only pick the basis to test.
 """
 
 from __future__ import annotations
@@ -88,7 +84,7 @@ _Goal = LpProblem | _Objective  # the integer-row core reads objective and maxim
 
 
 #: Tolerance of every sign test and ratio tie in :func:`certified_solve`'s
-#: float stage.  It only steers which basis gets certified.
+#: float stage.
 _EPS = 1e-9
 
 #: Pivot limit of :func:`certified_solve`'s float stage, some 20 times
@@ -326,11 +322,9 @@ def _float_costs(rows: list[list[float]], basis: list[int], c: list[float]) -> l
 def _float_basis(goal: _Goal, base: list[_Row]) -> list[int] | None:
     """Bland's final basis of ``goal`` over the rows ``base``, found in floats.
 
-    Runs :func:`simplex_solve` step for step on floats: the same crash
-    columns and artificials, the same entering, leaving and drive-out
-    rules, phase 2 on the rows kept.  Returns the basic columns, or
-    ``None`` when the floats end infeasible, unbounded or at the pivot
-    limit ``_FLOAT_PIVOTS``.  A guess without guarantee; raises
+    The crash columns, artificials and entering, leaving and drive-out
+    rules are :func:`simplex_solve`'s.  ``None`` when the floats end
+    infeasible, unbounded or at the pivot limit ``_FLOAT_PIVOTS``;
     ``OverflowError`` on an entry beyond float range.
     """
     nvars = len(goal.objective)
@@ -360,14 +354,9 @@ def _float_basis(goal: _Goal, base: list[_Row]) -> list[int] | None:
 def _certify(goal: _Goal, base: list[_Row], basis: list[int]) -> LpOutcome | None:
     """The exact optimum at ``basis``, or ``None`` if ``basis`` is not optimal.
 
-    ``linalg._pivot_on`` runs one forward elimination on the basic
-    columns of the integer rows ``base`` of ``[A | b]``; every column
-    must pivot and the rows left over must vanish (right-hand side
-    included).  Back-substitution sweeps the right-hand side alone,
-    bottom-up, as one integer row over a common denominator in lowest
-    terms (``b`` may have either sign); every basic value must be
-    nonnegative.  The cost row in min form, cleared against the
-    triangular rows in basis order, must be nonnegative.
+    ``linalg._pivot_on`` eliminates forward, and every column must pivot;
+    back-substitution keeps the basic values over one common denominator
+    in lowest terms, and the min-form cost row is cleared in basis order.
     """
     nvars, m = len(goal.objective), len(basis)
     if not all(0 <= j < nvars for j in basis):
@@ -396,10 +385,7 @@ def certified_solve(problem: LpProblem) -> LpOutcome:
     """:func:`simplex_solve`'s answer, with the basis searched in floats.
 
     Status and value always equal :func:`simplex_solve`'s, and so does
-    the witness whenever the float run ends on Bland's basis.  Only an
-    optimal basis that :func:`_certify` proves, by one exact forward
-    elimination and back-substitution, is taken from the float stage;
-    everything else is solved by :func:`simplex_solve`.
+    the witness whenever the float run ends on Bland's basis.
     """
     return _certified_solve(problem, _equality_rows(problem))
 

@@ -32,6 +32,7 @@ from conftest import (
     random_profile,
     random_proper_goal,
     random_target,
+    random_zero_sum_rows,
 )
 from oracles import charpoly_by_cofactors, factor_threshold, real_roots_in, symmetric_pinv
 
@@ -250,6 +251,8 @@ def test_necessary_condition_validates_inputs(trio_relation):
         necessary_condition_check(RatMatrix.from_rows([[1, 1], [0, 1]]), 1, [])
     with pytest.raises(ValueError, match="nonnegative"):
         necessary_condition_check(RatMatrix.from_rows([[2, -1], [0, 1]]), 1, [])
+    with pytest.raises(ValueError, match="must be square"):
+        necessary_condition_check(RatMatrix.from_rows([[1, 0]]), 1, [])
 
 
 # -- properties over random instances ----------------------------------------
@@ -366,6 +369,41 @@ def test_factor_bound_is_the_exact_threshold_of_the_factor(rng):
     assert min(cert.factor.entries) == 0
     with pytest.raises(DeltaTooLargeError):
         stochastic_factor(g, g_plus, k, p, bound * (1 + F(1, 1000)))
+
+
+def _product(a_rows, b_rows):
+    return [[sum((x * b_rows[l][j] for l, x in enumerate(row)), F(0)) for j in range(len(b_rows[0]))]
+            for row in a_rows]
+
+
+@given(st.randoms(use_true_random=False))
+def test_stochastic_factor_is_the_pinv_times_the_target(rng):
+    # S = g_plus @ (P + delta K), written out.  A K whose S misses the
+    # target raises ImproperMatrixError, whatever the margin; only then
+    # does a negative entry of S raise DeltaTooLargeError.
+    profile = random_profile(rng, force_dependent=rng.random() < 0.5)
+    n = profile.n
+    g = gram_matrix(profile)
+    g_plus = pseudo_inverse(g)
+    p = random_target(rng, n)
+    if rng.random() < 0.5:
+        k = random_proper_goal(rng, profile)
+    else:
+        k = GoalMatrix(RatMatrix.from_rows(random_zero_sum_rows(rng, n)))
+    bound = factor_delta_bound(g_plus @ k.mat, p)
+    at = F(1) if bound is UNBOUNDED else bound
+    for delta in (F(0), at / 2, at, at * F(1001, 1000)):
+        target = [[p.shares[j] + delta * k.mat[i, j] for j in range(n)] for i in range(n)]
+        factor = _product(g_plus.to_rows(), target)
+        if _product(g.to_rows(), factor) != target:
+            with pytest.raises(ImproperMatrixError):
+                stochastic_factor(g, g_plus, k, p, delta)
+        elif min(min(row) for row in factor) < 0:
+            with pytest.raises(DeltaTooLargeError):
+                stochastic_factor(g, g_plus, k, p, delta)
+        else:
+            cert = stochastic_factor(g, g_plus, k, p, delta)
+            assert (cert.delta, cert.factor.to_rows(), cert.target.to_rows()) == (delta, factor, target)
 
 
 @settings(max_examples=20)

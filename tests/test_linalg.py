@@ -506,6 +506,17 @@ def test_smallest_eigenvalue_certifies_the_estimate_with_three_inertia_counts(mo
     assert [smallest_eigenvalue(g) for g in grams] == cells
 
 
+@pytest.mark.parametrize("exponent", [48, 52])
+def test_smallest_eigenvalue_between_the_float_levels_and_float_resolution(monkeypatch, exponent):
+    # Cells of width 2^-48 and 2^-52 are finer than _FLOAT_LEVELS but
+    # still resolved by the estimate: its cell at the final level checks
+    # out, so the count at 0 and the two at the cell's ends answer.
+    m, tol = trio_gram(), F(1, 2**exponent)
+    calls = _counting_inertia(monkeypatch)
+    assert smallest_eigenvalue(m, tol) == _oracle_cell(m, tol)
+    assert len(calls) <= 3
+
+
 @pytest.mark.parametrize("exponent", [56, 60, 80])
 def test_smallest_eigenvalue_below_float_resolution_bisects_from_the_estimate(monkeypatch, exponent):
     # A cell of width 2^-56 or less is finer than the float estimate
