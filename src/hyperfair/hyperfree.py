@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import DEFAULT_TOL, RatMatrix, _nullity_and_enclosure, rat
+from .linalg import DEFAULT_TOL, RatMatrix, _least, _nullity_and_enclosure, rat
 from .linalg import smallest_eigenvalue  # noqa: F401  (the benchmark's tracer looks it up here)
 
 
@@ -174,11 +174,12 @@ def delta_bound(g_plus: RatMatrix, k: GoalMatrix, p: TargetPoint):
 
 
 def _delta_bound_of(gk: RatMatrix, p: TargetPoint):
-    """:func:`delta_bound` from ``gk = g_plus @ K`` when the caller holds it."""
-    worst = gk.max_abs()
+    """:func:`delta_bound` from ``gk = g_plus @ K``, by cross-multiplication."""
+    worst, e = _least([(0, 1), *((-abs(x.numerator), x.denominator) for x in gk.entries)])
     if worst == 0:
         return UNBOUNDED
-    return min(p.shares) / worst
+    least, d = _least((s.numerator, s.denominator) for s in p.shares)
+    return Fraction(least * e, -worst * d)
 
 
 def factor_delta_bound(gk: RatMatrix, p: TargetPoint):
@@ -186,7 +187,8 @@ def factor_delta_bound(gk: RatMatrix, p: TargetPoint):
 
     ``gk`` is ``g_plus @ K``.  Returns the exact
     ``min p_j / -gk[i][j]`` over the entries with ``gk[i][j] < 0``, or
-    :data:`UNBOUNDED` when no entry is negative.
+    :data:`UNBOUNDED` when no entry is negative; only the least, found by
+    cross-multiplication, is divided out.
 
     The factor is ``S = g_plus @ (P + delta K) = g_plus @ P + delta gk``,
     and ``g_plus @ P = P``: the Gram matrix ``g`` is symmetric and
@@ -204,9 +206,9 @@ def factor_delta_bound(gk: RatMatrix, p: TargetPoint):
     """
     if not gk.is_square() or p.n != gk.rows:
         raise ValueError("dimension mismatch between g_plus @ K and the target")
-    limits = [p.shares[j] / -gk[i, j]
-              for i in range(gk.rows) for j in range(gk.cols) if gk[i, j] < 0]
-    return min(limits) if limits else UNBOUNDED
+    limits = [(s.numerator * x.denominator, -x.numerator * s.denominator)
+              for x, s in zip(gk.entries, p.shares * gk.rows) if x.numerator < 0]
+    return Fraction(*_least(limits)) if limits else UNBOUNDED
 
 
 def spectral_delta_bound(g: RatMatrix, k: GoalMatrix, p: TargetPoint,

@@ -25,12 +25,13 @@ of ``m``, so ``hyperfair gram`` reduces G once.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 Rational = Fraction
 
@@ -150,9 +151,7 @@ class RatMatrix:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         rows = [_to_row(self.row(i)) for i in range(self.rows)]
         cols = [_to_row(other.entries[j::other.cols]) for j in range(other.cols)]
-        return RatMatrix(self.rows, other.cols, tuple(
-            Fraction(sum(map(operator.mul, v, u)), d * e) for v, d in rows for u, e in cols
-        ))
+        return _products(rows, cols)
 
     def mat_vec(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
         if len(v) != self.cols:
@@ -200,6 +199,25 @@ _Row = tuple[list[int], int]
 def _to_row(values: Sequence[Fraction]) -> _Row:
     den = math.lcm(*(x.denominator for x in values))
     return [x.numerator * (den // x.denominator) for x in values], den
+
+
+def _ratio_row(pairs: Sequence[tuple[int, int]]) -> _Row:
+    """:func:`_to_row` of the rationals ``num / den`` (``den > 0``), from the pairs."""
+    reduced = [(x // g, d // g) for x, d in pairs for g in (math.gcd(x, d),)]
+    den = math.lcm(*(d for _, d in reduced))
+    return [x * (den // d) for x, d in reduced], den
+
+
+def _least(pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
+    """The first least of the rationals ``num / den`` (``den > 0``), by cross-multiplication."""
+    return functools.reduce(lambda a, b: b if b[0] * a[1] < a[0] * b[1] else a, pairs)
+
+
+def _products(rows: Sequence[_Row], cols: Sequence[_Row]) -> RatMatrix:
+    """Every ``rows[i] . cols[j]``: one integer dot product and one Fraction each."""
+    return RatMatrix(len(rows), len(cols), tuple(
+        Fraction(sum(map(operator.mul, v, u)), d * e) for v, d in rows for u, e in cols
+    ))
 
 
 def _lowest_terms(v: list[int], d: int) -> _Row:

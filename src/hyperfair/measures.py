@@ -6,19 +6,20 @@ merged onto one shared grid by :func:`common_refinement`; the cells of
 that grid are called atoms, and every exact computation downstream
 (measures of intervals, the Gram matrix of the normalized density
 weights, linear relations between the measures) reduces to finite sums
-over atoms; the Gram and sharing matrices form them as products with
-:meth:`MeasureProfile.value_matrix`.
+over atoms; the Gram and sharing matrices form them as integer dot
+products of the value rows of :meth:`MeasureProfile.value_matrix`.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import RatMatrix, _to_row, kernel_basis, rat
+from .linalg import RatMatrix, _products, _ratio_row, _to_row, kernel_basis, rat
 
 
 @dataclass(frozen=True)
@@ -29,7 +30,8 @@ class Interval:
     hi: Fraction
 
     def __post_init__(self) -> None:
-        if not (0 <= self.lo <= self.hi <= 1):
+        (a, b), (c, d) = self.lo.as_integer_ratio(), self.hi.as_integer_ratio()
+        if not 0 <= a * d <= c * b <= b * d:  # 0 <= lo <= hi <= 1, cross-multiplied
             raise ValueError(f"interval [{self.lo}, {self.hi}] must satisfy 0 <= lo <= hi <= 1")
 
     @staticmethod
@@ -190,9 +192,7 @@ def rn_weights(profile: MeasureProfile, atom: int) -> tuple[Fraction, ...]:
     """
     column = [profile.atom_values[i][atom] for i in range(profile.n)]
     total = sum(column, Fraction(0))
-    if total == 0:
-        return tuple(Fraction(0) for _ in column)
-    return tuple(v / total for v in column)
+    return tuple(v / total if total else Fraction(0) for v in column)
 
 
 def gram_matrix(profile: MeasureProfile) -> RatMatrix:
@@ -201,11 +201,19 @@ def gram_matrix(profile: MeasureProfile) -> RatMatrix:
     Entry (i, j) is the sum over atoms of ``w_i * w_j`` times the total
     measure of the atom, where ``w`` are the :func:`rn_weights`: the
     product of :meth:`MeasureProfile.value_matrix` with the matrix whose
-    row ``a`` is ``w`` times the length of atom ``a``.  The result is symmetric, row-stochastic, and positive-semidefinite,
+    row ``a`` is ``w`` times the length of atom ``a``, formed on value rows
+    lifted to one denominator, so each entry is one integer dot product.
+    The result is symmetric, row-stochastic, and positive-semidefinite,
     with diagonal entries at least 1/n.
     """
-    scaled = tuple(x * iv.length for a, iv in enumerate(profile.atoms) for x in rn_weights(profile, a))
-    return profile.value_matrix() @ RatMatrix(len(profile.atoms), profile.n, scaled)
+    values = [_to_row(row) for row in profile.atom_values]
+    common = math.lcm(*(d for _, d in values))
+    lifted = [[x * (common // d) for x in v] for v, d in values]
+    totals = [sum(column) for column in zip(*lifted)]
+    spans = [(iv.length.numerator, iv.length.denominator) for iv in profile.atoms]
+    return _products(values, [
+        _ratio_row([(x * s, t * e) if t else (0, 1) for x, t, (s, e) in zip(row, totals, spans)])
+        for row in lifted])
 
 
 def measure_relations(profile: MeasureProfile) -> list[tuple[Fraction, ...]]:

@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Sequence
 
 from .hyperfree import UNCONSTRAINED, GoalMatrix, TargetPoint, stochastic_factor
@@ -96,23 +97,27 @@ class Partition:
     pieces: tuple[tuple[Interval, ...], ...]
 
     def __post_init__(self) -> None:
-        # Correctly rounded floats are monotone, so this key orders the
-        # intervals by (lo, hi) and compares Fractions only on float ties.
-        marked = sorted(
-            ((iv, owner) for owner, ivs in enumerate(self.pieces) for iv in ivs if iv.hi != iv.lo),
-            key=lambda pair: (float(pair[0].lo), pair[0].lo, float(pair[0].hi), pair[0].hi),
-        )
         cursor = Fraction(0)
-        for iv, owner in marked:
-            if iv.lo > cursor:
+        for iv, owner in self.tiling:
+            (a, b), (c, d) = iv.lo.as_integer_ratio(), cursor.as_integer_ratio()
+            if a * d > c * b:
                 raise PartitionError(f"coverage gap [{cursor}, {iv.lo}] is assigned to nobody")
-            if iv.lo < cursor:
+            if a * d < c * b:
                 raise PartitionError(
                     f"interval {iv} of player {owner} overlaps [{iv.lo}, {min(iv.hi, cursor)}]"
                 )
             cursor = iv.hi
-        if cursor != 1:
+        if cursor.numerator != cursor.denominator:
             raise PartitionError(f"coverage gap [{cursor}, 1] is assigned to nobody")
+
+    @cached_property
+    def tiling(self) -> list[tuple[Interval, int]]:
+        """The intervals of positive length and their owners, ordered by (lo, hi);
+        rounded floats are monotone, so Fractions are compared only on float ties."""
+        return sorted(
+            ((iv, owner) for owner, ivs in enumerate(self.pieces) for iv in ivs if iv.hi != iv.lo),
+            key=lambda pair: (float(pair[0].lo), pair[0].lo, float(pair[0].hi), pair[0].hi),
+        )
 
     @property
     def n(self) -> int:

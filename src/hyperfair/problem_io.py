@@ -3,7 +3,8 @@
 Everything on disk is JSON with rationals as exact ``"num/den"``
 strings (plain integers are also accepted on input).  Floats are
 rejected with an error naming the offending field, never silently
-rounded.
+rounded; a field's name is spelled out only on that error path.
+Reports are written as ``json.dumps(obj, indent=2)`` would write them.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -48,7 +50,10 @@ def parse_rational(value: Any, where: str) -> Fraction:
 def _rational_list(value: Any, where: str) -> list[Fraction]:
     if not isinstance(value, list):
         raise ProblemFormatError(f"{where}: expected a list")
-    return [parse_rational(x, f"{where}[{i}]") for i, x in enumerate(value)]
+    try:
+        return [rat(x) for x in value]
+    except (TypeError, ValueError):  # again element by element, to name the element
+        return [parse_rational(x, f"{where}[{i}]") for i, x in enumerate(value)]
 
 
 def _rational_grid(value: Any, where: str) -> list[list[Fraction]]:
@@ -210,5 +215,19 @@ def vector_to_strings(v: Sequence[Fraction]) -> list[str]:
     return [fmt(x) for x in v]
 
 
+def _json(obj: Any, indent: str) -> str:
+    """``json.dumps(obj, indent=2)`` at nesting ``indent``, strings escaped in C."""
+    inner = indent + "  "
+    if isinstance(obj, dict) and obj:
+        return "{\n" + ",\n".join(
+            f"{inner}{_escape(k if isinstance(k, str) else json.dumps(k))}: {_json(v, inner)}"
+            for k, v in obj.items()) + f"\n{indent}}}"
+    if isinstance(obj, (list, tuple)) and obj:
+        items = (inner + (_escape(v) if isinstance(v, str) else _json(v, inner)) for v in obj)
+        return "[\n" + ",\n".join(items) + f"\n{indent}]"
+    return _escape(obj) if isinstance(obj, str) else json.dumps(obj)  # null, bools, numbers, {}, []
+
+
 def write_json(path: str | Path, obj: dict) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
+    """Write ``json.dumps(obj, indent=2)`` and a newline, byte for byte."""
+    Path(path).write_text(_json(obj, "") + "\n", encoding="utf-8")

@@ -9,12 +9,12 @@ audit is independent of how the partition was produced.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .hyperfree import UNCONSTRAINED, GoalMatrix, TargetPoint
-from .linalg import RatMatrix
+from .linalg import RatMatrix, _least, _products, _ratio_row, _to_row
 from .measures import MeasureProfile
 from .partition import Partition
 
@@ -28,9 +28,10 @@ class SharingMatrix:
     def __post_init__(self) -> None:
         if not self.mat.is_square():
             raise ValueError("sharing matrix must be square")
-        if any(e < 0 for e in self.mat.entries):
+        rows = [_to_row(self.mat.row(i)) for i in range(self.mat.rows)]
+        if any(x < 0 for v, _ in rows for x in v):
             raise ValueError("sharing matrix entries must be nonnegative")
-        bad = [i for i, s in enumerate(self.mat.row_sums()) if s != 1]
+        bad = [i for i, (v, d) in enumerate(rows) if sum(v) != d]
         if bad:
             raise ValueError(f"sharing matrix rows must sum to 1; rows {bad} do not")
 
@@ -69,23 +70,31 @@ def sharing_matrix(profile: MeasureProfile, part: Partition) -> SharingMatrix:
 
     It is the product of the density values on the atoms with ``held``,
     where ``held[a][j]`` is the length of player ``j``'s pieces inside
-    atom ``a``.  One bisect over the atom starts finds the first atom of
-    each interval, which then walks right to its end.
+    atom ``a``.  One walk along the partition's ``tiling`` and the atoms
+    compares their ends by cross-multiplication and adds each step's
+    ends to a cell of ``held``, summed once over the cell's own least
+    common denominator; each entry is one integer dot product.
     """
     if part.n != profile.n:
         raise ValueError(f"partition has {part.n} players, profile has {profile.n}")
     n, atoms = profile.n, profile.atoms
-    starts = [iv.lo for iv in atoms]
-    held = [[Fraction(0)] * n for _ in atoms]
-    for j, pieces in enumerate(part.pieces):
-        for iv in pieces:
-            cursor, a = iv.lo, bisect_right(starts, iv.lo) - 1
-            while cursor < iv.hi:
-                end = min(iv.hi, atoms[a].hi)
-                held[a][j] += end - cursor
-                cursor, a = end, a + 1
-    mat = profile.value_matrix() @ RatMatrix(len(atoms), n, tuple(x for row in held for x in row))
-    return SharingMatrix(mat)
+    ends = [(iv.hi.numerator, iv.hi.denominator) for iv in atoms]
+    held: list[list[list[tuple[int, int]]]] = [[[] for _ in range(n)] for _ in atoms]
+    a, cursor = 0, (0, 1)
+    for iv, j in part.tiling:
+        hi = (iv.hi.numerator, iv.hi.denominator)
+        while cursor != hi:
+            side = hi[0] * ends[a][1] - ends[a][0] * hi[1]
+            step = hi if side <= 0 else ends[a]
+            held[a][j] += (step, (-cursor[0], cursor[1]))
+            cursor = step
+            if side >= 0:
+                a += 1
+    cells = [[(sum(x * (den // e) for x, e in cell), den)
+              for cell in column for den in [math.lcm(*(e for _, e in cell))]]
+             for column in zip(*held)]
+    values = [_to_row(row) for row in profile.atom_values]
+    return SharingMatrix(_products(values, [_ratio_row(column) for column in cells]))
 
 
 def rawlsian_distance(m: SharingMatrix | RatMatrix) -> Fraction:
@@ -93,41 +102,34 @@ def rawlsian_distance(m: SharingMatrix | RatMatrix) -> Fraction:
 
     ``max_i sum_j |m_ij - [i == j]|``: zero exactly for the division in
     which everyone values their own piece at 1 and everyone else's at
-    0, and growing as players are pushed away from that ideal.
+    0, and growing as players are pushed away from that ideal.  Rows are
+    summed on their integer numerators and compared by cross-multiplication.
     """
     mat = m.mat if isinstance(m, SharingMatrix) else m
     if not mat.is_square():
         raise ValueError("square matrix required")
-    worst = Fraction(0)
-    for i in range(mat.rows):
-        dev = sum(
-            (abs(mat[i, j] - (1 if i == j else 0)) for j in range(mat.cols)), Fraction(0)
-        )
-        worst = max(worst, dev)
-    return worst
+    rows = [_to_row(mat.row(i)) for i in range(mat.rows)]
+    num, den = _least([(0, 1)] + [(-sum(abs(x - d * (i == j)) for j, x in enumerate(v)), d)
+                                   for i, (v, d) in enumerate(rows)])
+    return Fraction(-num, den)
 
 
-def _recover_margin(mat: RatMatrix, k: GoalMatrix, p: TargetPoint):
-    """Solve ``m = P + delta K`` for a single positive delta, exactly."""
-    diff = mat - p.as_matrix()
-    if k.is_zero():
-        if all(e == 0 for e in diff.entries):
-            return True, UNCONSTRAINED
-        return False, None
-    delta = None
-    for i in range(mat.rows):
-        for j in range(mat.cols):
-            if k.mat[i, j] == 0:
-                if diff[i, j] != 0:
-                    return False, None
-                continue
-            cand = diff[i, j] / k.mat[i, j]
-            if delta is None:
-                delta = cand
-            elif cand != delta:
+def _recover_margin(excess: list[tuple[list[int], int]], k: GoalMatrix):
+    """Solve ``m = P + delta K``, with ``excess`` the integer rows of ``m - P``,
+    for a single positive delta; candidates are integer pairs in lowest terms."""
+    deltas = set()
+    for i, (v, d) in enumerate(excess):
+        kv, kd = _to_row(k.mat.row(i))
+        for x, z in zip(v, kv):
+            if z == 0 and x != 0:
                 return False, None
-    if delta is not None and delta > 0:
-        return True, delta
+            if z != 0:  # the sign of z makes the denominator positive
+                g = math.gcd(x * kd, d * z) * (1 if z > 0 else -1)
+                deltas.add((x * kd // g, d * z // g))
+    if not deltas:  # K = 0 and m = P
+        return True, UNCONSTRAINED
+    if len(deltas) == 1 and (delta := deltas.pop())[0] > 0:
+        return True, Fraction(*delta)
     return False, None
 
 
@@ -138,19 +140,13 @@ def check_fairness(m: SharingMatrix, k: GoalMatrix | None = None,
 
     ``k`` and ``p`` together enable the hyper check (does ``m`` equal
     ``P + delta K`` for a single margin ``delta > 0``); ``r`` and ``p``
-    together enable the sign-pattern check.  All comparisons are exact.
+    together enable the sign-pattern check.  All comparisons are exact,
+    on each row's integer numerators, and only reported values are Fractions.
     """
-    n = m.n
-    share = Fraction(1, n)
-    mat = m.mat
-    proportional = all(mat[i, i] >= share for i in range(n))
-    exact_division = all(e == share for e in mat.entries)
-    equitable = all(mat[i, i] == mat[0, 0] for i in range(n))
-    envy_free = all(mat[i, i] >= mat[i, j] for i in range(n) for j in range(n))
-    super_envy_free = all(
-        mat[i, j] > share if i == j else mat[i, j] < share
-        for i in range(n) for j in range(n)
-    )
+    n, rows = m.n, [_to_row(m.mat.row(i)) for i in range(m.n)]
+    if p is not None:  # integer rows of m - P, over d * pd for row v / d and shares pv / pd
+        pv, pd = _to_row(p.shares)
+        excess = [([x * pd - y * d for x, y in zip(v, pv)], d * pd) for v, d in rows]
 
     hyper = hyper_delta = None
     if k is not None:
@@ -158,7 +154,7 @@ def check_fairness(m: SharingMatrix, k: GoalMatrix | None = None,
             raise ValueError("the hyper check needs a target point alongside the goal matrix")
         if k.n != n or p.n != n:
             raise ValueError("goal matrix / target size must match the sharing matrix")
-        hyper, hyper_delta = _recover_margin(mat, k, p)
+        hyper, hyper_delta = _recover_margin(excess, k)
 
     relation_ok = None
     if r is not None:
@@ -166,16 +162,17 @@ def check_fairness(m: SharingMatrix, k: GoalMatrix | None = None,
             raise ValueError("the sign-pattern check needs a target point")
         if r.n != n or p.n != n:
             raise ValueError("relation matrix / target size must match the sharing matrix")
-        relation_ok = all(
-            r[i, j].matches(mat[i, j] - p.shares[j]) for i in range(n) for j in range(n)
-        )
+        relation_ok = all(r[i, j].matches(x)
+                          for i, (v, _) in enumerate(excess) for j, x in enumerate(v))
 
+    diag = [(v[i], d) for i, (v, d) in enumerate(rows)]
     return FairnessReport(
-        proportional=proportional,
-        exact_division=exact_division,
-        equitable=equitable,
-        envy_free=envy_free,
-        super_envy_free=super_envy_free,
+        proportional=all(n * x >= d for x, d in diag),
+        exact_division=all(n * x == d for v, d in rows for x in v),
+        equitable=all(x * diag[0][1] == diag[0][0] * d for x, d in diag),
+        envy_free=all(x <= v[i] for i, (v, _) in enumerate(rows) for x in v),
+        super_envy_free=all(n * x > d if i == j else n * x < d
+                            for i, (v, d) in enumerate(rows) for j, x in enumerate(v)),
         rawlsian=rawlsian_distance(m),
         hyper_envy_free=hyper,
         hyper_delta=hyper_delta,

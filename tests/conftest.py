@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, settings
 
 from hyperfair import (
     GoalMatrix,
+    Interval,
     RatMatrix,
     StepDensity,
     TargetPoint,
@@ -169,3 +170,18 @@ def random_target(rng: random.Random, n: int) -> TargetPoint:
     raw = [Fraction(rng.randint(1, 6)) for _ in range(n)]
     total = sum(raw)
     return TargetPoint(tuple(x / total for x in raw))
+
+
+def fine_tiling(count: int = 3000, players: int = 3) -> tuple[tuple[Interval, ...], ...]:
+    """``count`` intervals tiling [0, 1], cut at fractions with distinct odd
+    20-bit denominators and dealt to the players in turn, shuffled."""
+    rng = random.Random(0)
+    cuts = sorted(Fraction(rng.randrange(1, d), d)
+                  for d in rng.sample(range(2**19 + 1, 2**20, 2), count - 1))
+    points = [Fraction(0), *cuts, Fraction(1)]
+    pieces = [[] for _ in range(players)]
+    for t, (lo, hi) in enumerate(zip(points, points[1:])):
+        pieces[t % players].append(Interval(lo, hi))
+    for ivs in pieces:
+        rng.shuffle(ivs)
+    return tuple(map(tuple, pieces))

@@ -10,8 +10,11 @@ plain Fraction tableau that prices every column afresh at each step,
 the optimality of one candidate basis from a plain Gauss-Jordan,
 the pseudo-inverse of a symmetric matrix from its column space,
 sign-pattern feasibility from grid sampling of the constraint
-subspace, and sign-pattern realizability by a division from an LP
-over the atom weights themselves.  Keeping these routes separate is
+subspace, sign-pattern realizability by a division from an LP
+over the atom weights themselves, sharing matrices from interval by
+atom overlaps, Gram matrices as sums over atoms of weight products
+times the atom's mass, and the fairness verdicts from their
+definitions on Fraction rows.  Keeping these routes separate is
 the point; do not "simplify" them to call the production code.
 """
 
@@ -549,3 +552,80 @@ def refine(densities):
             row.append(d.values[cell])
         values.append(row)
     return atoms, values
+
+
+# -- audit references: sharing matrix, Gram matrix, fairness -----------------
+
+def sharing_by_intervals(atoms, values, pieces) -> list[list[Fraction]]:
+    """Sharing matrix of a partition as Fraction rows, interval by interval.
+
+    ``atoms`` and ``values`` are as :func:`refine` returns them, and
+    ``pieces[j]`` lists player ``j``'s intervals as ``(lo, hi)`` pairs.
+    Entry ``(i, j)`` adds, over player ``j``'s intervals and over every
+    atom, density ``i``'s value on the atom times the length of the
+    overlap of interval and atom.
+    """
+    n = len(values)
+    return [[sum((values[i][a] * max(Fraction(0), min(hi, top) - max(lo, bottom))
+                  for lo, hi in pieces[j] for a, (bottom, top) in enumerate(atoms)), Fraction(0))
+             for j in range(n)] for i in range(n)]
+
+
+def gram_by_atoms(atoms, values) -> list[list[Fraction]]:
+    """Gram matrix as Fraction rows: the sum over atoms of ``w_i * w_j``
+    times the atom's mass under the sum of the densities, where ``w`` is
+    each density's share of that sum on the atom; atoms of mass zero add
+    nothing."""
+    n = len(values)
+    g = [[Fraction(0)] * n for _ in range(n)]
+    for a, (lo, hi) in enumerate(atoms):
+        total = sum((values[i][a] for i in range(n)), Fraction(0))
+        if total == 0:
+            continue
+        mass = total * (hi - lo)
+        w = [values[i][a] / total for i in range(n)]
+        for i in range(n):
+            for j in range(n):
+                g[i][j] += w[i] * w[j] * mass
+    return g
+
+
+def fairness_verdicts(m, k=None, p=None, r=None) -> dict:
+    """The fairness verdicts of a sharing matrix ``m`` (Fraction rows),
+    restated from their definitions.
+
+    With a goal matrix ``k`` and shares ``p``, ``hyper`` says whether
+    ``m = P + delta K`` for one ``delta > 0`` and ``hyper_delta`` is that
+    delta: it is read off the first nonzero entry of ``k`` and then
+    checked on every entry.  A zero ``k`` is matched when ``m = P``, and
+    its delta is ``"unconstrained"``.  With a grid ``r`` of ``"<"``,
+    ``"="`` and ``">"``, ``relation`` says whether every ``m[i][j]``
+    compares so with ``p[j]``.
+    """
+    n = len(m)
+    share = Fraction(1, n)
+    out = {
+        "proportional": all(m[i][i] >= share for i in range(n)),
+        "exact_division": all(x == share for row in m for x in row),
+        "equitable": len({m[i][i] for i in range(n)}) == 1,
+        "envy_free": all(m[i][i] >= m[i][j] for i in range(n) for j in range(n)),
+        "super_envy_free": (all(m[i][i] > share for i in range(n))
+                            and all(m[i][j] < share for i in range(n) for j in range(n) if i != j)),
+        "rawlsian": max(sum(abs(m[i][j] - (1 if i == j else 0)) for j in range(n))
+                        for i in range(n)),
+    }
+    if k is not None:
+        cells = [(i, j) for i in range(n) for j in range(n) if k[i][j] != 0]
+        if not cells:
+            matched = all(m[i][j] == p[j] for i in range(n) for j in range(n))
+            out["hyper"], out["hyper_delta"] = matched, "unconstrained" if matched else None
+        else:
+            i, j = cells[0]
+            delta = (m[i][j] - p[j]) / k[i][j]
+            matched = delta > 0 and all(m[i][j] == p[j] + delta * k[i][j]
+                                        for i in range(n) for j in range(n))
+            out["hyper"], out["hyper_delta"] = matched, delta if matched else None
+    if r is not None:
+        holds = {"<": lambda x, y: x < y, "=": lambda x, y: x == y, ">": lambda x, y: x > y}
+        out["relation"] = all(holds[r[i][j]](m[i][j], p[j]) for i in range(n) for j in range(n))
+    return out

@@ -22,7 +22,7 @@ from hyperfair.partition import (
 )
 from hyperfair.verify import check_fairness, sharing_matrix
 
-from conftest import random_profile, random_proper_goal, random_target
+from conftest import fine_tiling, random_profile, random_proper_goal, random_target
 from oracles import lp_bland_reference
 
 F = Fraction
@@ -123,6 +123,46 @@ def test_partition_gap_among_float_ties_is_named_exactly():
     with pytest.raises(PartitionError) as exc:
         Partition(((Interval(HALF + TINY, F(1)),), (Interval(F(0), HALF),)))
     assert str(exc.value) == f"coverage gap [1/2, {HALF + TINY}] is assigned to nobody"
+
+
+def test_partition_names_intervals_that_share_a_start():
+    # the shorter of two intervals that start together comes first
+    with pytest.raises(PartitionError) as exc:
+        Partition((
+            (Interval.make("0", "1/2"),),
+            (Interval.make("0", "1/3"), Interval.make("1/2", "1")),
+        ))
+    assert str(exc.value) == "interval [0, 1/2] of player 0 overlaps [0, 1/3]"
+    with pytest.raises(PartitionError) as exc:
+        Partition((
+            (Interval.make("1/3", "1"),),
+            (Interval.make("0", "1/3"),),
+            (Interval.make("1/3", "2/3"),),
+        ))
+    assert str(exc.value) == "interval [1/3, 1] of player 0 overlaps [1/3, 2/3]"
+
+
+def test_partition_names_a_doubled_interval():
+    with pytest.raises(PartitionError) as exc:
+        Partition(((Interval.make("0", "1/2"), Interval.make("0", "1/2")),
+                   (Interval.make("1/2", "1"),)))
+    assert str(exc.value) == "interval [0, 1/2] of player 0 overlaps [0, 1/2]"
+    with pytest.raises(PartitionError) as exc:
+        Partition(((Interval.make("0", "1/2"),),
+                   (Interval.make("0", "1/2"), Interval.make("1/2", "1"))))
+    assert str(exc.value) == "interval [0, 1/2] of player 1 overlaps [0, 1/2]"
+
+
+def test_partition_validates_a_fine_tiling_with_distinct_denominators():
+    pieces = fine_tiling()
+    part = Partition(pieces)
+    assert [(iv.lo, iv.hi) for iv, _ in part.tiling] == sorted(
+        (iv.lo, iv.hi) for ivs in pieces for iv in ivs)
+    assert sum((part.total_length(j) for j in range(3)), F(0)) == 1
+    moved = list(pieces[0])
+    moved[0] = Interval(moved[0].lo, moved[0].hi - F(1, 2**60))
+    with pytest.raises(PartitionError, match="coverage gap"):
+        Partition((tuple(moved), *pieces[1:]))
 
 
 # -- cutting atoms by weights -------------------------------------------------

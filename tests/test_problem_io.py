@@ -4,6 +4,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from hyperfair.measures import Interval
 from hyperfair.partition import PartitionError
@@ -235,6 +236,41 @@ def test_parse_partition_rejects_gaps_and_overlaps():
         parse_partition({"intervals": [[["0", "3/5"]], [["1/2", "1"]]]})
 
 
+@pytest.mark.parametrize("bad, message", [
+    (["3/4", 1.0], 'partition.intervals[1][1][1]: floating point 1.0 is not accepted; '
+                   'write an exact string like "1/3"'),
+    ([True, "1"], "partition.intervals[1][1][0]: expected an exact rational, got bool True"),
+    (["3/4.0", "1"], "partition.intervals[1][1][0]: expected an integer or 'num/den' string, "
+                     "got '3/4.0'"),
+    ("01", "partition.intervals[1][1]: expected a [lo, hi] pair"),
+    ({"3/4": 0, "1": 0}, "partition.intervals[1][1]: expected a [lo, hi] pair"),
+    (["3/4", "1", "1"], "partition.intervals[1][1]: expected a [lo, hi] pair"),
+    (["3/4", "5/4"], "partition.intervals[1][1]: interval [3/4, 5/4] must satisfy "
+                     "0 <= lo <= hi <= 1"),
+])
+def test_parse_partition_names_a_bad_element_after_good_ones(bad, message):
+    # "01" and a two-key object unpack into two valid strings, so they
+    # must be refused as pairs before any element is read
+    obj = {"intervals": [[["0", "1/4"], ["1/2", "3/4"]], [["1/4", "1/2"], bad]]}
+    with pytest.raises(ProblemFormatError) as exc:
+        parse_partition(obj)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("bad, message", [
+    (0.5, 'floating point 0.5 is not accepted; write an exact string like "1/3"'),
+    (False, "expected an exact rational, got bool False"),
+    ("1/2/3", "expected an integer or 'num/den' string, got '1/2/3'"),
+    (None, "expected an exact rational, got NoneType None"),
+])
+def test_parse_problem_names_a_bad_rational_after_good_ones(bad, message):
+    obj = {"players": 2, "densities": [{"breakpoints": ["0", "1"], "values": ["1"]},
+                                       {"breakpoints": ["0", bad, "1"], "values": ["1", "1"]}]}
+    with pytest.raises(ProblemFormatError) as exc:
+        parse_problem(obj)
+    assert str(exc.value) == f"problem.densities[1].breakpoints[1]: {message}"
+
+
 def test_load_partition_from_file(tmp_path):
     path = tmp_path / "partition.json"
     write_json(path, PARTITION_OBJ)
@@ -246,3 +282,19 @@ def test_problem_dataclass_defaults():
     problem = Problem(densities=())
     assert problem.p is None and problem.k is None
     assert problem.r is None and problem.delta is None
+
+
+# -- report files ------------------------------------------------------------
+
+_text = st.text(st.characters(codec="utf-8"), max_size=12) | st.sampled_from(
+    ["", '"', "\\", "\n\t\x00\x1f\x7f", "1/3", "\u00e9\u4e2d\U0001f600", "\ud800"])
+_leaves = st.none() | st.booleans() | st.integers(-10**30, 10**30) | _text
+_trees = st.recursive(_leaves, lambda inner: (
+    st.lists(inner, max_size=4) | st.dictionaries(_text, inner, max_size=4)), max_leaves=30)
+
+
+@given(st.dictionaries(_text, _trees, max_size=5))
+def test_write_json_writes_the_bytes_of_json_dumps(tmp_path_factory, obj):
+    path = tmp_path_factory.mktemp("report") / "report.json"
+    write_json(path, obj)
+    assert path.read_bytes() == (json.dumps(obj, indent=2) + "\n").encode("utf-8")

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from hyperfair.hyperfree import UNCONSTRAINED, GoalMatrix, TargetPoint
 from hyperfair.linalg import RatMatrix
-from hyperfair.measures import Interval, StepDensity, common_refinement, measure_of
+from hyperfair.measures import Interval, StepDensity, common_refinement, gram_matrix, measure_of
 from hyperfair.partition import Partition, build_from_weights, solve_alpha
 from hyperfair.relations import RelationMatrix
 from hyperfair.verify import (
@@ -18,7 +18,8 @@ from hyperfair.verify import (
     sharing_matrix,
 )
 
-from conftest import TRIO_GRAM_ROWS, TRIO_SHARING_ROWS, random_profile
+from conftest import TRIO_GRAM_ROWS, TRIO_SHARING_ROWS, fine_tiling, random_profile
+from oracles import fairness_verdicts, gram_by_atoms, refine, sharing_by_intervals
 
 F = Fraction
 
@@ -277,3 +278,115 @@ def test_solver_outputs_always_pass_their_own_audit(rng):
     report = check_fairness(sharing_matrix(profile, part), k=k, p=p)
     assert report.hyper_envy_free
     assert report.hyper_delta == delta
+
+
+# -- the audit against the independent oracles -----------------------------------
+
+@st.composite
+def mixed_denominator_cases(draw):
+    """Densities cut in sevenths or ninths that all vanish on one fifth of
+    [0, 1] (a null atom), and a partition cut at points over 5, 7, 8, 9,
+    11 and 13.  Repeated points and the extra [0, 0] give zero-length
+    pieces, and with few cuts a piece spans many atoms."""
+    n = draw(st.integers(1, 4))
+    z = draw(st.integers(0, 4))
+    null = (F(z, 5), F(z + 1, 5))
+    densities = []
+    for _ in range(n):
+        q = draw(st.sampled_from([7, 9]))
+        cuts = {F(c, q) for c in draw(st.sets(st.integers(1, q - 1), max_size=5))}
+        breaks = sorted({F(0), F(1), *null, *cuts})
+        cells = list(zip(breaks, breaks[1:]))
+        live = [c for c, (lo, hi) in enumerate(cells) if not null[0] <= lo < hi <= null[1]]
+        values = [F(0)] * len(cells)
+        for c in live:
+            values[c] = F(draw(st.integers(0, 4)))
+        if not any(values):
+            values[live[0]] = F(1)
+        densities.append(StepDensity.normalized(breaks, values))
+    dens = draw(st.lists(st.sampled_from([5, 7, 8, 9, 11, 13]), max_size=8))
+    points = [F(0), *sorted(F(draw(st.integers(0, q)), q) for q in dens), F(1)]
+    pieces = [[] for _ in range(n)]
+    for lo, hi in [*zip(points, points[1:]), (F(0), F(0))]:
+        pieces[draw(st.integers(0, n - 1))].append(Interval(lo, hi))
+    return densities, Partition(tuple(map(tuple, pieces)))
+
+
+@given(mixed_denominator_cases())
+def test_sharing_and_gram_matrices_match_the_oracles(case):
+    densities, part = case
+    profile = common_refinement(densities)
+    atoms, values = refine(densities)
+    pieces = [[(iv.lo, iv.hi) for iv in ivs] for ivs in part.pieces]
+    assert sharing_matrix(profile, part).mat.to_rows() == sharing_by_intervals(atoms, values, pieces)
+    assert gram_matrix(profile).to_rows() == gram_by_atoms(atoms, values)
+
+
+@st.composite
+def fairness_cases(draw):
+    """A sharing matrix (of a drawn partition, or drawn row by row with
+    uniform and identity rows), shares, a goal matrix that the matrix
+    meets exactly, misses by one entry, meets at a negative margin, or
+    is zero, and a sign grid that holds or has one cell flipped."""
+    if draw(st.booleans()):
+        densities, part = draw(mixed_denominator_cases())
+        m = sharing_matrix(common_refinement(densities), part).mat.to_rows()
+    else:
+        n = draw(st.integers(1, 4))
+        m = []
+        for i in range(n):
+            kind = draw(st.sampled_from(["uniform", "identity", "drawn"]))
+            raw = ([1] * n if kind == "uniform" else [int(j == i) for j in range(n)]
+                   if kind == "identity" else draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)))
+            if not any(raw):
+                raw[i] = 1
+            m.append([F(x, sum(raw)) for x in raw])
+    n = len(m)
+    raw = [1] * n if draw(st.booleans()) else draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
+    p = [F(x, sum(raw)) for x in raw]
+    kind = draw(st.sampled_from(["exact", "missed", "negative", "zero"]))
+    scale = draw(st.sampled_from([F(1), F(3), F(2, 7)])) * (-1 if kind == "negative" else 1)
+    k = [[(m[i][j] - p[j]) * scale * (kind != "zero") for j in range(n)] for i in range(n)]
+    if kind == "missed" and n > 1:
+        i = draw(st.integers(0, n - 1))
+        k[i][0] += F(1, 11)
+        k[i][1] -= F(1, 11)
+    r = [["<" if x < y else "=" if x == y else ">" for x, y in zip(row, p)] for row in m]
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        r[i][j] = "=" if r[i][j] != "=" else "<"
+    return m, k, p, r
+
+
+@given(fairness_cases())
+def test_check_fairness_matches_the_oracle(case):
+    m, k, p, r = case
+    shares = SharingMatrix(RatMatrix.from_rows(m))
+    report = check_fairness(shares, k=GoalMatrix.make(k), p=TargetPoint(tuple(p)),
+                            r=RelationMatrix.from_symbols(r))
+    want = fairness_verdicts(m, k, p, r)
+    assert report.proportional == want["proportional"]
+    assert report.exact_division == want["exact_division"]
+    assert report.equitable == want["equitable"]
+    assert report.envy_free == want["envy_free"]
+    assert report.super_envy_free == want["super_envy_free"]
+    assert report.rawlsian == want["rawlsian"]
+    assert rawlsian_distance(shares) == rawlsian_distance(shares.mat) == want["rawlsian"]
+    assert report.hyper_envy_free == want["hyper"]
+    delta = "unconstrained" if report.hyper_delta is UNCONSTRAINED else report.hyper_delta
+    assert delta == want["hyper_delta"]
+    assert report.relation_satisfied == want["relation"]
+
+
+def test_audit_of_a_fine_tiling_matches_the_oracle(trio_profile, trio_goal, uniform3):
+    # 3,000 intervals cut at fractions with distinct 20-bit denominators;
+    # the entries' denominators run to about 22,000 bits
+    pieces = fine_tiling()
+    m = sharing_matrix(trio_profile, Partition(pieces))
+    atoms, values = refine(trio_profile.densities)
+    rows = sharing_by_intervals(atoms, values, [[(iv.lo, iv.hi) for iv in ivs] for ivs in pieces])
+    assert m.mat.to_rows() == rows
+    report = check_fairness(m, k=trio_goal, p=uniform3)
+    want = fairness_verdicts(rows, trio_goal.mat.to_rows(), uniform3.shares)
+    assert (report.envy_free, report.rawlsian, report.hyper_envy_free) == (
+        want["envy_free"], want["rawlsian"], want["hyper"])
