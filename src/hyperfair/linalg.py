@@ -69,10 +69,32 @@ def rat(value: int | str | Fraction) -> Fraction:
 
 
 def fmt(value: Fraction) -> str:
-    """Canonical string form: ``"num/den"`` in lowest terms, or ``"num"``."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    """Canonical string form: ``"num/den"`` in lowest terms, or ``"num"``.
+
+    An integer longer than the interpreter's limit on int-to-str digits
+    (4300 by default) is written out by :func:`_decimal`.
+    """
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:
+        num = _decimal(value.numerator)
+        return num if value.denominator == 1 else f"{num}/{_decimal(value.denominator)}"
+
+
+def _decimal(n: int) -> str:
+    """``str(n)``, whatever its length: a number past the digit limit is
+    split around ``10**k``, ``k`` about half its digits, and each half
+    written alone."""
+    if n < 0:
+        return "-" + _decimal(-n)
+    try:
+        return str(n)
+    except ValueError:
+        k = n.bit_length() * 3 // 20  # log10(2) is about 0.3
+        high, low = divmod(n, 10**k)
+        return _decimal(high) + _decimal(low).zfill(k)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,8 @@ two routes, and both land on the same sharing matrix:
   :func:`hyperfair.hyperfree.factor_delta_bound`.  ``hyperfair solve``
   takes this route first for a fixed margin.
 * :func:`solve_alpha` solves an exact linear program.  It reaches every
-  realizable margin, so ``solve`` uses it to maximize the margin and
+  realizable margin, so ``solve`` uses it to maximize the margin, from
+  the feasible point ``delta = 0`` with every block split by ``p``, and
   for fixed margins the factor cannot realize.  Atoms with equal
   :func:`rn_weights` have proportional measures, so the LP takes them
   as one block with the summed measure and every atom of a block gets
@@ -173,7 +174,11 @@ def solve_alpha(profile: MeasureProfile, k: GoalMatrix, p: TargetPoint,
     share of it, and every atom of the block gets those shares as its
     weight row.  Constraint ``(i, j)`` says that player ``i`` values
     player ``j``'s piece at ``P[j] + delta K[i][j]``; the one for
-    ``j = n - 1`` is left out, as it follows from the others.  Returns
+    ``j = n - 1`` is left out, as it follows from the others.  To
+    maximize, the LP goes to the simplex with the point ``delta = 0``,
+    every block split by ``p``, which is feasible because each player's
+    non-null blocks hold all of their mass; the simplex crosses over
+    from it to an optimal vertex.  Returns
     ``(weights, delta)``; when the goal matrix is zero and the margin
     was to be maximized, the margin is :data:`UNCONSTRAINED` because
     any value realizes the same target.
@@ -237,7 +242,8 @@ def solve_alpha(profile: MeasureProfile, k: GoalMatrix, p: TargetPoint,
             rows.append(_row(nvars, terms, rhs.numerator * (den // rhs.denominator), den))
 
     objective = (0,) * delta_var + ((1,) if maximize else ())
-    outcome = _certified_solve(_Objective(objective), rows)
+    start = tuple(map(float, p.shares)) * blocks + (0.0,) if maximize else None
+    outcome = _certified_solve(_Objective(objective, start=start), rows)
     if outcome.status is LpStatus.INFEASIBLE:
         raise InfeasibleError(
             f"no weight system realizes the target at margin "

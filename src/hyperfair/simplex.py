@@ -23,14 +23,22 @@ reported optimum and witness are exact.
 :func:`certified_solve` answers the same problems faster, and both of
 the package's LPs go to its integer-row core, :func:`_certified_solve`.
 A float run of the same two phases, from the same starting basis under
-Bland's rule, gives only its final basis.  One exact forward
-elimination on that basis's columns of ``[A | b]`` certifies it: the
-rows it leaves over must vanish, the basic values, back-substituted,
-must be nonnegative and every reduced cost must have the optimal sign.
-A certified basis gives the exact vertex and value, Bland's own
-whenever the float comparisons agreed with the exact ones; anything
-uncertified, and every infeasible or unbounded float verdict, comes
-from :func:`simplex_solve`.  So floats only pick the basis to test.
+Bland's rule, gives only its final basis.  An LP handed over with a
+feasible ``start`` point (the max-margin weight LP's, see
+:func:`hyperfair.partition.solve_alpha`) skips phase 1 by a crossover
+(Megiddo's purification): in floats, the point's support columns are
+pivoted into a basis, each nonbasic one then moves to 0 along its
+tableau column, swapping places with a basic column that reaches 0
+first, and Bland's phase 2 runs from the vertex this ends on.  If the
+floats lose the point on the way, the two phases run instead.  One
+exact forward elimination on the final basis's columns of ``[A | b]``
+certifies it: the rows it leaves over must vanish, the basic values,
+back-substituted, must be nonnegative and every reduced cost must have
+the optimal sign.  A certified basis gives the exact vertex and value,
+Bland's own whenever the two phases ran and the float comparisons
+agreed with the exact ones; anything uncertified, and every infeasible
+or unbounded float verdict, comes from :func:`simplex_solve`.  So
+floats only pick the basis to test.
 """
 
 from __future__ import annotations
@@ -74,10 +82,15 @@ class LpOutcome:
 
 
 class _Objective(NamedTuple):
-    """The objective of an LP handed over as integer rows, one coefficient per column."""
+    """The objective of an LP handed over as integer rows, one coefficient per column.
+
+    ``start``, when given, is a feasible point of the rows, one float per
+    column, from which the float stage crosses over to a vertex.
+    """
 
     objective: tuple[int, ...]
     maximize: bool = True
+    start: tuple[float, ...] | None = None
 
 
 _Goal = LpProblem | _Objective  # the integer-row core reads objective and maximize
@@ -87,10 +100,13 @@ _Goal = LpProblem | _Objective  # the integer-row core reads objective and maxim
 #: float stage.
 _EPS = 1e-9
 
-#: Pivot limit of :func:`certified_solve`'s float stage, some 20 times
-#: the Bland pivots of a 12-player max-margin weight LP on 16 cells; a
-#: float run that would take more (it may cycle where exact Bland
-#: cannot) hands the problem to :func:`simplex_solve`.
+#: Pivot limit of the float stage's Bland iterations: of phase 2 after a
+#: crossover, of both phases together otherwise.  A 12-player weight LP
+#: on 16 cells takes 1,148 and 1,745 Bland pivots at half the margin
+#: bound (``random_roundtrip`` seeds 1 and 2), and some 190 crossover
+#: and phase-2 pivots at the maximum margin.  A float run that would
+#: take more (it may cycle where exact Bland cannot) hands the problem
+#: to :func:`simplex_solve`.
 _FLOAT_PIVOTS = 20_000
 
 
@@ -319,17 +335,66 @@ def _float_costs(rows: list[list[float]], basis: list[int], c: list[float]) -> l
     return cost
 
 
+def _crossover(base: list[_Row], start: tuple[float, ...], c: list[float]) -> list[int] | None:
+    """Bland's phase-2 basis of min ``c . x`` over the rows ``base``, from the
+    feasible point ``start``, in floats; ``None`` if the floats lose it.
+
+    Each row pivots on its largest entry in a support column of ``start``
+    not yet basic, else in a zero-valued one, and is dropped as redundant
+    without either.  Each nonbasic support column then moves to 0 along
+    its tableau column, the basic values following; a basic value that
+    reaches 0 first leaves, and the column enters in its row.
+    """
+    nvars = len(start)
+    rows = [[x / d for x in v] for v, d in base]
+    basis = [-1] * len(rows)
+    support = [j for j in range(nvars) if start[j] > 0.0]
+    zeros = [j for j in range(nvars) if start[j] == 0.0]
+    for r, row in enumerate(rows):
+        for columns in (support, zeros):
+            col = max(columns, key=lambda j: abs(row[j]), default=None)
+            if col is not None and abs(row[col]) > _EPS:
+                columns.remove(col)
+                _float_pivot(rows, basis, None, r, col)
+                break
+    rows = [row for row, bi in zip(rows, basis) if bi >= 0]
+    basis = [bi for bi in basis if bi >= 0]
+    x = list(start)
+    for j in support:  # the support columns left nonbasic
+        leaving, step = None, x[j]
+        for i, row in enumerate(rows):
+            if row[j] < -_EPS and x[basis[i]] / -row[j] < step:
+                leaving, step = i, x[basis[i]] / -row[j]
+        for row, bi in zip(rows, basis):
+            x[bi] += row[j] * step
+        x[j] -= step
+        if leaving is not None:
+            x[basis[leaving]] = 0.0
+            _float_pivot(rows, basis, None, leaving, j)
+    if any(row[-1] < -_EPS for row in rows):
+        return None
+    status, _ = _float_iterate(rows, basis, _float_costs(rows, basis, c), nvars, _FLOAT_PIVOTS)
+    return basis if status == "optimal" else None
+
+
 def _float_basis(goal: _Goal, base: list[_Row]) -> list[int] | None:
     """Bland's final basis of ``goal`` over the rows ``base``, found in floats.
 
-    The crash columns, artificials and entering, leaving and drive-out
-    rules are :func:`simplex_solve`'s.  ``None`` when the floats end
-    infeasible, unbounded or at the pivot limit ``_FLOAT_PIVOTS``;
-    ``OverflowError`` on an entry beyond float range.
+    With a ``start`` point on the goal, the :func:`_crossover` basis.
+    Otherwise, or if that one is lost, the crash columns, artificials and
+    entering, leaving and drive-out rules are :func:`simplex_solve`'s.
+    ``None`` when the floats end infeasible, unbounded or at the pivot
+    limit ``_FLOAT_PIVOTS``; ``OverflowError`` on an entry beyond float
+    range.
     """
     nvars = len(goal.objective)
     sense = -1.0 if goal.maximize else 1.0
     c = [sense * float(x) for x in goal.objective]
+    start = getattr(goal, "start", None)
+    if start is not None:
+        basis = _crossover(base, start, c)
+        if basis is not None:
+            return basis
     exact_rows, basis = _phase1_tableau(base, nvars)
     rows = [[x / d for x in v] for v, d in exact_rows]
     ncols = len(rows[0]) - 1 if rows else nvars
@@ -361,7 +426,10 @@ def _certify(goal: _Goal, base: list[_Row], basis: list[int]) -> LpOutcome | Non
     nvars, m = len(goal.objective), len(basis)
     if not all(0 <= j < nvars for j in basis):
         return None
-    rows = list(base)
+    # Sparse columns first, each on the densest free row: the vertex is the
+    # same in any order, and this one keeps the elimination's fill small.
+    rows = sorted(base, key=lambda row: -sum(map(bool, row[0])))
+    basis = sorted(basis, key=lambda j: sum(1 for v, _ in rows if v[j]))
     if _pivot_on(rows, basis, below=True) != basis or any(any(v) for v, _ in rows[m:]):
         return None
     x, den = [0] * m, 1  # x[k] / den is the basic value of row k, once swept

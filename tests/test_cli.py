@@ -11,10 +11,11 @@ from pathlib import Path
 import pytest
 from hypothesis import event, given, strategies as st
 
-from hyperfair import GoalMatrix, RatMatrix, TargetPoint, cli, linalg, spectral_delta_bound
+from hyperfair import (GoalMatrix, Partition, RatMatrix, TargetPoint, cli, common_refinement, linalg,
+                       problem_io, sharing_matrix, spectral_delta_bound)
 from hyperfair.cli import EXIT_INFEASIBLE, EXIT_INVALID, EXIT_OK, main
 
-from conftest import TRIO_GRAM_ROWS, TRIO_PINV_K_ROWS, TRIO_PINV_ROWS, TRIO_SHARING_ROWS
+from conftest import TRIO_GRAM_ROWS, TRIO_PINV_K_ROWS, TRIO_PINV_ROWS, TRIO_SHARING_ROWS, fine_tiling
 
 F = Fraction
 
@@ -352,6 +353,39 @@ def test_verify_checks_sign_patterns(capsys, tmp_path):
                        "--partition", grab_all)
     assert code == EXIT_INFEASIBLE
     assert "FAILED: relation_satisfied" in out
+
+
+def _read_back(entry: str) -> Fraction:
+    # int() keeps the interpreter's digit limit, so read 1000 digits at a time
+    def integer(digits: str) -> int:
+        value = 0
+        for k in range(0, len(digits), 1000):
+            chunk = digits[k:k + 1000]
+            value = value * 10**len(chunk) + int(chunk)
+        return value
+
+    num, _, den = entry.partition("/")
+    return Fraction(integer(num), integer(den or "1"))
+
+
+def test_verify_writes_entries_past_the_int_to_str_digit_limit(capsys, tmp_path):
+    # The 3,000 cuts of fine_tiling() have distinct 20-bit denominators, so
+    # the sharing matrix has entries of more digits than str(int) allows.
+    problem = json.loads((PROBLEMS / "three_players.json").read_text())
+    del problem["K"], problem["delta"]
+    pieces = Partition(fine_tiling())
+    cut = tmp_path / "fine.json"
+    problem_io.write_json(cut, problem_io.serialize_partition(pieces))
+    report = tmp_path / "report.json"
+    code, out, _ = run(capsys, "verify", "--input", write(tmp_path, "p.json", problem),
+                       "--partition", str(cut), "--output", str(report))
+    assert code == EXIT_OK
+    assert out.startswith("Sharing matrix:")
+    written = json.loads(report.read_text())["sharing_matrix"]
+    assert max(len(entry) for row in written for entry in row) > 4300
+    m = sharing_matrix(common_refinement(problem_io.parse_problem(problem).densities), pieces)
+    assert [[_read_back(entry) for entry in row] for row in written] == \
+        [list(m.mat.row(i)) for i in range(3)]
 
 
 # -- report files ------------------------------------------------------------------

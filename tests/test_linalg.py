@@ -110,6 +110,16 @@ def test_rat_agrees_with_an_independent_reading_of_the_grammar(text):
     assert type(got) is type(want)
 
 
+@pytest.mark.parametrize("value, text", [
+    (F(10**5000, 3), "1" + "0" * 5000 + "/3"),
+    (F(-(10**5000) - 1), "-1" + "0" * 4999 + "1"),
+    (F(3, 7 * 10**9000 + 3), "3/7" + "0" * 8999 + "3"),
+])
+def test_fmt_writes_integers_past_the_int_to_str_digit_limit(value, text):
+    # the lower halves start with zeros, which the split must keep
+    assert linalg.fmt(value) == text
+
+
 # -- products --------------------------------------------------------------
 
 @st.composite

@@ -1,14 +1,16 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hyperfair import simplex
+from hyperfair import partition, simplex
 from hyperfair.hyperfree import UNCONSTRAINED, GoalMatrix, TargetPoint, delta_bound, stochastic_factor
 from hyperfair.linalg import RatMatrix, pseudo_inverse
-from hyperfair.measures import Interval, StepDensity, common_refinement, gram_matrix, measure_of
+from hyperfair.measures import (Interval, StepDensity, common_refinement, gram_matrix, measure_of,
+                                measure_relations)
 from hyperfair.partition import (
     MAXIMIZE,
     InfeasibleError,
@@ -425,3 +427,61 @@ def test_block_merged_lp_matches_the_full_atom_lp(kind, rng):
     audit = check_fairness(sharing_matrix(profile, build_from_weights(profile, w)), k, p)
     assert audit.hyper_envy_free is True
     assert audit.hyper_delta == best
+
+
+# -- the max-margin LP's crossover from the point delta = 0, alpha = p ------------
+
+def _recorded_weight_lps(monkeypatch) -> list:
+    """The goal and rows of each LP that solve_alpha hands to the simplex."""
+    lps = []
+    solve = partition._certified_solve
+    monkeypatch.setattr(partition, "_certified_solve",
+                        lambda goal, rows: lps.append((goal, rows)) or solve(goal, rows))
+    return lps
+
+
+def _counted(monkeypatch, name: str) -> list:
+    """Patch ``simplex.<name>`` to record the results of its calls."""
+    results = []
+    f = getattr(simplex, name)
+    monkeypatch.setattr(simplex, name, lambda *args: results.append(f(*args)) or results[-1])
+    return results
+
+
+def test_the_crossover_reaches_the_exact_maximum_without_a_fallback(monkeypatch):
+    exact = simplex.simplex_solve
+    lps = _recorded_weight_lps(monkeypatch)
+    bland = _counted(monkeypatch, "simplex_solve")
+    crossovers = _counted(monkeypatch, "_crossover")
+    rng = random.Random(18)
+    seen = {"null": 0, "repeated": 0, "dependent": 0}
+    for trial in range(48):
+        if trial % 4 == 0:
+            profile = blocky_profile(rng, ("plain", "null", "dependent")[trial // 4 % 3])
+        else:
+            profile = random_profile(rng, n=rng.randint(2, 6), max_atoms=10,
+                                     force_dependent=trial % 2 == 1)
+        n = profile.n
+        _, best = solve_alpha(profile, random_proper_goal(rng, profile), random_target(rng, n),
+                              MAXIMIZE)
+        goal, rows = lps[-1]
+        assert goal.start is not None and crossovers[-1] is not None
+        assert exact(simplex._problem(goal, rows)).value == best
+        nulls = sum(map(profile.is_null_atom, range(len(profile.atoms))))
+        seen["null"] += nulls > 0
+        seen["repeated"] += (len(goal.objective) - 1) // n < len(profile.atoms) - nulls
+        seen["dependent"] += bool(measure_relations(profile))
+    assert bland == [] and len(crossovers) == 48
+    assert all(seen.values()), seen
+
+
+def test_a_rejected_crossover_basis_falls_back_to_exact_bland(monkeypatch):
+    rng = random.Random(4)
+    profile = random_profile(rng, n=5, max_atoms=10)
+    k, p = random_proper_goal(rng, profile), random_target(rng, 5)
+    _, best = solve_alpha(profile, k, p, MAXIMIZE)
+    crossovers = _counted(monkeypatch, "_crossover")
+    monkeypatch.setattr(simplex, "_certify", lambda goal, base, basis: None)
+    bland = _counted(monkeypatch, "simplex_solve")
+    assert solve_alpha(profile, k, p, MAXIMIZE)[1] == best
+    assert crossovers[0] is not None and len(bland) == 1
