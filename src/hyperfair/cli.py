@@ -31,7 +31,7 @@ from .hyperfree import (
     is_proper,
     spectral_delta_bound,
 )
-from .linalg import RatMatrix, _kernel_and_pseudo_inverse, fmt, rat
+from .linalg import _grid, _kernel_and_pseudo_inverse, fmt, rat
 from .measures import MeasureProfile, common_refinement, gram_matrix
 from .partition import MAXIMIZE, InfeasibleError, Partition, build_from_weights, factor_weights, solve_alpha
 from .problem_io import (
@@ -45,7 +45,7 @@ from .problem_io import (
     write_json,
 )
 from .relations import RelationMatrix, solve_relations
-from .verify import FairnessReport, SharingMatrix, check_fairness, sharing_matrix
+from .verify import FairnessReport, check_fairness, sharing_matrix
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -53,10 +53,9 @@ EXIT_INVALID = 2
 EXIT_INTERNAL = 3
 
 
-def _print_matrix(title: str, m: RatMatrix) -> None:
-    print(f"{title}:")
-    for line in str(m).splitlines():
-        print(f"  {line}")
+def _print_matrix(title: str, cells: list[list[str]]) -> None:
+    """Print a matrix from its report strings, laid out as ``RatMatrix.__str__`` does."""
+    print(f"{title}:", *(f"  {line}" for line in _grid(cells).splitlines()), sep="\n")
 
 
 def _text(x) -> str | None:
@@ -113,14 +112,14 @@ def _analysis(problem: Problem, tol: Fraction) -> tuple[dict, dict]:
         if not relations and not problem.k.is_zero():
             lo, hi = spectral_delta_bound(g, problem.k, p, tol)
             report["spectral_bound"] = [fmt(lo), fmt(hi)]
-    state = {"profile": profile, "g": g, "relations": relations, "g_plus": g_plus, "gk": gk,
+    state = {"profile": profile, "relations": relations, "g_plus": g_plus, "gk": gk,
              "proper": proper, "p": p}
     return report, state
 
 
 def _audit(profile: MeasureProfile, part: Partition, k: GoalMatrix | None, p: TargetPoint,
-           r: RelationMatrix | None) -> tuple[SharingMatrix, FairnessReport, dict]:
-    """Sharing matrix, fairness verdicts, and their three report fields."""
+           r: RelationMatrix | None) -> tuple[FairnessReport, dict]:
+    """Fairness verdicts and three report fields: partition, sharing matrix and fairness."""
     shares = sharing_matrix(profile, part)
     fairness = check_fairness(shares, k=k, p=p, r=r)
     fields = {
@@ -128,23 +127,23 @@ def _audit(profile: MeasureProfile, part: Partition, k: GoalMatrix | None, p: Ta
         "sharing_matrix": matrix_to_strings(shares.mat),
         "fairness": _fairness_dict(fairness),
     }
-    return shares, fairness, fields
+    return fairness, fields
 
 
 def cmd_gram(args: argparse.Namespace) -> tuple[int, dict]:
     problem = load_problem(args.input)
     report, state = _analysis(problem, args.tol)
 
-    _print_matrix("Gram matrix", state["g"])
+    _print_matrix("Gram matrix", report["gram"])
     if state["relations"]:
         print("Measure relations (kernel basis):")
         for v in state["relations"]:
             print("  (" + ", ".join(fmt(x) for x in v) + ")")
     else:
         print("Measure relations: none (independent measures)")
-    _print_matrix("Pseudo-inverse", state["g_plus"])
+    _print_matrix("Pseudo-inverse", report["pseudo_inverse"])
     if problem.k is not None:
-        _print_matrix("Pseudo-inverse times goal matrix", state["gk"])
+        _print_matrix("Pseudo-inverse times goal matrix", report["pinv_times_k"])
         print(f"Margin bound: {report['delta_bound'] or 'none (the goal matrix is not proper)'}")
         if report["spectral_bound"] is not None:
             lo, hi = report["spectral_bound"]
@@ -170,7 +169,7 @@ def cmd_solve(args: argparse.Namespace) -> tuple[int, dict]:
             "k": matrix_to_strings(solution.k.mat),
         }
         print(f"Sign pattern: feasible (slack {report['feasibility']['margin']})")
-        _print_matrix("Witness goal matrix", solution.k.mat)
+        _print_matrix("Witness goal matrix", report["feasibility"]["k"])
         k = solution.k
     elif k is None:
         print("Problem file has neither a goal matrix nor a sign pattern; analysis only.")
@@ -205,7 +204,7 @@ def cmd_solve(args: argparse.Namespace) -> tuple[int, dict]:
         assert achieved != 0, "a proper nonzero goal matrix has a positive maximum margin"
 
     part = build_from_weights(profile, weights)
-    shares, fairness, audit = _audit(profile, part, k, p, problem.r)
+    fairness, audit = _audit(profile, part, k, p, problem.r)
     report["delta"] = _text(achieved)
     report["weight_system"] = [vector_to_strings(row) for row in weights.weights]
     report.update(audit)
@@ -215,7 +214,7 @@ def cmd_solve(args: argparse.Namespace) -> tuple[int, dict]:
     for j, pieces in enumerate(part.pieces):
         spans = " ".join(f"[{fmt(iv.lo)}, {fmt(iv.hi)}]" for iv in pieces) or "(nothing)"
         print(f"  player {j}: {spans}")
-    _print_matrix("Sharing matrix", shares.mat)
+    _print_matrix("Sharing matrix", report["sharing_matrix"])
     print(f"Rawlsian distance: {fmt(fairness.rawlsian)}")
     return EXIT_OK, report
 
@@ -226,9 +225,9 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, dict]:
     profile = common_refinement(problem.densities)
     p = problem.p if problem.p is not None else TargetPoint.uniform(problem.n)
 
-    shares, fairness, audit = _audit(profile, part, problem.k, p, problem.r)
+    fairness, audit = _audit(profile, part, problem.k, p, problem.r)
     report = {"inputs": serialize_problem(problem), **audit}
-    _print_matrix("Sharing matrix", shares.mat)
+    _print_matrix("Sharing matrix", report["sharing_matrix"])
     for key, value in report["fairness"].items():
         print(f"  {key}: {value}")
 

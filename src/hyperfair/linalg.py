@@ -15,12 +15,16 @@ point.
 Row reduction and products run on integer rows (int numerators over
 one positive denominator per row, in lowest terms).  ``_pivot_at`` is
 the package's one exact pivot, run by the simplex tableau and by
-``_pivot_on``, the one column-pivot loop of :func:`rref` (Gauss-Jordan)
-and of :func:`hyperfair.simplex.certified_solve` (forward elimination);
-only the inertia count has its own, Bareiss.
-``RatMatrix.__matmul__`` is its one exact sum of products.  One
-:func:`rref` of ``[m | I]`` gives the kernel, rank factors and inverse
-of ``m``, so ``hyperfair gram`` reduces G once.
+``_pivot_on``, the one column-pivot loop of the reduction of
+``[m | I]`` (Gauss-Jordan, also behind :func:`rref`) and of
+:func:`hyperfair.simplex.certified_solve` (forward elimination); only
+the inertia count has its own, Bareiss.  ``_products`` is its one exact
+sum of products.  One reduction of ``[m | I]`` gives the kernel, the
+rank factors, the inverse and the pseudo-inverse of ``m``, so
+``hyperfair gram`` reduces G once: its right block gives a
+{1}-inverse ``X``, and the pseudo-inverse is ``P_row X P_col``, with
+the projectors onto the complements of the right and the left kernel
+built by exact Gram-Schmidt.
 """
 
 from __future__ import annotations
@@ -195,23 +199,17 @@ class RatMatrix:
         return max((abs(e) for e in self.entries), default=Fraction(0))
 
     def __str__(self) -> str:
-        cells = [[fmt(self[i, j]) for j in range(self.cols)] for i in range(self.rows)]
-        widths = [max((len(cells[i][j]) for i in range(self.rows)), default=0) for j in range(self.cols)]
-        return "\n".join("  ".join(c.rjust(w) for c, w in zip(r, widths)) for r in cells)
+        return _grid([[fmt(x) for x in self.row(i)] for i in range(self.rows)])
 
     def _same_shape(self, other: RatMatrix) -> None:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
 
 
-def hstack(left: RatMatrix, right: RatMatrix) -> RatMatrix:
-    if left.rows != right.rows:
-        raise ValueError("hstack needs matching row counts")
-    out = []
-    for i in range(left.rows):
-        out.extend(left.row(i))
-        out.extend(right.row(i))
-    return RatMatrix(left.rows, left.cols + right.cols, tuple(out))
+def _grid(cells: Sequence[Sequence[str]]) -> str:
+    """Rows of strings laid out as right-justified columns two spaces apart."""
+    widths = [max(map(len, column)) for column in zip(*cells)]
+    return "\n".join("  ".join(c.rjust(w) for c, w in zip(r, widths)) for r in cells)
 
 
 # An integer row: numerators ``v`` over one positive denominator ``d``.
@@ -305,6 +303,23 @@ def _pivot_on(rows: list[_Row], columns: Sequence[int], below: bool = False) -> 
     return pivots
 
 
+def _reduce(m: RatMatrix) -> tuple[list[_Row], list[int]]:
+    """The one row reduction of ``[m | I]``: its integer rows and ``m``'s pivot columns.
+
+    Only the columns of ``m`` are pivoted, so the left block is
+    ``rref(m)`` and the right block is the row operations ``E`` with
+    ``E m = rref(m)``.  The rows past the pivots are zero in the left
+    block, and their right blocks span the left kernel of ``m``.
+    """
+    n = m.rows
+    work = []
+    for i in range(n):
+        v, d = _to_row(m.row(i))
+        v.extend(d if j == i else 0 for j in range(n))
+        work.append((v, d))
+    return work, _pivot_on(work, range(m.cols))
+
+
 def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
     """Reduced row echelon form and the pivot column indices.
 
@@ -312,9 +327,8 @@ def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
     the output deterministic; with exact arithmetic there is no
     numerical reason to prefer any other choice.
     """
-    work = [_to_row(m.row(i)) for i in range(m.rows)]
-    pivots = _pivot_on(work, range(m.cols))
-    flat = tuple(Fraction(x, d) for v, d in work for x in v)
+    work, pivots = _reduce(m)
+    flat = tuple(Fraction(x, d) for v, d in work for x in v[:m.cols])
     return RatMatrix(m.rows, m.cols, flat), tuple(pivots)
 
 
@@ -322,37 +336,82 @@ def rank(m: RatMatrix) -> int:
     return len(rref(m)[1])
 
 
-def _canonical_kernel_vector(v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    # The integer multiple of v with content 1 and a positive leading entry.
-    ints, _ = _to_row(v)
-    content = math.gcd(*ints)
-    if next(x for x in ints if x) < 0:
-        content = -content
-    return tuple(Fraction(x // content) for x in ints)
+def _primitive(v: list[int]) -> list[int]:
+    """The integer vector ``v`` divided by its content, first nonzero entry positive."""
+    g = math.gcd(*v)
+    if next(x for x in v if x) < 0:
+        g = -g
+    return [x // g for x in v]
 
 
-def _reduce(m: RatMatrix) -> tuple[list[tuple[Fraction, ...]], RatMatrix, RatMatrix, RatMatrix | None]:
-    """Kernel basis, rank factors ``c, f`` and inverse (or ``None``) of ``m``.
+def _right_kernel(work: list[_Row], pivots: list[int], w: int) -> list[list[int]]:
+    """Primitive integer basis of the right kernel, one vector per free column.
 
-    All four come from one :func:`rref` of ``[m | I]``.  Its left block
-    is ``rref(m)``: the pivots there are found as for ``m`` alone, and
-    any later pivot lies in a row that is zero there.  When every row of
-    a square ``m`` pivots in the left block, the right block is ``m^-1``.
+    Free column ``j`` gives 1 at ``j`` and minus ``rref(m)``'s column ``j``
+    at the pivot columns, scaled by the pivot rows' common denominator.
     """
-    n, w = m.rows, m.cols
-    red, pivots = rref(hstack(m, RatMatrix.identity(n)))
-    pivots = tuple(j for j in pivots if j < w)
-    rows = [red.row(i) for i in range(n)]
-    # free column j: 1 at j, and minus rref(m)'s column j at the pivot columns
-    row_of = {pc: r for r, pc in enumerate(pivots)}
-    kernel = [_canonical_kernel_vector([-rows[row_of[i]][j] if i in row_of else Fraction(i == j)
-                                        for i in range(w)])
-              for j in range(w) if j not in row_of]
+    den = math.lcm(*(d for _, d in work[:len(pivots)]))
+    kernel = []
+    for j in sorted(set(range(w)).difference(pivots)):
+        x = [0] * w
+        x[j] = den
+        for (v, d), p in zip(work, pivots):
+            x[p] = -v[j] * (den // d)
+        kernel.append(_primitive(x))
+    return kernel
+
+
+def _canonical(kernel: list[list[int]]) -> list[tuple[Fraction, ...]]:
+    return [tuple(map(Fraction, x)) for x in kernel]
+
+
+def _projector(basis: list[list[int]], size: int) -> tuple[list[list[int]], int]:
+    """The orthogonal projector onto the complement of the span of ``basis``,
+    as integer numerators over one denominator.
+
+    Exact Gram-Schmidt makes the basis orthogonal, vector by vector on
+    integers; then the projector is ``I`` minus ``q q' / (q' q)`` for
+    every orthogonal ``q``.
+    """
+    qs: list[tuple[list[int], int]] = []
+    for k in basis:
+        den = math.lcm(*(nq for _, nq in qs))
+        u = [den * x for x in k]
+        for q, nq in qs:
+            f = den // nq * sum(map(operator.mul, k, q))
+            u = [a - f * b for a, b in zip(u, q)]
+        u = _primitive(u)
+        qs.append((u, sum(x * x for x in u)))
+    den = math.lcm(*(nq for _, nq in qs))
+    proj = [[den if a == b else 0 for b in range(size)] for a in range(size)]
+    for q, nq in qs:
+        f = den // nq
+        for a, x in enumerate(q):
+            if x:
+                fx, row = f * x, proj[a]
+                for b, y in enumerate(q):
+                    row[b] -= fx * y
+    return proj, den
+
+
+def _pinv(work: list[_Row], pivots: list[int], right: list[list[int]], w: int) -> RatMatrix:
+    """:func:`pseudo_inverse` from the reduction of ``[m | I]`` and the right kernel.
+
+    ``X m`` has row ``pivots[k]`` equal to row ``k`` of ``rref(m)``, so
+    ``m X m`` is the rank factorization's ``c f = m``.  Only the pivot
+    rows of ``X`` are nonzero, so each entry of ``P_row X P_col`` is a
+    dot product of length ``len(pivots)``.
+    """
     r = len(pivots)
-    c = RatMatrix(n, r, tuple(m[i, p] for i in range(n) for p in pivots))
-    f = RatMatrix(r, w, tuple(x for row in rows[:r] for x in row[:w]))
-    inv = RatMatrix(n, n, tuple(x for row in rows for x in row[w:])) if r == n == w else None
-    return kernel, c, f, inv
+    p_row, d_row = _projector(right, w)
+    left = [_primitive(v[w:]) for v, _ in work[r:]]
+    p_col, d_col = _projector(left, len(work))
+    e = work[:r]
+    den = math.lcm(*(d for _, d in e))
+    # E P_col on integers over den * d_col; P_col is symmetric, so its rows are its columns
+    ep = [[den // d * sum(map(operator.mul, v[w:], col)) for col in p_col] for v, d in e]
+    cols = [([row[b] for row in ep], den * d_col) for b in range(len(work))]
+    return _products([([row[p] for p in pivots], d_row) for row in p_row], cols)
 
 
 def kernel_basis(m: RatMatrix) -> list[tuple[Fraction, ...]]:
@@ -362,7 +421,8 @@ def kernel_basis(m: RatMatrix) -> list[tuple[Fraction, ...]]:
     leading entry, so equal subspaces produce identical bases and tests
     can compare them literally.  A full-rank matrix yields ``[]``.
     """
-    return _reduce(m)[0]
+    work, pivots = _reduce(m)
+    return _canonical(_right_kernel(work, pivots, m.cols))
 
 
 def rank_factorization(m: RatMatrix) -> tuple[RatMatrix, RatMatrix]:
@@ -373,28 +433,35 @@ def rank_factorization(m: RatMatrix) -> tuple[RatMatrix, RatMatrix]:
     the factors have a zero inner dimension and the product is still
     exact.
     """
-    return _reduce(m)[1:3]
+    w = m.cols
+    work, pivots = _reduce(m)
+    c = RatMatrix(m.rows, len(pivots), tuple(m[i, p] for i in range(m.rows) for p in pivots))
+    f = RatMatrix(len(pivots), w, tuple(Fraction(x, d) for v, d in work[:len(pivots)] for x in v[:w]))
+    return c, f
 
 
 def inverse(m: RatMatrix) -> RatMatrix:
     if not m.is_square():
         raise ValueError("only square matrices have inverses")
-    if (inv := _reduce(m)[3]) is None:
+    work, pivots = _reduce(m)
+    if len(pivots) < m.rows:
         raise ValueError("matrix is singular")
-    return inv
+    return RatMatrix(m.rows, m.rows, tuple(Fraction(x, d) for v, d in work for x in v[m.cols:]))
 
 
 def pseudo_inverse(m: RatMatrix) -> RatMatrix:
-    """Exact Moore-Penrose pseudo-inverse via rank factorization.
+    """Exact Moore-Penrose pseudo-inverse ``P_row X P_col``.
 
-    With ``m = c @ f`` as in :func:`rank_factorization`, the
-    pseudo-inverse is ``f' (f f')^-1 (c' c)^-1 c'`` where the primes are
-    transposes.  Both inner matrices are r x r and nonsingular, and
-    ``c' m f' = (c' c)(f f')``, so one inverse gives the product
-    ``f' (c' m f')^-1 c'``.  The factors, and for a nonsingular ``m``
-    the inverse itself, come from one :func:`rref` of ``[m | I]``; only
-    a singular ``m`` reduces a second matrix, the r x r ``c' m f'``.
-    The result is exact and satisfies the four Penrose identities with
+    One reduction of ``[m | I]`` gives a {1}-inverse ``X`` of ``m`` (row
+    ``pivots[k]`` is row ``k`` of the right block, every other row is
+    zero), the right kernel from the left block and the left kernel
+    from the right block of the rows that are zero in the left block.
+    Exact Gram-Schmidt over each kernel gives the orthogonal projectors
+    ``P_row = m+ m`` and ``P_col = m m+`` onto their complements, and
+    ``m+ = P_row X P_col`` (Penrose 1955; Ben-Israel and Greville,
+    *Generalized Inverses*, section 1.5).  The formula holds for every
+    shape and rank, and for a nonsingular ``m`` it is ``X = m^-1``.  The
+    result is exact and satisfies the four Penrose identities with
     equality, not approximately.
     """
     return _kernel_and_pseudo_inverse(m)[1]
@@ -402,11 +469,9 @@ def pseudo_inverse(m: RatMatrix) -> RatMatrix:
 
 def _kernel_and_pseudo_inverse(m: RatMatrix) -> tuple[list[tuple[Fraction, ...]], RatMatrix]:
     """:func:`kernel_basis` and :func:`pseudo_inverse` of ``m`` from its one reduction."""
-    kernel, c, f, inv = _reduce(m)
-    if inv is None:  # at rank 0 the factors are empty and the product is zero
-        ft, ct = f.transpose(), c.transpose()
-        inv = ft @ inverse(ct @ m @ ft) @ ct
-    return kernel, inv
+    work, pivots = _reduce(m)
+    right = _right_kernel(work, pivots, m.cols)
+    return _canonical(right), _pinv(work, pivots, right, m.cols)
 
 
 def _inertia(a: list[list[int]]) -> tuple[int, int]:

@@ -3,7 +3,8 @@
 Everything on disk is JSON with rationals as exact ``"num/den"``
 strings (plain integers are also accepted on input).  Floats are
 rejected with an error naming the offending field, never silently
-rounded; a field's name is spelled out only on that error path.
+rounded; a field's name is spelled out only on that error path.  Each
+distinct number string of a file is read once per parse call.
 Reports are written as ``json.dumps(obj, indent=2)`` would write them.
 """
 
@@ -47,19 +48,36 @@ def parse_rational(value: Any, where: str) -> Fraction:
         raise ProblemFormatError(f"{where}: {exc}") from None
 
 
-def _rational_list(value: Any, where: str) -> list[Fraction]:
+class _Memo(dict):
+    """``memo[x]`` is ``rat(x)``, read once per distinct string.
+
+    One memo serves one parse call, so a number repeated within a file
+    is read once.  Only ``str`` keys are stored: ``True``, ``1.0`` and
+    ``1`` hash like ``1`` but never find a string key, so each is read
+    (and refused or accepted) by ``rat`` itself.  An unhashable element
+    raises ``TypeError`` like ``rat``.
+    """
+
+    def __missing__(self, key: Any) -> Fraction:
+        value = rat(key)
+        if type(key) is str:
+            self[key] = value
+        return value
+
+
+def _rational_list(value: Any, where: str, memo: _Memo) -> list[Fraction]:
     if not isinstance(value, list):
         raise ProblemFormatError(f"{where}: expected a list")
     try:
-        return [rat(x) for x in value]
+        return [memo[x] for x in value]
     except (TypeError, ValueError):  # again element by element, to name the element
         return [parse_rational(x, f"{where}[{i}]") for i, x in enumerate(value)]
 
 
-def _rational_grid(value: Any, where: str) -> list[list[Fraction]]:
+def _rational_grid(value: Any, where: str, memo: _Memo) -> list[list[Fraction]]:
     if not isinstance(value, list):
         raise ProblemFormatError(f"{where}: expected a list of rows")
-    return [_rational_list(row, f"{where}[{i}]") for i, row in enumerate(value)]
+    return [_rational_list(row, f"{where}[{i}]", memo) for i, row in enumerate(value)]
 
 
 @dataclass(frozen=True)
@@ -93,25 +111,26 @@ def parse_problem(obj: Any, source: str = "problem") -> Problem:
     if not isinstance(raw_densities, list) or len(raw_densities) != players:
         raise ProblemFormatError(f"{source}.densities: expected a list of {players} densities")
 
+    memo = _Memo()
     densities = []
     for i, d in enumerate(raw_densities):
         where = f"{source}.densities[{i}]"
         if not isinstance(d, dict) or set(d) != {"breakpoints", "values"}:
             raise ProblemFormatError(f"{where}: expected an object with 'breakpoints' and 'values'")
         densities.append(_checked(where, StepDensity,
-                                  tuple(_rational_list(d["breakpoints"], f"{where}.breakpoints")),
-                                  tuple(_rational_list(d["values"], f"{where}.values"))))
+                                  tuple(_rational_list(d["breakpoints"], f"{where}.breakpoints", memo)),
+                                  tuple(_rational_list(d["values"], f"{where}.values", memo))))
 
     p = None
     if "p" in obj:
-        shares = _rational_list(obj["p"], f"{source}.p")
+        shares = _rational_list(obj["p"], f"{source}.p", memo)
         if len(shares) != players:
             raise ProblemFormatError(f"{source}.p: expected {players} shares")
         p = _checked(f"{source}.p", TargetPoint, tuple(shares))
 
     k = None
     if "K" in obj:
-        grid = _rational_grid(obj["K"], f"{source}.K")
+        grid = _rational_grid(obj["K"], f"{source}.K", memo)
         if len(grid) != players or any(len(row) != players for row in grid):
             raise ProblemFormatError(f"{source}.K: expected a {players}x{players} matrix")
         k = _checked(f"{source}.K", GoalMatrix, RatMatrix.from_rows(grid))
@@ -179,6 +198,30 @@ def parse_partition(obj: Any, source: str = "partition") -> Partition:
     raw = obj["intervals"]
     if not isinstance(raw, list) or not raw:
         raise ProblemFormatError(f"{source}.intervals: expected one interval list per player")
+    try:
+        pieces = _pieces(raw, _Memo())
+    except (TypeError, ValueError):  # again with field names, to name the element
+        pieces = _named_pieces(raw, source)
+    return Partition(pieces)
+
+
+def _pieces(raw: list, memo: _Memo) -> tuple[tuple[Interval, ...], ...]:
+    """Each player's intervals; any malformed entry raises ``TypeError`` or ``ValueError``."""
+    pieces = []
+    for lst in raw:
+        if not isinstance(lst, list):
+            raise TypeError
+        ivs = []
+        for pair in lst:
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise TypeError
+            ivs.append(Interval(memo[pair[0]], memo[pair[1]]))
+        pieces.append(tuple(ivs))
+    return tuple(pieces)
+
+
+def _named_pieces(raw: list, source: str) -> tuple[tuple[Interval, ...], ...]:
+    """:func:`_pieces`, with the first malformed entry named in a ``ProblemFormatError``."""
     pieces = []
     for j, lst in enumerate(raw):
         where = f"{source}.intervals[{j}]"
@@ -192,7 +235,7 @@ def parse_partition(obj: Any, source: str = "partition") -> Partition:
             hi = parse_rational(pair[1], f"{where}[{t}][1]")
             ivs.append(_checked(f"{where}[{t}]", Interval, lo, hi))
         pieces.append(tuple(ivs))
-    return Partition(tuple(pieces))
+    return tuple(pieces)
 
 
 def load_partition(path: str | Path) -> Partition:

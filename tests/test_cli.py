@@ -106,17 +106,19 @@ def test_gram_reports_a_spectral_enclosure_for_independent_measures(capsys, tmp_
 
 
 def test_gram_and_solve_reduce_the_gram_matrix_once(capsys, tmp_path, monkeypatch):
-    # One rref of [G | I] gives the kernel and, for a nonsingular G, the
-    # pseudo-inverse; a singular G of rank r adds the r x r inverse
-    # (c' G f')^-1.  The spectral bound's nullity check runs no rref.
+    # One reduction of the n x 2n block [G | I] gives the kernel and the
+    # pseudo-inverse, for a singular G as for a nonsingular one: the
+    # projectors onto the kernels' complements are built by Gram-Schmidt,
+    # not by a second reduction.  The spectral bound's nullity check
+    # reduces nothing.
     shapes = []
-    rref = linalg.rref
+    pivot_on = linalg._pivot_on
 
-    def counting_rref(m):
-        shapes.append((m.rows, m.cols))
-        return rref(m)
+    def counting_pivot_on(rows, columns, below=False):
+        shapes.append((len(rows), len(rows[0][0])))
+        return pivot_on(rows, columns, below)
 
-    monkeypatch.setattr(linalg, "rref", counting_rref)
+    monkeypatch.setattr(linalg, "_pivot_on", counting_pivot_on)
     thirds = ["0", "1/3", "2/3", "1"]
     independent = {
         "players": 3,
@@ -132,7 +134,7 @@ def test_gram_and_solve_reduce_the_gram_matrix_once(capsys, tmp_path, monkeypatc
         shapes.clear()
         code, _, _ = run(capsys, command, "--input", str(PROBLEMS / "three_players.json"))
         assert code == EXIT_OK
-        assert shapes == [(3, 6), (2, 4)]  # rank 2
+        assert shapes == [(3, 6)]  # rank 2
 
     shapes.clear()
     g = RatMatrix.from_rows(TRIO_GRAM_ROWS)

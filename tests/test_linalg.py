@@ -294,43 +294,51 @@ def test_pseudo_inverse_diag_2_0():
 
 def _random_matrix(rng, rows, cols, rank_limit=None):
     if rank_limit is None:
-        return RatMatrix.from_rows([
-            [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(cols)]
-            for _ in range(rows)
-        ])
+        return RatMatrix(rows, cols, tuple(
+            F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(rows * cols)))
     a = _random_matrix(rng, rows, rank_limit)
     b = _random_matrix(rng, rank_limit, cols)
     return a @ b
 
 
-@given(st.integers(1, 5), st.integers(1, 5), st.booleans(), st.randoms(use_true_random=False))
+@given(st.integers(0, 5), st.integers(0, 5), st.booleans(), st.randoms(use_true_random=False))
 def test_penrose_identities_hold_exactly(rows, cols, deficient, rng):
     limit = max(1, min(rows, cols) - 1) if deficient else None
     m = _random_matrix(rng, rows, cols, rank_limit=limit)
     plus = pseudo_inverse(m)
+    assert (plus.rows, plus.cols) == (cols, rows)
     assert m @ plus @ m == m
     assert plus @ m @ plus == plus
     assert (m @ plus).transpose() == m @ plus
     assert (plus @ m).transpose() == plus @ m
 
 
-@given(st.integers(1, 5), st.booleans(), st.randoms(use_true_random=False))
-def test_pseudo_inverse_of_a_gram_like_matrix_on_both_rank_branches(n, deficient, rng):
-    # m = a a^T has the rank of a: n takes the inverse shortcut, n - 1
-    # the rank-factorization formula.
-    width = n - 1 if deficient else n
+@pytest.mark.parametrize("rows, cols", [(0, 3), (3, 0), (0, 0)])
+def test_pseudo_inverse_of_an_empty_matrix_is_its_empty_transpose(rows, cols):
+    assert pseudo_inverse(RatMatrix.zeros(rows, cols)) == RatMatrix.zeros(cols, rows)
+
+
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
+       st.randoms(use_true_random=False))
+def test_pseudo_inverse_of_a_gram_like_matrix_at_every_nullity(shape, rng):
+    # m = a a^T has the rank of a, so its nullity is n - width: from 0
+    # (the inverse) to n (the zero matrix), with Gram-Schmidt over up to
+    # n kernel vectors on each side in between.
+    n, nullity = shape
+    width = n - nullity
     while True:
         a = _random_matrix(rng, n, width) if width else RatMatrix.zeros(n, 1)
         if rank(a) == width:
             break
     m = a @ a.transpose()
     plus = pseudo_inverse(m)
+    assert len(kernel_basis(m)) == nullity
     assert m @ plus @ m == m
     assert plus @ m @ plus == plus
     assert (m @ plus).transpose() == m @ plus
     assert (plus @ m).transpose() == plus @ m
     assert plus == RatMatrix.from_rows(symmetric_pinv(m))
-    if not deficient:
+    if not nullity:
         assert plus == inverse(m)
 
 

@@ -271,6 +271,73 @@ def test_parse_problem_names_a_bad_rational_after_good_ones(bad, message):
     assert str(exc.value) == f"problem.densities[1].breakpoints[1]: {message}"
 
 
+# Each loader reads a string repeated within one file once; a malformed
+# element after many repeats of good strings keeps its field-named message.
+
+def _density_on_even_cells(values):
+    return {"breakpoints": ["0"] + [f"{i}/{len(values)}" for i in range(1, len(values))] + ["1"],
+            "values": values}
+
+
+@pytest.mark.parametrize("bad, message", [
+    (True, "expected an exact rational, got bool True"),
+    (1.0, 'floating point 1.0 is not accepted; write an exact string like "1/3"'),
+    ("1.0", "expected an integer or 'num/den' string, got '1.0'"),
+    ([], "expected an exact rational, got list []"),
+])
+def test_parse_problem_names_a_bad_value_after_many_repeats(bad, message):
+    values = ["1", 1] * 12 + [bad, "1"]
+    obj = {"players": 2, "densities": [_density_on_even_cells(["1"] * 26), _density_on_even_cells(values)]}
+    with pytest.raises(ProblemFormatError) as exc:
+        parse_problem(obj)
+    assert str(exc.value) == f"problem.densities[1].values[24]: {message}"
+
+
+@pytest.mark.parametrize("bad, message", [
+    (True, "expected an exact rational, got bool True"),
+    (1.0, 'floating point 1.0 is not accepted; write an exact string like "1/3"'),
+])
+def test_parse_problem_names_a_bad_goal_entry_after_the_same_strings(bad, message):
+    obj = {"players": 2, "densities": [_density_on_even_cells(["1"] * 4)] * 2,
+           "p": ["1/2", "1/2"], "K": [["1", "-1"], ["-1", bad]]}
+    with pytest.raises(ProblemFormatError) as exc:
+        parse_problem(obj)
+    assert str(exc.value) == f"problem.K[1][1]: {message}"
+
+
+def test_parse_problem_reads_one_string_and_its_int_alike():
+    problem = parse_problem({"players": 1, "densities": [_density_on_even_cells(["1", 1, "1", 1])]})
+    assert problem.densities[0].values == (1, 1, 1, 1)
+    assert all(type(v) is F for v in problem.densities[0].values)
+
+
+def _late_partition(bad):
+    cuts = [f"{i}/40" for i in range(1, 40)]
+    ends = ["0"] + cuts + ["1"]
+    pairs = [[lo, hi] for lo, hi in zip(ends, ends[1:])]
+    return {"intervals": [pairs[:20], pairs[20:-1] + [bad]]}
+
+
+@pytest.mark.parametrize("bad, message", [
+    (["39/40", True], "[1][19][1]: expected an exact rational, got bool True"),
+    ([1.0, "1"], '[1][19][0]: floating point 1.0 is not accepted; write an exact string '
+                 'like "1/3"'),
+    (["39/40", "1", "1"], "[1][19]: expected a [lo, hi] pair"),
+    (["39/40"], "[1][19]: expected a [lo, hi] pair"),
+    (["1", "39/40"], "[1][19]: interval [1, 39/40] must satisfy 0 <= lo <= hi <= 1"),
+])
+def test_parse_partition_names_a_late_bad_pair_after_many_repeats(bad, message):
+    with pytest.raises(ProblemFormatError) as exc:
+        parse_partition(_late_partition(bad))
+    assert str(exc.value) == f"partition.intervals{message}"
+
+
+def test_parse_partition_reads_late_good_pairs():
+    part = parse_partition(_late_partition(["39/40", 1]))
+    assert part.pieces[1][-1] == Interval(F(39, 40), F(1))
+    assert type(part.pieces[1][-1].hi) is F
+
+
 def test_load_partition_from_file(tmp_path):
     path = tmp_path / "partition.json"
     write_json(path, PARTITION_OBJ)
