@@ -118,16 +118,14 @@ def _analysis(problem: Problem, tol: Fraction) -> tuple[dict, dict]:
 
 
 def _audit(profile: MeasureProfile, part: Partition, k: GoalMatrix | None, p: TargetPoint,
-           r: RelationMatrix | None) -> tuple[FairnessReport, dict]:
-    """Fairness verdicts and three report fields: partition, sharing matrix and fairness."""
+           r: RelationMatrix | None) -> dict:
+    """Three report fields: partition, sharing matrix and fairness verdicts."""
     shares = sharing_matrix(profile, part)
-    fairness = check_fairness(shares, k=k, p=p, r=r)
-    fields = {
+    return {
         "partition": serialize_partition(part)["intervals"],
         "sharing_matrix": matrix_to_strings(shares.mat),
-        "fairness": _fairness_dict(fairness),
+        "fairness": _fairness_dict(check_fairness(shares, k=k, p=p, r=r)),
     }
-    return fairness, fields
 
 
 def cmd_gram(args: argparse.Namespace) -> tuple[int, dict]:
@@ -135,10 +133,10 @@ def cmd_gram(args: argparse.Namespace) -> tuple[int, dict]:
     report, state = _analysis(problem, args.tol)
 
     _print_matrix("Gram matrix", report["gram"])
-    if state["relations"]:
+    if report["kernel_basis"]:
         print("Measure relations (kernel basis):")
-        for v in state["relations"]:
-            print("  (" + ", ".join(fmt(x) for x in v) + ")")
+        for v in report["kernel_basis"]:
+            print("  (" + ", ".join(v) + ")")
     else:
         print("Measure relations: none (independent measures)")
     _print_matrix("Pseudo-inverse", report["pseudo_inverse"])
@@ -204,18 +202,17 @@ def cmd_solve(args: argparse.Namespace) -> tuple[int, dict]:
         assert achieved != 0, "a proper nonzero goal matrix has a positive maximum margin"
 
     part = build_from_weights(profile, weights)
-    fairness, audit = _audit(profile, part, k, p, problem.r)
     report["delta"] = _text(achieved)
     report["weight_system"] = [vector_to_strings(row) for row in weights.weights]
-    report.update(audit)
+    report.update(_audit(profile, part, k, p, problem.r))
 
     print(f"Margin delta: {report['delta']}")
     print("Partition:")
-    for j, pieces in enumerate(part.pieces):
-        spans = " ".join(f"[{fmt(iv.lo)}, {fmt(iv.hi)}]" for iv in pieces) or "(nothing)"
+    for j, pieces in enumerate(report["partition"]):
+        spans = " ".join(f"[{lo}, {hi}]" for lo, hi in pieces) or "(nothing)"
         print(f"  player {j}: {spans}")
     _print_matrix("Sharing matrix", report["sharing_matrix"])
-    print(f"Rawlsian distance: {fmt(fairness.rawlsian)}")
+    print(f"Rawlsian distance: {report['fairness']['rawlsian_distance']}")
     return EXIT_OK, report
 
 
@@ -225,16 +222,16 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, dict]:
     profile = common_refinement(problem.densities)
     p = problem.p if problem.p is not None else TargetPoint.uniform(problem.n)
 
-    fairness, audit = _audit(profile, part, problem.k, p, problem.r)
-    report = {"inputs": serialize_problem(problem), **audit}
+    report = {"inputs": serialize_problem(problem), **_audit(profile, part, problem.k, p, problem.r)}
+    fairness = report["fairness"]
     _print_matrix("Sharing matrix", report["sharing_matrix"])
-    for key, value in report["fairness"].items():
+    for key, value in fairness.items():
         print(f"  {key}: {value}")
 
     failed = []
-    if problem.k is not None and fairness.hyper_envy_free is not True:
+    if problem.k is not None and fairness["hyper_envy_free"] is not True:
         failed.append("hyper_envy_free")
-    if problem.r is not None and fairness.relation_satisfied is not True:
+    if problem.r is not None and fairness["relation_satisfied"] is not True:
         failed.append("relation_satisfied")
     if failed:
         print(f"FAILED: {', '.join(failed)}")

@@ -90,7 +90,7 @@ class GoalMatrix:
     def __post_init__(self) -> None:
         if not self.mat.is_square():
             raise ValueError("goal matrix must be square")
-        bad = [i for i, s in enumerate(self.mat.row_sums()) if s != 0]
+        bad = [i for i, (v, _) in enumerate(self.mat.int_rows) if sum(v)]
         if bad:
             raise ValueError(f"goal matrix rows must sum to 0; rows {bad} do not")
 
@@ -151,7 +151,7 @@ def is_proper(k: GoalMatrix | RatMatrix,
     if not mat.is_square():
         raise ValueError("goal matrix must be square")
     n = mat.rows
-    bad_rows = () if isinstance(k, GoalMatrix) else tuple(i for i, s in enumerate(mat.row_sums()) if s != 0)
+    bad_rows = () if isinstance(k, GoalMatrix) else tuple(i for i, (v, _) in enumerate(mat.int_rows) if sum(v))
     for a, lam in enumerate(relations):
         if len(lam) != n:
             raise ValueError(f"relation {a} has length {len(lam)}, expected {n}")

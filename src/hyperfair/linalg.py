@@ -13,7 +13,8 @@ when they do not, so the enclosure is rigorous rather than floating
 point.
 
 Row reduction and products run on integer rows (int numerators over
-one positive denominator per row, in lowest terms).  ``_pivot_at`` is
+one positive denominator per row, in lowest terms); a matrix's own are
+built once, as :attr:`RatMatrix.int_rows`, and only read.  ``_pivot_at`` is
 the package's one exact pivot, run by the simplex tableau and by
 ``_pivot_on``, the one column-pivot loop of the reduction of
 ``[m | I]`` (Gauss-Jordan, also behind :func:`rref`) and of
@@ -35,6 +36,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -148,6 +150,12 @@ class RatMatrix:
     def row(self, i: int) -> tuple[Fraction, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
+    @cached_property
+    def int_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """Each row's integer numerators over its least common denominator,
+        built once per matrix and shared by every reader, so read-only."""
+        return tuple((tuple(v), d) for v, d in (_to_row(self.row(i)) for i in range(self.rows)))
+
     def to_rows(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
@@ -175,9 +183,8 @@ class RatMatrix:
         """Exact product: each entry is one dot product of two integer rows."""
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        rows = [_to_row(self.row(i)) for i in range(self.rows)]
         cols = [_to_row(other.entries[j::other.cols]) for j in range(other.cols)]
-        return _products(rows, cols)
+        return _products(self.int_rows, cols)
 
     def mat_vec(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
         if len(v) != self.cols:

@@ -6,8 +6,8 @@ merged onto one shared grid by :func:`common_refinement`; the cells of
 that grid are called atoms, and every exact computation downstream
 (measures of intervals, the Gram matrix of the normalized density
 weights, linear relations between the measures) reduces to finite sums
-over atoms; the Gram and sharing matrices form them as integer dot
-products of the value rows of :meth:`MeasureProfile.value_matrix`.
+over atoms.  The Gram matrix and both constructions sum over blocks,
+the atoms that share their normalized weights (:attr:`MeasureProfile.blocks`).
 """
 
 from __future__ import annotations
@@ -17,9 +17,10 @@ import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
-from .linalg import RatMatrix, _products, _ratio_row, _to_row, kernel_basis, rat
+from .linalg import RatMatrix, _products, _ratio_row, _Row, _to_row, kernel_basis, rat
 
 
 @dataclass(frozen=True)
@@ -145,17 +146,37 @@ class MeasureProfile:
     def n(self) -> int:
         return len(self.densities)
 
-    def value_matrix(self) -> RatMatrix:
-        """``atom_values`` as an n x (number of atoms) matrix."""
-        return RatMatrix(self.n, len(self.atoms), tuple(x for row in self.atom_values for x in row))
-
     def atom_measure(self, player: int, atom: int) -> Fraction:
         """Measure the given player assigns to one whole atom."""
         return self.atom_values[player][atom] * self.atoms[atom].length
 
     def is_null_atom(self, atom: int) -> bool:
         """True when every density vanishes on the atom."""
-        return all(self.atom_values[i][atom] == 0 for i in range(self.n))
+        return self.blocks[0][atom] is None
+
+    @cached_property
+    def blocks(self) -> tuple[tuple[int | None, ...], tuple[tuple[int, ...], ...], tuple[_Row, ...]]:
+        """Each atom's block of equal :func:`rn_weights` (``None`` where every
+        density vanishes; numbered in order of first appearance), each block's
+        primitive integer column of lifted density values, and each player's
+        block measures as one integer row; built once and only read."""
+        values = [_to_row(row) for row in self.atom_values]
+        lengths, e = _to_row([atom.length for atom in self.atoms])
+        common = math.lcm(*(d for _, d in values))
+        lift = [(v, common // d) for v, d in values]
+        index: dict[tuple[int, ...], int] = {}
+        block_of = []
+        for a in range(len(self.atoms)):
+            column = [v[a] * f for v, f in lift]
+            g = math.gcd(*column)
+            block_of.append(index.setdefault(tuple(x // g for x in column), len(index)) if g else None)
+        measures = [[0] * len(index) for _ in values]
+        for a, b in enumerate(block_of):
+            if b is not None:
+                for row, (v, _) in zip(measures, values):
+                    row[b] += v[a] * lengths[a]
+        return (tuple(block_of), tuple(index),
+                tuple((tuple(row), d * e) for row, (_, d) in zip(measures, values)))
 
 
 def common_refinement(densities: Sequence[StepDensity]) -> MeasureProfile:
@@ -190,30 +211,26 @@ def rn_weights(profile: MeasureProfile, atom: int) -> tuple[Fraction, ...]:
     Each player's density value divided by the sum over players; on an
     atom where every density vanishes the weights are all zero.
     """
-    column = [profile.atom_values[i][atom] for i in range(profile.n)]
-    total = sum(column, Fraction(0))
-    return tuple(v / total if total else Fraction(0) for v in column)
+    b = profile.blocks[0][atom]
+    column = (0,) * profile.n if b is None else profile.blocks[1][b]
+    total = sum(column) or 1
+    return tuple(Fraction(x, total) for x in column)
 
 
 def gram_matrix(profile: MeasureProfile) -> RatMatrix:
     """Pairwise integrals of the normalized weights against the sum measure.
 
     Entry (i, j) is the sum over atoms of ``w_i * w_j`` times the total
-    measure of the atom, where ``w`` are the :func:`rn_weights`: the
-    product of :meth:`MeasureProfile.value_matrix` with the matrix whose
-    row ``a`` is ``w`` times the length of atom ``a``, formed on value rows
-    lifted to one denominator, so each entry is one integer dot product.
+    measure of the atom, where ``w`` are the :func:`rn_weights`; ``w`` is
+    constant on each of the profile's blocks, so ``G_ij = sum_b mu_i(b) w_j(b)``,
+    one integer dot product of a block-measure row and a weight row.
     The result is symmetric, row-stochastic, and positive-semidefinite,
     with diagonal entries at least 1/n.
     """
-    values = [_to_row(row) for row in profile.atom_values]
-    common = math.lcm(*(d for _, d in values))
-    lifted = [[x * (common // d) for x in v] for v, d in values]
-    totals = [sum(column) for column in zip(*lifted)]
-    spans = [(iv.length.numerator, iv.length.denominator) for iv in profile.atoms]
-    return _products(values, [
-        _ratio_row([(x * s, t * e) if t else (0, 1) for x, t, (s, e) in zip(row, totals, spans)])
-        for row in lifted])
+    _, columns, measures = profile.blocks
+    totals = [sum(column) for column in columns]
+    return _products(measures, [_ratio_row([(c[j], t) for c, t in zip(columns, totals)])
+                                for j in range(profile.n)])
 
 
 def measure_relations(profile: MeasureProfile) -> list[tuple[Fraction, ...]]:

@@ -17,14 +17,15 @@ two routes, and both land on the same sharing matrix:
 * :func:`solve_alpha` solves an exact linear program.  It reaches every
   realizable margin, so ``solve`` uses it to maximize the margin, from
   the feasible point ``delta = 0`` with every block split by ``p``, and
-  for fixed margins the factor cannot realize.  Atoms with equal
-  :func:`rn_weights` have proportional measures, so the LP takes them
-  as one block with the summed measure and every atom of a block gets
-  the block's row: the realizable sharing matrices do not change.  Of
-  the coupling rows it keeps ``n - 1`` per player, as the last follows
-  from the others.  ``simplex._row`` lays out the LP's integer rows
-  for the integer-row core of :func:`hyperfair.simplex.certified_solve`,
-  so every weight and margin is exact.
+  for fixed margins the factor cannot realize.  Of the coupling rows it
+  keeps ``n - 1`` per player, as the last follows from the others.
+  ``simplex._row`` lays out the LP's integer rows for the integer-row
+  core of :func:`hyperfair.simplex.certified_solve`, so every weight
+  and margin is exact.
+
+Both find one weight row per block of :attr:`MeasureProfile.blocks`
+(atoms with equal :func:`rn_weights`, so proportional measures), which
+every atom of the block gets: the realizable sharing matrices do not change.
 """
 
 from __future__ import annotations
@@ -33,11 +34,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .hyperfree import UNCONSTRAINED, GoalMatrix, TargetPoint, stochastic_factor
-from .linalg import RatMatrix, _to_row, pseudo_inverse, rat
-from .measures import Interval, MeasureProfile, gram_matrix, rn_weights
+from .linalg import RatMatrix, pseudo_inverse, rat
+from .measures import Interval, MeasureProfile, gram_matrix
 # simplex_solve stays importable from here, where the benchmark's tracer
 # (perfbench/spans.py) has always looked it up.
 from .simplex import LpStatus, _certified_solve, _Objective, _row, simplex_solve  # noqa: F401
@@ -152,13 +153,11 @@ def build_from_weights(profile: MeasureProfile, w: WeightSystem) -> Partition:
     return Partition(tuple(tuple(p) for p in pieces))
 
 
-def _weight_rows(profile: MeasureProfile,
-                 row_of: Callable[[int], tuple[Fraction, ...]]) -> WeightSystem:
-    """Weight system with row ``row_of(a)`` on each atom ``a``; null atoms
-    (every density zero there) go wholly to player 0."""
+def _weight_rows(profile: MeasureProfile, rows: Sequence[tuple[Fraction, ...]]) -> WeightSystem:
+    """Weight system with ``rows[b]`` on each atom of the profile's block
+    ``b``; null atoms (every density zero there) go wholly to player 0."""
     to_player_0 = tuple(Fraction(int(j == 0)) for j in range(profile.n))
-    return WeightSystem(tuple(to_player_0 if profile.is_null_atom(a) else row_of(a)
-                              for a in range(len(profile.atoms))))
+    return WeightSystem(tuple(to_player_0 if b is None else rows[b] for b in profile.blocks[0]))
 
 
 def solve_alpha(profile: MeasureProfile, k: GoalMatrix, p: TargetPoint,
@@ -168,11 +167,11 @@ def solve_alpha(profile: MeasureProfile, k: GoalMatrix, p: TargetPoint,
     ``delta`` may be an exact rational (realize that margin or raise
     :class:`InfeasibleError`) or :data:`MAXIMIZE` (find the largest
     admissible margin).  Atoms where every density vanishes carry no
-    constraints and are handed wholly to player 0.  The others are
-    grouped into blocks by their :func:`rn_weights`, in order of first
-    appearance; the LP has ``n`` variables per block, each player's
-    share of it, and every atom of the block gets those shares as its
-    weight row.  Constraint ``(i, j)`` says that player ``i`` values
+    constraints and are handed wholly to player 0.  The others come in
+    the profile's :attr:`MeasureProfile.blocks`; the LP has ``n``
+    variables per block, each player's share of it, and every atom of
+    the block gets those shares as its weight row.  Constraint
+    ``(i, j)`` says that player ``i`` values
     player ``j``'s piece at ``P[j] + delta K[i][j]``; the one for
     ``j = n - 1`` is left out, as it follows from the others.  To
     maximize, the LP goes to the simplex with the point ``delta = 0``,
@@ -202,27 +201,8 @@ def solve_alpha(profile: MeasureProfile, k: GoalMatrix, p: TargetPoint,
         weights, _ = solve_alpha(profile, k, p, Fraction(0))
         return weights, UNCONSTRAINED
 
-    # Integer rows of the values, one per player, and of the atom lengths.
-    # Value columns share a primitive integer vector exactly when their
-    # rn_weights agree; a null atom's is zero.  slot[a] is the block of
-    # non-null atom a; a block's measure sums its atoms'.
-    values = [_to_row(row) for row in profile.atom_values]
-    lengths, e = _to_row([atom.length for atom in profile.atoms])
-    common = math.lcm(*(d for _, d in values))
-    lift = [(v, common // d) for v, d in values]
-    block_of: dict[tuple[int, ...], int] = {}
-    slot: dict[int, int] = {}
-    for a in range(len(profile.atoms)):
-        column = [v[a] * f for v, f in lift]
-        g = math.gcd(*column)
-        if g:
-            slot[a] = block_of.setdefault(tuple(x // g for x in column), len(block_of))
-    blocks = len(block_of)
-    measure = [[0] * blocks for _ in range(n)]  # over values[i][1] * e
-    for a, b in slot.items():
-        for i, (v, _) in enumerate(values):
-            measure[i][b] += v[a] * lengths[a]
-
+    _, columns, measures = profile.blocks
+    blocks = len(columns)
     nvars = blocks * n + (1 if maximize else 0)
     delta_var = blocks * n
     # The LP's integer rows of [A | b]: first, each block fully distributed.
@@ -230,13 +210,13 @@ def solve_alpha(profile: MeasureProfile, k: GoalMatrix, p: TargetPoint,
     # Player i's value of player j's piece.  Row (i, n-1) would be 1
     # minus the others on both sides: the block rows sum to 1, and so
     # do player i's measure, P and every row of P + delta K.
-    for i, (_, d) in enumerate(values):
+    for i, (measure, d) in enumerate(measures):
         for j in range(n - 1):
             kij = k.mat[i, j]
             rhs = p.shares[j] if maximize else p.shares[j] + kij * fixed
-            den = math.lcm(d * e, kij.denominator, rhs.denominator)
-            scale = den // (d * e)
-            terms = [(b * n + j, measure[i][b] * scale) for b in range(blocks)]
+            den = math.lcm(d, kij.denominator, rhs.denominator)
+            scale = den // d
+            terms = [(b * n + j, measure[b] * scale) for b in range(blocks)]
             if maximize:
                 terms.append((delta_var, -kij.numerator * (den // kij.denominator)))
             rows.append(_row(nvars, terms, rhs.numerator * (den // rhs.denominator), den))
@@ -253,24 +233,26 @@ def solve_alpha(profile: MeasureProfile, k: GoalMatrix, p: TargetPoint,
     assert outcome.witness is not None
     x = outcome.witness
     achieved = x[delta_var] if maximize else fixed
-    return _weight_rows(profile, lambda a: x[slot[a] * n: slot[a] * n + n]), achieved
+    return _weight_rows(profile, [x[b * n: b * n + n] for b in range(blocks)]), achieved
 
 
 def factor_weights(profile: MeasureProfile, factor: RatMatrix) -> WeightSystem:
     """Weight system of a row-stochastic factor ``S``, without any LP.
 
-    The weights are the product ``W @ S``, where row ``a`` of ``W``
-    holds the :func:`rn_weights` of atom ``a``; null atoms go wholly to
-    player 0.  When ``gram_matrix(profile) @ S`` is ``P + delta K``,
-    the cut realizes exactly that sharing matrix, because summing
-    ``w_l * measure_i`` over the atoms gives the Gram entry ``(i, l)``.
+    The weights are the product ``W @ S``, where row ``b`` of ``W``
+    holds the :func:`rn_weights` of the profile's block ``b``, for every
+    atom of the block; null atoms go wholly to player 0.  When
+    ``gram_matrix(profile) @ S`` is ``P + delta K``, the cut realizes
+    exactly that sharing matrix, because summing ``w_l * measure_i``
+    over the blocks gives the Gram entry ``(i, l)``.
     """
     n = profile.n
     if factor.rows != n or factor.cols != n:
         raise ValueError("factor and profile disagree on the number of players")
-    atoms = len(profile.atoms)
-    w = RatMatrix(atoms, n, tuple(x for a in range(atoms) for x in rn_weights(profile, a)))
-    return _weight_rows(profile, (w @ factor).row)
+    columns = profile.blocks[1]
+    w = RatMatrix(len(columns), n, tuple(Fraction(x, sum(c)) for c in columns for x in c))
+    product = w @ factor
+    return _weight_rows(profile, [product.row(b) for b in range(product.rows)])
 
 
 def build_via_stochastic_factor(profile: MeasureProfile, k: GoalMatrix, p: TargetPoint,

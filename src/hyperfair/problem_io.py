@@ -198,44 +198,23 @@ def parse_partition(obj: Any, source: str = "partition") -> Partition:
     raw = obj["intervals"]
     if not isinstance(raw, list) or not raw:
         raise ProblemFormatError(f"{source}.intervals: expected one interval list per player")
-    try:
-        pieces = _pieces(raw, _Memo())
-    except (TypeError, ValueError):  # again with field names, to name the element
-        pieces = _named_pieces(raw, source)
-    return Partition(pieces)
-
-
-def _pieces(raw: list, memo: _Memo) -> tuple[tuple[Interval, ...], ...]:
-    """Each player's intervals; any malformed entry raises ``TypeError`` or ``ValueError``."""
-    pieces = []
-    for lst in raw:
-        if not isinstance(lst, list):
-            raise TypeError
-        ivs = []
-        for pair in lst:
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise TypeError
-            ivs.append(Interval(memo[pair[0]], memo[pair[1]]))
-        pieces.append(tuple(ivs))
-    return tuple(pieces)
-
-
-def _named_pieces(raw: list, source: str) -> tuple[tuple[Interval, ...], ...]:
-    """:func:`_pieces`, with the first malformed entry named in a ``ProblemFormatError``."""
+    memo = _Memo()
     pieces = []
     for j, lst in enumerate(raw):
-        where = f"{source}.intervals[{j}]"
         if not isinstance(lst, list):
-            raise ProblemFormatError(f"{where}: expected a list of [lo, hi] pairs")
+            raise ProblemFormatError(f"{source}.intervals[{j}]: expected a list of [lo, hi] pairs")
         ivs = []
         for t, pair in enumerate(lst):
             if not isinstance(pair, list) or len(pair) != 2:
-                raise ProblemFormatError(f"{where}[{t}]: expected a [lo, hi] pair")
-            lo = parse_rational(pair[0], f"{where}[{t}][0]")
-            hi = parse_rational(pair[1], f"{where}[{t}][1]")
-            ivs.append(_checked(f"{where}[{t}]", Interval, lo, hi))
+                raise ProblemFormatError(f"{source}.intervals[{j}][{t}]: expected a [lo, hi] pair")
+            try:
+                ivs.append(Interval(memo[pair[0]], memo[pair[1]]))
+            except (TypeError, ValueError):  # again with field names, to name the element
+                where = f"{source}.intervals[{j}][{t}]"
+                lo = parse_rational(pair[0], f"{where}[0]")
+                ivs.append(_checked(where, Interval, lo, parse_rational(pair[1], f"{where}[1]")))
         pieces.append(tuple(ivs))
-    return tuple(pieces)
+    return Partition(tuple(pieces))
 
 
 def load_partition(path: str | Path) -> Partition:

@@ -28,7 +28,7 @@ class SharingMatrix:
     def __post_init__(self) -> None:
         if not self.mat.is_square():
             raise ValueError("sharing matrix must be square")
-        rows = [_to_row(self.mat.row(i)) for i in range(self.mat.rows)]
+        rows = self.mat.int_rows
         if any(x < 0 for v, _ in rows for x in v):
             raise ValueError("sharing matrix entries must be nonnegative")
         bad = [i for i, (v, d) in enumerate(rows) if sum(v) != d]
@@ -108,9 +108,8 @@ def rawlsian_distance(m: SharingMatrix | RatMatrix) -> Fraction:
     mat = m.mat if isinstance(m, SharingMatrix) else m
     if not mat.is_square():
         raise ValueError("square matrix required")
-    rows = [_to_row(mat.row(i)) for i in range(mat.rows)]
     num, den = _least([(0, 1)] + [(-sum(abs(x - d * (i == j)) for j, x in enumerate(v)), d)
-                                   for i, (v, d) in enumerate(rows)])
+                                   for i, (v, d) in enumerate(mat.int_rows)])
     return Fraction(-num, den)
 
 
@@ -118,8 +117,7 @@ def _recover_margin(excess: list[tuple[list[int], int]], k: GoalMatrix):
     """Solve ``m = P + delta K``, with ``excess`` the integer rows of ``m - P``,
     for a single positive delta; candidates are integer pairs in lowest terms."""
     deltas = set()
-    for i, (v, d) in enumerate(excess):
-        kv, kd = _to_row(k.mat.row(i))
+    for (v, d), (kv, kd) in zip(excess, k.mat.int_rows):
         for x, z in zip(v, kv):
             if z == 0 and x != 0:
                 return False, None
@@ -143,7 +141,7 @@ def check_fairness(m: SharingMatrix, k: GoalMatrix | None = None,
     together enable the sign-pattern check.  All comparisons are exact,
     on each row's integer numerators, and only reported values are Fractions.
     """
-    n, rows = m.n, [_to_row(m.mat.row(i)) for i in range(m.n)]
+    n, rows = m.n, m.mat.int_rows
     if p is not None:  # integer rows of m - P, over d * pd for row v / d and shares pv / pd
         pv, pd = _to_row(p.shares)
         excess = [([x * pd - y * d for x, y in zip(v, pv)], d * pd) for v, d in rows]

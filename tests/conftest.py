@@ -123,6 +123,34 @@ def random_profile(rng: random.Random, n: int | None = None, max_atoms: int = 6,
     return common_refinement(densities)
 
 
+def blocky_profile(rng, kind):
+    """Densities constant over runs of cells, many cells sharing one column.
+
+    Each cell takes a column from a small palette of value vectors, at
+    scale 1 or 2, so equal and proportional columns repeat along the
+    grid.  ``kind`` is ``"null"`` to make one cell vanish for every
+    player, or ``"dependent"`` to replace the last density by a mix of
+    the others (a forced measure relation).
+    """
+    n = rng.randint(2, 3)
+    cells = rng.randint(3, 8)
+    palette = [[rng.randint(0, 4) for _ in range(n)] for _ in range(rng.randint(1, 3))]
+    columns = [[rng.randint(1, 2) * v for v in rng.choice(palette)] for _ in range(cells)]
+    if kind == "null":
+        columns[rng.randrange(cells)] = [0] * n
+    for i in range(n):  # every density needs some mass
+        if not any(col[i] for col in columns):
+            columns[rng.randrange(cells)][i] = 1
+    breaks = [Fraction(c, cells) for c in range(cells + 1)]
+    densities = [StepDensity.normalized(breaks, [col[i] for col in columns]) for i in range(n)]
+    if kind == "dependent":
+        mix = [Fraction(rng.randint(1, 3)) for _ in range(n - 1)]
+        values = [sum((w * d.values[c] for w, d in zip(mix, densities)), Fraction(0)) / sum(mix)
+                  for c in range(cells)]
+        densities[-1] = StepDensity(tuple(breaks), tuple(values))
+    return common_refinement(densities)
+
+
 def random_independent_profile(rng: random.Random, n: int | None = None, max_atoms: int = 6):
     """Random profile whose Gram matrix is nonsingular (retry loop)."""
     from hyperfair import gram_matrix

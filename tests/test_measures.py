@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -19,7 +20,7 @@ from hyperfair.measures import (
     rn_weights,
 )
 
-from conftest import TRIO_GRAM_ROWS, random_profile
+from conftest import TRIO_GRAM_ROWS, blocky_profile, random_profile
 from oracles import refine
 
 F = Fraction
@@ -324,3 +325,42 @@ def test_refinement_matches_the_cell_lookup_oracle(densities):
     assert [(iv.lo, iv.hi) for iv in profile.atoms] == atoms
     assert [list(row) for row in profile.atom_values] == values
     assert all(isinstance(row, tuple) for row in profile.atom_values)
+
+
+# -- atom blocks against a Fraction derivation -----------------------------------
+
+def assert_blocks_match_fractions(profile):
+    """``profile.blocks`` against blocks found here from Fraction weights.
+
+    A non-null atom's key is its value column divided by the column sum;
+    atoms share a block exactly when their keys are equal, null atoms map
+    to None, and blocks are numbered by a key's first appearance.
+    """
+    n, atoms = profile.n, range(len(profile.atoms))
+    numbering: dict[tuple[Fraction, ...], int] = {}
+    expected = []
+    for a in atoms:
+        column = [profile.atom_values[i][a] for i in range(n)]
+        total = sum(column, F(0))
+        key = tuple(v / total for v in column) if total else None
+        expected.append(None if key is None else numbering.setdefault(key, len(numbering)))
+        assert rn_weights(profile, a) == (key or (F(0),) * n)
+    block_of, columns, measures = profile.blocks
+    assert list(block_of) == expected
+    assert all(math.gcd(*c) == 1 for c in columns)
+    assert [tuple(F(x, sum(c)) for x in c) for c in columns] == list(numbering)
+    for i, (row, d) in enumerate(measures):
+        assert [F(x, d) for x in row] == [
+            sum((profile.atom_measure(i, a) for a in atoms if expected[a] == b), F(0))
+            for b in range(len(numbering))]
+
+
+@given(st.randoms(use_true_random=False))
+def test_blocks_match_a_fraction_derivation_on_one_grid(rng):
+    assert_blocks_match_fractions(random_profile(rng, max_atoms=8, force_dependent=rng.random() < 0.5))
+    assert_blocks_match_fractions(blocky_profile(rng, rng.choice(["plain", "null", "dependent"])))
+
+
+@given(mixed_grid_densities())
+def test_blocks_match_a_fraction_derivation_on_merged_grids(densities):
+    assert_blocks_match_fractions(common_refinement(densities))

@@ -24,7 +24,7 @@ from hyperfair.partition import (
 )
 from hyperfair.verify import check_fairness, sharing_matrix
 
-from conftest import fine_tiling, random_profile, random_proper_goal, random_target
+from conftest import blocky_profile, fine_tiling, random_profile, random_proper_goal, random_target
 from oracles import lp_bland_reference
 
 F = Fraction
@@ -351,34 +351,6 @@ def test_both_routes_realize_the_same_sharing_values(rng):
 
 
 # -- the block-merged LP against the full per-atom LP ---------------------------
-
-def blocky_profile(rng, kind):
-    """Densities constant over runs of cells, many cells sharing one column.
-
-    Each cell takes a column from a small palette of value vectors, at
-    scale 1 or 2, so equal and proportional columns repeat along the
-    grid.  ``kind`` is ``"null"`` to make one cell vanish for every
-    player, or ``"dependent"`` to replace the last density by a mix of
-    the others (a forced measure relation).
-    """
-    n = rng.randint(2, 3)
-    cells = rng.randint(3, 8)
-    palette = [[rng.randint(0, 4) for _ in range(n)] for _ in range(rng.randint(1, 3))]
-    columns = [[rng.randint(1, 2) * v for v in rng.choice(palette)] for _ in range(cells)]
-    if kind == "null":
-        columns[rng.randrange(cells)] = [0] * n
-    for i in range(n):  # every density needs some mass
-        if not any(col[i] for col in columns):
-            columns[rng.randrange(cells)][i] = 1
-    breaks = [F(c, cells) for c in range(cells + 1)]
-    densities = [StepDensity.normalized(breaks, [col[i] for col in columns]) for i in range(n)]
-    if kind == "dependent":
-        mix = [F(rng.randint(1, 3)) for _ in range(n - 1)]
-        values = [sum((w * d.values[c] for w, d in zip(mix, densities)), F(0)) / sum(mix)
-                  for c in range(cells)]
-        densities[-1] = StepDensity(tuple(breaks), tuple(values))
-    return common_refinement(densities)
-
 
 def full_atom_lp_max(profile, k, p):
     """Max margin of the LP with one row per atom and all n * n coupling rows."""

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from hyperfair.hyperfree import UNCONSTRAINED, GoalMatrix, TargetPoint
-from hyperfair.linalg import RatMatrix
+from hyperfair.hyperfree import UNCONSTRAINED, GoalMatrix, TargetPoint, is_proper
+from hyperfair.linalg import RatMatrix, _to_row, kernel_basis, pseudo_inverse
 from hyperfair.measures import Interval, StepDensity, common_refinement, gram_matrix, measure_of
 from hyperfair.partition import Partition, build_from_weights, solve_alpha
 from hyperfair.relations import RelationMatrix
@@ -390,3 +390,22 @@ def test_audit_of_a_fine_tiling_matches_the_oracle(trio_profile, trio_goal, unif
     want = fairness_verdicts(rows, trio_goal.mat.to_rows(), uniform3.shares)
     assert (report.envy_free, report.rawlsian, report.hyper_envy_free) == (
         want["envy_free"], want["rawlsian"], want["hyper"])
+
+
+# -- the shared integer rows of a matrix --------------------------------------------
+
+def test_every_reader_leaves_the_cached_integer_rows_as_built():
+    m = RatMatrix.from_rows(TRIO_SHARING_ROWS)
+    p = TargetPoint.uniform(3)
+    k = GoalMatrix(m - p.as_matrix())
+    first = m @ m
+    check_fairness(SharingMatrix(m), k, p, RelationMatrix.from_symbols([[">", "<", "<"]] * 3))
+    rawlsian_distance(m)
+    with pytest.raises(ValueError, match="sum to 0"):
+        GoalMatrix(m)
+    assert is_proper(m, [(F(1), F(-1), F(0))]).bad_rows == (0, 1, 2)
+    pseudo_inverse(m)
+    kernel_basis(m)
+    for mat in (m, k.mat):
+        assert mat.int_rows == tuple((tuple(v), d) for v, d in map(_to_row, map(mat.row, range(3))))
+    assert m @ m == first
