@@ -4,7 +4,14 @@
 Runs every ``hyperfair`` command of the seed-1 and seed-2 problem pools
 of the three benchmark workloads (generated by ``perfbench/run.py``'s
 ``set_up``), and ``gram``, ``solve`` and ``verify`` on each bundled
-problem in ``problems/``.  Each group's digest is a SHA-256 over the
+problem in ``problems/``.  Two more groups reach what those inputs do
+not: ``noncanonical`` runs the bundled commands again on copies of the
+files with every number spelled another way (``"2/6"``, ``" 1/3"``,
+``"+1"``, ``"-0"``, ``"007"``, ``"4/1"``, JSON integers), and
+``solve_fixed_lp/seed1`` solves the first 16 seed-1 ``solve_fixed``
+problems at a margin halfway between the factor bound and the maximum,
+where ``solve`` takes the weight LP (``"route": "lp"``, checked).
+Each group's digest is a SHA-256 over the
 exit code, the standard output and the report file bytes of each of its
 commands, in order.  So two trees whose digests agree print and write
 the same bytes on all of those inputs.
@@ -27,6 +34,7 @@ import io
 import json
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -34,6 +42,7 @@ PROBLEMS = ROOT / "problems"
 STORED = Path(__file__).resolve().parent / "output_digest.json"
 POOLS = [(workload, seed) for workload in ("analyze", "solve_fixed", "solve_max") for seed in (1, 2)]
 PARTITION = PROBLEMS / "three_players_partition.json"
+FIXED_LP_PROBLEMS = 16
 
 sys.path.insert(0, str(ROOT / "perfbench"))
 import run as perfbench  # noqa: E402  (puts src/ on sys.path and checks the checkout)
@@ -59,14 +68,77 @@ def digest(cli, commands: list[tuple[list[str], Path]]) -> str:
     return h.hexdigest()
 
 
-def bundled_commands(workdir: Path) -> list[tuple[list[str], Path]]:
+def bundled_commands(workdir: Path, problems: list[Path], partition: Path) -> list[tuple[list[str], Path]]:
     commands = []
-    for problem in sorted(PROBLEMS.glob("*.json")):
-        if problem == PARTITION:
-            continue
-        for argv in (["gram"], ["solve"], ["verify", "--partition", str(PARTITION)]):
+    for problem in problems:
+        for argv in (["gram"], ["solve"], ["verify", "--partition", str(partition)]):
             report = workdir / f"{problem.stem}.{argv[0]}.json"
             commands.append((argv + ["--input", str(problem), "--output", str(report)], report))
+    return commands
+
+
+def respell(text: str, turn: int) -> str | int:
+    """The canonical number ``text`` spelled another way, chosen by ``turn % 6``:
+    doubled terms (``"2/6"``), surrounding spaces (``" 1/3 "``), a sign
+    (``"+1"``, ``"-0"``, ``"-05"``), leading zeros (``"007"``), ``"4/1"``
+    or ``"1 / 3"``, and a JSON integer (or ``"1 /3"``)."""
+    x = Fraction(text)
+    num, den = x.numerator, x.denominator
+    digits, tail = str(abs(num)), "" if den == 1 else f"/{den}"
+    minus = "-" if num < 0 else ""
+    signed = "+" + text if num > 0 else f"-0{digits}{tail}" if num < 0 else "-0"
+    return [
+        f"{2 * num}/{2 * den}",
+        f" {text} ",
+        signed,
+        f"{minus}00{digits}{tail}",
+        f"{text}/1" if den == 1 else f"{num} / {den}",
+        num if den == 1 else f"{num} /{den}",
+    ][turn % 6]
+
+
+def respelled(obj, turns: list[int]):
+    """``obj`` with every number string under its number fields re-spelled in turn."""
+    if isinstance(obj, list):
+        return [respelled(x, turns) for x in obj]
+    if isinstance(obj, dict):
+        return {key: value if key in ("players", "R") else respelled(value, turns)
+                for key, value in obj.items()}
+    if obj == "max":
+        return obj
+    turns.append(len(turns))
+    return respell(obj, turns[-1])
+
+
+def noncanonical_files(workdir: Path) -> tuple[list[Path], Path]:
+    """Copies of the bundled problems and partition with every number re-spelled."""
+    workdir.mkdir()
+    copies = []
+    for source in sorted(PROBLEMS.glob("*.json")):
+        copy = workdir / source.name
+        obj = json.loads(source.read_text(encoding="utf-8"))
+        copy.write_text(json.dumps(respelled(obj, [])), encoding="utf-8")
+        copies.append(copy)
+    return [c for c in copies if c.name != PARTITION.name], workdir / PARTITION.name
+
+
+def fixed_lp_commands(hf, instances, workdir: Path) -> list[tuple[list[str], Path]]:
+    """``solve`` on the first solve_fixed problems at a margin halfway between
+    the factor bound and the maximum, so ``solve`` cuts by the weight LP."""
+    workdir.mkdir()
+    commands = []
+    for inst in instances[:FIXED_LP_PROBLEMS]:
+        parsed = hf.problem_io.parse_problem(inst.problem)
+        profile = hf.common_refinement(parsed.densities)
+        g_plus = hf.pseudo_inverse(hf.gram_matrix(profile))
+        low = hf.factor_delta_bound(g_plus @ parsed.k.mat, parsed.p)
+        high = hf.solve_alpha(profile, parsed.k, parsed.p, hf.MAXIMIZE)[1]
+        if not low < high:
+            raise SystemExit(f"{inst.name}: no margin between the factor bound and the maximum")
+        source, report = workdir / f"{inst.name}.problem.json", workdir / f"{inst.name}.solve.json"
+        source.write_text(json.dumps({**inst.problem, "delta": hf.fmt((low + high) / 2)}),
+                          encoding="utf-8")
+        commands.append((["solve", "--input", str(source), "--output", str(report)], report))
     return commands
 
 
@@ -80,8 +152,19 @@ def all_digests() -> dict:
             commands = [pair for inst in instances for pair in zip(inst.commands, inst.reports)]
             digests[f"{workload}/seed{seed}"] = {"commands": len(commands),
                                                  "sha256": digest(hf.cli, commands)}
-        commands = bundled_commands(work)
-        digests["problems"] = {"commands": len(commands), "sha256": digest(hf.cli, commands)}
+            if (workload, seed) == ("solve_fixed", 1):
+                lp = fixed_lp_commands(hf, instances, work / "solve_fixed_lp")
+        groups = {
+            "problems": bundled_commands(
+                work, [p for p in sorted(PROBLEMS.glob("*.json")) if p != PARTITION], PARTITION),
+            "noncanonical": bundled_commands(work, *noncanonical_files(work / "noncanonical")),
+            "solve_fixed_lp/seed1": lp,
+        }
+        for name, commands in groups.items():
+            digests[name] = {"commands": len(commands), "sha256": digest(hf.cli, commands)}
+        routes = {json.loads(report.read_text(encoding="utf-8")).get("route") for _, report in lp}
+        if routes != {"lp"}:
+            raise SystemExit(f"solve_fixed_lp/seed1 took the routes {sorted(map(str, routes))}, not only 'lp'")
     return digests
 
 
