@@ -5,9 +5,10 @@ Runs every ``hyperfair`` command of the seed-1 and seed-2 problem pools
 of the three benchmark workloads (generated by ``perfbench/run.py``'s
 ``set_up``), and ``gram``, ``solve`` and ``verify`` on each bundled
 problem in ``problems/``.  Two more groups reach what those inputs do
-not: ``noncanonical`` runs the bundled commands again on copies of the
-files with every number spelled another way (``"2/6"``, ``" 1/3"``,
-``"+1"``, ``"-0"``, ``"007"``, ``"4/1"``, JSON integers), and
+not: ``noncanonical`` runs the bundled commands again on two copies of
+the files with every number spelled another way (``"2/6"``, ``" 1/3"``,
+``"+1"``, ``"-0"``, ``"007"``, ``"4/1"``; JSON integers in one copy
+only, so the other holds strings alone), and
 ``solve_fixed_lp/seed1`` solves the first 16 seed-1 ``solve_fixed``
 problems at a margin halfway between the factor bound and the maximum,
 where ``solve`` takes the weight LP (``"route": "lp"``, checked).
@@ -97,27 +98,28 @@ def respell(text: str, turn: int) -> str | int:
     ][turn % 6]
 
 
-def respelled(obj, turns: list[int]):
-    """``obj`` with every number string under its number fields re-spelled in turn."""
+def respelled(obj, turns: list[int], kinds: int):
+    """``obj`` with every number string under its number fields re-spelled in
+    turn by the first ``kinds`` of :func:`respell`'s spellings."""
     if isinstance(obj, list):
-        return [respelled(x, turns) for x in obj]
+        return [respelled(x, turns, kinds) for x in obj]
     if isinstance(obj, dict):
-        return {key: value if key in ("players", "R") else respelled(value, turns)
+        return {key: value if key in ("players", "R") else respelled(value, turns, kinds)
                 for key, value in obj.items()}
     if obj == "max":
         return obj
-    turns.append(len(turns))
+    turns.append(len(turns) % kinds)
     return respell(obj, turns[-1])
 
 
-def noncanonical_files(workdir: Path) -> tuple[list[Path], Path]:
+def noncanonical_files(workdir: Path, kinds: int) -> tuple[list[Path], Path]:
     """Copies of the bundled problems and partition with every number re-spelled."""
     workdir.mkdir()
     copies = []
     for source in sorted(PROBLEMS.glob("*.json")):
         copy = workdir / source.name
         obj = json.loads(source.read_text(encoding="utf-8"))
-        copy.write_text(json.dumps(respelled(obj, [])), encoding="utf-8")
+        copy.write_text(json.dumps(respelled(obj, [], kinds)), encoding="utf-8")
         copies.append(copy)
     return [c for c in copies if c.name != PARTITION.name], workdir / PARTITION.name
 
@@ -157,7 +159,9 @@ def all_digests() -> dict:
         groups = {
             "problems": bundled_commands(
                 work, [p for p in sorted(PROBLEMS.glob("*.json")) if p != PARTITION], PARTITION),
-            "noncanonical": bundled_commands(work, *noncanonical_files(work / "noncanonical")),
+            "noncanonical": [pair for kinds in (6, 5) for pair in bundled_commands(
+                work / f"noncanonical{kinds}",
+                *noncanonical_files(work / f"noncanonical{kinds}", kinds))],
             "solve_fixed_lp/seed1": lp,
         }
         for name, commands in groups.items():
