@@ -77,13 +77,12 @@ def rat(value: int | str | Fraction) -> Fraction:
 def fmt(value: Fraction) -> str:
     """Canonical string form: ``"num/den"`` in lowest terms, or ``"num"``.
 
-    An integer longer than the interpreter's limit on int-to-str digits
-    (4300 by default) is written out by :func:`_decimal`.
+    That is ``str(value)`` of a Fraction or an int.  An integer longer
+    than the interpreter's limit on int-to-str digits (4300 by default)
+    is written out by :func:`_decimal`.
     """
     try:
-        if value.denominator == 1:
-            return str(value.numerator)
-        return f"{value.numerator}/{value.denominator}"
+        return str(value)
     except ValueError:
         num = _decimal(value.numerator)
         return num if value.denominator == 1 else f"{num}/{_decimal(value.denominator)}"
@@ -224,8 +223,9 @@ _Row = tuple[list[int], int]
 
 
 def _to_row(values: Sequence[Fraction]) -> _Row:
-    den = math.lcm(*(x.denominator for x in values))
-    return [x.numerator * (den // x.denominator) for x in values], den
+    pairs = [x.as_integer_ratio() for x in values]
+    den = math.lcm(*[d for _, d in pairs])
+    return [x * (den // d) for x, d in pairs], den
 
 
 def _ratio_row(pairs: Sequence[tuple[int, int]]) -> _Row:

@@ -91,7 +91,7 @@ class StepDensity:
             raise ValueError("breakpoints must strictly increase")
         if len(vals) != len(bp) - 1:
             raise ValueError("need exactly one value per cell")
-        if any(v.numerator < 0 for v in vals):
+        if any(min(v) < 0 for _, (v, _) in rows):
             raise ValueError("density values must be nonnegative")
         mass = _mass(rows)
         if mass != 1:

@@ -31,7 +31,8 @@ every atom of the block gets: the realizable sharing matrices do not change.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
@@ -97,11 +98,13 @@ class Partition:
     """
 
     pieces: tuple[tuple[Interval, ...], ...]
+    # A canonical file's endpoint strings, for problem_io.serialize_partition to echo
+    _text: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        cursor = Fraction(0)
+        cursor, (c, d) = Fraction(0), (0, 1)
         for iv, owner in self.tiling:
-            (a, b), (c, d) = iv.lo.as_integer_ratio(), cursor.as_integer_ratio()
+            a, b = iv.lo.as_integer_ratio()
             if a * d > c * b:
                 raise PartitionError(f"coverage gap [{cursor}, {iv.lo}] is assigned to nobody")
             if a * d < c * b:
@@ -109,17 +112,23 @@ class Partition:
                     f"interval {iv} of player {owner} overlaps [{iv.lo}, {min(iv.hi, cursor)}]"
                 )
             cursor = iv.hi
-        if cursor.numerator != cursor.denominator:
+            c, d = cursor.as_integer_ratio()
+        if c != d:
             raise PartitionError(f"coverage gap [{cursor}, 1] is assigned to nobody")
 
     @cached_property
     def tiling(self) -> list[tuple[Interval, int]]:
         """The intervals of positive length and their owners, ordered by (lo, hi);
-        rounded floats are monotone, so Fractions are compared only on float ties."""
-        return sorted(
-            ((iv, owner) for owner, ivs in enumerate(self.pieces) for iv in ivs if iv.hi != iv.lo),
-            key=lambda pair: (float(pair[0].lo), pair[0].lo, float(pair[0].hi), pair[0].hi),
-        )
+        rounded floats are monotone (``a / b`` is ``float()``'s), so Fractions are
+        compared only on float ties."""
+        keyed = []
+        for owner, ivs in enumerate(self.pieces):
+            for iv in ivs:
+                (a, b), (c, d) = iv.lo.as_integer_ratio(), iv.hi.as_integer_ratio()
+                if a != c or b != d:
+                    keyed.append(((a / b, iv.lo, c / d, iv.hi), iv, owner))
+        keyed.sort(key=operator.itemgetter(0))
+        return [(iv, owner) for _, iv, owner in keyed]
 
     @property
     def n(self) -> int:

@@ -4,14 +4,17 @@ Everything on disk is JSON with rationals as exact ``"num/den"``
 strings (plain integers are also accepted on input).  Floats are
 rejected with an error naming the offending field, never silently
 rounded; a field's name is spelled out only on that error path.  Each
-distinct number string of a file is read once per parse call.
-Reports are written as ``json.dumps(obj, indent=2)`` would write them.
+distinct number string of a file is read once per parse call.  A file
+whose numbers are all canonical strings (as :func:`fmt` writes them)
+keeps them, and its reports echo them; otherwise they format each
+number, to the same text.  Reports are written as
+``json.dumps(obj, indent=2)`` would write them.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
@@ -55,13 +58,17 @@ class _Memo(dict):
     is read once.  Only ``str`` keys are stored: ``True``, ``1.0`` and
     ``1`` hash like ``1`` but never find a string key, so each is read
     (and refused or accepted) by ``rat`` itself.  An unhashable element
-    raises ``TypeError`` like ``rat``.
+    raises ``TypeError`` like ``rat``.  ``canonical`` stays true while
+    every key read is a string that :func:`fmt` writes back unchanged.
     """
+
+    canonical = True
 
     def __missing__(self, key: Any) -> Fraction:
         value = rat(key)
         if type(key) is str:
             self[key] = value
+        self.canonical = self.canonical and fmt(value) == key
         return value
 
 
@@ -89,6 +96,8 @@ class Problem:
     k: GoalMatrix | None = None
     r: RelationMatrix | None = None
     delta: Fraction | str | None = None
+    # A canonical file's strings, as (densities, p, K), for serialize_problem to echo
+    _text: tuple | None = field(default=None, compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -153,24 +162,27 @@ def parse_problem(obj: Any, source: str = "problem") -> Problem:
                 raise ProblemFormatError(
                     f"{source}.delta: margin must be positive, not merely nonnegative")
 
-    return Problem(tuple(densities), p, k, r, delta)
+    text = None
+    if memo.canonical:
+        text = ([(tuple(d["breakpoints"]), tuple(d["values"])) for d in raw_densities],
+                None if p is None else tuple(obj["p"]),
+                None if k is None else tuple(map(tuple, obj["K"])))
+    return Problem(tuple(densities), p, k, r, delta, text)
 
 
 def serialize_problem(problem: Problem) -> dict:
+    densities, p, k = problem._text or (
+        [(d.breakpoints, d.values) for d in problem.densities],
+        problem.p and problem.p.shares, problem.k and problem.k.mat.to_rows())
+    strings = vector_to_strings if problem._text is None else list
     out: dict[str, Any] = {
         "players": problem.n,
-        "densities": [
-            {
-                "breakpoints": [fmt(b) for b in d.breakpoints],
-                "values": [fmt(v) for v in d.values],
-            }
-            for d in problem.densities
-        ],
+        "densities": [{"breakpoints": strings(b), "values": strings(v)} for b, v in densities],
     }
-    if problem.p is not None:
-        out["p"] = [fmt(s) for s in problem.p.shares]
-    if problem.k is not None:
-        out["K"] = matrix_to_strings(problem.k.mat)
+    if p is not None:
+        out["p"] = strings(p)
+    if k is not None:
+        out["K"] = [strings(row) for row in k]
     if problem.r is not None:
         out["R"] = problem.r.to_symbols()
     if problem.delta is not None:
@@ -214,7 +226,8 @@ def parse_partition(obj: Any, source: str = "partition") -> Partition:
                 lo = parse_rational(pair[0], f"{where}[0]")
                 ivs.append(_checked(where, Interval, lo, parse_rational(pair[1], f"{where}[1]")))
         pieces.append(tuple(ivs))
-    return Partition(tuple(pieces))
+    text = tuple(tuple(map(tuple, lst)) for lst in raw) if memo.canonical else None
+    return Partition(tuple(pieces), text)
 
 
 def load_partition(path: str | Path) -> Partition:
@@ -222,11 +235,9 @@ def load_partition(path: str | Path) -> Partition:
 
 
 def serialize_partition(part: Partition) -> dict:
-    return {
-        "intervals": [
-            [[fmt(iv.lo), fmt(iv.hi)] for iv in pieces] for pieces in part.pieces
-        ]
-    }
+    if part._text is None:
+        return {"intervals": [[[fmt(iv.lo), fmt(iv.hi)] for iv in pieces] for pieces in part.pieces]}
+    return {"intervals": [[list(pair) for pair in pieces] for pieces in part._text]}
 
 
 def matrix_to_strings(m: RatMatrix) -> list[list[str]]:
@@ -241,12 +252,16 @@ def _json(obj: Any, indent: str) -> str:
     """``json.dumps(obj, indent=2)`` at nesting ``indent``, strings escaped in C."""
     inner = indent + "  "
     if isinstance(obj, dict) and obj:
-        return "{\n" + ",\n".join(
+        return "{\n" + ",\n".join([
             f"{inner}{_escape(k if isinstance(k, str) else json.dumps(k))}: {_json(v, inner)}"
-            for k, v in obj.items()) + f"\n{indent}}}"
+            for k, v in obj.items()]) + f"\n{indent}}}"
     if isinstance(obj, (list, tuple)) and obj:
-        items = (inner + (_escape(v) if isinstance(v, str) else _json(v, inner)) for v in obj)
-        return "[\n" + ",\n".join(items) + f"\n{indent}]"
+        try:  # a flat list of strings, in one join
+            body = inner + (",\n" + inner).join(map(_escape, obj))
+        except TypeError:
+            body = ",\n".join([inner + (_escape(v) if isinstance(v, str) else _json(v, inner))
+                               for v in obj])
+        return "[\n" + body + f"\n{indent}]"
     return _escape(obj) if isinstance(obj, str) else json.dumps(obj)  # null, bools, numbers, {}, []
 
 

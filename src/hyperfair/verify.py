@@ -78,11 +78,11 @@ def sharing_matrix(profile: MeasureProfile, part: Partition) -> SharingMatrix:
     if part.n != profile.n:
         raise ValueError(f"partition has {part.n} players, profile has {profile.n}")
     n, atoms = profile.n, profile.atoms
-    ends = [(iv.hi.numerator, iv.hi.denominator) for iv in atoms]
+    ends = [iv.hi.as_integer_ratio() for iv in atoms]
     held: list[list[list[tuple[int, int]]]] = [[[] for _ in range(n)] for _ in atoms]
     a, cursor = 0, (0, 1)
     for iv, j in part.tiling:
-        hi = (iv.hi.numerator, iv.hi.denominator)
+        hi = iv.hi.as_integer_ratio()
         while cursor != hi:
             side = hi[0] * ends[a][1] - ends[a][0] * hi[1]
             step = hi if side <= 0 else ends[a]

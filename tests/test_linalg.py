@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import math
 import random
 import re
 from fractions import Fraction
@@ -567,3 +568,54 @@ def test_inertia_matches_the_characteristic_polynomial(n, rng):
     zero = next(k for k, c in enumerate(p) if c != 0)
     below = real_roots_in(p, F(-2 * n - 1), F(0))  # eigenvalues in (-2n-1, 0]
     assert _inertia([list(r) for r in rows]) == (below - zero, zero)
+
+
+# The canonical spelling, written out here rather than taken from the
+# package: digits without leading zeros, a minus sign only, lowest terms,
+# no "/1" and no "-0".
+CANONICAL_RATIONAL = re.compile(r"-?(0|[1-9][0-9]*)(?:/([1-9][0-9]*))?")
+
+
+def is_canonical(text):
+    match = CANONICAL_RATIONAL.fullmatch(text)
+    if match is None or text == "-0":
+        return False
+    num, den = match.groups()
+    return den is None or (den != "1" and math.gcd(int(num), int(den)) == 1)
+
+
+@st.composite
+def rational_spellings(draw):
+    """Strings ``rat`` accepts, canonical or not."""
+    digits = st.sampled_from("0123456789٣")
+    def number(min_size):
+        return "".join(draw(st.lists(digits, min_size=min_size, max_size=5)))
+    text = draw(st.sampled_from(["", "", "", "-", "+"])) + number(1)
+    if draw(st.booleans()):
+        text += draw(st.sampled_from(["/", "/", "/", " / "]))
+        text += draw(st.sampled_from("123456789")) + number(0)
+    space = st.sampled_from(["", "", "", "", " ", "\t"])
+    return draw(space) + text + draw(space)
+
+
+@given(rational_spellings())
+@example("2/6")
+@example(" 1/3")
+@example("+1")
+@example("-0")
+@example("007")
+@example("4/1")
+@example("0/5")
+@example("-3/4")
+def test_fmt_writes_back_exactly_the_canonical_spellings(text):
+    assert (linalg.fmt(rat(text)) == text) == is_canonical(text)
+
+
+@pytest.mark.parametrize("value, text", [
+    (0, "0"), (F(0), "0"), (F(-0), "0"), (7, "7"), (-7, "-7"), (F(-7), "-7"),
+    (F(-3, 4), "-3/4"),
+    pytest.param(10**5000, "1" + "0" * 5000, id="long"),
+    pytest.param(-(10**5000) - 1, "-1" + "0" * 4999 + "1", id="long-negative"),
+])
+def test_fmt_writes_ints_zero_and_long_integers(value, text):
+    assert linalg.fmt(value) == text

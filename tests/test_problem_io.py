@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hyperfair.measures import Interval
-from hyperfair.partition import PartitionError
+from hyperfair.partition import Partition, PartitionError
 from hyperfair.problem_io import (
     Problem,
     ProblemFormatError,
@@ -365,3 +365,110 @@ def test_write_json_writes_the_bytes_of_json_dumps(tmp_path_factory, obj):
     path = tmp_path_factory.mktemp("report") / "report.json"
     write_json(path, obj)
     assert path.read_bytes() == (json.dumps(obj, indent=2) + "\n").encode("utf-8")
+
+
+# -- reports echo a file's canonical strings ------------------------------------
+
+def _respell(text, rng):
+    """A non-canonical spelling of the canonical number ``text``."""
+    x = F(text)
+    num, den = x.numerator, x.denominator
+    choices = [f"{2 * num}/{2 * den}", f" {text}", f"{text} ", f"{num} / {den}"]
+    if num >= 0:
+        choices += [f"+{text}", f"00{text}"]
+    if num == 0:
+        choices.append("-0")
+    if den == 1:
+        choices += [f"{text}/1", num]
+    return rng.choice(choices)
+
+
+def _respelled(obj, rng):
+    """``obj`` with every number string re-spelled: lists of lists of number strings."""
+    if isinstance(obj, list):
+        return [_respelled(x, rng) for x in obj]
+    return _respell(obj, rng)
+
+
+def _random_problem(rng):
+    from conftest import random_profile, random_proper_goal, random_target
+    from hyperfair import common_refinement
+
+    densities = list(random_profile(rng).densities)
+    if rng.random() < 0.5:  # one density on breakpoints of its own
+        densities[0] = random_profile(rng, n=2).densities[0]
+    n = len(densities)
+    profile = common_refinement(densities)
+    k = random_proper_goal(rng, profile) if rng.random() < 0.8 else None
+    p = random_target(rng, n) if rng.random() < 0.8 else None
+    delta = rng.choice([None, "max", F(rng.randint(1, 9), rng.randint(1, 9))])
+    return Problem(tuple(densities), p, k, None, delta)
+
+
+def _random_partition(rng):
+    cuts = sorted({F(rng.randint(1, 47), 48) for _ in range(rng.randint(0, 8))})
+    points = [F(0), *cuts, F(1)]
+    if rng.random() < 0.5:  # an interval of length zero
+        at = rng.randrange(len(points))
+        points.insert(at, points[at])
+    pieces = [[] for _ in range(rng.randint(1, 3))]
+    for lo, hi in zip(points, points[1:]):
+        rng.choice(pieces).append(Interval(lo, hi))
+    return Partition(tuple(map(tuple, pieces)))
+
+
+def _renumbered(obj, rng):
+    """The problem file ``obj`` with every number of its number lists re-spelled."""
+    out = dict(obj, densities=[{key: _respelled(xs, rng) for key, xs in d.items()}
+                               for d in obj["densities"]])
+    for key in ("p", "K"):
+        if key in obj:
+            out[key] = _respelled(obj[key], rng)
+    return out
+
+
+@given(st.randoms(use_true_random=False))
+def test_problem_reports_echo_canonical_files_and_format_the_rest(rng):
+    built = _random_problem(rng)
+    expected = serialize_problem(built)
+    for obj, echoed in ((expected, True), (_renumbered(expected, rng), False)):
+        parsed = parse_problem(obj)
+        assert (parsed._text is not None) == echoed
+        assert parsed == built
+        rebuilt = Problem(parsed.densities, parsed.p, parsed.k, parsed.r, parsed.delta)
+        assert serialize_problem(parsed) == serialize_problem(rebuilt) == expected
+        assert parse_problem(serialize_problem(parsed)) == parsed
+        first = serialize_problem(parsed)
+        first["densities"][0]["breakpoints"][0] = "x"
+        first["densities"][-1]["values"].append("y")
+        for row in first.get("K", []):
+            row.clear()
+        first.get("p", []).reverse()
+        assert serialize_problem(parsed) == expected
+    obj = json.loads(json.dumps(expected))
+    parsed = parse_problem(obj)
+    obj["densities"][0]["values"][0] = "z"  # the parsed problem keeps its own strings
+    assert serialize_problem(parsed) == expected
+
+
+@given(st.randoms(use_true_random=False))
+def test_partition_reports_echo_canonical_files_and_format_the_rest(rng):
+    built = _random_partition(rng)
+    expected = serialize_partition(built)
+    respelled = {"intervals": _respelled(expected["intervals"], rng)}
+    for obj, echoed in ((expected, True), (respelled, False)):
+        parsed = parse_partition(obj)
+        assert (parsed._text is not None) == echoed
+        assert parsed == built
+        assert serialize_partition(parsed) == serialize_partition(Partition(parsed.pieces)) == expected
+        assert parse_partition(serialize_partition(parsed)) == parsed
+        first = serialize_partition(parsed)
+        first["intervals"][0].append(["x", "y"])
+        for pieces in first["intervals"]:
+            for pair in pieces:
+                pair[0] = "z"
+        assert serialize_partition(parsed) == expected
+    obj = json.loads(json.dumps(expected))
+    parsed = parse_partition(obj)
+    obj["intervals"][0].clear()
+    assert serialize_partition(parsed) == expected
