@@ -32,11 +32,13 @@ import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterator
 
 ROOT = Path(__file__).resolve().parent.parent
 PROBLEMS = ROOT / "problems"
@@ -98,7 +100,7 @@ def respell(text: str, turn: int) -> str | int:
     ][turn % 6]
 
 
-def respelled(obj, turns: list[int], kinds: int):
+def respelled(obj, turns: Iterator[int], kinds: int):
     """``obj`` with every number string under its number fields re-spelled in
     turn by the first ``kinds`` of :func:`respell`'s spellings."""
     if isinstance(obj, list):
@@ -106,10 +108,7 @@ def respelled(obj, turns: list[int], kinds: int):
     if isinstance(obj, dict):
         return {key: value if key in ("players", "R") else respelled(value, turns, kinds)
                 for key, value in obj.items()}
-    if obj == "max":
-        return obj
-    turns.append(len(turns) % kinds)
-    return respell(obj, turns[-1])
+    return obj if obj == "max" else respell(obj, next(turns) % kinds)
 
 
 def noncanonical_files(workdir: Path, kinds: int) -> tuple[list[Path], Path]:
@@ -119,7 +118,7 @@ def noncanonical_files(workdir: Path, kinds: int) -> tuple[list[Path], Path]:
     for source in sorted(PROBLEMS.glob("*.json")):
         copy = workdir / source.name
         obj = json.loads(source.read_text(encoding="utf-8"))
-        copy.write_text(json.dumps(respelled(obj, [], kinds)), encoding="utf-8")
+        copy.write_text(json.dumps(respelled(obj, itertools.count(), kinds)), encoding="utf-8")
         copies.append(copy)
     return [c for c in copies if c.name != PARTITION.name], workdir / PARTITION.name
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from hyperfair.measures import Interval
+from hyperfair.measures import Interval, common_refinement
 from hyperfair.partition import Partition, PartitionError
 from hyperfair.problem_io import (
     Problem,
@@ -20,6 +20,8 @@ from hyperfair.problem_io import (
     serialize_problem,
     write_json,
 )
+
+from conftest import random_profile, random_proper_goal, random_target
 
 F = Fraction
 
@@ -391,9 +393,6 @@ def _respelled(obj, rng):
 
 
 def _random_problem(rng):
-    from conftest import random_profile, random_proper_goal, random_target
-    from hyperfair import common_refinement
-
     densities = list(random_profile(rng).densities)
     if rng.random() < 0.5:  # one density on breakpoints of its own
         densities[0] = random_profile(rng, n=2).densities[0]
