@@ -11,7 +11,12 @@ the files with every number spelled another way (``"2/6"``, ``" 1/3"``,
 only, so the other holds strings alone), and
 ``solve_fixed_lp/seed1`` solves the first 16 seed-1 ``solve_fixed``
 problems at a margin halfway between the factor bound and the maximum,
-where ``solve`` takes the weight LP (``"route": "lp"``, checked).
+where ``solve`` takes the weight LP (``"route": "lp"``, checked), and
+``construction_edges`` solves 12 seeded problems, each at the factor
+bound, at half of it (``"route": "factor"``, checked) and at ``"max"``
+(``"route": "lp"``); every density there breaks on points of its own,
+so the atoms are a merged grid, and vanishes with the others on one or
+two stretches of [0, 1], so every profile has null atoms.
 Each group's digest is a SHA-256 over the
 exit code, the standard output and the report file bytes of each of its
 commands, in order.  So two trees whose digests agree print and write
@@ -34,6 +39,7 @@ import hashlib
 import io
 import itertools
 import json
+import random
 import sys
 import tempfile
 from fractions import Fraction
@@ -46,6 +52,7 @@ STORED = Path(__file__).resolve().parent / "output_digest.json"
 POOLS = [(workload, seed) for workload in ("analyze", "solve_fixed", "solve_max") for seed in (1, 2)]
 PARTITION = PROBLEMS / "three_players_partition.json"
 FIXED_LP_PROBLEMS = 16
+EDGE_PROBLEMS = 12
 
 sys.path.insert(0, str(ROOT / "perfbench"))
 import run as perfbench  # noqa: E402  (puts src/ on sys.path and checks the checkout)
@@ -143,6 +150,90 @@ def fixed_lp_commands(hf, instances, workdir: Path) -> list[tuple[list[str], Pat
     return commands
 
 
+def _value_at(density: tuple[list[Fraction], list[Fraction]], lo: Fraction) -> Fraction:
+    breakpoints, values = density
+    return values[max(c for c, b in enumerate(breakpoints[:-1]) if b <= lo)]
+
+
+def edge_problem(rng: random.Random, dependent: bool) -> dict:
+    """A problem on a merged grid with null atoms.
+
+    Each player breaks at the ends of one or two stretches where every
+    density vanishes (at twelfths, so possibly at 0 or 1) and at points
+    of its own with a denominator of its own, so players rarely share a
+    breakpoint.  Outside the stretches a density's levels are 0 to 5.
+    ``dependent`` makes the last density a mix of the others, on the
+    union of their breakpoints.  The goal matrix is ``(G x) s'`` with
+    ``s`` summing to 0, which is proper for every profile.
+    """
+    n = rng.randint(3 if dependent else 2, 4)
+    ends = sorted(rng.sample([Fraction(k, 12) for k in range(13)], 2 * rng.randint(1, 2)))
+    stretches = list(zip(ends[::2], ends[1::2]))
+    densities = []
+    for i in range(n - 1 if dependent else n):
+        den = (5, 7, 9, 11)[i]
+        own = rng.sample([Fraction(k, den) for k in range(1, den)], rng.randint(1, 3))
+        breakpoints = sorted({Fraction(0), Fraction(1), *ends, *own})
+        while True:
+            levels = [0 if any(a <= lo < b for a, b in stretches) else rng.randint(0, 5)
+                      for lo in breakpoints[:-1]]
+            if any(levels):
+                break
+        mass = sum(v * (hi - lo) for v, lo, hi in zip(levels, breakpoints, breakpoints[1:]))
+        densities.append((breakpoints, [Fraction(v) / mass for v in levels]))
+    if dependent:
+        mix = [rng.randint(1, 3) for _ in densities]
+        breakpoints = sorted({b for bps, _ in densities for b in bps})
+        densities.append((breakpoints, [sum(c * _value_at(d, lo) for c, d in zip(mix, densities))
+                                        / sum(mix) for lo in breakpoints[:-1]]))
+    g = perfbench.checker.gram(densities)
+    while True:
+        x = [rng.randint(-3, 3) for _ in range(n)]
+        u = [sum(g[i][j] * x[j] for j in range(n)) for i in range(n)]
+        s = [Fraction(rng.randint(-4, 4)) for _ in range(n)]
+        s = [t - sum(s) / n for t in s]
+        k = [[a * b for b in s] for a in u]
+        if any(map(any, k)):
+            break
+    raw = [rng.randint(1, 6) for _ in range(n)]
+    return {
+        "players": n,
+        "densities": [{"breakpoints": list(map(str, bps)), "values": list(map(str, vals))}
+                      for bps, vals in densities],
+        "p": [str(Fraction(r, sum(raw))) for r in raw],
+        "K": [list(map(str, row)) for row in k],
+    }
+
+
+def edge_commands(hf, workdir: Path) -> list[tuple[list[str], Path]]:
+    """``solve`` on :func:`edge_problem`'s problems at the factor bound, at half
+    of it and at ``"max"``; fails unless every profile has a null atom and
+    some density breaks where another does not."""
+    workdir.mkdir()
+    rng = random.Random("construction_edges")
+    commands = []
+    for idx in range(EDGE_PROBLEMS):
+        problem = edge_problem(rng, dependent=idx % 3 == 2)
+        parsed = hf.problem_io.parse_problem(problem)
+        profile = hf.common_refinement(parsed.densities)
+        if not any(map(profile.is_null_atom, range(len(profile.atoms)))):
+            raise SystemExit(f"construction edge problem {idx} has no null atom")
+        if len({d.breakpoints for d in parsed.densities}) == 1:
+            raise SystemExit(f"construction edge problem {idx} is on one grid")
+        bound = hf.factor_delta_bound(hf.pseudo_inverse(hf.gram_matrix(profile)) @ parsed.k.mat,
+                                      parsed.p)
+        for name, delta in (("bound", hf.fmt(bound)), ("half", hf.fmt(bound / 2)), ("max", "max")):
+            source = workdir / f"edge-{idx:02d}-{name}.problem.json"
+            report = source.with_name(f"edge-{idx:02d}-{name}.solve.json")
+            source.write_text(json.dumps({**problem, "delta": delta}), encoding="utf-8")
+            commands.append((["solve", "--input", str(source), "--output", str(report)], report))
+    return commands
+
+
+def _routes(commands: list[tuple[list[str], Path]]) -> set:
+    return {json.loads(report.read_text(encoding="utf-8")).get("route") for _, report in commands}
+
+
 def all_digests() -> dict:
     digests = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -162,12 +253,17 @@ def all_digests() -> dict:
                 work / f"noncanonical{kinds}",
                 *noncanonical_files(work / f"noncanonical{kinds}", kinds))],
             "solve_fixed_lp/seed1": lp,
+            "construction_edges": edge_commands(hf, work / "construction_edges"),
         }
         for name, commands in groups.items():
             digests[name] = {"commands": len(commands), "sha256": digest(hf.cli, commands)}
-        routes = {json.loads(report.read_text(encoding="utf-8")).get("route") for _, report in lp}
+        routes = _routes(lp)
         if routes != {"lp"}:
             raise SystemExit(f"solve_fixed_lp/seed1 took the routes {sorted(map(str, routes))}, not only 'lp'")
+        edges = groups["construction_edges"]
+        # each problem's runs: the bound and half of it by the factor, then max by the LP
+        if tuple(_routes(edges[i::3]) for i in range(3)) != ({"factor"}, {"factor"}, {"lp"}):
+            raise SystemExit("construction_edges took a route other than factor, factor, lp")
     return digests
 
 
