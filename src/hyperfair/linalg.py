@@ -202,7 +202,9 @@ class RatMatrix:
         return tuple(sum(self.row(i), Fraction(0)) for i in range(self.rows))
 
     def max_abs(self) -> Fraction:
-        return max((abs(e) for e in self.entries), default=Fraction(0))
+        """The largest absolute entry, 0 for an empty matrix; from :attr:`int_rows`."""
+        worst, d = _least([(0, 1), *((-max(map(abs, v), default=0), d) for v, d in self.int_rows)])
+        return Fraction(-worst, d)
 
     def __str__(self) -> str:
         return _grid([[fmt(x) for x in self.row(i)] for i in range(self.rows)])
@@ -613,10 +615,10 @@ def _nullity_and_enclosure(m: RatMatrix, tol: Fraction | int | str) -> tuple[int
     tol = rat(tol)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    if not m.is_symmetric():
-        raise ValueError("smallest_eigenvalue needs a symmetric matrix")
     flat, den = _to_row(m.entries)
     scaled = [flat[i * m.cols:(i + 1) * m.cols] for i in range(m.rows)]
+    if m.rows != m.cols or any(r[j] != scaled[j][i] for i, r in enumerate(scaled) for j in range(i)):
+        raise ValueError("smallest_eigenvalue needs a symmetric matrix")
 
     def at_most(sigma: Fraction) -> int:
         # q * den * (m - sigma I) with sigma = p/q: integer, same inertia
@@ -628,7 +630,7 @@ def _nullity_and_enclosure(m: RatMatrix, tol: Fraction | int | str) -> tuple[int
     nullity = at_most(Fraction(0))
     if nullity == m.rows:
         raise ValueError("matrix has no nonzero eigenvalue")
-    lo, hi = Fraction(0), max(sum(map(abs, m.row(i)), Fraction(0)) for i in range(m.rows))
+    lo, hi = Fraction(0), Fraction(max(sum(map(abs, r)) for r in scaled), den)
     steps = (math.ceil(hi / tol) - 1).bit_length()  # least k with hi / 2^k <= tol
     try:
         estimate = Fraction(_float_eigenvalue(m, nullity))

@@ -9,9 +9,10 @@ constant on atoms.  Weights that hit ``P + delta K`` come from one of
 two routes, and both land on the same sharing matrix:
 
 * :func:`factor_weights` composes the normalized density weights with
-  the Gram stochastic factor ``S = G^+ (P + delta K)``.  No LP is
-  needed; it applies whenever ``S`` is nonnegative and ``G S`` is the
-  target, that is for a proper ``K`` and ``delta`` up to
+  the Gram stochastic factor ``S = G^+ (P + delta K)``, as integer dot
+  products of each block's column with the integer rows of ``S``.  No
+  LP is needed; it applies whenever ``S`` is nonnegative and ``G S`` is
+  the target, that is for a proper ``K`` and ``delta`` up to
   :func:`hyperfair.hyperfree.factor_delta_bound`.  ``hyperfair solve``
   takes this route first for a fixed margin.
 * :func:`solve_alpha` solves an exact linear program.  It reaches every
@@ -26,6 +27,8 @@ two routes, and both land on the same sharing matrix:
 Both find one weight row per block of :attr:`MeasureProfile.blocks`
 (atoms with equal :func:`rn_weights`, so proportional measures), which
 every atom of the block gets: the realizable sharing matrices do not change.
+:class:`WeightSystem` checks its rows, and :func:`build_from_weights`
+cuts the atoms, on each row's integer numerators over one denominator.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .hyperfree import UNCONSTRAINED, GoalMatrix, TargetPoint, stochastic_factor
-from .linalg import RatMatrix, pseudo_inverse, rat
+from .linalg import RatMatrix, _to_row, pseudo_inverse, rat
 from .measures import Interval, MeasureProfile, gram_matrix
 # simplex_solve stays importable from here, where the benchmark's tracer
 # (perfbench/spans.py) has always looked it up.
@@ -58,7 +61,8 @@ class PartitionError(ValueError):
 
 @dataclass(frozen=True)
 class WeightSystem:
-    """Row per atom, column per player; nonnegative rows summing to 1."""
+    """Row per atom, column per player; nonnegative rows summing to 1,
+    checked on each row's integer numerators over one denominator."""
 
     weights: tuple[tuple[Fraction, ...], ...]
 
@@ -66,13 +70,19 @@ class WeightSystem:
         if not self.weights:
             raise ValueError("need at least one atom row")
         width = len(self.weights[0])
-        for a, row in enumerate(self.weights):
+        for a, (row, (v, d)) in enumerate(zip(self.weights, self.int_rows)):
             if len(row) != width:
                 raise ValueError("weight rows have inconsistent lengths")
-            if any(w < 0 for w in row):
+            if min(v, default=0) < 0:
                 raise ValueError(f"atom {a} has a negative weight")
-            if sum(row, Fraction(0)) != 1:
+            if sum(v) != d:
                 raise ValueError(f"atom {a} weights must sum to 1")
+
+    @cached_property
+    def int_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """Each row's integer numerators over its least common denominator,
+        built once and only read."""
+        return tuple((tuple(v), d) for v, d in map(_to_row, self.weights))
 
     @staticmethod
     def make(rows: Sequence[Sequence[int | str | Fraction]]) -> WeightSystem:
@@ -142,23 +152,28 @@ def build_from_weights(profile: MeasureProfile, w: WeightSystem) -> Partition:
     """Cut every atom left to right in player order by the given weights.
 
     Player ``j``'s slice of an atom has length ``weight * atom length``;
-    zero-length slices are dropped.  The resulting piece of player ``j``
-    has measure ``sum_a w[a][j] * measure_i(atom a)`` under every player
-    ``i``, exactly.
+    zero-length slices are dropped.  Each slice end is one Fraction built
+    from integers: the atom's ends and the row's :attr:`WeightSystem.int_rows`
+    entry.  The resulting piece of player ``j`` has measure
+    ``sum_a w[a][j] * measure_i(atom a)`` under every player ``i``, exactly.
     """
     if w.num_atoms != len(profile.atoms):
         raise ValueError(f"weight system has {w.num_atoms} rows, profile has {len(profile.atoms)} atoms")
     if w.n != profile.n:
         raise ValueError("weight system and profile disagree on the number of players")
     pieces: list[list[Interval]] = [[] for _ in range(profile.n)]
-    for atom, row in zip(profile.atoms, w.weights):
-        cursor, length = atom.lo, atom.length
-        for j, weight in enumerate(row):
-            if weight > 0:
-                end = cursor + weight * length
+    for atom, (v, d) in zip(profile.atoms, w.int_rows):
+        # the atom is [a/b, c/e]; a slice ends at a/b + (s/d)(c/e - a/b), s the
+        # running numerator sum, and the last one (s = d) on the atom's end
+        (a, b), (c, e) = atom.lo.as_integer_ratio(), atom.hi.as_integer_ratio()
+        start, length, den = a * e * d, c * b - a * e, b * e * d
+        cursor, s = atom.lo, 0
+        for j, x in enumerate(v):
+            if x:
+                s += x
+                end = atom.hi if s == d else Fraction(start + s * length, den)
                 pieces[j].append(Interval(cursor, end))
                 cursor = end
-        assert cursor == atom.hi
     return Partition(tuple(tuple(p) for p in pieces))
 
 
@@ -258,10 +273,22 @@ def factor_weights(profile: MeasureProfile, factor: RatMatrix) -> WeightSystem:
     n = profile.n
     if factor.rows != n or factor.cols != n:
         raise ValueError("factor and profile disagree on the number of players")
-    columns = profile.blocks[1]
-    w = RatMatrix(len(columns), n, tuple(Fraction(x, sum(c)) for c in columns for x in c))
-    product = w @ factor
-    return _weight_rows(profile, [product.row(b) for b in range(product.rows)])
+    return _factor_weights(profile, factor.int_rows)
+
+
+def _factor_weights(profile: MeasureProfile, rows: Sequence[tuple[Sequence[int], int]]) -> WeightSystem:
+    """:func:`factor_weights` of the factor whose integer rows are ``rows``.
+
+    Over the lcm ``L`` of the row denominators, block ``b``'s weight for
+    player ``l`` is the dot product of the block's primitive column ``c``
+    with column ``l`` of ``S`` times ``L``, over ``L * sum(c)``.
+    """
+    den = math.lcm(*(d for _, d in rows))
+    columns = list(zip(*([x * (den // d) for x in v] for v, d in rows)))
+    return _weight_rows(profile, [
+        tuple(Fraction(sum(map(operator.mul, c, column)), total) for column in columns)
+        for c in profile.blocks[1] for total in (den * sum(c),)
+    ])
 
 
 def build_via_stochastic_factor(profile: MeasureProfile, k: GoalMatrix, p: TargetPoint,

@@ -13,8 +13,10 @@ sign-pattern feasibility from grid sampling of the constraint
 subspace, sign-pattern realizability by a division from an LP
 over the atom weights themselves, sharing matrices from interval by
 atom overlaps, Gram matrices as sums over atoms of weight products
-times the atom's mass, and the fairness verdicts from their
-definitions on Fraction rows.  Keeping these routes separate is
+times the atom's mass, the fairness verdicts from their
+definitions on Fraction rows, each atom's factor weights as a
+Fraction product of its normalized values with the factor, and the
+cut of the atoms by a Fraction cursor.  Keeping these routes separate is
 the point; do not "simplify" them to call the production code.
 """
 
@@ -552,6 +554,47 @@ def refine(densities):
             row.append(d.values[cell])
         values.append(row)
     return atoms, values
+
+
+# -- construction references: factor weights and the cut ----------------------
+
+def atom_factor_weights(values, factor) -> list[list[Fraction]]:
+    """One weight row per atom from a factor ``S`` (Fraction rows).
+
+    ``values`` holds each density's atom values, as :func:`refine`
+    returns them.  An atom's row is ``w @ S`` for its normalized values
+    ``w`` (each density's value over their sum on the atom), summed
+    term by term; an atom where every value is 0 goes to player 0.
+    """
+    n = len(values)
+    rows = []
+    for a in range(len(values[0])):
+        total = sum((values[i][a] for i in range(n)), Fraction(0))
+        if total == 0:
+            rows.append([Fraction(int(j == 0)) for j in range(n)])
+            continue
+        w = [values[i][a] / total for i in range(n)]
+        rows.append([sum((w[i] * factor[i][j] for i in range(n)), Fraction(0)) for j in range(n)])
+    return rows
+
+
+def cursor_cut(atoms, weights) -> list[list[tuple[Fraction, Fraction]]]:
+    """Each player's slices of the atoms ``(lo, hi)`` cut by the Fraction rows
+    ``weights`` (one row per atom, one weight per player).
+
+    A cursor starts at each atom's left end and moves right by ``weight *
+    (hi - lo)`` for each player in turn; a zero weight cuts nothing.
+    """
+    pieces = [[] for _ in weights[0]]
+    for (lo, hi), row in zip(atoms, weights):
+        cursor = lo
+        for j, weight in enumerate(row):
+            if weight != 0:
+                end = cursor + weight * (hi - lo)
+                pieces[j].append((cursor, end))
+                cursor = end
+        assert cursor == hi, "a weight row must sum to 1"
+    return pieces
 
 
 # -- audit references: sharing matrix, Gram matrix, fairness -----------------

@@ -4,6 +4,7 @@ import contextlib
 import copy
 import io
 import json
+import random
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -11,11 +12,13 @@ from pathlib import Path
 import pytest
 from hypothesis import event, given, strategies as st
 
-from hyperfair import (GoalMatrix, Partition, RatMatrix, TargetPoint, cli, common_refinement, linalg,
-                       problem_io, sharing_matrix, spectral_delta_bound)
+from hyperfair import (GoalMatrix, Partition, RatMatrix, TargetPoint, cli, common_refinement,
+                       factor_delta_bound, factor_weights, gram_matrix, linalg, problem_io, sharing_matrix,
+                       spectral_delta_bound)
 from hyperfair.cli import EXIT_INFEASIBLE, EXIT_INVALID, EXIT_OK, main
 
-from conftest import TRIO_GRAM_ROWS, TRIO_PINV_K_ROWS, TRIO_PINV_ROWS, TRIO_SHARING_ROWS, fine_tiling
+from conftest import (TRIO_GRAM_ROWS, TRIO_PINV_K_ROWS, TRIO_PINV_ROWS, TRIO_SHARING_ROWS, fine_tiling,
+                      random_profile, random_proper_goal, random_target)
 
 F = Fraction
 
@@ -294,6 +297,59 @@ def test_solve_improper_goal_falls_back_to_the_lp(capsys, tmp_path):
     assert code == EXIT_INFEASIBLE
     assert "Construction: infeasible" in out
     assert "route" not in json.loads(out_path.read_text())
+
+
+def solve_capturing_the_factor_rows(capsys, monkeypatch, source, out_path):
+    """Run ``solve`` on ``source`` and return its report and the integer rows
+    of ``S`` it passed to the factor weights."""
+    seen, factor_weights = [], cli._factor_weights
+
+    def capture(profile, rows):
+        seen.append(rows)
+        return factor_weights(profile, rows)
+
+    monkeypatch.setattr(cli, "_factor_weights", capture)
+    code, _, _ = run(capsys, "solve", "--input", source, "--output", str(out_path))
+    assert code == EXIT_OK
+    (rows,) = seen
+    report = json.loads(out_path.read_text())
+    assert report["route"] == "factor"
+    return report, [[F(x, d) for x in v] for v, d in rows]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("dependent", [False, True])
+def test_solve_forms_the_factor_rows_as_p_plus_delta_times_pinv_k(capsys, tmp_path, monkeypatch,
+                                                                   seed, dependent):
+    rng = random.Random(seed)
+    profile = random_profile(rng, n=rng.randint(3, 4), force_dependent=dependent)
+    k, p = random_proper_goal(rng, profile), random_target(rng, profile.n)
+    gk = linalg.pseudo_inverse(gram_matrix(profile)) @ k.mat
+    delta = factor_delta_bound(gk, p) * F(rng.randint(1, 4), 4)
+    problem = {
+        "players": profile.n,
+        "densities": [{"breakpoints": list(map(str, d.breakpoints)), "values": list(map(str, d.values))}
+                      for d in profile.densities],
+        "p": list(map(str, p.shares)),
+        "K": [list(map(str, row)) for row in k.mat.to_rows()],
+        "delta": str(delta),
+    }
+    report, rows = solve_capturing_the_factor_rows(
+        capsys, monkeypatch, write(tmp_path, "p.json", problem), tmp_path / "report.json")
+    factor = p.as_matrix() + delta * gk
+    assert rows == factor.to_rows()
+    assert report["weight_system"] == [list(map(str, row))
+                                       for row in factor_weights(profile, factor).weights]
+
+
+def test_solve_forms_the_factor_rows_of_a_sign_pattern_witness(capsys, tmp_path, monkeypatch):
+    source = PROBLEMS / "three_players_feasible_pattern.json"
+    report, rows = solve_capturing_the_factor_rows(capsys, monkeypatch, str(source),
+                                                   tmp_path / "report.json")
+    problem = problem_io.load_problem(str(source))
+    g = gram_matrix(common_refinement(problem.densities))
+    k = RatMatrix.from_rows(report["feasibility"]["k"])
+    assert rows == (problem.p.as_matrix() + problem.delta * (linalg.pseudo_inverse(g) @ k)).to_rows()
 
 
 @pytest.mark.parametrize("delta", ["max", "1/100"])

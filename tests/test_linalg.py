@@ -386,6 +386,36 @@ def test_smallest_eigenvalue_rejects_asymmetric_and_zero():
         smallest_eigenvalue(RatMatrix.zeros(2, 2))
 
 
+@pytest.mark.parametrize("m", [
+    RatMatrix.from_rows([[1, 1], [0, 1]]),
+    RatMatrix.from_rows([["1/2", "1/3"], ["1/6", "1/2"]]),  # unequal over unequal denominators
+    RatMatrix.from_rows([[1, 0, 0], [0, 1, 0]]),
+    RatMatrix.from_rows([[1], [0]]),
+])
+def test_smallest_eigenvalue_names_a_matrix_that_is_not_symmetric(m):
+    with pytest.raises(ValueError, match="^smallest_eigenvalue needs a symmetric matrix$"):
+        smallest_eigenvalue(m)
+
+
+@given(product_operands())
+@example((RatMatrix.zeros(0, 0), RatMatrix.zeros(0, 0), ()))
+@example((RatMatrix.zeros(2, 0), RatMatrix.zeros(0, 0), ()))
+@example((RatMatrix.from_rows([["-7/3", "1/2"], ["2", "-5/6"]]), RatMatrix.zeros(2, 0), ()))
+def test_max_abs_is_the_largest_absolute_entry(operands):
+    m = operands[0]
+    expected = F(0)
+    for x in m.entries:
+        expected = max(expected, -x if x < 0 else x)
+    assert m.max_abs() == expected
+    assert type(m.max_abs()) is Fraction
+
+
+def test_max_abs_compares_rows_over_distinct_denominators():
+    assert RatMatrix.from_rows([["-7/3", "1/2"], ["2", "-5/6"]]).max_abs() == F(7, 3)
+    assert RatMatrix.from_rows([["1/3", "-1/7"], ["-2/5", "0"]]).max_abs() == F(2, 5)
+    assert RatMatrix.zeros(0, 0).max_abs() == 0
+
+
 def test_smallest_eigenvalue_split_point_on_an_eigenvalue():
     # the first split point, 1/2, is itself an eigenvalue: m - I/2 is singular
     m = RatMatrix.from_rows([["1/2", 0], [0, 1]])

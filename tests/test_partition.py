@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hyperfair import partition, simplex
-from hyperfair.hyperfree import UNCONSTRAINED, GoalMatrix, TargetPoint, delta_bound, stochastic_factor
+from hyperfair.hyperfree import (UNCONSTRAINED, GoalMatrix, TargetPoint, delta_bound, factor_delta_bound,
+                                 stochastic_factor)
 from hyperfair.linalg import RatMatrix, pseudo_inverse
 from hyperfair.measures import (Interval, StepDensity, common_refinement, gram_matrix, measure_of,
                                 measure_relations)
@@ -25,7 +27,7 @@ from hyperfair.partition import (
 from hyperfair.verify import check_fairness, sharing_matrix
 
 from conftest import blocky_profile, fine_tiling, random_profile, random_proper_goal, random_target
-from oracles import lp_bland_reference
+from oracles import atom_factor_weights, cursor_cut, lp_bland_reference
 
 F = Fraction
 
@@ -215,6 +217,104 @@ def test_piece_measures_match_the_weighted_atom_sums(rng):
                 F(0),
             )
             assert direct == weighted
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([["1/2", "1/2"], ["3/2", "-1/2"]], "atom 1 has a negative weight"),
+    ([["-1", "1"]], "atom 0 has a negative weight"),  # sums to 0 too: the sign is named first
+    ([["1", "0"], ["1/2", "1/3"]], "atom 1 weights must sum to 1"),
+    ([[]], "atom 0 weights must sum to 1"),  # a zero-width row: nothing to take the least of
+    ([["1/2", "1/2"], ["1"]], "weight rows have inconsistent lengths"),
+    ([["-1", "1", "1"], ["1"]], "atom 0 has a negative weight"),  # rows are checked in order
+    ([["1"], ["-1", "2"]], "weight rows have inconsistent lengths"),
+])
+def test_weight_system_names_the_first_bad_atom(rows, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        WeightSystem.make(rows)
+
+
+def test_weight_system_integer_rows_are_its_rows_over_their_least_denominator():
+    w = WeightSystem.make([["1/2", "1/3", "1/6"], ["0", "1", "0"], ["2/5", "0", "3/5"]])
+    assert w.int_rows == (((3, 2, 1), 6), ((0, 1, 0), 1), ((2, 0, 3), 5))
+
+
+# Cut points for merged grids: twelfths and sevenths, and the ends of a
+# fine tiling, whose denominators are distinct odd 20-bit numbers.
+SMALL_CUTS = sorted({F(k, 12) for k in range(1, 12)} | {F(k, 7) for k in range(1, 7)})
+FINE_CUTS = sorted({iv.hi for piece in fine_tiling(count=60) for iv in piece} - {F(1)})
+
+
+def merged_profile(rng, cuts):
+    """Two to four densities, each breaking at points of its own from ``cuts``;
+    half the time all of them vanish on one stretch between two cuts, so
+    the merged grid has a null atom there."""
+    n = rng.randint(2, 4)
+    null = sorted(rng.sample(cuts, 2)) if rng.random() < 0.5 else None
+    densities = []
+    for _ in range(n):
+        own = set(rng.sample(cuts, rng.randint(1, 6))) | set(null or ())
+        breaks = [F(0), *sorted(own), F(1)]
+        while True:
+            vals = [0 if null and null[0] <= lo < null[1] else rng.randint(0, 3) for lo in breaks[:-1]]
+            if any(vals):
+                break
+        densities.append(StepDensity.normalized(breaks, vals))
+    return common_refinement(densities)
+
+
+def random_weight_rows(rng, atoms, n):
+    """Weight rows of three kinds: one owner, some zero weights, all weights
+    positive with up to 20-bit numerators."""
+    rows = []
+    for _ in range(atoms):
+        kind = rng.randrange(3)
+        if kind == 0:
+            row = [F(0)] * n
+            row[rng.randrange(n)] = F(1)
+        else:
+            raw = [rng.randint(0 if kind == 1 else 1, 3 if kind == 1 else 2**20) for _ in range(n)]
+            if not any(raw):
+                raw[rng.randrange(n)] = 1
+            row = [F(x, sum(raw)) for x in raw]
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def profile_of_kind(rng, kind):
+    if kind == "random":
+        return random_profile(rng)
+    if kind in ("null", "dependent"):
+        return blocky_profile(rng, kind)
+    return merged_profile(rng, SMALL_CUTS if kind == "merged" else FINE_CUTS)
+
+
+@given(st.randoms(use_true_random=False), st.sampled_from(["random", "null", "merged", "fine"]))
+def test_build_from_weights_matches_a_fraction_cursor_cut(rng, kind):
+    profile = profile_of_kind(rng, kind)
+    rows = random_weight_rows(rng, len(profile.atoms), profile.n)
+    expected = cursor_cut([(iv.lo, iv.hi) for iv in profile.atoms], rows)
+    part = build_from_weights(profile, WeightSystem(rows))
+    assert part == Partition(tuple(tuple(Interval(lo, hi) for lo, hi in piece) for piece in expected))
+
+
+@settings(max_examples=30)
+@given(st.randoms(use_true_random=False),
+       st.sampled_from(["random", "forced", "null", "dependent", "merged"]))
+def test_factor_weights_and_the_stochastic_route_match_fraction_oracles(rng, kind):
+    if kind == "forced":
+        profile = random_profile(rng, n=rng.randint(3, 4), force_dependent=True)
+    else:
+        profile = profile_of_kind(rng, kind)
+    k, p = random_proper_goal(rng, profile), random_target(rng, profile.n)
+    g = gram_matrix(profile)
+    g_plus = pseudo_inverse(g)
+    delta = factor_delta_bound(g_plus @ k.mat, p) * F(rng.randint(0, 4), 4)
+    factor = stochastic_factor(g, g_plus, k, p, delta).factor
+    expected = atom_factor_weights([list(row) for row in profile.atom_values], factor.to_rows())
+    assert [list(row) for row in factor_weights(profile, factor).weights] == expected
+    part = build_via_stochastic_factor(profile, k, p, delta)
+    cut = cursor_cut([(iv.lo, iv.hi) for iv in profile.atoms], expected)
+    assert part == Partition(tuple(tuple(Interval(lo, hi) for lo, hi in piece) for piece in cut))
 
 
 # -- the weight LP -------------------------------------------------------------
