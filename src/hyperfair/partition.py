@@ -27,8 +27,6 @@ two routes, and both land on the same sharing matrix:
 Both find one weight row per block of :attr:`MeasureProfile.blocks`
 (atoms with equal :func:`rn_weights`, so proportional measures), which
 every atom of the block gets: the realizable sharing matrices do not change.
-:class:`WeightSystem` checks its rows, and :func:`build_from_weights`
-cuts the atoms, on each row's integer numerators over one denominator.
 """
 
 from __future__ import annotations
