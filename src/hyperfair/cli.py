@@ -28,13 +28,13 @@ from .hyperfree import (
     TargetPoint,
     _delta_bound_of,
     factor_delta_bound,
+    factor_matrix,
     is_proper,
     spectral_delta_bound,
 )
-from .linalg import _grid, _kernel_and_pseudo_inverse, _to_row, fmt, rat
+from .linalg import _grid, _kernel_and_pseudo_inverse, fmt, rat
 from .measures import MeasureProfile, common_refinement, gram_matrix
-from .partition import MAXIMIZE, InfeasibleError, Partition, _factor_weights, build_from_weights, solve_alpha
-from .partition import factor_weights  # noqa: F401  (tests patch it here)
+from .partition import MAXIMIZE, InfeasibleError, Partition, build_from_weights, factor_weights, solve_alpha
 from .problem_io import (
     Problem,
     load_partition,
@@ -189,12 +189,7 @@ def cmd_solve(args: argparse.Namespace) -> tuple[int, dict]:
         gk = state["gk"] if problem.r is None else state["g_plus"] @ k.mat
         bound = factor_delta_bound(gk, p)
         if bound is UNBOUNDED or delta_req <= bound:
-            # row i of S is p_j + (a/b) gk_ij = (pv_j b d + a v_j pd) / (pd b d) on
-            # p = pv / pd and gk's integer row v / d
-            (pv, pd), (a, b) = _to_row(p.shares), delta_req.as_integer_ratio()
-            rows = [([x * b * d + a * pd * y for x, y in zip(pv, v)], pd * b * d)
-                    for v, d in gk.int_rows]
-            weights, achieved = _factor_weights(profile, rows), delta_req
+            weights, achieved = factor_weights(profile, factor_matrix(gk, p, delta_req)), delta_req
     report["route"] = "lp" if weights is None else "factor"
     if weights is None:
         try:

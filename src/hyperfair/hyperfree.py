@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import DEFAULT_TOL, RatMatrix, _least, _nullity_and_enclosure, rat
+from .linalg import DEFAULT_TOL, RatMatrix, _least, _nullity_and_enclosure, _to_row, rat
 from .linalg import smallest_eigenvalue  # noqa: F401  (the benchmark's tracer looks it up here)
 
 
@@ -237,6 +237,18 @@ def spectral_delta_bound(g: RatMatrix, k: GoalMatrix, p: TargetPoint,
     return scale * lo, scale * hi
 
 
+def factor_matrix(gk: RatMatrix, p: TargetPoint, delta: Fraction) -> RatMatrix:
+    """The stochastic factor ``P + delta gk`` for ``gk = G^+ K``, built from integers.
+
+    On ``p = pv / pd``, ``delta = a / b`` and ``gk``'s integer row
+    ``v / d``, entry ``(i, j)`` is ``(pv_j b d + a v_j pd) / (pd b d)``.
+    """
+    (pv, pd), (a, b) = _to_row(p.shares), delta.as_integer_ratio()
+    return RatMatrix(gk.rows, gk.cols, tuple(
+        Fraction(x * b * d + a * pd * y, pd * b * d) for v, d in gk.int_rows for x, y in zip(pv, v)
+    ))
+
+
 def stochastic_factor(g: RatMatrix, g_plus: RatMatrix, k: GoalMatrix,
                       p: TargetPoint, delta: Fraction | int | str) -> HyperFreeCertificate:
     """Row-stochastic ``S`` with ``g @ S`` equal to ``P + delta K`` exactly.
@@ -252,7 +264,7 @@ def stochastic_factor(g: RatMatrix, g_plus: RatMatrix, k: GoalMatrix,
         raise ValueError("margin must be nonnegative")
     tgt = target_matrix(p, k, delta)
     gk = g_plus @ k.mat
-    factor = p.as_matrix() + delta * gk
+    factor = factor_matrix(gk, p, delta)
     if (g @ factor) != tgt:
         raise ImproperMatrixError(
             "goal matrix is not compatible with the measure relations: "

@@ -182,8 +182,7 @@ class RatMatrix:
         """Exact product: each entry is one dot product of two integer rows."""
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        cols = [_to_row(other.entries[j::other.cols]) for j in range(other.cols)]
-        return _products(self.int_rows, cols)
+        return _products(self.int_rows, _columns(other))
 
     def mat_vec(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
         if len(v) != self.cols:
@@ -194,8 +193,10 @@ class RatMatrix:
         return self.rows == self.cols
 
     def is_symmetric(self) -> bool:
+        """Square and equal to its transpose: ``v_ij d_j == v_ji d_i`` on :attr:`int_rows`."""
+        rows = self.int_rows
         return self.is_square() and all(
-            self[i, j] == self[j, i] for i in range(self.rows) for j in range(i)
+            rows[i][0][j] * rows[j][1] == rows[j][0][i] * rows[i][1] for i in range(self.rows) for j in range(i)
         )
 
     def row_sums(self) -> tuple[Fraction, ...]:
@@ -228,6 +229,11 @@ def _to_row(values: Sequence[Fraction]) -> _Row:
     pairs = [x.as_integer_ratio() for x in values]
     den = math.lcm(*[d for _, d in pairs])
     return [x * (den // d) for x, d in pairs], den
+
+
+def _columns(m: RatMatrix) -> list[_Row]:
+    """:func:`_to_row` of each column of ``m``."""
+    return [_to_row(m.entries[j::m.cols]) for j in range(m.cols)]
 
 
 def _ratio_row(pairs: Sequence[tuple[int, int]]) -> _Row:
@@ -615,10 +621,10 @@ def _nullity_and_enclosure(m: RatMatrix, tol: Fraction | int | str) -> tuple[int
     tol = rat(tol)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
+    if not m.is_symmetric():
+        raise ValueError("smallest_eigenvalue needs a symmetric matrix")
     flat, den = _to_row(m.entries)
     scaled = [flat[i * m.cols:(i + 1) * m.cols] for i in range(m.rows)]
-    if m.rows != m.cols or any(r[j] != scaled[j][i] for i, r in enumerate(scaled) for j in range(i)):
-        raise ValueError("smallest_eigenvalue needs a symmetric matrix")
 
     def at_most(sigma: Fraction) -> int:
         # q * den * (m - sigma I) with sigma = p/q: integer, same inertia

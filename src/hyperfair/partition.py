@@ -10,7 +10,7 @@ two routes, and both land on the same sharing matrix:
 
 * :func:`factor_weights` composes the normalized density weights with
   the Gram stochastic factor ``S = G^+ (P + delta K)``, as integer dot
-  products of each block's column with the integer rows of ``S``.  No
+  products of each block's column with the columns of ``S``.  No
   LP is needed; it applies whenever ``S`` is nonnegative and ``G S`` is
   the target, that is for a proper ``K`` and ``delta`` up to
   :func:`hyperfair.hyperfree.factor_delta_bound`.  ``hyperfair solve``
@@ -39,7 +39,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .hyperfree import UNCONSTRAINED, GoalMatrix, TargetPoint, stochastic_factor
-from .linalg import RatMatrix, _to_row, pseudo_inverse, rat
+from .linalg import RatMatrix, _columns, _products, _to_row, pseudo_inverse, rat
 from .measures import Interval, MeasureProfile, gram_matrix
 # simplex_solve stays importable from here, where the benchmark's tracer
 # (perfbench/spans.py) has always looked it up.
@@ -263,7 +263,9 @@ def factor_weights(profile: MeasureProfile, factor: RatMatrix) -> WeightSystem:
 
     The weights are the product ``W @ S``, where row ``b`` of ``W``
     holds the :func:`rn_weights` of the profile's block ``b``, for every
-    atom of the block; null atoms go wholly to player 0.  When
+    atom of the block; null atoms go wholly to player 0.  Each entry is
+    one integer dot product of the block's primitive column with a
+    column of ``S``, and one Fraction.  When
     ``gram_matrix(profile) @ S`` is ``P + delta K``, the cut realizes
     exactly that sharing matrix, because summing ``w_l * measure_i``
     over the blocks gives the Gram entry ``(i, l)``.
@@ -271,22 +273,8 @@ def factor_weights(profile: MeasureProfile, factor: RatMatrix) -> WeightSystem:
     n = profile.n
     if factor.rows != n or factor.cols != n:
         raise ValueError("factor and profile disagree on the number of players")
-    return _factor_weights(profile, factor.int_rows)
-
-
-def _factor_weights(profile: MeasureProfile, rows: Sequence[tuple[Sequence[int], int]]) -> WeightSystem:
-    """:func:`factor_weights` of the factor whose integer rows are ``rows``.
-
-    Over the lcm ``L`` of the row denominators, block ``b``'s weight for
-    player ``l`` is the dot product of the block's primitive column ``c``
-    with column ``l`` of ``S`` times ``L``, over ``L * sum(c)``.
-    """
-    den = math.lcm(*(d for _, d in rows))
-    columns = list(zip(*([x * (den // d) for x in v] for v, d in rows)))
-    return _weight_rows(profile, [
-        tuple(Fraction(sum(map(operator.mul, c, column)), total) for column in columns)
-        for c in profile.blocks[1] for total in (den * sum(c),)
-    ])
+    product = _products([(c, sum(c)) for c in profile.blocks[1]], _columns(factor))
+    return _weight_rows(profile, [product.row(b) for b in range(product.rows)])
 
 
 def build_via_stochastic_factor(profile: MeasureProfile, k: GoalMatrix, p: TargetPoint,

@@ -300,21 +300,21 @@ def test_solve_improper_goal_falls_back_to_the_lp(capsys, tmp_path):
 
 
 def solve_capturing_the_factor_rows(capsys, monkeypatch, source, out_path):
-    """Run ``solve`` on ``source`` and return its report and the integer rows
-    of ``S`` it passed to the factor weights."""
-    seen, factor_weights = [], cli._factor_weights
+    """Run ``solve`` on ``source`` and return its report and the rows of the
+    factor ``S`` it passed to the factor weights."""
+    seen = []
 
-    def capture(profile, rows):
-        seen.append(rows)
-        return factor_weights(profile, rows)
+    def capture(profile, factor):
+        seen.append(factor)
+        return factor_weights(profile, factor)
 
-    monkeypatch.setattr(cli, "_factor_weights", capture)
+    monkeypatch.setattr(cli, "factor_weights", capture)
     code, _, _ = run(capsys, "solve", "--input", source, "--output", str(out_path))
     assert code == EXIT_OK
-    (rows,) = seen
+    (factor,) = seen
     report = json.loads(out_path.read_text())
     assert report["route"] == "factor"
-    return report, [[F(x, d) for x in v] for v, d in rows]
+    return report, factor.to_rows()
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -13,6 +13,7 @@ from hyperfair.hyperfree import (
     TargetPoint,
     delta_bound,
     factor_delta_bound,
+    factor_matrix,
     is_proper,
     necessary_condition_check,
     spectral_delta_bound,
@@ -374,6 +375,15 @@ def test_factor_bound_is_the_exact_threshold_of_the_factor(rng):
 def _product(a_rows, b_rows):
     return [[sum((x * b_rows[l][j] for l, x in enumerate(row)), F(0)) for j in range(len(b_rows[0]))]
             for row in a_rows]
+
+
+@given(st.randoms(use_true_random=False))
+def test_factor_matrix_is_p_plus_delta_times_pinv_k(rng):
+    profile = random_profile(rng, force_dependent=rng.random() < 0.5)
+    gk = pseudo_inverse(gram_matrix(profile)) @ random_proper_goal(rng, profile).mat
+    p = random_target(rng, profile.n)
+    for delta in (F(0), F(rng.randint(1, 50), rng.randint(1, 50)), F(1, 10**12 + 39)):
+        assert factor_matrix(gk, p, delta) == p.as_matrix() + delta * gk
 
 
 @given(st.randoms(use_true_random=False))
