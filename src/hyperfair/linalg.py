@@ -193,11 +193,7 @@ class RatMatrix:
         return self.rows == self.cols
 
     def is_symmetric(self) -> bool:
-        """Square and equal to its transpose: ``v_ij d_j == v_ji d_i`` on :attr:`int_rows`."""
-        rows = self.int_rows
-        return self.is_square() and all(
-            rows[i][0][j] * rows[j][1] == rows[j][0][i] * rows[i][1] for i in range(self.rows) for j in range(i)
-        )
+        return self.is_square() and _symmetric([self.row(i) for i in range(self.rows)])
 
     def row_sums(self) -> tuple[Fraction, ...]:
         return tuple(sum(self.row(i), Fraction(0)) for i in range(self.rows))
@@ -229,6 +225,11 @@ def _to_row(values: Sequence[Fraction]) -> _Row:
     pairs = [x.as_integer_ratio() for x in values]
     den = math.lcm(*[d for _, d in pairs])
     return [x * (den // d) for x, d in pairs], den
+
+
+def _symmetric(rows: Sequence[Sequence]) -> bool:
+    """Whether the square array ``rows`` equals its transpose."""
+    return all(r[j] == rows[j][i] for i, r in enumerate(rows) for j in range(i))
 
 
 def _columns(m: RatMatrix) -> list[_Row]:
@@ -621,10 +622,10 @@ def _nullity_and_enclosure(m: RatMatrix, tol: Fraction | int | str) -> tuple[int
     tol = rat(tol)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    if not m.is_symmetric():
-        raise ValueError("smallest_eigenvalue needs a symmetric matrix")
     flat, den = _to_row(m.entries)
     scaled = [flat[i * m.cols:(i + 1) * m.cols] for i in range(m.rows)]
+    if not (m.is_square() and _symmetric(scaled)):
+        raise ValueError("smallest_eigenvalue needs a symmetric matrix")
 
     def at_most(sigma: Fraction) -> int:
         # q * den * (m - sigma I) with sigma = p/q: integer, same inertia
