@@ -102,19 +102,20 @@ def _analysis(problem: Problem, tol: Fraction) -> tuple[dict, dict]:
         "factor_bound": None,
         "spectral_bound": None,
     }
-    gk = proper = None
+    gk = proper = factor_bound = None
     if problem.k is not None:
         gk = g_plus @ problem.k.mat
         report["pinv_times_k"] = matrix_to_strings(gk)
         proper = is_proper(problem.k, relations)
         if proper:  # no margin is admissible otherwise
             report["delta_bound"] = _text(_delta_bound_of(gk, p))
-            report["factor_bound"] = _text(factor_delta_bound(gk, p))
+            factor_bound = factor_delta_bound(gk, p)
+            report["factor_bound"] = _text(factor_bound)
         if not relations and not problem.k.is_zero():
             lo, hi = spectral_delta_bound(g, problem.k, p, tol)
             report["spectral_bound"] = [fmt(lo), fmt(hi)]
     state = {"profile": profile, "relations": relations, "g_plus": g_plus, "gk": gk,
-             "proper": proper, "p": p}
+             "proper": proper, "factor_bound": factor_bound, "p": p}
     return report, state
 
 
@@ -185,9 +186,12 @@ def cmd_solve(args: argparse.Namespace) -> tuple[int, dict]:
     weights = None
     if delta_req != MAXIMIZE:
         # The factor S = G^+ (P + delta K) = P + delta G^+ K is nonnegative up
-        # to the factor bound and cuts the partition without an LP.
-        gk = state["gk"] if problem.r is None else state["g_plus"] @ k.mat
-        bound = factor_delta_bound(gk, p)
+        # to the factor bound and cuts the partition without an LP.  A given
+        # K's bound is the analysis's; a sign pattern's witness needs its own.
+        gk, bound = state["gk"], state["factor_bound"]
+        if problem.r is not None:
+            gk = state["g_plus"] @ k.mat
+            bound = factor_delta_bound(gk, p)
         if bound is UNBOUNDED or delta_req <= bound:
             weights, achieved = factor_weights(profile, factor_matrix(gk, p, delta_req)), delta_req
     report["route"] = "lp" if weights is None else "factor"

@@ -155,8 +155,10 @@ def is_proper(k: GoalMatrix | RatMatrix,
     for a, lam in enumerate(relations):
         if len(lam) != n:
             raise ValueError(f"relation {a} has length {len(lam)}, expected {n}")
-    lam_k = RatMatrix(len(relations), n, tuple(x for lam in relations for x in lam)) @ mat
-    bad_pairs = tuple((a, j) for a in range(lam_k.rows) for j in range(n) if lam_k[a, j] != 0)
+    bad_pairs = ()
+    if relations:  # no relation, no product
+        lam_k = RatMatrix(len(relations), n, tuple(x for lam in relations for x in lam)) @ mat
+        bad_pairs = tuple((a, j) for a in range(lam_k.rows) for j in range(n) if lam_k[a, j] != 0)
     return PropernessReport(not bad_rows and not bad_pairs, bad_rows, bad_pairs)
 
 

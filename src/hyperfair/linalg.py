@@ -410,15 +410,25 @@ def _projector(basis: list[list[int]], size: int) -> tuple[list[list[int]], int]
     return proj, den
 
 
+def _right_block(work: list[_Row], w: int) -> RatMatrix:
+    """The right block of the reduced ``[m | I]``, ``m`` of width ``w``: ``m^-1``
+    when every row and every column of ``m`` is pivoted."""
+    return RatMatrix(len(work), len(work), tuple(Fraction(x, d) for v, d in work for x in v[w:]))
+
+
 def _pinv(work: list[_Row], pivots: list[int], right: list[list[int]], w: int) -> RatMatrix:
     """:func:`pseudo_inverse` from the reduction of ``[m | I]`` and the right kernel.
 
     ``X m`` has row ``pivots[k]`` equal to row ``k`` of ``rref(m)``, so
     ``m X m`` is the rank factorization's ``c f = m``.  Only the pivot
     rows of ``X`` are nonzero, so each entry of ``P_row X P_col`` is a
-    dot product of length ``len(pivots)``.
+    dot product of length ``len(pivots)``.  When every row and every
+    column is pivoted both kernels are empty, both projectors are ``I``
+    and ``X`` is the right block, ``m^-1``.
     """
     r = len(pivots)
+    if r == len(work) == w:
+        return _right_block(work, w)
     p_row, d_row = _projector(right, w)
     left = [_primitive(v[w:]) for v, _ in work[r:]]
     p_col, d_col = _projector(left, len(work))
@@ -462,7 +472,7 @@ def inverse(m: RatMatrix) -> RatMatrix:
     work, pivots = _reduce(m)
     if len(pivots) < m.rows:
         raise ValueError("matrix is singular")
-    return RatMatrix(m.rows, m.rows, tuple(Fraction(x, d) for v, d in work for x in v[m.cols:]))
+    return _right_block(work, m.cols)
 
 
 def pseudo_inverse(m: RatMatrix) -> RatMatrix:
@@ -476,9 +486,11 @@ def pseudo_inverse(m: RatMatrix) -> RatMatrix:
     ``P_row = m+ m`` and ``P_col = m m+`` onto their complements, and
     ``m+ = P_row X P_col`` (Penrose 1955; Ben-Israel and Greville,
     *Generalized Inverses*, section 1.5).  The formula holds for every
-    shape and rank, and for a nonsingular ``m`` it is ``X = m^-1``.  The
-    result is exact and satisfies the four Penrose identities with
-    equality, not approximately.
+    shape and rank.  For a nonsingular ``m`` both kernels are empty, so
+    the projectors are ``I`` and ``m+`` is the right block ``X = m^-1``
+    as it stands, read as :func:`inverse` reads it, with no Gram-Schmidt
+    and no product.  The result is exact and satisfies the four Penrose
+    identities with equality, not approximately.
     """
     return _kernel_and_pseudo_inverse(m)[1]
 
@@ -598,9 +610,16 @@ def smallest_eigenvalue(m: RatMatrix, tol: Fraction | int | str = DEFAULT_TOL) -
     count is monotone in ``sigma``, so that cell is the only one whose
     lower end counts just the nullity and whose upper end counts more.
 
-    A float estimate of the eigenvalue (:func:`_float_eigenvalue`)
+    Every end is a multiple of ``w``, so each count is the inertia of
+    an integer matrix, ``m``'s numerators over one denominator times a
+    power of two less a multiple of the row-sum bound on the diagonal.
+    A float estimate of the smallest eigenvalue (:func:`_float_eigenvalue`)
     picks the candidate ``j``, and two exact inertia counts at the
-    cell's ends certify it.  A ``tol`` below about ``2^-44`` of the row
+    cell's ends certify it: a count of 0 at a lower end above 0 proves
+    the nullity 0, so the count at 0 is made only when that end is 0 or
+    counts more (a singular matrix or a bad estimate), and then the
+    estimate of the eigenvalue past the nullity picks the cell.  No
+    point is counted twice.  A ``tol`` below about ``2^-44`` of the row
     sum asks for a cell finer than the estimate resolves; when that
     cell fails, the estimate's cell at level ``_FLOAT_LEVELS`` is
     certified the same way and the halving runs from there, one count
@@ -626,38 +645,58 @@ def _nullity_and_enclosure(m: RatMatrix, tol: Fraction | int | str) -> tuple[int
     scaled = [flat[i * m.cols:(i + 1) * m.cols] for i in range(m.rows)]
     if not (m.is_square() and _symmetric(scaled)):
         raise ValueError("smallest_eigenvalue needs a symmetric matrix")
+    # Points are counted in units of R / 2^steps, R = bound / den the
+    # largest absolute row sum: the least steps that makes a unit <= tol.
+    bound = max((sum(map(abs, r)) for r in scaled), default=0)
+    if bound == 0:
+        raise ValueError("matrix has no nonzero eigenvalue")
+    steps = (-(-bound * tol.denominator // (den * tol.numerator)) - 1).bit_length()
+    top = 1 << steps
+    counts: dict[int, int] = {}
 
-    def at_most(sigma: Fraction) -> int:
-        # q * den * (m - sigma I) with sigma = p/q: integer, same inertia
-        shift, q = sigma.numerator * den, sigma.denominator
-        neg, zero = _inertia([[q * x - (shift if i == j else 0) for j, x in enumerate(r)]
-                              for i, r in enumerate(scaled)])
-        return neg + zero
+    def at_most(t: int) -> int:
+        # 2^steps * den * (m - (t units) I), divided by what its two terms share
+        if t not in counts:
+            g = math.gcd(t * bound, top)
+            scale, shift = top // g, t * bound // g
+            neg, zero = _inertia([[scale * x - (shift if i == j else 0) for j, x in enumerate(r)]
+                                  for i, r in enumerate(scaled)])
+            counts[t] = neg + zero
+        return counts[t]
 
-    nullity = at_most(Fraction(0))
+    def estimate(index: int) -> tuple[int, int] | None:
+        try:
+            return _float_eigenvalue(m, index).as_integer_ratio()
+        except (OverflowError, ValueError):
+            return None
+
+    def cell(guess: tuple[int, int], level: int) -> int:
+        # the lower end, in units, of the guess's cell among the 2^level cells
+        a, b = guess
+        j = -(-(a * den << level) // (b * bound)) - 1
+        return min(max(j, 0), (1 << level) - 1) << (steps - level)
+
+    # A count of 0 at the lower end of the estimate's cell, above 0, proves
+    # the nullity 0; only otherwise is it counted at 0.
+    guess = estimate(0)
+    t = cell(guess, steps) if guess else 0
+    counts[0] = nullity = 0 if t and at_most(t) == 0 else at_most(0)
     if nullity == m.rows:
         raise ValueError("matrix has no nonzero eigenvalue")
-    lo, hi = Fraction(0), Fraction(max(sum(map(abs, r)) for r in scaled), den)
-    steps = (math.ceil(hi / tol) - 1).bit_length()  # least k with hi / 2^k <= tol
-    try:
-        estimate = Fraction(_float_eigenvalue(m, nullity))
-    except (OverflowError, ValueError):
-        estimate = None
+    if nullity and guess:
+        guess = estimate(nullity)
+    lo, hi = 0, top
     # The estimate's cell at level ``steps``, else at the finest level a
     # float resolves, from which the halving goes on down.
-    levels = dict.fromkeys((steps, min(steps, _FLOAT_LEVELS))) if estimate is not None else {}
-    for level in levels:
-        width = hi / 2**level
-        j = min(max(math.ceil(estimate / width) - 1, 0), 2**level - 1)
-        cell = j * width, (j + 1) * width
-        # at_most(0) is the nullity by definition
-        if (j == 0 or at_most(cell[0]) == nullity) and at_most(cell[1]) > nullity:
-            lo, hi = cell
+    for level in dict.fromkeys((steps, min(steps, _FLOAT_LEVELS))) if guess else ():
+        t, span = cell(guess, level), 1 << (steps - level)
+        if at_most(t) == nullity and at_most(t + span) > nullity:
+            lo, hi = t, t + span
             break
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
         if at_most(mid) > nullity:
             hi = mid
         else:
             lo = mid
-    return nullity, lo, hi
+    return nullity, Fraction(lo * bound, den << steps), Fraction(hi * bound, den << steps)

@@ -60,9 +60,11 @@ def _cell_rows(breakpoints: Sequence[Fraction], values: Sequence[Fraction]) -> l
 
 
 def _mass(rows: list) -> Fraction:
-    """Integral over [0, 1] of the step function with these cell rows."""
-    return sum((Fraction(sum(map(operator.mul, v, map(operator.sub, b[1:], b))), d * e)
-                for (b, d), (v, e) in rows), Fraction(0))
+    """Integral over [0, 1] of the step function with these cell rows: one
+    Fraction per row, added up only when there are several."""
+    masses = [Fraction(sum(map(operator.mul, v, map(operator.sub, b[1:], b))), d * e)
+              for (b, d), (v, e) in rows]
+    return sum(masses[1:], masses[0]) if masses else Fraction(0)
 
 
 @dataclass(frozen=True)

@@ -55,20 +55,39 @@ class _Memo(dict):
     """``memo[x]`` is ``rat(x)``, read once per distinct string.
 
     One memo serves one parse call, so a number repeated within a file
-    is read once.  Only ``str`` keys are stored: ``True``, ``1.0`` and
-    ``1`` hash like ``1`` but never find a string key, so each is read
-    (and refused or accepted) by ``rat`` itself.  An unhashable element
-    raises ``TypeError`` like ``rat``.  ``canonical`` stays true while
-    every key read is a string that :func:`fmt` writes back unchanged.
+    is read once.  A string that :func:`fmt` writes, ``str(n)`` or
+    ``str(n) + "/" + str(d)`` with ``d > 1`` and ``n / d`` in lowest
+    terms, is read by its two integers alone: each half goes to
+    ``int``, and the string is taken when ``str`` gives both halves
+    back.  Every other key goes to ``rat``, the one grammar, which
+    accepts or refuses it with its own message, and clears
+    ``canonical``; so ``canonical`` stays true while every key read is
+    a string that :func:`fmt` writes back unchanged.  Only ``str`` keys
+    are stored: ``True``, ``1.0`` and ``1`` hash like ``1`` but never
+    find a string key, so each is read (and refused or accepted) by
+    ``rat`` itself.  An unhashable element raises ``TypeError`` like
+    ``rat``.
     """
 
     canonical = True
 
     def __missing__(self, key: Any) -> Fraction:
+        if type(key) is str:
+            num, slash, den = key.partition("/")
+            try:
+                n, d = int(num), int(den) if slash else 1
+            except ValueError:  # not two integers, or past the digit limit
+                pass
+            else:
+                if str(n) == num and (not slash or d > 1 and str(d) == den):
+                    value = Fraction(n, d)
+                    if value.denominator == d:  # in lowest terms
+                        self[key] = value
+                        return value
         value = rat(key)
         if type(key) is str:
             self[key] = value
-        self.canonical = self.canonical and fmt(value) == key
+        self.canonical = False
         return value
 
 
@@ -142,7 +161,8 @@ def parse_problem(obj: Any, source: str = "problem") -> Problem:
         grid = _rational_grid(obj["K"], f"{source}.K", memo)
         if len(grid) != players or any(len(row) != players for row in grid):
             raise ProblemFormatError(f"{source}.K: expected a {players}x{players} matrix")
-        k = _checked(f"{source}.K", GoalMatrix, RatMatrix.from_rows(grid))
+        entries = tuple(x for row in grid for x in row)  # read once, by the memo
+        k = _checked(f"{source}.K", GoalMatrix, RatMatrix(players, players, entries))
 
     r = None
     if "R" in obj:
@@ -248,20 +268,39 @@ def vector_to_strings(v: Sequence[Fraction]) -> list[str]:
     return [fmt(x) for x in v]
 
 
+def _strings(obj: Sequence, indent: str) -> str:
+    """``json.dumps(obj, indent=2)`` of a flat list of strings at nesting
+    ``indent``, in one join; ``TypeError`` on an element that is not one."""
+    if not obj:
+        return "[]"
+    inner = indent + "  "
+    return "[\n" + inner + (",\n" + inner).join(map(_escape, obj)) + f"\n{indent}]"
+
+
 def _json(obj: Any, indent: str) -> str:
-    """``json.dumps(obj, indent=2)`` at nesting ``indent``, strings escaped in C."""
+    """``json.dumps(obj, indent=2)`` at nesting ``indent``, strings escaped in C.
+
+    A list is written by the type of its elements: a list whose first
+    element is a string in one join, a list of lists (a matrix, the
+    atom and interval pairs) row by row, each row in one join, and
+    anything else, or a list where one of those meets an element of
+    another type, element by element.
+    """
     inner = indent + "  "
     if isinstance(obj, dict) and obj:
         return "{\n" + ",\n".join([
             f"{inner}{_escape(k if isinstance(k, str) else json.dumps(k))}: {_json(v, inner)}"
             for k, v in obj.items()]) + f"\n{indent}}}"
     if isinstance(obj, (list, tuple)) and obj:
-        try:  # a flat list of strings, in one join
-            body = inner + (",\n" + inner).join(map(_escape, obj))
-        except TypeError:
-            body = ",\n".join([inner + (_escape(v) if isinstance(v, str) else _json(v, inner))
-                               for v in obj])
-        return "[\n" + body + f"\n{indent}]"
+        try:
+            if isinstance(obj[0], str):
+                return _strings(obj, indent)
+            if all(isinstance(row, (list, tuple)) for row in obj):
+                return "[\n" + ",\n".join([inner + _strings(row, inner) for row in obj]) + f"\n{indent}]"
+        except TypeError:  # an element that is not a string
+            pass
+        return "[\n" + ",\n".join([inner + (_escape(v) if isinstance(v, str) else _json(v, inner))
+                                    for v in obj]) + f"\n{indent}]"
     return _escape(obj) if isinstance(obj, str) else json.dumps(obj)  # null, bools, numbers, {}, []
 
 

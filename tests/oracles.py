@@ -8,7 +8,9 @@ from Budan-Fourier sign variations, LP optima from
 brute-force basis enumeration, the simplex's pivot sequence from a
 plain Fraction tableau that prices every column afresh at each step,
 the optimality of one candidate basis from a plain Gauss-Jordan,
-the pseudo-inverse of a symmetric matrix from its column space,
+the pseudo-inverse of a symmetric matrix from its column space, that
+of a full-rank matrix from the normal equations and an inverse as
+adjugate over determinant by cofactor expansion,
 sign-pattern feasibility from grid sampling of the constraint
 subspace, sign-pattern realizability by a division from an LP
 over the atom weights themselves, sharing matrices from interval by
@@ -410,6 +412,37 @@ def symmetric_pinv(m: RatMatrix) -> list[list[Fraction]]:
            for t in range(len(keep))] for i in range(n)]
     return [[sum((ci[i][t] * c[j][t] for t in range(len(keep))), Fraction(0))
              for j in range(n)] for i in range(n)]
+
+
+def cofactor_det(rows) -> Fraction:
+    """Determinant by literal cofactor expansion along the first row."""
+    if not rows:
+        return Fraction(1)
+    return sum(((-1) ** c * Fraction(x) * cofactor_det([r[:c] + r[c + 1:] for r in rows[1:]])
+                for c, x in enumerate(rows[0]) if x), Fraction(0))
+
+
+def adjugate_inverse(rows) -> list[list[Fraction]]:
+    """Inverse of a nonsingular square matrix as its adjugate over its determinant."""
+    n = len(rows)
+    det = cofactor_det(rows)
+    minor = lambda i, j: [r[:j] + r[j + 1:] for t, r in enumerate(rows) if t != i]
+    return [[(-1) ** (i + j) * cofactor_det(minor(j, i)) / det for j in range(n)] for i in range(n)]
+
+
+def full_rank_pinv(rows) -> list[list[Fraction]]:
+    """Moore-Penrose inverse of a matrix of full column or full row rank.
+
+    From the normal equations: ``(A^T A)^-1 A^T`` when ``A`` has at least
+    as many rows as columns, ``A^T (A A^T)^-1`` otherwise, with
+    :func:`adjugate_inverse`; for a nonsingular ``A`` either is ``A^-1``.
+    """
+    a = [[Fraction(x) for x in r] for r in rows]
+    at = [list(col) for col in zip(*a)]
+    mul = lambda x, y: [[sum((u * v for u, v in zip(r, col)), Fraction(0)) for col in zip(*y)] for r in x]
+    if len(a) >= len(at):
+        return mul(adjugate_inverse(mul(at, a)), at)
+    return mul(at, adjugate_inverse(mul(a, at)))
 
 
 def factor_threshold(g: RatMatrix, k_rows, p):

@@ -352,6 +352,42 @@ def test_solve_forms_the_factor_rows_of_a_sign_pattern_witness(capsys, tmp_path,
     assert rows == (problem.p.as_matrix() + problem.delta * (linalg.pseudo_inverse(g) @ k)).to_rows()
 
 
+def _counting_factor_bounds(monkeypatch):
+    bounds = []
+
+    def counting(gk, p):
+        bounds.append(factor_delta_bound(gk, p))
+        return bounds[-1]
+
+    monkeypatch.setattr(cli, "factor_delta_bound", counting)
+    return bounds
+
+
+def test_solve_at_a_fixed_margin_takes_the_factor_bound_of_its_analysis(capsys, tmp_path, monkeypatch):
+    bounds = _counting_factor_bounds(monkeypatch)
+    out_path = tmp_path / "report.json"
+    code, _, _ = run(capsys, "solve", "--input", str(PROBLEMS / "three_players.json"),
+                     "--output", str(out_path))
+    assert code == EXIT_OK
+    report = json.loads(out_path.read_text())
+    assert report["route"] == "factor"
+    assert [str(b) for b in bounds] == [report["factor_bound"]]
+
+
+def test_solve_bounds_the_witness_of_a_sign_pattern(capsys, tmp_path, monkeypatch):
+    bounds = _counting_factor_bounds(monkeypatch)
+    source = PROBLEMS / "three_players_feasible_pattern.json"
+    out_path = tmp_path / "report.json"
+    code, _, _ = run(capsys, "solve", "--input", str(source), "--output", str(out_path))
+    assert code == EXIT_OK
+    report = json.loads(out_path.read_text())
+    problem = problem_io.load_problem(str(source))
+    g_plus = linalg.pseudo_inverse(gram_matrix(common_refinement(problem.densities)))
+    witness = RatMatrix.from_rows(report["feasibility"]["k"])
+    assert report["factor_bound"] is None  # the file states no goal matrix
+    assert bounds == [factor_delta_bound(g_plus @ witness, problem.p)]
+
+
 @pytest.mark.parametrize("delta", ["max", "1/100"])
 def test_solve_answers_an_improper_goal_without_a_construction(capsys, tmp_path, monkeypatch, delta):
     # the properness check of the analysis settles it: no factor probe, no LP

@@ -27,7 +27,9 @@ from hyperfair.linalg import (
 
 from conftest import TRIO_GRAM_ROWS, random_independent_profile, random_profile
 from oracles import (
+    adjugate_inverse,
     charpoly_by_cofactors,
+    full_rank_pinv,
     gauss_jordan,
     integer_kernel,
     poly_eval,
@@ -585,6 +587,95 @@ def test_smallest_eigenvalue_below_float_resolution_bisects_from_the_estimate(mo
     calls.clear()
     assert smallest_eigenvalue(m, tol) == cell
     assert len(calls) == steps + 1  # the count at 0, then one per halving
+
+
+def test_smallest_eigenvalue_of_a_nonsingular_gram_matrix_takes_two_inertia_counts(monkeypatch):
+    # the estimate's cell starts above 0, so a count of 0 at its lower end
+    # proves the nullity 0 and no count is made at 0
+    rng = random.Random(23)
+    calls = _counting_inertia(monkeypatch)
+    for n in range(2, 9):
+        g = gram_matrix(random_independent_profile(rng, n=n, max_atoms=12))
+        width = max(sum(map(abs, g.row(i)), F(0)) for i in range(n))
+        while width > DEFAULT_TOL:
+            width /= 2
+        assert linalg._float_eigenvalue(g, 0) > width
+        calls.clear()
+        cell = smallest_eigenvalue(g)
+        assert len(calls) <= 2
+        assert cell == _oracle_cell(g, DEFAULT_TOL)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_smallest_eigenvalue_of_a_zero_matrix_is_refused_without_a_count(monkeypatch, n):
+    calls = _counting_inertia(monkeypatch)
+    with pytest.raises(ValueError, match="matrix has no nonzero eigenvalue"):
+        smallest_eigenvalue(RatMatrix.zeros(n, n))
+    assert calls == []
+
+
+@pytest.mark.parametrize("entry", ["1", "-1", "3/7", "1/2", F(1, 2**60), 10**30, 10**400])
+@pytest.mark.parametrize("estimate", [None, "nan"])
+def test_smallest_eigenvalue_of_a_one_by_one_matrix(monkeypatch, entry, estimate):
+    m = RatMatrix.from_rows([[entry]])
+    if estimate == "nan":
+        monkeypatch.setattr(linalg, "_float_eigenvalue", lambda matrix, index: float("nan"))
+    calls = _counting_inertia(monkeypatch)
+    if rat(entry) < 0:
+        with pytest.raises(ValueError, match="matrix has no nonzero eigenvalue"):
+            smallest_eigenvalue(m)
+        return
+    lo, hi = smallest_eigenvalue(m)
+    assert lo < rat(entry) <= hi and hi - lo <= DEFAULT_TOL
+    assert (lo, hi) == _oracle_cell(m, DEFAULT_TOL)
+    if estimate is None and entry != 10**400:  # float(10**400) overflows
+        assert len(calls) <= 2
+
+
+def _refuse_projectors(monkeypatch):
+    def refuse(basis, size):
+        raise AssertionError("a nonsingular matrix needs no projector")
+
+    monkeypatch.setattr(linalg, "_projector", refuse)
+
+
+def test_pseudo_inverse_of_a_nonsingular_gram_matrix_is_the_right_block(monkeypatch):
+    _refuse_projectors(monkeypatch)
+    rng = random.Random(29)
+    for _ in range(12):
+        g = gram_matrix(random_independent_profile(rng))
+        expected = RatMatrix.from_rows(adjugate_inverse(g.to_rows()))
+        assert pseudo_inverse(g) == expected == inverse(g)
+        assert linalg._kernel_and_pseudo_inverse(g) == ([], expected)
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 2], [3, 4], [5, 7]],  # 3x2, full column rank
+    [[1, 0, "1/2"], [0, 1, 3]],  # 2x3, full row rank
+    [["1/2", "1/2"], ["1/2", "1/2"]],  # singular
+])
+def test_pseudo_inverse_of_a_singular_or_oblong_matrix_uses_the_projectors(monkeypatch, rows):
+    sizes = []
+    project = linalg._projector
+    monkeypatch.setattr(linalg, "_projector",
+                        lambda basis, size: sizes.append(size) or project(basis, size))
+    m = RatMatrix.from_rows(rows)
+    expected = symmetric_pinv(m) if m.is_square() else full_rank_pinv(m.to_rows())
+    assert pseudo_inverse(m) == RatMatrix.from_rows(expected)
+    assert sizes == [m.cols, m.rows]
+
+
+def test_pseudo_inverse_of_singular_gram_matrices_uses_the_projectors(monkeypatch):
+    calls = []
+    project = linalg._projector
+    monkeypatch.setattr(linalg, "_projector",
+                        lambda basis, size: calls.append(basis) or project(basis, size))
+    rng = random.Random(31)
+    for _ in range(6):
+        g = gram_matrix(random_profile(rng, force_dependent=True))
+        calls.clear()
+        assert pseudo_inverse(g) == RatMatrix.from_rows(symmetric_pinv(g))
+        assert len(calls) == 2 and all(calls)
 
 
 @given(st.integers(1, 5), st.randoms(use_true_random=False))

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import copy
 import json
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from hyperfair import problem_io
+from hyperfair.linalg import fmt, rat
 from hyperfair.measures import Interval, common_refinement
 from hyperfair.partition import Partition, PartitionError
 from hyperfair.problem_io import (
@@ -471,3 +475,117 @@ def test_partition_reports_echo_canonical_files_and_format_the_rest(rng):
     parsed = parse_partition(obj)
     obj["intervals"][0].clear()
     assert serialize_partition(parsed) == expected
+
+
+# -- the memo's recognizer ---------------------------------------------------------
+
+@st.composite
+def number_spellings(draw):
+    """Number strings as a file may hold them, canonical or not."""
+    digits = st.text(st.sampled_from("01234567890123456789_\u0663"), max_size=6)
+    space = st.sampled_from(["", "", "", " ", "\t"])
+    text = draw(st.sampled_from(["", "", "", "-", "+"])) + draw(digits)
+    if draw(st.booleans()):
+        text += draw(st.sampled_from(["/", "/", "/", " / ", "/-"])) + draw(digits)
+    return draw(space) + text + draw(space)
+
+
+@given(number_spellings())
+@example("0")
+@example("-0")
+@example("007")
+@example("0/5")
+@example("4/1")
+@example("2/4")
+@example("-3/4")
+@example(" 1/3 ")
+@example("1_000")
+@example("\u0663")
+@example("1/2/3")
+@example("1" * 4300)
+@example("1" * 5000)
+@example("1/" + "3" * 5000)
+def test_memo_reads_by_their_integers_exactly_the_strings_fmt_writes(text):
+    seen = []
+
+    def counting(value):
+        seen.append(value)
+        return rat(value)
+
+    memo = problem_io._Memo()
+    try:
+        expected = rat(text)
+    except ValueError as exc:
+        with mock.patch.object(problem_io, "rat", counting), pytest.raises(ValueError) as raised:
+            memo[text]
+        assert str(raised.value) == str(exc) and seen == [text]
+        return
+    with mock.patch.object(problem_io, "rat", counting):
+        value = memo[text]
+        assert memo[text] is value  # read once
+    recognized = not seen
+    assert recognized == (fmt(expected) == text) == memo.canonical
+    assert value == expected and type(value) is Fraction
+
+
+def _number_paths(obj, path=()):
+    """The paths to every number string of a problem or partition file."""
+    if isinstance(obj, dict):
+        return [q for key, value in obj.items() if key not in ("players", "R", "delta")
+                for q in _number_paths(value, path + (key,))]
+    if isinstance(obj, list):
+        return [q for i, value in enumerate(obj) for q in _number_paths(value, path + (i,))]
+    return [path]
+
+
+def _respelled_at(obj, path):
+    out = copy.deepcopy(obj)
+    *head, last = path
+    holder = out
+    for key in head:
+        holder = holder[key]
+    x = F(holder[last])
+    holder[last] = f"{2 * x.numerator}/{2 * x.denominator}"
+    return out
+
+
+def test_one_noncanonical_string_clears_the_echo_for_its_whole_file():
+    expected = serialize_problem(parse_problem(FULL_PROBLEM))
+    assert parse_problem(FULL_PROBLEM)._text is not None
+    paths = _number_paths(FULL_PROBLEM)
+    assert len(paths) == 25
+    for path in paths:
+        parsed = parse_problem(_respelled_at(FULL_PROBLEM, path))
+        assert parsed._text is None
+        assert serialize_problem(parsed) == expected
+    expected = serialize_partition(parse_partition(PARTITION_OBJ))
+    assert parse_partition(PARTITION_OBJ)._text is not None
+    for path in _number_paths(PARTITION_OBJ):
+        parsed = parse_partition(_respelled_at(PARTITION_OBJ, path))
+        assert parsed._text is None
+        assert serialize_partition(parsed) == expected
+
+
+# -- the emitter's list shapes ---------------------------------------------------------
+
+@pytest.mark.parametrize("obj", [
+    {"": [[], None]},
+    [["a"], []],
+    [[], ["a"]],
+    [("a",), ["b"]],
+    [["a"], [1]],
+    [["a"], {"k": "v"}],
+    [["a"], "b"],
+    [[["a"]]],
+    ["a", 1],
+    ["a", ["b"]],
+    [None, "a"],
+    [["\"q\"", "back\\slash"], ["\n\t\x00\x1f\x7f", "\u00e9\u4e2d\U0001f600", "\ud800"]],
+    ["1/3", "\u2028", "</script>"],
+    {"gram": [["1/2", "1/2"], ["1/2", "1/2"]], "kernel_basis": [], "pairs": [[["0", "1"]], []]},
+], ids=repr)
+def test_report_emitter_writes_each_list_shape_as_json_dumps(tmp_path, obj):
+    assert problem_io._json(obj, "") == json.dumps(obj, indent=2)
+    path = tmp_path / "report.json"
+    write_json(path, {"report": obj})
+    assert path.read_bytes() == (json.dumps({"report": obj}, indent=2) + "\n").encode("utf-8")
