@@ -134,7 +134,7 @@ class HyperFreeCertificate:
 def target_matrix(p: TargetPoint, k: GoalMatrix, delta: Fraction) -> RatMatrix:
     if p.n != k.n:
         raise ValueError("target point and goal matrix sizes differ")
-    return p.as_matrix() + (delta * k.mat)
+    return factor_matrix(k.mat, p, rat(delta))
 
 
 def is_proper(k: GoalMatrix | RatMatrix,

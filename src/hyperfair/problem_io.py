@@ -100,12 +100,6 @@ def _rational_list(value: Any, where: str, memo: _Memo) -> list[Fraction]:
         return [parse_rational(x, f"{where}[{i}]") for i, x in enumerate(value)]
 
 
-def _rational_grid(value: Any, where: str, memo: _Memo) -> list[list[Fraction]]:
-    if not isinstance(value, list):
-        raise ProblemFormatError(f"{where}: expected a list of rows")
-    return [_rational_list(row, f"{where}[{i}]", memo) for i, row in enumerate(value)]
-
-
 @dataclass(frozen=True)
 class Problem:
     """Parsed problem file: densities plus optional plan ingredients."""
@@ -158,7 +152,9 @@ def parse_problem(obj: Any, source: str = "problem") -> Problem:
 
     k = None
     if "K" in obj:
-        grid = _rational_grid(obj["K"], f"{source}.K", memo)
+        if not isinstance(obj["K"], list):
+            raise ProblemFormatError(f"{source}.K: expected a list of rows")
+        grid = [_rational_list(row, f"{source}.K[{i}]", memo) for i, row in enumerate(obj["K"])]
         if len(grid) != players or any(len(row) != players for row in grid):
             raise ProblemFormatError(f"{source}.K: expected a {players}x{players} matrix")
         entries = tuple(x for row in grid for x in row)  # read once, by the memo
@@ -268,40 +264,30 @@ def vector_to_strings(v: Sequence[Fraction]) -> list[str]:
     return [fmt(x) for x in v]
 
 
-def _strings(obj: Sequence, indent: str) -> str:
-    """``json.dumps(obj, indent=2)`` of a flat list of strings at nesting
-    ``indent``, in one join; ``TypeError`` on an element that is not one."""
-    if not obj:
-        return "[]"
-    inner = indent + "  "
-    return "[\n" + inner + (",\n" + inner).join(map(_escape, obj)) + f"\n{indent}]"
-
-
 def _json(obj: Any, indent: str) -> str:
     """``json.dumps(obj, indent=2)`` at nesting ``indent``, strings escaped in C.
 
-    A list is written by the type of its elements: a list whose first
-    element is a string in one join, a list of lists (a matrix, the
-    atom and interval pairs) row by row, each row in one join, and
-    anything else, or a list where one of those meets an element of
-    another type, element by element.
+    Every non-empty list is first joined as strings, in one pass of the
+    escaper; if an element is not a string (the escaper raises
+    ``TypeError``), each element is written on its own.  ``None``,
+    ``True`` and ``False`` are told by identity, since ``1 == True``;
+    only numbers and empty containers go to ``json.dumps``.
     """
     inner = indent + "  "
+    if isinstance(obj, (list, tuple)) and obj:
+        try:
+            return "[\n" + inner + (",\n" + inner).join(map(_escape, obj)) + f"\n{indent}]"
+        except TypeError:  # an element that is not a string
+            return "[\n" + inner + (",\n" + inner).join([_json(v, inner) for v in obj]) + f"\n{indent}]"
+    if isinstance(obj, str):
+        return _escape(obj)
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
     if isinstance(obj, dict) and obj:
         return "{\n" + ",\n".join([
             f"{inner}{_escape(k if isinstance(k, str) else json.dumps(k))}: {_json(v, inner)}"
             for k, v in obj.items()]) + f"\n{indent}}}"
-    if isinstance(obj, (list, tuple)) and obj:
-        try:
-            if isinstance(obj[0], str):
-                return _strings(obj, indent)
-            if all(isinstance(row, (list, tuple)) for row in obj):
-                return "[\n" + ",\n".join([inner + _strings(row, inner) for row in obj]) + f"\n{indent}]"
-        except TypeError:  # an element that is not a string
-            pass
-        return "[\n" + ",\n".join([inner + (_escape(v) if isinstance(v, str) else _json(v, inner))
-                                    for v in obj]) + f"\n{indent}]"
-    return _escape(obj) if isinstance(obj, str) else json.dumps(obj)  # null, bools, numbers, {}, []
+    return json.dumps(obj)  # numbers, {}, []
 
 
 def write_json(path: str | Path, obj: dict) -> None:

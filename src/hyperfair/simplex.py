@@ -210,11 +210,10 @@ def _phase1_tableau(base: list[_Row], nvars: int) -> tuple[list[_Row], list[int]
 
 def _vertex(goal: _Goal, basis: list[int], values: Iterable[Fraction]) -> LpOutcome:
     """The basic point with ``values`` in the basic columns ``basis``, in order."""
-    nvars = len(goal.objective)
-    x = [Fraction(0)] * nvars
+    x = [Fraction(0)] * len(goal.objective)
     for bi, value in zip(basis, values):
         x[bi] = value
-    (value,) = RatMatrix(1, nvars, tuple(goal.objective)).mat_vec(x)
+    value = sum((goal.objective[bi] * x[bi] for bi in basis if goal.objective[bi]), Fraction(0))
     return LpOutcome(LpStatus.OPTIMAL, value, tuple(x))
 
 

@@ -257,6 +257,24 @@ def test_solve_without_plan_is_analysis_only(capsys, tmp_path):
     assert "analysis only" in out
 
 
+def test_solve_on_an_all_equal_pattern_leaves_the_margin_unconstrained(capsys, tmp_path):
+    # the pattern's witness is K = 0, and with no margin given any margin
+    # realizes the same target
+    problem = json.loads((PROBLEMS / "three_players.json").read_text())
+    del problem["K"], problem["delta"]
+    problem["R"] = [["="] * 3] * 3
+    out_path = tmp_path / "report.json"
+    code, out, _ = run(capsys, "solve", "--input", write(tmp_path, "p.json", problem),
+                       "--output", str(out_path))
+    assert code == EXIT_OK
+    assert "Sign pattern: feasible (slack unconstrained)" in out
+    assert "Margin delta: unconstrained" in out
+    report = json.loads(out_path.read_text())
+    assert report["feasibility"]["margin"] == "unconstrained"
+    assert report["delta"] == "unconstrained"
+    assert report["fairness"]["hyper_delta"] == "unconstrained"
+
+
 def test_solve_reports_infeasible_margins(capsys, tmp_path):
     problem = json.loads((PROBLEMS / "three_players.json").read_text())
     problem["delta"] = "1/2"  # past the 1/3 maximum
@@ -550,6 +568,18 @@ def test_one_parser_serves_every_call_in_a_process(capsys):
     assert run(capsys, "--help")[0] == EXIT_OK
     assert run(capsys, "gram", "--input", problem, "--bogus")[0] == EXIT_INVALID
     assert run(capsys, "solve", "--input", problem) == first
+
+
+def test_an_unexpected_failure_prints_a_traceback_and_returns_3(capsys, monkeypatch):
+    def fail(args):
+        raise RuntimeError("no such state")
+
+    monkeypatch.setattr(cli, "cmd_gram", fail)
+    code, out, err = run(capsys, "gram", "--input", str(PROBLEMS / "three_players.json"))
+    assert code == cli.EXIT_INTERNAL == 3
+    assert err.startswith("Traceback (most recent call last):")
+    assert err.endswith("RuntimeError: no such state\n")
+    assert out == ""
 
 
 def test_missing_input_file_is_an_input_error(capsys, tmp_path):

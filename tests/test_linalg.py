@@ -740,3 +740,23 @@ def test_fmt_writes_back_exactly_the_canonical_spellings(text):
 ])
 def test_fmt_writes_ints_zero_and_long_integers(value, text):
     assert linalg.fmt(value) == text
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: RatMatrix(-1, 0, ()), ValueError, r"^matrix dimensions must be nonnegative$"),
+    (lambda: RatMatrix(2, 2, (F(1),)), ValueError, r"^shape 2x2 needs 4 entries, got 1$"),
+    (lambda: RatMatrix.from_rows([[1, 2], [3]]), ValueError, r"^rows have inconsistent lengths$"),
+    (lambda: RatMatrix.identity(2)[2, 0], IndexError, r"^index \(2, 0\) out of range for 2x2$"),
+    (lambda: RatMatrix.zeros(2, 2) + RatMatrix.zeros(2, 3), ValueError, r"^shape mismatch: 2x2 vs 2x3$"),
+    (lambda: inverse(RatMatrix.zeros(2, 3)), ValueError, r"^only square matrices have inverses$"),
+    (lambda: inverse(RatMatrix.zeros(2, 2)), ValueError, r"^matrix is singular$"),
+    (lambda: smallest_eigenvalue(RatMatrix.identity(2), 0), ValueError, r"^tolerance must be positive$"),
+], ids=["negative_size", "entry_count", "ragged_rows", "index", "shape", "inverse_of_non_square",
+        "inverse_of_singular", "tolerance"])
+def test_matrix_checks_name_what_is_wrong(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_str_right_justifies_each_column_two_spaces_apart():
+    assert str(RatMatrix.from_rows([[1, "-1/2"], [10, 0]])) == " 1  -1/2\n10     0"

@@ -364,3 +364,16 @@ def test_blocks_match_a_fraction_derivation_on_one_grid(rng):
 @given(mixed_grid_densities())
 def test_blocks_match_a_fraction_derivation_on_merged_grids(densities):
     assert_blocks_match_fractions(common_refinement(densities))
+
+
+def test_fewer_than_two_breakpoints_and_no_density_are_refused():
+    with pytest.raises(ValueError, match=r"^need at least two breakpoints$"):
+        StepDensity((F(0),), ())
+    with pytest.raises(ValueError, match=r"^need at least one density$"):
+        common_refinement([])
+
+
+def test_a_zero_length_interval_has_value_zero():
+    d = StepDensity.make(["0", "1/2", "1"], ["2", "0"])
+    assert d.value_on(Interval(F(1, 4), F(1, 4))) == 0
+    assert d.value_on(Interval(F(1, 4), F(1, 2))) == 2

@@ -557,3 +557,8 @@ def test_a_rejected_crossover_basis_falls_back_to_exact_bland(monkeypatch):
     bland = _counted(monkeypatch, "simplex_solve")
     assert solve_alpha(profile, k, p, MAXIMIZE)[1] == best
     assert crossovers[0] is not None and len(bland) == 1
+
+
+def test_solve_alpha_refuses_a_goal_of_another_size(trio_profile, uniform3):
+    with pytest.raises(ValueError, match=r"^goal matrix / target size must match the profile$"):
+        solve_alpha(trio_profile, GoalMatrix.zero(2), uniform3, MAXIMIZE)

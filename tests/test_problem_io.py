@@ -168,6 +168,24 @@ def test_parse_problem_validates_the_relation_matrix():
     assert str(exc.value) == "problem.R: expected one of '<', '=', '>', got '>='"
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("p", "1/3", r"^problem\.p: expected a list$"),
+    ("K", "0", r"^problem\.K: expected a list of rows$"),
+    ("densities", [[], *FULL_PROBLEM["densities"][1:]],
+     r"^problem\.densities\[0\]: expected an object with 'breakpoints' and 'values'$"),
+])
+def test_parse_problem_names_a_field_of_the_wrong_shape(field, value, message):
+    obj = json.loads(json.dumps(FULL_PROBLEM))
+    obj[field] = value
+    with pytest.raises(ProblemFormatError, match=message):
+        parse_problem(obj)
+
+
+def test_parse_partition_refuses_an_empty_interval_list():
+    with pytest.raises(ProblemFormatError, match=r"^partition\.intervals: expected one interval list per player$"):
+        parse_partition({"intervals": []})
+
+
 def test_parse_problem_validates_delta():
     obj = json.loads(json.dumps(FULL_PROBLEM))
     obj["delta"] = "-1/6"
@@ -583,6 +601,12 @@ def test_one_noncanonical_string_clears_the_echo_for_its_whole_file():
     [["\"q\"", "back\\slash"], ["\n\t\x00\x1f\x7f", "\u00e9\u4e2d\U0001f600", "\ud800"]],
     ["1/3", "\u2028", "</script>"],
     {"gram": [["1/2", "1/2"], ["1/2", "1/2"]], "kernel_basis": [], "pairs": [[["0", "1"]], []]},
+    [True, 1, False, 0, None],
+    ["a", True],
+    [True, "a"],
+    [[], "a"],
+    {"a": 1, "b": True, "c": None},
+    {1: "a", None: "b"},
 ], ids=repr)
 def test_report_emitter_writes_each_list_shape_as_json_dumps(tmp_path, obj):
     assert problem_io._json(obj, "") == json.dumps(obj, indent=2)

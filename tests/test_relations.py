@@ -343,3 +343,12 @@ def test_a_feasible_pattern_is_one_some_division_realizes(data):
     assert status == "optimal"
     event(f"realizable: {t_star > 0}")
     assert solve_relations(r, relations).feasible == (t_star > 0)
+
+
+def test_an_improper_goal_fails_the_check_whatever_its_signs(trio_relation):
+    # (1, 9, -10) must annihilate every column of K; it takes K's first
+    # column to -8, though every sign of K matches the pattern
+    k = GoalMatrix.make([["1", "-1", "0"], ["-1", "1", "0"], ["0", "0", "0"]])
+    r = RelationMatrix.from_symbols([[">", "<", "="], ["<", ">", "="], ["=", "=", "="]])
+    assert all(r[i, j].matches(k.mat[i, j]) for i in range(3) for j in range(3))
+    assert not verify_relation_solution(k, r, [trio_relation])

@@ -347,6 +347,22 @@ def test_certified_solve_takes_the_float_basis_it_can_prove(monkeypatch):
     assert calls == []
 
 
+def test_a_start_the_crossover_loses_runs_the_two_phases(monkeypatch):
+    # min x1 over x0 - x1 = -1, x2 = 1: the start (1, 0, 1) is off the
+    # first row, so the crossover's vertex puts x0 at -1 and is dropped
+    rows = [([1, -1, 0, -1], 1), ([0, 0, 1, 1], 1)]
+    goal = simplex._Objective((0, 1, 0), maximize=False, start=(1.0, 0.0, 1.0))
+    assert simplex._crossover(rows, goal.start, [0.0, 1.0, 0.0]) is None
+    expected = solve([0, 1, 0], [[1, -1, 0], [0, 0, 1]], [-1, 1], maximize=False)
+    phase1, tableau = [], simplex._phase1_tableau
+    monkeypatch.setattr(simplex, "_phase1_tableau",
+                        lambda base, nvars: phase1.append(nvars) or tableau(base, nvars))
+    calls = _counting_simplex_solve(monkeypatch)
+    assert simplex._certified_solve(goal, rows) == expected
+    assert (expected.witness, expected.value) == ((0, 1, 1), 1)
+    assert phase1 == [3] and calls == []
+
+
 def _overflow(problem, base):
     raise OverflowError("entry beyond float range")
 

@@ -409,3 +409,11 @@ def test_every_reader_leaves_the_cached_integer_rows_as_built():
     for mat in (m, k.mat):
         assert mat.int_rows == tuple((tuple(v), d) for v, d in map(_to_row, map(mat.row, range(3))))
     assert m @ m == first
+
+
+def test_the_audit_refuses_a_non_square_matrix_and_a_pattern_of_another_size():
+    with pytest.raises(ValueError, match=r"^square matrix required$"):
+        rawlsian_distance(RatMatrix.zeros(2, 3))
+    m = SharingMatrix(RatMatrix.from_rows(TRIO_SHARING_ROWS))
+    with pytest.raises(ValueError, match=r"^relation matrix / target size must match the sharing matrix$"):
+        check_fairness(m, p=TargetPoint.uniform(3), r=RelationMatrix.from_symbols([["="] * 2] * 2))
