@@ -432,13 +432,15 @@ def test_margin_bounds_form_a_ladder(rng):
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda k: target_matrix(TargetPoint.uniform(2), k, F(1, 6)), "^target point and goal matrix sizes differ$"),
+    (lambda k: target_matrix(TargetPoint.uniform(2), k, F(1, 6)),
+     "^target point and goal matrix sizes differ$"),
     (lambda k: is_proper(RatMatrix.zeros(2, 3), []), "^goal matrix must be square$"),
     (lambda k: delta_bound(RatMatrix.identity(2), k, TargetPoint.uniform(3)),
      "^dimension mismatch between pseudo-inverse, goal matrix, and target$"),
     (lambda k: factor_delta_bound(RatMatrix.zeros(2, 3), TargetPoint.uniform(2)),
      "^dimension mismatch between g_plus @ K and the target$"),
-    (lambda k: spectral_delta_bound(RatMatrix.identity(2), k, TargetPoint.uniform(3)), "^dimension mismatch$"),
+    (lambda k: spectral_delta_bound(RatMatrix.identity(2), k, TargetPoint.uniform(3)),
+     "^dimension mismatch$"),
 ], ids=["target_matrix", "is_proper", "delta_bound", "factor_delta_bound", "spectral_delta_bound"])
 def test_size_checks_name_the_mismatch(trio_goal, call, message):
     with pytest.raises(ValueError, match=message):

@@ -182,7 +182,8 @@ def test_parse_problem_names_a_field_of_the_wrong_shape(field, value, message):
 
 
 def test_parse_partition_refuses_an_empty_interval_list():
-    with pytest.raises(ProblemFormatError, match=r"^partition\.intervals: expected one interval list per player$"):
+    message = r"^partition\.intervals: expected one interval list per player$"
+    with pytest.raises(ProblemFormatError, match=message):
         parse_partition({"intervals": []})
 
 
