@@ -1,16 +1,21 @@
 #!/usr/bin/env python3
-"""Max-delta weight LP ladder: LP shape, float pivots and stage times.
+"""Weight LP ladder: LP shape, float pivots and stage times, at the maximum
+margin and at half of it.
 
 Each rung ``n x grid`` draws one independent profile, a proper goal
 matrix and a target with the generators of ``random_roundtrip.py``
-(its first trial at that seed) and maximizes the margin with
-``solve_alpha``.  For every rung and seed it prints the LP's shape;
-the float pivots outside Bland's iterations (the crossover's, and the
-drive-out of artificials if phase 1 ran), those inside them, and the
-number of Bland runs (1, phase 2, after a crossover; 2 or more where
-the float stage fell back to both phases); the seconds of the float
-stage, of the exact certificate and of the whole ``solve_alpha`` call;
-and the fallbacks to the exact Bland simplex.  Exits 1 on any fallback.
+(its first trial at that seed), maximizes the margin with
+``solve_alpha`` and then solves the fixed margin ``delta*/2``, half
+the maximum, which caps the margin by one more row.  For every rung,
+seed and margin it prints the LP's shape; the float pivots outside
+Bland's iterations (the crossover's, and the drive-out of artificials
+if phase 1 ran), those inside them, and the number of Bland runs (1,
+phase 2, after a crossover; 2 or more where the float stage fell back
+to both phases); the seconds of the float stage, of the exact
+certificate and of the whole ``solve_alpha`` call; and the fallbacks
+to the exact Bland simplex.  Exits 1 on any fallback, and on any float
+stage that runs more than one Bland phase, as both LPs start at a
+feasible point and need no phase 1.
 
     PYTHONPATH=src python3 scripts/lp_ladder.py --rungs 8x16 12x16 --seeds 1 2
 """
@@ -20,6 +25,7 @@ from __future__ import annotations
 import argparse
 import random
 import time
+from fractions import Fraction
 
 from random_roundtrip import random_goal, random_profile, random_target
 
@@ -87,16 +93,24 @@ class _Probe:
             setattr(simplex, name, f)
 
 
-def rung(players: int, grid: int, seed: int) -> tuple[_Probe, float]:
+def solved(profile, k, p, delta) -> tuple[_Probe, float, Fraction]:
+    """The probe and seconds of one ``solve_alpha`` call, and its margin."""
+    with _Probe() as probe:
+        t = time.perf_counter()
+        _, achieved = solve_alpha(profile, k, p, delta)
+        total = time.perf_counter() - t
+    return probe, total, achieved
+
+
+def rung(players: int, grid: int, seed: int) -> list[tuple[str, _Probe, float]]:
+    """The maximum-margin and the half-margin call of one rung."""
     rng = random.Random(seed)
     profile = random_profile(rng, players, grid, dependent=False)
     k = random_goal(rng, gram_matrix(profile))
     p = random_target(rng, players)
-    with _Probe() as probe:
-        t = time.perf_counter()
-        solve_alpha(profile, k, p, MAXIMIZE)
-        total = time.perf_counter() - t
-    return probe, total
+    probe, total, best = solved(profile, k, p, MAXIMIZE)
+    half, half_total, _ = solved(profile, k, p, best / 2)
+    return [("max", probe, total), ("max/2", half, half_total)]
 
 
 def main(argv=None) -> int:
@@ -106,19 +120,20 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", nargs="+", type=int, default=[1, 2])
     args = ap.parse_args(argv)
 
-    fallbacks = 0
-    print(f"{'rung':>7} {'seed':>4} {'LP shape':>9} {'crossover':>9} {'Bland':>6} {'phases':>6}"
-          f" {'float s':>7} {'cert s':>7} {'max s':>7} {'fallbacks':>9}")
+    failed = False
+    print(f"{'rung':>7} {'seed':>4} {'delta':>5} {'LP shape':>9} {'crossover':>9} {'Bland':>6}"
+          f" {'phases':>6} {'float s':>7} {'cert s':>7} {'total s':>7} {'fallbacks':>9}")
     for spec in args.rungs:
         players, grid = (int(x) for x in spec.lower().split("x"))
         for seed in args.seeds:
-            probe, total = rung(players, grid, seed)
-            fallbacks += probe.fallbacks
-            shape = f"{probe.shape[0]} x {probe.shape[1]}"
-            print(f"{players:>3} x {grid:<3}{seed:>4} {shape:>9} {probe.crossover_pivots:>9}"
-                  f" {probe.bland_pivots:>6} {probe.bland_phases:>6} {probe.float_s:>7.3f}"
-                  f" {probe.certify_s:>7.3f} {total:>7.3f} {probe.fallbacks:>9}")
-    return 1 if fallbacks else 0
+            for margin, probe, total in rung(players, grid, seed):
+                failed |= probe.fallbacks > 0 or probe.bland_phases > 1
+                shape = f"{probe.shape[0]} x {probe.shape[1]}"
+                print(f"{players:>3} x {grid:<3}{seed:>4} {margin:>5} {shape:>9}"
+                      f" {probe.crossover_pivots:>9} {probe.bland_pivots:>6} {probe.bland_phases:>6}"
+                      f" {probe.float_s:>7.3f} {probe.certify_s:>7.3f} {total:>7.3f}"
+                      f" {probe.fallbacks:>9}")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -16,11 +16,12 @@ two routes, and both land on the same sharing matrix:
   :func:`hyperfair.hyperfree.factor_delta_bound`.  ``hyperfair solve``
   takes this route first for a fixed margin.
 * :func:`solve_alpha` solves an exact linear program.  It reaches every
-  realizable margin, so ``solve`` uses it to maximize the margin, from
-  the feasible point ``delta = 0`` with every block split by ``p``, and
-  for fixed margins the factor cannot realize.  Of the coupling rows it
-  keeps ``n - 1`` per player, as the last follows from the others.
-  ``simplex._row`` lays out the LP's integer rows for the integer-row
+  realizable margin, so ``solve`` uses it to maximize the margin and
+  for fixed margins the factor cannot realize: a fixed margin caps the
+  maximized one by one row, from the same start, ``delta = 0`` with
+  every block split by ``p``.  Of the coupling rows it keeps ``n - 1``
+  per player, as the last follows from the others.
+  ``simplex._row`` lays out its block and coupling rows for the integer-row
   core of :func:`hyperfair.simplex.certified_solve`, so every weight
   and margin is exact.
 
@@ -195,11 +196,15 @@ def solve_alpha(profile: MeasureProfile, k: GoalMatrix, p: TargetPoint,
     the block gets those shares as its weight row.  Constraint
     ``(i, j)`` says that player ``i`` values
     player ``j``'s piece at ``P[j] + delta K[i][j]``; the one for
-    ``j = n - 1`` is left out, as it follows from the others.  To
-    maximize, the LP goes to the simplex with the point ``delta = 0``,
-    every block split by ``p``, which is feasible because each player's
-    non-null blocks hold all of their mass; the simplex crosses over
-    from it to an optimal vertex.  Returns
+    ``j = n - 1`` is left out, as it follows from the others.  The LP
+    maximizes the margin in every mode; a fixed margin caps it by one
+    more row, ``delta + s = cap`` with a slack ``s >= 0``, and so does a
+    zero goal matrix under :data:`MAXIMIZE`, with cap 0.  The simplex
+    crosses over to an optimal vertex from the feasible point
+    ``delta = 0``, every block split by ``p`` (each player's non-null
+    blocks hold all of their mass), and ``s = cap``.  The feasible
+    points form a convex set that holds ``delta = 0``, so the optimum
+    reaches the cap exactly when the cap is admissible.  Returns
     ``(weights, delta)``; when the goal matrix is zero and the margin
     was to be maximized, the margin is :data:`UNCONSTRAINED` because
     any value realizes the same target.
@@ -207,54 +212,49 @@ def solve_alpha(profile: MeasureProfile, k: GoalMatrix, p: TargetPoint,
     n = profile.n
     if k.n != n or p.n != n:
         raise ValueError("goal matrix / target size must match the profile")
-    maximize = delta == MAXIMIZE
-    if maximize:
-        fixed = Fraction(0)
+    if delta == MAXIMIZE:
+        cap = Fraction(0) if k.is_zero() else None
     else:
         try:
-            fixed = rat(delta)
+            cap = rat(delta)
         except (TypeError, ValueError):
             raise ValueError(
                 f"margin must be a rational or {MAXIMIZE!r}, got {delta!r}"
             ) from None
-        if fixed < 0:
+        if cap < 0:
             raise ValueError("margin must be nonnegative")
-    if maximize and k.is_zero():
-        weights, _ = solve_alpha(profile, k, p, Fraction(0))
-        return weights, UNCONSTRAINED
 
     _, columns, measures = profile.blocks
     blocks = len(columns)
-    nvars = blocks * n + (1 if maximize else 0)
     delta_var = blocks * n
+    nvars = delta_var + (1 if cap is None else 2)
     # The LP's integer rows of [A | b]: first, each block fully distributed.
     rows = [_row(nvars, ((b * n + j, 1) for j in range(n)), 1) for b in range(blocks)]
     # Player i's value of player j's piece.  Row (i, n-1) would be 1
     # minus the others on both sides: the block rows sum to 1, and so
     # do player i's measure, P and every row of P + delta K.
     for i, (measure, d) in enumerate(measures):
-        for j in range(n - 1):
+        for j, pj in enumerate(p.shares[:-1]):
             kij = k.mat[i, j]
-            rhs = p.shares[j] if maximize else p.shares[j] + kij * fixed
-            den = math.lcm(d, kij.denominator, rhs.denominator)
+            den = math.lcm(d, kij.denominator, pj.denominator)
             scale = den // d
             terms = [(b * n + j, measure[b] * scale) for b in range(blocks)]
-            if maximize:
-                terms.append((delta_var, -kij.numerator * (den // kij.denominator)))
-            rows.append(_row(nvars, terms, rhs.numerator * (den // rhs.denominator), den))
+            terms.append((delta_var, -kij.numerator * (den // kij.denominator)))
+            rows.append(_row(nvars, terms, pj.numerator * (den // pj.denominator), den))
+    start = tuple(map(float, p.shares)) * blocks + (0.0,)
+    if cap is not None:  # delta + s = cap, with the slack s >= 0 last
+        rows.append(_to_row([0] * delta_var + [1, 1, cap]))
+        start += (float(cap),)
 
-    objective = (0,) * delta_var + ((1,) if maximize else ())
-    start = tuple(map(float, p.shares)) * blocks + (0.0,) if maximize else None
+    objective = (0,) * delta_var + (1,) + (0,) * (nvars - delta_var - 1)
     outcome = _certified_solve(_Objective(objective, start=start), rows)
-    if outcome.status is LpStatus.INFEASIBLE:
-        raise InfeasibleError(
-            f"no weight system realizes the target at margin "
-            f"{'max' if maximize else fixed}"
-        )
-    assert outcome.status is LpStatus.OPTIMAL, "a nonzero goal entry bounds the margin"
+    assert outcome.status is LpStatus.OPTIMAL, "a nonzero goal entry or the cap bounds the margin"
     assert outcome.witness is not None
     x = outcome.witness
-    achieved = x[delta_var] if maximize else fixed
+    if cap is not None and x[delta_var] < cap:
+        raise InfeasibleError(f"no weight system realizes the target at margin {cap}")
+    # a cap under MAXIMIZE is a zero goal's: any margin realizes the same target
+    achieved = UNCONSTRAINED if delta == MAXIMIZE and cap is not None else x[delta_var]
     return _weight_rows(profile, [x[b * n: b * n + n] for b in range(blocks)]), achieved
 
 

@@ -24,7 +24,7 @@ reported optimum and witness are exact.
 the package's LPs go to its integer-row core, :func:`_certified_solve`.
 A float run of the same two phases, from the same starting basis under
 Bland's rule, gives only its final basis.  An LP handed over with a
-feasible ``start`` point (the max-margin weight LP's, see
+feasible ``start`` point (the weight LP's, at every margin, see
 :func:`hyperfair.partition.solve_alpha`) skips phase 1 by a crossover
 (Megiddo's purification): in floats, the point's support columns are
 pivoted into a basis, each nonbasic one then moves to 0 along its
@@ -101,12 +101,14 @@ _Goal = LpProblem | _Objective  # the integer-row core reads objective and maxim
 _EPS = 1e-9
 
 #: Pivot limit of the float stage's Bland iterations: of phase 2 after a
-#: crossover, of both phases together otherwise.  A 12-player weight LP
-#: on 16 cells takes 1,148 and 1,745 Bland pivots at half the margin
-#: bound (``random_roundtrip`` seeds 1 and 2), and some 190 crossover
-#: and phase-2 pivots at the maximum margin.  A float run that would
-#: take more (it may cycle where exact Bland cannot) hands the problem
-#: to :func:`simplex_solve`.
+#: crossover, of both phases together otherwise.  Both phases run for an
+#: LP without a start point, the sign-pattern LP and a problem handed to
+#: :func:`certified_solve`: the sign-pattern LP takes at most 84 Bland
+#: pivots on the benchmark's 4-player patterns, some 300 at 12 players
+#: and up to about 1,600 at 16.  A 12-player weight LP on 16 cells takes
+#: some 190 crossover and phase-2 pivots at any margin.  A float run
+#: that would take more (it may cycle where exact Bland cannot) hands
+#: the problem to :func:`simplex_solve`.
 _FLOAT_PIVOTS = 20_000
 
 

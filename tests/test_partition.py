@@ -562,3 +562,58 @@ def test_a_rejected_crossover_basis_falls_back_to_exact_bland(monkeypatch):
 def test_solve_alpha_refuses_a_goal_of_another_size(trio_profile, uniform3):
     with pytest.raises(ValueError, match=r"^goal matrix / target size must match the profile$"):
         solve_alpha(trio_profile, GoalMatrix.zero(2), uniform3, MAXIMIZE)
+
+
+# -- a fixed margin caps the maximized one ---------------------------------------
+
+class _Phase1Built(Exception):
+    pass
+
+
+def _realizes(profile, w, expected) -> bool:
+    part = build_from_weights(profile, w)
+    return all(sum((measure_of(profile, i, iv) for iv in part.pieces[j]), F(0)) == expected[i, j]
+               for i in range(profile.n) for j in range(profile.n))
+
+
+def test_the_weight_lp_builds_no_phase_1_tableau(monkeypatch, trio_profile, trio_goal, uniform3):
+    def refuse(base, nvars):
+        raise _Phase1Built
+
+    monkeypatch.setattr(simplex, "_phase1_tableau", refuse)
+    rng = random.Random(25)
+    cases = [(trio_profile, trio_goal, uniform3)]
+    for trial in range(6):
+        profile = random_profile(rng, n=rng.randint(2, 5), max_atoms=8, force_dependent=trial % 2 == 1)
+        cases.append((profile, random_proper_goal(rng, profile), random_target(rng, profile.n)))
+    for profile, k, p in cases:
+        _, best = solve_alpha(profile, k, p, MAXIMIZE)
+        assert solve_alpha(profile, k, p, best / 2)[1] == best / 2
+        assert solve_alpha(profile, k, p, best)[1] == best
+        zero = GoalMatrix.zero(profile.n)
+        assert solve_alpha(profile, zero, p, MAXIMIZE)[1] is UNCONSTRAINED
+        assert solve_alpha(profile, zero, p, best)[1] == best
+
+
+def test_a_fixed_margin_is_feasible_exactly_up_to_the_maximum():
+    # the profiles, goals and targets of the crossover test above
+    rng = random.Random(18)
+    for trial in range(48):
+        if trial % 4 == 0:
+            profile = blocky_profile(rng, ("plain", "null", "dependent")[trial // 4 % 3])
+        else:
+            profile = random_profile(rng, n=rng.randint(2, 6), max_atoms=10,
+                                     force_dependent=trial % 2 == 1)
+        n = profile.n
+        k, p = random_proper_goal(rng, profile), random_target(rng, n)
+        _, best = solve_alpha(profile, k, p, MAXIMIZE)
+        for delta in (best, best / 2):
+            w, achieved = solve_alpha(profile, k, p, delta)
+            assert achieved == delta
+            assert _realizes(profile, w, p.as_matrix() + delta * k.mat)
+        past = best + F(1, 10**6)
+        with pytest.raises(InfeasibleError, match=rf"margin {re.escape(str(past))}$"):
+            solve_alpha(profile, k, p, past)
+        w, achieved = solve_alpha(profile, GoalMatrix.zero(n), p, best)
+        assert achieved == best
+        assert _realizes(profile, w, p.as_matrix())
