@@ -1,23 +1,26 @@
 #!/usr/bin/env python3
 """Weight LP ladder: LP shape, float pivots and stage times, at the maximum
-margin and at half of it.
+margin and at half of it, and one sign-pattern LP.
 
 Each rung ``n x grid`` draws one independent profile, a proper goal
 matrix and a target with the generators of ``random_roundtrip.py``
 (its first trial at that seed), maximizes the margin with
 ``solve_alpha`` and then solves the fixed margin ``delta*/2``, half
-the maximum, which caps the margin by one more row.  For every rung,
-seed and margin it prints the LP's shape; the float pivots outside
-Bland's iterations (the crossover's, and the drive-out of artificials
-if phase 1 ran), those inside them, and the number of Bland runs (1,
-phase 2, after a crossover; 2 or more where the float stage fell back
-to both phases); the seconds of the float stage, of the exact
-certificate and of the whole ``solve_alpha`` call; and the fallbacks
-to the exact Bland simplex.  Exits 1 on any fallback, and on any float
-stage that runs more than one Bland phase, as both LPs start at a
-feasible point and need no phase 1.
+the maximum, which caps the margin by one more row.  Each sign rung
+``n x grid`` draws one dependent profile the same way and decides the
+super-envy-free pattern of ``n`` players under its measure relations
+with ``solve_relations``; Barbanel's theorem makes it infeasible.  For
+every rung, seed and LP it prints the LP's shape; the float pivots
+outside Bland's iterations (the crossover's, and the drive-out of
+artificials if phase 1 ran), those inside them, and the number of
+Bland runs (1, phase 2, after a crossover; 2 where both phases ran);
+the seconds of the float stage, of the exact certificate and of the
+whole call; and the fallbacks to the exact Bland simplex.  Exits 1 on
+any fallback, and on any weight LP whose float stage runs more than
+one Bland phase, as both weight LPs start at a feasible point and need
+no phase 1; the sign-pattern LP has no start point and runs both.
 
-    PYTHONPATH=src python3 scripts/lp_ladder.py --rungs 8x16 12x16 --seeds 1 2
+    PYTHONPATH=src python3 scripts/lp_ladder.py --rungs 8x16 12x16 --sign-rungs 12x16 --seeds 1 2
 """
 
 from __future__ import annotations
@@ -25,17 +28,22 @@ from __future__ import annotations
 import argparse
 import random
 import time
-from fractions import Fraction
 
 from random_roundtrip import random_goal, random_profile, random_target
 
-from hyperfair import MAXIMIZE, gram_matrix, simplex, solve_alpha
+from hyperfair import MAXIMIZE, gram_matrix, measure_relations, simplex, solve_alpha
+from hyperfair.relations import RelationMatrix, solve_relations
 
 
 class _Probe:
     """Counts and times the float stage, the certificate and the fallbacks
     of the LPs solved inside ``with probe:``, by wrapping them where
-    ``simplex`` looks them up."""
+    ``simplex`` looks them up.
+
+    Bland's iterations and pivots are the ones both arithmetics share, so
+    the exact pivots of a fallback would count too; a fallback fails the
+    ladder anyway.
+    """
 
     def __init__(self) -> None:
         self.shape = (0, 0)
@@ -45,9 +53,9 @@ class _Probe:
         self._saved: dict = {}
 
     def __enter__(self) -> _Probe:
-        names = ("_float_basis", "_certify", "_float_iterate", "_float_pivot", "simplex_solve")
+        names = ("_float_basis", "_certify", "_iterate", "_pivot", "simplex_solve")
         self._saved = {name: getattr(simplex, name) for name in names}
-        float_basis, certify, float_iterate, float_pivot, exact = self._saved.values()
+        float_basis, certify, iterate, pivot, exact = self._saved.values()
 
         def timed_float_basis(goal, base):
             self.shape = (len(base), len(goal.objective))
@@ -68,7 +76,7 @@ class _Probe:
             self.bland_phases += 1
             self._in_bland = True
             try:
-                return float_iterate(*args)
+                return iterate(*args)
             finally:
                 self._in_bland = False
 
@@ -77,7 +85,7 @@ class _Probe:
                 self.bland_pivots += 1
             else:
                 self.crossover_pivots += 1
-            return float_pivot(*args)
+            return pivot(*args)
 
         def counted_exact(problem):
             self.fallbacks += 1
@@ -93,13 +101,13 @@ class _Probe:
             setattr(simplex, name, f)
 
 
-def solved(profile, k, p, delta) -> tuple[_Probe, float, Fraction]:
-    """The probe and seconds of one ``solve_alpha`` call, and its margin."""
+def probed(solve, *args) -> tuple[_Probe, float, object]:
+    """The probe and seconds of one ``solve(*args)`` call, and its answer."""
     with _Probe() as probe:
         t = time.perf_counter()
-        _, achieved = solve_alpha(profile, k, p, delta)
+        answer = solve(*args)
         total = time.perf_counter() - t
-    return probe, total, achieved
+    return probe, total, answer
 
 
 def rung(players: int, grid: int, seed: int) -> list[tuple[str, _Probe, float]]:
@@ -108,26 +116,38 @@ def rung(players: int, grid: int, seed: int) -> list[tuple[str, _Probe, float]]:
     profile = random_profile(rng, players, grid, dependent=False)
     k = random_goal(rng, gram_matrix(profile))
     p = random_target(rng, players)
-    probe, total, best = solved(profile, k, p, MAXIMIZE)
-    half, half_total, _ = solved(profile, k, p, best / 2)
+    probe, total, (_, best) = probed(solve_alpha, profile, k, p, MAXIMIZE)
+    half, half_total, _ = probed(solve_alpha, profile, k, p, best / 2)
     return [("max", probe, total), ("max/2", half, half_total)]
+
+
+def sign_rung(players: int, grid: int, seed: int) -> list[tuple[str, _Probe, float]]:
+    """The super-envy-free pattern under the relations of one dependent profile."""
+    profile = random_profile(random.Random(seed), players, grid, dependent=True)
+    probe, total, solution = probed(solve_relations, RelationMatrix.super_envy_free(players),
+                                    measure_relations(profile))
+    assert not solution.feasible, "Barbanel: no super envy-free division under a relation"
+    return [("sign", probe, total)]
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--rungs", nargs="+", default=["8x16", "12x16"],
-                    help="players x grid, e.g. 12x16")
+    ap.add_argument("--rungs", nargs="*", default=["8x16", "12x16"],
+                    help="weight LP rungs, players x grid, e.g. 12x16")
+    ap.add_argument("--sign-rungs", nargs="*", default=["12x16"],
+                    help="sign-pattern LP rungs, players x grid of the dependent profile")
     ap.add_argument("--seeds", nargs="+", type=int, default=[1, 2])
     args = ap.parse_args(argv)
 
     failed = False
-    print(f"{'rung':>7} {'seed':>4} {'delta':>5} {'LP shape':>9} {'crossover':>9} {'Bland':>6}"
+    print(f"{'rung':>7} {'seed':>4} {'LP':>5} {'LP shape':>9} {'crossover':>9} {'Bland':>6}"
           f" {'phases':>6} {'float s':>7} {'cert s':>7} {'total s':>7} {'fallbacks':>9}")
-    for spec in args.rungs:
+    ladder = [(rung, spec) for spec in args.rungs] + [(sign_rung, spec) for spec in args.sign_rungs]
+    for run, spec in ladder:
         players, grid = (int(x) for x in spec.lower().split("x"))
         for seed in args.seeds:
-            for margin, probe, total in rung(players, grid, seed):
-                failed |= probe.fallbacks > 0 or probe.bland_phases > 1
+            for margin, probe, total in run(players, grid, seed):
+                failed |= probe.fallbacks > 0 or (run is rung and probe.bland_phases > 1)
                 shape = f"{probe.shape[0]} x {probe.shape[1]}"
                 print(f"{players:>3} x {grid:<3}{seed:>4} {margin:>5} {shape:>9}"
                       f" {probe.crossover_pivots:>9} {probe.bland_pivots:>6} {probe.bland_phases:>6}"

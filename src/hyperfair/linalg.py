@@ -14,18 +14,17 @@ point.
 
 Row reduction and products run on integer rows (int numerators over
 one positive denominator per row, in lowest terms); a matrix's own are
-built once, as :attr:`RatMatrix.int_rows`, and only read.  ``_pivot_at`` is
-the package's one exact pivot, run by the simplex tableau and by
-``_pivot_on``, the one column-pivot loop of the reduction of
-``[m | I]`` (Gauss-Jordan, also behind :func:`rref`) and of
-:func:`hyperfair.simplex.certified_solve` (forward elimination); only
-the inertia count has its own, Bareiss.  ``_products`` is its one exact
-sum of products.  One reduction of ``[m | I]`` gives the kernel, the
-rank factors, the inverse and the pseudo-inverse of ``m``, so
-``hyperfair gram`` reduces G once: its right block gives a
-{1}-inverse ``X``, and the pseudo-inverse is ``P_row X P_col``, with
-the projectors onto the complements of the right and the left kernel
-built by exact Gram-Schmidt.
+built once, as :attr:`RatMatrix.int_rows`, and only read.  ``_pivot_on``
+is the package's one column-pivot loop on integer rows, of the
+reduction of ``[m | I]`` (Gauss-Jordan, also behind :func:`rref`) and
+of :func:`hyperfair.simplex.certified_solve`'s certificate (forward
+elimination); only the inertia count has its own, Bareiss.
+``_products`` is its one exact sum of products.  One reduction of
+``[m | I]`` gives the kernel, the rank factors, the inverse and the
+pseudo-inverse of ``m``, so ``hyperfair gram`` reduces G once: its
+right block gives a {1}-inverse ``X``, and the pseudo-inverse is
+``P_row X P_col``, with the projectors onto the complements of the
+right and the left kernel built by exact Gram-Schmidt.
 """
 
 from __future__ import annotations
@@ -292,29 +291,24 @@ def _eliminate(row: _Row, pivot_row: _Row, col: int, support: list[int]) -> _Row
     return _lowest_terms(w, d * e)
 
 
-def _pivot_at(rows: list[_Row], r: int, c: int, first: int = 0) -> list[int]:
-    """Make row ``r`` the unit row at column ``c`` (its entry there is nonzero)
-    and clear ``c`` from the other rows from ``first`` on; returns its support."""
-    rows[r] = unit = _unit_at(rows[r][0], c)
-    support = _support(unit[0])
-    for i in range(first, len(rows)):
-        if i != r and rows[i][0][c] != 0:
-            rows[i] = _eliminate(rows[i], unit, c, support)
-    return support
-
-
 def _pivot_on(rows: list[_Row], columns: Sequence[int], below: bool = False) -> list[int]:
     """Pivot on each of ``columns`` in the first row not yet pivoted that is
-    nonzero there, swapped up to the next place; returns the columns pivoted.
-    With ``below``, a column is cleared below its pivot row only (forward
-    elimination), and the pivoted rows end upper triangular, not reduced."""
+    nonzero there, swapped up to the next place and made the unit row at
+    that column, which is cleared from the other rows; returns the columns
+    pivoted.  With ``below``, a column is cleared below its pivot row only
+    (forward elimination), and the pivoted rows end upper triangular, not
+    reduced."""
     pivots: list[int] = []
     for c in columns:
         r = len(pivots)
         pivot_row = next((i for i in range(r, len(rows)) if rows[i][0][c] != 0), None)
         if pivot_row is not None:
             rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            _pivot_at(rows, r, c, r + 1 if below else 0)
+            rows[r] = unit = _unit_at(rows[r][0], c)
+            support = _support(unit[0])
+            for i in range(r + 1 if below else 0, len(rows)):
+                if i != r and rows[i][0][c] != 0:
+                    rows[i] = _eliminate(rows[i], unit, c, support)
             pivots.append(c)
     return pivots
 

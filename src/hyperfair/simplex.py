@@ -5,40 +5,40 @@ subject to ``A x = b`` and ``x >= 0``.  All pivoting uses Bland's rule
 (smallest eligible index enters, smallest basic index breaks ratio
 ties), which rules out cycling.
 
-The tableau is fraction-free: each row, the cost row included, is one
-of :mod:`hyperfair.linalg`'s integer rows, a list of Python ints ``v``
-with one positive int denominator ``d`` standing for ``v / d``, and
-every pivot, here and in the certificate below, is ``linalg``'s one
-pivot routine, the one :func:`hyperfair.linalg.rref` runs.  So every
-sign test and ratio comparison of Bland's rule is an integer
-comparison and the pivot sequence is the one a Fraction tableau takes.
-The package's own LPs, the weight LP and the sign LP, enter as integer
-rows of ``[A | b]`` laid out by :func:`_row`; an :class:`LpProblem` is
-converted to such rows once, on entry, and goes to the same integer-row
-core.  ``b`` may have either sign: phase 1 negates the rows where it is
-negative.  Fractions appear in the :class:`LpOutcome` coming out, so the
-reported optimum and witness are exact.
+Bland's rule is written once, as :func:`_two_phase` over
+:func:`_pivot` and :func:`_iterate`, for rows of either number type: on
+floats, with the tolerance ``_EPS`` and the pivot limit
+``_FLOAT_PIVOTS``, it is the float stage below; on Fractions, with
+tolerance 0 and no pivot limit, it is exact, and every sign test and
+ratio comparison with it.  The package's own LPs, the weight LP and the
+sign LP, enter as :mod:`hyperfair.linalg`'s integer rows of ``[A | b]``
+(a list of Python ints ``v`` with one positive int denominator ``d``
+standing for ``v / d``) laid out by :func:`_row`; an :class:`LpProblem`
+is converted to such rows once, on entry, and goes to the same core.
+``b`` may have either sign: phase 1 negates the rows where it is
+negative.  The reported optimum and witness are exact Fractions.
 
 :func:`simplex_solve` is that exact method, kept as the reference.
 :func:`certified_solve` answers the same problems faster, and both of
 the package's LPs go to its integer-row core, :func:`_certified_solve`.
-A float run of the same two phases, from the same starting basis under
-Bland's rule, gives only its final basis.  An LP handed over with a
-feasible ``start`` point (the weight LP's, at every margin, see
+The same two phases run in floats, from the same starting basis, and
+give only their final basis.  An LP handed over with a feasible
+``start`` point (the weight LP's, at every margin, see
 :func:`hyperfair.partition.solve_alpha`) skips phase 1 by a crossover
 (Megiddo's purification): in floats, the point's support columns are
 pivoted into a basis, each nonbasic one then moves to 0 along its
 tableau column, swapping places with a basic column that reaches 0
 first, and Bland's phase 2 runs from the vertex this ends on.  If the
 floats lose the point on the way, the two phases run instead.  One
-exact forward elimination on the final basis's columns of ``[A | b]``
-certifies it: the rows it leaves over must vanish, the basic values,
-back-substituted, must be nonnegative and every reduced cost must have
-the optimal sign.  A certified basis gives the exact vertex and value,
-Bland's own whenever the two phases ran and the float comparisons
-agreed with the exact ones; anything uncertified, and every infeasible
-or unbounded float verdict, comes from :func:`simplex_solve`.  So
-floats only pick the basis to test.
+exact forward elimination on the final basis's columns of ``[A | b]``,
+by ``linalg._pivot_on`` on the integer rows, certifies it: the rows it
+leaves over must vanish, the basic values, back-substituted, must be
+nonnegative and every reduced cost must have the optimal sign.  A
+certified basis gives the exact vertex and value, Bland's own whenever
+the two phases ran and the float comparisons agreed with the exact
+ones; anything uncertified, and every infeasible or unbounded float
+verdict, comes from :func:`simplex_solve`.  So floats only pick the
+basis to test.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .linalg import RatMatrix, _eliminate, _lowest_terms, _pivot_at, _pivot_on, _Row, _support, _to_row, _unit_at
+from .linalg import RatMatrix, _eliminate, _pivot_on, _Row, _support, _to_row, _unit_at
 
 
 class LpStatus(Enum):
@@ -103,43 +103,101 @@ _EPS = 1e-9
 #: Pivot limit of the float stage's Bland iterations: of phase 2 after a
 #: crossover, of both phases together otherwise.  Both phases run for an
 #: LP without a start point, the sign-pattern LP and a problem handed to
-#: :func:`certified_solve`: the sign-pattern LP takes at most 84 Bland
-#: pivots on the benchmark's 4-player patterns, some 300 at 12 players
-#: and up to about 1,600 at 16.  A 12-player weight LP on 16 cells takes
+#: :func:`certified_solve`.  The sign-pattern LP took at most 84 Bland
+#: pivots on the benchmark's 4-player patterns; the super-envy-free
+#: pattern under one random integer relation took 361 to 404 at 12
+#: players and 717 to 739 at 16, and under the relation of a dependent
+#: profile 167 at 12 players.  A 12-player weight LP on 16 cells takes
 #: some 190 crossover and phase-2 pivots at any margin.  A float run
 #: that would take more (it may cycle where exact Bland cannot) hands
 #: the problem to :func:`simplex_solve`.
 _FLOAT_PIVOTS = 20_000
 
 
-def _pivot(rows: list[_Row], basis: list[int], cost: _Row | None,
-           row: int, col: int) -> _Row | None:
-    support = _pivot_at(rows, row, col)
+def _pivot(rows: list[list], basis: list[int], cost: list | None, row: int, col: int) -> None:
+    """Make ``col`` basic in ``row``: divide the row by its entry there and
+    clear the column from the other rows and from ``cost``, in place."""
+    a = rows[row][col]
+    rows[row] = pivot_row = [x / a for x in rows[row]]
+    # as in linalg's _eliminate, only the pivot row's nonzero columns change
+    nonzero = [(j, y) for j, y in enumerate(pivot_row) if y]
+    for other in rows if cost is None else rows + [cost]:
+        f = other[col]
+        if f and other is not pivot_row:
+            for j, y in nonzero:
+                other[j] -= f * y
     basis[row] = col
-    if cost is not None and cost[0][col] != 0:
-        cost = _eliminate(cost, rows[row], col, support)
+
+
+def _iterate(rows: list[list], basis: list[int], cost: list, ncols: int,
+             eps: float, budget: float) -> tuple[str, float]:
+    """Bland's iterations on the first ``ncols`` columns, minimizing, with
+    sign tests and ratio ties up to ``eps``.
+
+    ``cost`` is the reduced-cost row (length ncols + 1, its last slot
+    minus the current objective value).  Stops with ``"capped"`` rather
+    than take pivot ``budget + 1``; returns the status and the pivots left.
+    """
+    while True:
+        entering = next((j for j in range(ncols) if cost[j] < -eps), None)
+        if entering is None:
+            return "optimal", budget
+        leaving, best = None, 0
+        for i, row in enumerate(rows):
+            a = row[entering]
+            if a > eps:
+                ratio = row[-1] / a
+                if (leaving is None or ratio < best - eps
+                        or (ratio <= best + eps and basis[i] < basis[leaving])):
+                    leaving, best = i, ratio
+        if leaving is None:
+            return "unbounded", budget
+        if budget == 0:
+            return "capped", budget
+        budget -= 1
+        _pivot(rows, basis, cost, leaving, entering)
+
+
+def _costs(rows: list[list], basis: list[int], c: list) -> list:
+    """The reduced-cost row of the costs ``c`` in the unit tableau ``rows``."""
+    cost = c + [0]
+    for row, bi in zip(rows, basis):
+        f = cost[bi]
+        if f:
+            cost = [x - f * y for x, y in zip(cost, row)]
     return cost
 
 
-def _iterate(rows: list[_Row], basis: list[int], cost: _Row, ncols: int) -> tuple[str, _Row]:
-    # cost is the reduced-cost row (length ncols + 1, last slot tracks
-    # minus the current objective value); minimization throughout.
-    while True:
-        entering = next((j for j in range(ncols) if cost[0][j] < 0), None)
-        if entering is None:
-            return "optimal", cost
-        # Ratios rhs / entry compare by cross-multiplying; the row
-        # denominators cancel and every entry compared is positive.
-        leaving, best_num, best_den = None, 0, 1
-        for i, (v, _) in enumerate(rows):
-            a = v[entering]
-            if a > 0:
-                ours, best = v[-1] * best_den, best_num * a
-                if leaving is None or ours < best or (ours == best and basis[i] < basis[leaving]):
-                    leaving, best_num, best_den = i, v[-1], a
-        if leaving is None:
-            return "unbounded", cost
-        cost = _pivot(rows, basis, cost, leaving, entering)
+def _two_phase(rows: list[list], basis: list[int], nvars: int, c: list,
+               eps: float, budget: float) -> tuple[str, list[list], list[int]]:
+    """Bland's two phases from :func:`_phase1_tableau`'s rows and basis, in
+    floats or Fractions, minimizing ``c . x`` over the ``nvars`` real columns.
+
+    Phase 1 minimizes the sum of the artificials; a row still basic on an
+    artificial then pivots on its first nonzero real column, or is dropped
+    as redundant without one.  Returns the status (``"infeasible"``,
+    ``"unbounded"``, ``"capped"`` past ``budget`` pivots, or ``"optimal"``)
+    and the final rows and basis.
+    """
+    ncols = len(rows[0]) - 1 if rows else nvars
+    cost = _costs(rows, basis, [0] * nvars + [1] * (ncols - nvars))
+    status, budget = _iterate(rows, basis, cost, ncols, eps, budget)
+    if status == "optimal" and cost[-1] < -eps:
+        status = "infeasible"
+    if status != "optimal":  # capped, or floats lost phase 1's bound of zero
+        return status, rows, basis
+    keep = []
+    for i in range(len(rows)):
+        if basis[i] >= nvars:
+            col = next((j for j in range(nvars) if abs(rows[i][j]) > eps), None)
+            if col is None:
+                continue
+            _pivot(rows, basis, None, i, col)
+        keep.append(i)
+    rows = [rows[i][:nvars] + rows[i][-1:] for i in keep]
+    basis = [basis[i] for i in keep]
+    status, _ = _iterate(rows, basis, _costs(rows, basis, c), nvars, eps, budget)
+    return status, rows, basis
 
 
 def _reduced_costs(rows: list[_Row], basis: list[int], c: list[int]) -> _Row:
@@ -247,94 +305,21 @@ def simplex_solve(problem: LpProblem) -> LpOutcome:
 
 
 def _solve(goal: _Goal, base: list[_Row]) -> LpOutcome:
-    """:func:`simplex_solve` on the integer rows ``base`` of ``[A | b]``, ``b`` of either sign."""
+    """:func:`simplex_solve` on the integer rows ``base`` of ``[A | b]``, ``b`` of either sign.
+
+    The float stage's :func:`_two_phase`, run on Fractions with tolerance 0
+    and no pivot limit; the vertex is read off its final rows.
+    """
     nvars = len(goal.objective)
-
-    # Phase 1 minimizes the sum of the artificials.  Each row carries
-    # its right-hand side as last entry.
     rows, basis = _phase1_tableau(base, nvars)
-    narts = len(rows[0][0]) - nvars - 1 if rows else 0
-    cost = _reduced_costs(rows, basis, [0] * nvars + [1] * narts)
-    status, cost = _iterate(rows, basis, cost, nvars + narts)
-    assert status == "optimal", "phase 1 is bounded below by zero"
-    if cost[0][-1] != 0:
-        return LpOutcome(LpStatus.INFEASIBLE)
-
-    # Drive leftover artificials out of the basis; a row where that is
-    # impossible is redundant and gets dropped.
-    drop: list[int] = []
-    for i in range(len(rows)):
-        if basis[i] >= nvars:
-            col = next((j for j in range(nvars) if rows[i][0][j] != 0), None)
-            if col is None:
-                drop.append(i)
-            else:
-                _pivot(rows, basis, None, i, col)
-    for i in reversed(drop):
-        del rows[i]
-        del basis[i]
-    rows = [_lowest_terms(v[:nvars] + v[-1:], d) for v, d in rows]
-
-    # Phase 2 on the real objective.
-    cost = _reduced_costs(rows, basis, _min_costs(goal))
-    status, _ = _iterate(rows, basis, cost, nvars)
-    if status == "unbounded":
-        return LpOutcome(LpStatus.UNBOUNDED)
-    return _vertex(goal, basis, (Fraction(v[-1], d) for v, d in rows))
+    status, rows, basis = _two_phase([[Fraction(x, d) for x in v] for v, d in rows], basis,
+                                     nvars, _min_costs(goal), 0, math.inf)
+    if status != "optimal":
+        return LpOutcome(LpStatus(status))
+    return _vertex(goal, basis, (row[-1] for row in rows))
 
 
 # -- the float stage and the exact certificate of certified_solve --------
-
-def _float_pivot(rows: list[list[float]], basis: list[int], cost: list[float] | None,
-                 row: int, col: int) -> None:
-    """:func:`_pivot` on float rows, updating them and ``cost`` in place."""
-    a = rows[row][col]
-    rows[row] = pivot_row = [x / a for x in rows[row]]
-    # as in linalg's _eliminate, only the pivot row's nonzero columns change
-    nonzero = [(j, y) for j, y in enumerate(pivot_row) if y != 0.0]
-    for other in rows if cost is None else rows + [cost]:
-        f = other[col]
-        if f != 0.0 and other is not pivot_row:
-            for j, y in nonzero:
-                other[j] -= f * y
-    basis[row] = col
-
-
-def _float_iterate(rows: list[list[float]], basis: list[int], cost: list[float],
-                   ncols: int, budget: int) -> tuple[str, int]:
-    """:func:`_iterate` on floats, with sign tests and ratio ties up to ``_EPS``.
-
-    Stops with ``"capped"`` rather than take pivot ``budget + 1``;
-    returns the status and the pivots left.
-    """
-    while True:
-        entering = next((j for j in range(ncols) if cost[j] < -_EPS), None)
-        if entering is None:
-            return "optimal", budget
-        leaving, best = None, 0.0
-        for i, row in enumerate(rows):
-            a = row[entering]
-            if a > _EPS:
-                ratio = row[-1] / a
-                if (leaving is None or ratio < best - _EPS
-                        or (ratio <= best + _EPS and basis[i] < basis[leaving])):
-                    leaving, best = i, ratio
-        if leaving is None:
-            return "unbounded", budget
-        if budget == 0:
-            return "capped", budget
-        budget -= 1
-        _float_pivot(rows, basis, cost, leaving, entering)
-
-
-def _float_costs(rows: list[list[float]], basis: list[int], c: list[float]) -> list[float]:
-    cost = c + [0.0]
-    for row, bi in zip(rows, basis):
-        f = cost[bi]
-        if f != 0.0:
-            cost = [x - f * y for x, y in zip(cost, row)]
-    return cost
-
 
 def _crossover(base: list[_Row], start: tuple[float, ...], c: list[float]) -> list[int] | None:
     """Bland's phase-2 basis of min ``c . x`` over the rows ``base``, from the
@@ -356,7 +341,7 @@ def _crossover(base: list[_Row], start: tuple[float, ...], c: list[float]) -> li
             col = max(columns, key=lambda j: abs(row[j]), default=None)
             if col is not None and abs(row[col]) > _EPS:
                 columns.remove(col)
-                _float_pivot(rows, basis, None, r, col)
+                _pivot(rows, basis, None, r, col)
                 break
     rows = [row for row, bi in zip(rows, basis) if bi >= 0]
     basis = [bi for bi in basis if bi >= 0]
@@ -371,10 +356,10 @@ def _crossover(base: list[_Row], start: tuple[float, ...], c: list[float]) -> li
         x[j] -= step
         if leaving is not None:
             x[basis[leaving]] = 0.0
-            _float_pivot(rows, basis, None, leaving, j)
+            _pivot(rows, basis, None, leaving, j)
     if any(row[-1] < -_EPS for row in rows):
         return None
-    status, _ = _float_iterate(rows, basis, _float_costs(rows, basis, c), nvars, _FLOAT_PIVOTS)
+    status, _ = _iterate(rows, basis, _costs(rows, basis, c), nvars, _EPS, _FLOAT_PIVOTS)
     return basis if status == "optimal" else None
 
 
@@ -382,8 +367,8 @@ def _float_basis(goal: _Goal, base: list[_Row]) -> list[int] | None:
     """Bland's final basis of ``goal`` over the rows ``base``, found in floats.
 
     With a ``start`` point on the goal, the :func:`_crossover` basis.
-    Otherwise, or if that one is lost, the crash columns, artificials and
-    entering, leaving and drive-out rules are :func:`simplex_solve`'s.
+    Otherwise, or if that one is lost, the basis of :func:`simplex_solve`'s
+    own :func:`_two_phase`, run on floats with the tolerance ``_EPS``.
     ``None`` when the floats end infeasible, unbounded or at the pivot
     limit ``_FLOAT_PIVOTS``; ``OverflowError`` on an entry beyond float
     range.
@@ -396,24 +381,9 @@ def _float_basis(goal: _Goal, base: list[_Row]) -> list[int] | None:
         basis = _crossover(base, start, c)
         if basis is not None:
             return basis
-    exact_rows, basis = _phase1_tableau(base, nvars)
-    rows = [[x / d for x in v] for v, d in exact_rows]
-    ncols = len(rows[0]) - 1 if rows else nvars
-    cost = _float_costs(rows, basis, [0.0] * nvars + [1.0] * (ncols - nvars))
-    status, budget = _float_iterate(rows, basis, cost, ncols, _FLOAT_PIVOTS)
-    if status != "optimal" or cost[-1] < -_EPS:
-        return None
-    keep = []
-    for i in range(len(rows)):
-        if basis[i] >= nvars:
-            col = next((j for j in range(nvars) if abs(rows[i][j]) > _EPS), None)
-            if col is None:
-                continue
-            _float_pivot(rows, basis, None, i, col)
-        keep.append(i)
-    rows = [rows[i][:nvars] + rows[i][-1:] for i in keep]
-    basis = [basis[i] for i in keep]
-    status, _ = _float_iterate(rows, basis, _float_costs(rows, basis, c), nvars, budget)
+    rows, basis = _phase1_tableau(base, nvars)
+    status, _, basis = _two_phase([[x / d for x in v] for v, d in rows], basis,
+                                  nvars, c, _EPS, _FLOAT_PIVOTS)
     return basis if status == "optimal" else None
 
 

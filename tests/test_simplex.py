@@ -196,6 +196,20 @@ def test_reference_comparison_reaches_every_branch():
     assert events == {"negative_rhs", "crash", "crash_negative", "tie", "dropped_row"}
 
 
+def test_the_exact_reference_ignores_the_float_stage_tuning(monkeypatch):
+    # Both arithmetics run one Bland's rule; the exact run must take its
+    # tolerance and pivot limit from its own call, not from the float
+    # stage's constants, which would end these LPs early or on a
+    # tolerance-blind basis.
+    monkeypatch.setattr(simplex, "_EPS", 0.5)
+    monkeypatch.setattr(simplex, "_FLOAT_PIVOTS", 0)
+    rng = random.Random(20174)
+    statuses = set()
+    for _ in range(300):
+        statuses.add(_agrees_with_reference(*_pivot_stress_lp(rng), rng.random() < 0.5).status)
+    assert statuses == set(LpStatus)
+
+
 def test_ratio_tie_break_decides_the_witness():
     # Both optima score 3; breaking ratio-test ties towards the
     # larger basic index would end on (0, 0, 0, 3, 0) instead.
