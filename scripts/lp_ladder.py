@@ -6,21 +6,22 @@ Each rung ``n x grid`` draws one independent profile, a proper goal
 matrix and a target with the generators of ``random_roundtrip.py``
 (its first trial at that seed), maximizes the margin with
 ``solve_alpha`` and then solves the fixed margin ``delta*/2``, half
-the maximum, which caps the margin by one more row.  Each sign rung
-``n x grid`` draws one dependent profile the same way and decides the
-super-envy-free pattern of ``n`` players under its measure relations
-with ``solve_relations``; Barbanel's theorem makes it infeasible.  For
-every rung, seed and LP it prints the LP's shape; the float pivots
-outside Bland's iterations (the crossover's, and the drive-out of
-artificials if phase 1 ran), those inside them, and the number of
-Bland runs (1, phase 2, after a crossover; 2 where both phases ran);
-the seconds of the float stage, of the exact certificate and of the
-whole call; and the fallbacks to the exact Bland simplex.  Exits 1 on
-any fallback, and on any weight LP whose float stage runs more than
-one Bland phase, as both weight LPs start at a feasible point and need
-no phase 1; the sign-pattern LP has no start point and runs both.
+the maximum, which caps the margin by one more row.  At every seed the
+ladder also draws one dependent profile of ``SIGN_RUNG`` (12 players
+on 16 cells) the same way and decides the super-envy-free pattern of
+its players under its measure relations with ``solve_relations``;
+Barbanel's theorem makes it infeasible.  For every rung, seed and LP
+it prints the LP's shape; the float pivots outside Bland's iterations
+(the crossover's, and the drive-out of artificials if phase 1 ran),
+those inside them, and the number of Bland runs (1, phase 2, after a
+crossover; 2 where both phases ran); the seconds of the float stage,
+of the exact certificate and of the whole call; and the fallbacks to
+the exact Bland simplex.  Exits 1 on any fallback, and on any weight
+LP whose float stage runs more than one Bland phase, as both weight
+LPs start at a feasible point and need no phase 1; the sign-pattern LP
+has no start point and runs both.
 
-    PYTHONPATH=src python3 scripts/lp_ladder.py --rungs 8x16 12x16 --sign-rungs 12x16 --seeds 1 2
+    PYTHONPATH=src python3 scripts/lp_ladder.py --rungs 8x16 12x16 --seeds 1 2
 """
 
 from __future__ import annotations
@@ -33,6 +34,9 @@ from random_roundtrip import random_goal, random_profile, random_target
 
 from hyperfair import MAXIMIZE, gram_matrix, measure_relations, simplex, solve_alpha
 from hyperfair.relations import RelationMatrix, solve_relations
+
+#: players x grid of the sign-pattern LP's dependent profile, run at every seed
+SIGN_RUNG = (12, 16)
 
 
 class _Probe:
@@ -132,19 +136,16 @@ def sign_rung(players: int, grid: int, seed: int) -> list[tuple[str, _Probe, flo
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--rungs", nargs="*", default=["8x16", "12x16"],
+    ap.add_argument("--rungs", nargs="+", default=["8x16", "12x16"],
                     help="weight LP rungs, players x grid, e.g. 12x16")
-    ap.add_argument("--sign-rungs", nargs="*", default=["12x16"],
-                    help="sign-pattern LP rungs, players x grid of the dependent profile")
     ap.add_argument("--seeds", nargs="+", type=int, default=[1, 2])
     args = ap.parse_args(argv)
 
     failed = False
     print(f"{'rung':>7} {'seed':>4} {'LP':>5} {'LP shape':>9} {'crossover':>9} {'Bland':>6}"
           f" {'phases':>6} {'float s':>7} {'cert s':>7} {'total s':>7} {'fallbacks':>9}")
-    ladder = [(rung, spec) for spec in args.rungs] + [(sign_rung, spec) for spec in args.sign_rungs]
-    for run, spec in ladder:
-        players, grid = (int(x) for x in spec.lower().split("x"))
+    ladder = [(rung, *(int(x) for x in spec.lower().split("x"))) for spec in args.rungs]
+    for run, players, grid in ladder + [(sign_rung, *SIGN_RUNG)]:
         for seed in args.seeds:
             for margin, probe, total in run(players, grid, seed):
                 failed |= probe.fallbacks > 0 or (run is rung and probe.bland_phases > 1)

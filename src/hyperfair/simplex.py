@@ -118,7 +118,7 @@ def _pivot(rows: list[list], basis: list[int], cost: list | None, row: int, col:
     """Make ``col`` basic in ``row``: divide the row by its entry there and
     clear the column from the other rows and from ``cost``, in place."""
     a = rows[row][col]
-    rows[row] = pivot_row = [x / a for x in rows[row]]
+    rows[row] = pivot_row = [x / a if x else x for x in rows[row]]
     # as in linalg's _eliminate, only the pivot row's nonzero columns change
     nonzero = [(j, y) for j, y in enumerate(pivot_row) if y]
     for other in rows if cost is None else rows + [cost]:
@@ -142,14 +142,13 @@ def _iterate(rows: list[list], basis: list[int], cost: list, ncols: int,
         entering = next((j for j in range(ncols) if cost[j] < -eps), None)
         if entering is None:
             return "optimal", budget
-        leaving, best = None, 0
+        leaving = lo = hi = None
         for i, row in enumerate(rows):
             a = row[entering]
             if a > eps:
                 ratio = row[-1] / a
-                if (leaving is None or ratio < best - eps
-                        or (ratio <= best + eps and basis[i] < basis[leaving])):
-                    leaving, best = i, ratio
+                if leaving is None or ratio < lo or (ratio <= hi and basis[i] < basis[leaving]):
+                    leaving, lo, hi = i, ratio - eps, ratio + eps
         if leaving is None:
             return "unbounded", budget
         if budget == 0:
@@ -201,8 +200,8 @@ def _two_phase(rows: list[list], basis: list[int], nvars: int, c: list,
 
 
 def _reduced_costs(rows: list[_Row], basis: list[int], c: list[int]) -> _Row:
-    # Row i is zero at the basic columns of earlier rows (in a unit or a
-    # triangular tableau), so clearing column bi keeps those cleared.
+    # Row i of _certify's forward elimination is zero at the basic columns
+    # of earlier rows, so clearing column bi keeps those cleared.
     cost: _Row = (c + [0], 1)
     for row, bi in zip(rows, basis):
         if cost[0][bi] != 0:
@@ -312,11 +311,12 @@ def _solve(goal: _Goal, base: list[_Row]) -> LpOutcome:
     """
     nvars = len(goal.objective)
     rows, basis = _phase1_tableau(base, nvars)
-    status, rows, basis = _two_phase([[Fraction(x, d) for x in v] for v, d in rows], basis,
-                                     nvars, _min_costs(goal), 0, math.inf)
+    # zeros stay ints, which the tableau's sign tests read fast
+    status, rows, basis = _two_phase([[Fraction(x, d) if x else 0 for x in v] for v, d in rows],
+                                     basis, nvars, _min_costs(goal), 0, math.inf)
     if status != "optimal":
         return LpOutcome(LpStatus(status))
-    return _vertex(goal, basis, (row[-1] for row in rows))
+    return _vertex(goal, basis, (Fraction(row[-1]) for row in rows))
 
 
 # -- the float stage and the exact certificate of certified_solve --------
