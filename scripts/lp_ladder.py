@@ -57,7 +57,7 @@ class _Probe:
         self._saved: dict = {}
 
     def __enter__(self) -> _Probe:
-        names = ("_float_basis", "_certify", "_iterate", "_pivot", "simplex_solve")
+        names = ("_float_basis", "_certify", "_iterate", "_pivot", "_solve")
         self._saved = {name: getattr(simplex, name) for name in names}
         float_basis, certify, iterate, pivot, exact = self._saved.values()
 
@@ -91,9 +91,9 @@ class _Probe:
                 self.crossover_pivots += 1
             return pivot(*args)
 
-        def counted_exact(problem):
+        def counted_exact(goal, base):
             self.fallbacks += 1
-            return exact(problem)
+            return exact(goal, base)
 
         wrappers = (timed_float_basis, timed_certify, counted_iterate, counted_pivot, counted_exact)
         for name, wrapper in zip(names, wrappers):

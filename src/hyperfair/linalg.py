@@ -20,11 +20,11 @@ reduction of ``[m | I]`` (Gauss-Jordan, also behind :func:`rref`) and
 of :func:`hyperfair.simplex.certified_solve`'s certificate (forward
 elimination); only the inertia count has its own, Bareiss.
 ``_products`` is its one exact sum of products.  One reduction of
-``[m | I]`` gives the kernel, the rank factors, the inverse and the
-pseudo-inverse of ``m``, so ``hyperfair gram`` reduces G once: its
-right block gives a {1}-inverse ``X``, and the pseudo-inverse is
-``P_row X P_col``, with the projectors onto the complements of the
-right and the left kernel built by exact Gram-Schmidt.
+``[m | I]`` gives the kernel, the rank factors and the pseudo-inverse
+of ``m``, so ``hyperfair gram`` reduces G once: its right block gives
+a {1}-inverse ``X``, and the pseudo-inverse is ``P_row X P_col``, with
+the projectors onto the complements of the right and the left kernel
+built by exact Gram-Schmidt.
 """
 
 from __future__ import annotations
@@ -342,10 +342,6 @@ def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
     return RatMatrix(m.rows, m.cols, flat), tuple(pivots)
 
 
-def rank(m: RatMatrix) -> int:
-    return len(rref(m)[1])
-
-
 def _primitive(v: list[int]) -> list[int]:
     """The integer vector ``v`` divided by its content, first nonzero entry positive."""
     g = math.gcd(*v)
@@ -460,15 +456,6 @@ def rank_factorization(m: RatMatrix) -> tuple[RatMatrix, RatMatrix]:
     return c, f
 
 
-def inverse(m: RatMatrix) -> RatMatrix:
-    if not m.is_square():
-        raise ValueError("only square matrices have inverses")
-    work, pivots = _reduce(m)
-    if len(pivots) < m.rows:
-        raise ValueError("matrix is singular")
-    return _right_block(work, m.cols)
-
-
 def pseudo_inverse(m: RatMatrix) -> RatMatrix:
     """Exact Moore-Penrose pseudo-inverse ``P_row X P_col``.
 
@@ -482,9 +469,9 @@ def pseudo_inverse(m: RatMatrix) -> RatMatrix:
     *Generalized Inverses*, section 1.5).  The formula holds for every
     shape and rank.  For a nonsingular ``m`` both kernels are empty, so
     the projectors are ``I`` and ``m+`` is the right block ``X = m^-1``
-    as it stands, read as :func:`inverse` reads it, with no Gram-Schmidt
-    and no product.  The result is exact and satisfies the four Penrose
-    identities with equality, not approximately.
+    as it stands, with no Gram-Schmidt and no product.  The result is
+    exact and satisfies the four Penrose identities with equality, not
+    approximately.
     """
     return _kernel_and_pseudo_inverse(m)[1]
 

@@ -13,10 +13,12 @@ tolerance 0 and no pivot limit, it is exact, and every sign test and
 ratio comparison with it.  The package's own LPs, the weight LP and the
 sign LP, enter as :mod:`hyperfair.linalg`'s integer rows of ``[A | b]``
 (a list of Python ints ``v`` with one positive int denominator ``d``
-standing for ``v / d``) laid out by :func:`_row`; an :class:`LpProblem`
-is converted to such rows once, on entry, and goes to the same core.
-``b`` may have either sign: phase 1 negates the rows where it is
-negative.  The reported optimum and witness are exact Fractions.
+standing for ``v / d``) laid out by :func:`_row`, with an
+:class:`_Objective`; an :class:`LpProblem` is converted to that form
+once, by :func:`_integer_lp` in :func:`simplex_solve` and
+:func:`certified_solve`, and goes to the same core.  ``b`` may have
+either sign: phase 1 negates the rows where it is negative.  The
+reported optimum and witness are exact Fractions.
 
 :func:`simplex_solve` is that exact method, kept as the reference.
 :func:`certified_solve` answers the same problems faster, and both of
@@ -37,8 +39,8 @@ nonnegative and every reduced cost must have the optimal sign.  A
 certified basis gives the exact vertex and value, Bland's own whenever
 the two phases ran and the float comparisons agreed with the exact
 ones; anything uncertified, and every infeasible or unbounded float
-verdict, comes from :func:`simplex_solve`.  So floats only pick the
-basis to test.
+verdict, comes from the exact :func:`_solve` on the same rows.  So
+floats only pick the basis to test.
 """
 
 from __future__ import annotations
@@ -84,16 +86,14 @@ class LpOutcome:
 class _Objective(NamedTuple):
     """The objective of an LP handed over as integer rows, one coefficient per column.
 
+    The package's LPs state it in ints, an :class:`LpProblem` in Fractions.
     ``start``, when given, is a feasible point of the rows, one float per
     column, from which the float stage crosses over to a vertex.
     """
 
-    objective: tuple[int, ...]
+    objective: tuple[int | Fraction, ...]
     maximize: bool = True
     start: tuple[float, ...] | None = None
-
-
-_Goal = LpProblem | _Objective  # the integer-row core reads objective and maximize
 
 
 #: Tolerance of every sign test and ratio tie in :func:`certified_solve`'s
@@ -110,7 +110,7 @@ _EPS = 1e-9
 #: profile 167 at 12 players.  A 12-player weight LP on 16 cells takes
 #: some 190 crossover and phase-2 pivots at any margin.  A float run
 #: that would take more (it may cycle where exact Bland cannot) hands
-#: the problem to :func:`simplex_solve`.
+#: the problem to the exact :func:`_solve`.
 _FLOAT_PIVOTS = 20_000
 
 
@@ -219,10 +219,11 @@ def _row(nvars: int, terms: Iterable[tuple[int, int]], rhs: int = 0, d: int = 1)
     return v, d
 
 
-def _equality_rows(problem: LpProblem) -> list[_Row]:
-    """The integer rows of ``[A | b]``."""
-    return [_to_row(problem.constraints.row(i) + (problem.rhs[i],))
+def _integer_lp(problem: LpProblem) -> tuple[_Objective, list[_Row]]:
+    """``problem`` as the core's objective and integer rows of ``[A | b]``."""
+    rows = [_to_row(problem.constraints.row(i) + (problem.rhs[i],))
             for i in range(problem.constraints.rows)]
+    return _Objective(problem.objective, problem.maximize), rows
 
 
 def _phase1_tableau(base: list[_Row], nvars: int) -> tuple[list[_Row], list[int]]:
@@ -267,7 +268,7 @@ def _phase1_tableau(base: list[_Row], nvars: int) -> tuple[list[_Row], list[int]
     return rows, basis
 
 
-def _vertex(goal: _Goal, basis: list[int], values: Iterable[Fraction]) -> LpOutcome:
+def _vertex(goal: _Objective, basis: list[int], values: Iterable[Fraction]) -> LpOutcome:
     """The basic point with ``values`` in the basic columns ``basis``, in order."""
     x = [Fraction(0)] * len(goal.objective)
     for bi, value in zip(basis, values):
@@ -276,7 +277,7 @@ def _vertex(goal: _Goal, basis: list[int], values: Iterable[Fraction]) -> LpOutc
     return LpOutcome(LpStatus.OPTIMAL, value, tuple(x))
 
 
-def _min_costs(goal: _Goal) -> list[int]:
+def _min_costs(goal: _Objective) -> list[int]:
     """Integer costs of the objective in min form.
 
     They are a positive multiple of it, which prices every column the same.
@@ -285,25 +286,12 @@ def _min_costs(goal: _Goal) -> list[int]:
     return _to_row([sense * x for x in goal.objective])[0]
 
 
-def _problem(goal: _Goal, rows: list[_Row]) -> LpProblem:
-    """``goal`` over the integer rows ``rows`` as an :class:`LpProblem`."""
-    if isinstance(goal, LpProblem):
-        return goal
-    return LpProblem(
-        tuple(map(Fraction, goal.objective)),
-        RatMatrix(len(rows), len(goal.objective),
-                  tuple(Fraction(x, d) for v, d in rows for x in v[:-1])),
-        tuple(Fraction(v[-1], d) for v, d in rows),
-        goal.maximize,
-    )
-
-
 def simplex_solve(problem: LpProblem) -> LpOutcome:
     """Solve an exact LP; the witness (when optimal) is a basic feasible point."""
-    return _solve(problem, _equality_rows(problem))
+    return _solve(*_integer_lp(problem))
 
 
-def _solve(goal: _Goal, base: list[_Row]) -> LpOutcome:
+def _solve(goal: _Objective, base: list[_Row]) -> LpOutcome:
     """:func:`simplex_solve` on the integer rows ``base`` of ``[A | b]``, ``b`` of either sign.
 
     The float stage's :func:`_two_phase`, run on Fractions with tolerance 0
@@ -363,12 +351,12 @@ def _crossover(base: list[_Row], start: tuple[float, ...], c: list[float]) -> li
     return basis if status == "optimal" else None
 
 
-def _float_basis(goal: _Goal, base: list[_Row]) -> list[int] | None:
+def _float_basis(goal: _Objective, base: list[_Row]) -> list[int] | None:
     """Bland's final basis of ``goal`` over the rows ``base``, found in floats.
 
     With a ``start`` point on the goal, the :func:`_crossover` basis.
-    Otherwise, or if that one is lost, the basis of :func:`simplex_solve`'s
-    own :func:`_two_phase`, run on floats with the tolerance ``_EPS``.
+    Otherwise, or if that one is lost, the basis of :func:`_solve`'s own
+    :func:`_two_phase`, run on floats with the tolerance ``_EPS``.
     ``None`` when the floats end infeasible, unbounded or at the pivot
     limit ``_FLOAT_PIVOTS``; ``OverflowError`` on an entry beyond float
     range.
@@ -376,9 +364,8 @@ def _float_basis(goal: _Goal, base: list[_Row]) -> list[int] | None:
     nvars = len(goal.objective)
     sense = -1.0 if goal.maximize else 1.0
     c = [sense * float(x) for x in goal.objective]
-    start = getattr(goal, "start", None)
-    if start is not None:
-        basis = _crossover(base, start, c)
+    if goal.start is not None:
+        basis = _crossover(base, goal.start, c)
         if basis is not None:
             return basis
     rows, basis = _phase1_tableau(base, nvars)
@@ -387,7 +374,7 @@ def _float_basis(goal: _Goal, base: list[_Row]) -> list[int] | None:
     return basis if status == "optimal" else None
 
 
-def _certify(goal: _Goal, base: list[_Row], basis: list[int]) -> LpOutcome | None:
+def _certify(goal: _Objective, base: list[_Row], basis: list[int]) -> LpOutcome | None:
     """The exact optimum at ``basis``, or ``None`` if ``basis`` is not optimal.
 
     ``linalg._pivot_on`` eliminates forward, and every column must pivot;
@@ -426,18 +413,18 @@ def certified_solve(problem: LpProblem) -> LpOutcome:
     Status and value always equal :func:`simplex_solve`'s, and so does
     the witness whenever the float run ends on Bland's basis.
     """
-    return _certified_solve(problem, _equality_rows(problem))
+    return _certified_solve(*_integer_lp(problem))
 
 
-def _certified_solve(goal: _Goal, base: list[_Row]) -> LpOutcome:
+def _certified_solve(goal: _Objective, base: list[_Row]) -> LpOutcome:
     """:func:`certified_solve` on the integer rows ``base`` of ``[A | b]``, ``b`` of either sign.
 
-    Only the fallback builds an :class:`LpProblem` from the rows, so
-    that every uncertified LP still goes through :func:`simplex_solve`.
+    An uncertified basis, or none, falls back to the exact :func:`_solve`
+    on the same rows.
     """
     try:
         basis = _float_basis(goal, base)
     except OverflowError:
         basis = None
     outcome = None if basis is None else _certify(goal, base, basis)
-    return outcome if outcome is not None else simplex_solve(_problem(goal, base))
+    return outcome if outcome is not None else _solve(goal, base)

@@ -1,0 +1,31 @@
+from __future__ import annotations
+
+import importlib.util
+from fractions import Fraction
+from pathlib import Path
+
+from hyperfair import simplex
+from hyperfair.partition import MAXIMIZE, solve_alpha
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _lp_ladder(monkeypatch):
+    monkeypatch.syspath_prepend(str(SCRIPTS))  # for its random_roundtrip import
+    spec = importlib.util.spec_from_file_location("lp_ladder", SCRIPTS / "lp_ladder.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_ladder_counts_a_fallback_to_exact_bland(monkeypatch, trio_profile, trio_goal, uniform3):
+    # The ladder exits 1 on any fallback; its probe must see one when the
+    # float stage gives no basis, and none when the basis is certified.
+    ladder = _lp_ladder(monkeypatch)
+    probe, _, (_, best) = ladder.probed(solve_alpha, trio_profile, trio_goal, uniform3, MAXIMIZE)
+    assert best == Fraction(1, 3)
+    assert probe.fallbacks == 0 and probe.bland_phases == 1
+    monkeypatch.setattr(simplex, "_float_basis", lambda goal, base: None)
+    probe, _, (_, forced) = ladder.probed(solve_alpha, trio_profile, trio_goal, uniform3, MAXIMIZE)
+    assert forced == best
+    assert probe.fallbacks == 1

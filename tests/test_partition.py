@@ -345,11 +345,11 @@ def test_an_unproven_weight_lp_basis_falls_back_to_bland(monkeypatch, trio_profi
     monkeypatch.setattr(simplex, "_float_basis", float_stage)
     calls = []
 
-    def counting(problem, solve=simplex.simplex_solve):
-        calls.append(problem)
-        return solve(problem)
+    def counting(goal, base, solve=simplex._solve):
+        calls.append(goal)
+        return solve(goal, base)
 
-    monkeypatch.setattr(simplex, "simplex_solve", counting)
+    monkeypatch.setattr(simplex, "_solve", counting)
     assert solve_alpha(trio_profile, trio_goal, uniform3, MAXIMIZE) == best
     assert best[1] == F(1, 3)
     assert len(calls) == 1
@@ -521,9 +521,9 @@ def _counted(monkeypatch, name: str) -> list:
 
 
 def test_the_crossover_reaches_the_exact_maximum_without_a_fallback(monkeypatch):
-    exact = simplex.simplex_solve
+    exact = simplex._solve
     lps = _recorded_weight_lps(monkeypatch)
-    bland = _counted(monkeypatch, "simplex_solve")
+    bland = _counted(monkeypatch, "_solve")
     crossovers = _counted(monkeypatch, "_crossover")
     rng = random.Random(18)
     seen = {"null": 0, "repeated": 0, "dependent": 0}
@@ -538,7 +538,7 @@ def test_the_crossover_reaches_the_exact_maximum_without_a_fallback(monkeypatch)
                               MAXIMIZE)
         goal, rows = lps[-1]
         assert goal.start is not None and crossovers[-1] is not None
-        assert exact(simplex._problem(goal, rows)).value == best
+        assert exact(goal, rows).value == best
         nulls = sum(map(profile.is_null_atom, range(len(profile.atoms))))
         seen["null"] += nulls > 0
         seen["repeated"] += (len(goal.objective) - 1) // n < len(profile.atoms) - nulls
@@ -554,7 +554,7 @@ def test_a_rejected_crossover_basis_falls_back_to_exact_bland(monkeypatch):
     _, best = solve_alpha(profile, k, p, MAXIMIZE)
     crossovers = _counted(monkeypatch, "_crossover")
     monkeypatch.setattr(simplex, "_certify", lambda goal, base, basis: None)
-    bland = _counted(monkeypatch, "simplex_solve")
+    bland = _counted(monkeypatch, "_solve")
     assert solve_alpha(profile, k, p, MAXIMIZE)[1] == best
     assert crossovers[0] is not None and len(bland) == 1
 

@@ -285,11 +285,11 @@ def test_sign_lps_are_certified_without_bland(monkeypatch, trio_relation):
     # Each sign LP is one float run and one exact certificate: neither
     # falls back to the exact Bland simplex.
     float_runs, bland_runs = [], []
-    float_basis, simplex_solve = simplex._float_basis, simplex.simplex_solve
+    float_basis, solve = simplex._float_basis, simplex._solve
     monkeypatch.setattr(simplex, "_float_basis",
                         lambda goal, base: float_runs.append(goal) or float_basis(goal, base))
-    monkeypatch.setattr(simplex, "simplex_solve",
-                        lambda problem: bland_runs.append(problem) or simplex_solve(problem))
+    monkeypatch.setattr(simplex, "_solve",
+                        lambda goal, base: bland_runs.append(goal) or solve(goal, base))
     cases = [(INFEASIBLE_SYMBOLS, [trio_relation]), (FEASIBLE_SYMBOLS, [trio_relation])]
     rng = random.Random(1)
     for _ in range(30):
@@ -304,6 +304,13 @@ def test_sign_lps_are_certified_without_bland(monkeypatch, trio_relation):
     assert True in verdicts[2:] and False in verdicts[2:]
     assert len(float_runs) == len(verdicts)
     assert bland_runs == []
+    # the counter sees a fallback: with no float basis, the same pattern
+    # goes to exact Bland once and gets the same verdict and witness
+    r, rel = patterns[1]
+    certified = solve_relations(r, rel)
+    monkeypatch.setattr(simplex, "_float_basis", lambda goal, base: None)
+    assert solve_relations(r, rel) == certified and certified.feasible
+    assert len(bland_runs) == 1
 
 
 @settings(max_examples=40)

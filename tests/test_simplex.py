@@ -293,7 +293,7 @@ def test_integer_row_entries_take_b_of_either_sign(maximize, nvars, nrows, rng):
     objective, a, rhs = _random_lp(rng, nvars, nrows)
     problem = LpProblem(objective, a, rhs, maximize=maximize)
     rows = [([-x for x in v], d) if v[-1] > 0 and rng.random() < 0.5 else (v, d)
-            for v, d in simplex._equality_rows(problem)]
+            for v, d in simplex._integer_lp(problem)[1]]
     expected = simplex_solve(problem)
     goal = simplex._Objective(tuple(int(c) for c in objective), maximize)  # integral costs
     assert simplex._solve(goal, rows) == expected
@@ -306,8 +306,8 @@ def _certify_agrees_with_the_oracle(rng) -> str:
     # last, ncols, is the right-hand side of the integer rows).
     objective, a, rhs = _pivot_stress_lp(rng)
     problem = LpProblem(objective, a, rhs, maximize=rng.random() < 0.5)
-    rows = simplex._equality_rows(problem)
-    basis = simplex._float_basis(problem, rows) if rng.random() < 0.4 else None
+    goal, rows = simplex._integer_lp(problem)
+    basis = simplex._float_basis(goal, rows) if rng.random() < 0.4 else None
     if basis is None:
         size = rng.randint(0, a.rows + 1)
         basis = (rng.sample(range(a.cols), min(size, a.cols)) if rng.random() < 0.6
@@ -318,7 +318,7 @@ def _certify_agrees_with_the_oracle(rng) -> str:
     rows = [([-x for x in v], d) if rng.random() < 0.5 else (v, d) for v, d in rows]
     verdict, value, witness = basis_verdict(objective, a, rhs, problem.maximize, basis)
     expected = LpOutcome(LpStatus.OPTIMAL, value, witness) if verdict == "optimal" else None
-    assert simplex._certify(problem, rows, basis) == expected
+    assert simplex._certify(goal, rows, basis) == expected
     return verdict
 
 
@@ -334,14 +334,16 @@ def test_certify_comparison_reaches_every_verdict():
                         "negative_cost", "optimal"}
 
 
-def _counting_simplex_solve(monkeypatch):
-    calls = []
+def _counting_solve(monkeypatch):
+    """Record the goal and rows of every call of the exact Bland ``_solve``,
+    which is also the fallback of ``_certified_solve``."""
+    calls, solve = [], simplex._solve
 
-    def counting(problem):
-        calls.append(problem)
-        return simplex_solve(problem)
+    def counting(goal, base):
+        calls.append((goal, base))
+        return solve(goal, base)
 
-    monkeypatch.setattr(simplex, "simplex_solve", counting)
+    monkeypatch.setattr(simplex, "_solve", counting)
     return calls
 
 
@@ -354,9 +356,10 @@ SMALL_LP = LpProblem((F(1), F(0), F(0), F(0)),
 
 
 def test_certified_solve_takes_the_float_basis_it_can_prove(monkeypatch):
-    calls = _counting_simplex_solve(monkeypatch)
-    assert simplex._float_basis(SMALL_LP, simplex._equality_rows(SMALL_LP)) == [0, 3]
-    assert certified_solve(SMALL_LP) == simplex_solve(SMALL_LP)
+    expected = simplex_solve(SMALL_LP)
+    calls = _counting_solve(monkeypatch)
+    assert simplex._float_basis(*simplex._integer_lp(SMALL_LP)) == [0, 3]
+    assert certified_solve(SMALL_LP) == expected
     assert certified_solve(SMALL_LP).witness == (F(2), F(0), F(0), F(1))
     assert calls == []
 
@@ -371,7 +374,7 @@ def test_a_start_the_crossover_loses_runs_the_two_phases(monkeypatch):
     phase1, tableau = [], simplex._phase1_tableau
     monkeypatch.setattr(simplex, "_phase1_tableau",
                         lambda base, nvars: phase1.append(nvars) or tableau(base, nvars))
-    calls = _counting_simplex_solve(monkeypatch)
+    calls = _counting_solve(monkeypatch)
     assert simplex._certified_solve(goal, rows) == expected
     assert (expected.witness, expected.value) == ((0, 1, 1), 1)
     assert phase1 == [3] and calls == []
@@ -395,21 +398,22 @@ def _overflow(problem, base):
 def test_an_unproven_float_basis_falls_back_to_bland(monkeypatch, float_stage):
     expected = simplex_solve(SMALL_LP)
     monkeypatch.setattr(simplex, "_float_basis", float_stage)
-    calls = _counting_simplex_solve(monkeypatch)
+    calls = _counting_solve(monkeypatch)
     assert certified_solve(SMALL_LP) == expected
-    assert calls == [SMALL_LP]
+    assert calls == [simplex._integer_lp(SMALL_LP)]
 
 
 def test_the_float_pivot_limit_falls_back_to_bland(monkeypatch):
     monkeypatch.setattr(simplex, "_FLOAT_PIVOTS", 0)
-    calls = _counting_simplex_solve(monkeypatch)
+    calls = _counting_solve(monkeypatch)
     rng = random.Random(5)
     for _ in range(40):
         problem = LpProblem(*_pivot_stress_lp(rng), maximize=rng.random() < 0.5)
         assert certified_solve(problem) == simplex_solve(problem)
+    expected = simplex_solve(SMALL_LP)
     calls.clear()
-    assert certified_solve(SMALL_LP) == simplex_solve(SMALL_LP)
-    assert calls == [SMALL_LP]  # Bland needs a pivot here
+    assert certified_solve(SMALL_LP) == expected
+    assert calls == [simplex._integer_lp(SMALL_LP)]  # Bland needs a pivot here
 
 
 @pytest.mark.parametrize("huge", [10**400, F(1, 10**400)])
@@ -424,7 +428,7 @@ def test_certified_solve_is_exact_beyond_float_range(huge):
 
 
 def test_weight_lps_are_certified_without_bland(monkeypatch, trio_profile, trio_goal, uniform3):
-    calls = _counting_simplex_solve(monkeypatch)
+    calls = _counting_solve(monkeypatch)
     weights, delta = solve_alpha(trio_profile, trio_goal, uniform3, MAXIMIZE)
     assert delta == F(1, 3)
     rng = random.Random(1)
