@@ -1,25 +1,29 @@
 #!/usr/bin/env python3
 """Weight LP ladder: LP shape, float pivots and stage times, at the maximum
-margin and at half of it, and one sign-pattern LP.
+margin and at half of it, and the sign-pattern LPs.
 
 Each rung ``n x grid`` draws one independent profile, a proper goal
 matrix and a target with the generators of ``random_roundtrip.py``
 (its first trial at that seed), maximizes the margin with
 ``solve_alpha`` and then solves the fixed margin ``delta*/2``, half
 the maximum, which caps the margin by one more row.  At every seed the
-ladder also draws one dependent profile of ``SIGN_RUNG`` (12 players
-on 16 cells) the same way and decides the super-envy-free pattern of
-its players under its measure relations with ``solve_relations``;
-Barbanel's theorem makes it infeasible.  For every rung, seed and LP
-it prints the LP's shape; the float pivots outside Bland's iterations
-(the crossover's, and the drive-out of artificials if phase 1 ran),
-those inside them, and the number of Bland runs (1, phase 2, after a
-crossover; 2 where both phases ran); the seconds of the float stage,
-of the exact certificate and of the whole call; and the fallbacks to
-the exact Bland simplex.  Exits 1 on any fallback, and on any weight
-LP whose float stage runs more than one Bland phase, as both weight
-LPs start at a feasible point and need no phase 1; the sign-pattern LP
-has no start point and runs both.
+ladder also decides the super-envy-free pattern of each of
+``SIGN_RUNGS`` with ``solve_relations``: at 12 and 16 players under
+one random integer relation (entries in [-5, 5], drawn from the seed),
+whose entries of both signs make the pattern infeasible, so that the
+alternative LP refutes it; and at 16 players with no relation, where
+the pattern is feasible with slack 1/15 and the row test leaves the
+primal sign LP to find it; these rungs print as ``n rel count``.  For
+every rung, seed and LP it prints the LP's shape; the float pivots
+outside Bland's iterations (the crossover's, and the drive-out of
+artificials if phase 1 ran), those inside them, and the number of
+Bland runs (1, phase 2, after a crossover; 2 where both phases ran);
+the seconds of the float stage, of the exact certificate and of the
+whole call; and the fallbacks to the exact Bland simplex.  Exits 1 on
+any fallback, and on any weight LP whose float stage runs more than
+one Bland phase, as both weight LPs start at a feasible point and need
+no phase 1; the alternative LP starts at one too, and the primal sign
+LP has none and runs both.
 
     PYTHONPATH=src python3 scripts/lp_ladder.py --rungs 8x16 12x16 --seeds 1 2
 """
@@ -29,14 +33,16 @@ from __future__ import annotations
 import argparse
 import random
 import time
+from fractions import Fraction
 
 from random_roundtrip import random_goal, random_profile, random_target
 
-from hyperfair import MAXIMIZE, gram_matrix, measure_relations, simplex, solve_alpha
-from hyperfair.relations import RelationMatrix, solve_relations
+from hyperfair import MAXIMIZE, gram_matrix, simplex, solve_alpha
+from hyperfair.relations import RelationMatrix, solve_relations, verify_refutation
 
-#: players x grid of the sign-pattern LP's dependent profile, run at every seed
-SIGN_RUNG = (12, 16)
+#: players and number of random relations of the super-envy-free sign
+#: patterns, each run at every seed
+SIGN_RUNGS = ((12, 1), (16, 1), (16, 0))
 
 
 class _Probe:
@@ -125,12 +131,17 @@ def rung(players: int, grid: int, seed: int) -> list[tuple[str, _Probe, float]]:
     return [("max", probe, total), ("max/2", half, half_total)]
 
 
-def sign_rung(players: int, grid: int, seed: int) -> list[tuple[str, _Probe, float]]:
-    """The super-envy-free pattern under the relations of one dependent profile."""
-    profile = random_profile(random.Random(seed), players, grid, dependent=True)
-    probe, total, solution = probed(solve_relations, RelationMatrix.super_envy_free(players),
-                                    measure_relations(profile))
-    assert not solution.feasible, "Barbanel: no super envy-free division under a relation"
+def sign_rung(players: int, count: int, seed: int) -> list[tuple[str, _Probe, float]]:
+    """The super-envy-free pattern under ``count`` random integer relations."""
+    rng = random.Random(seed)
+    relations = [tuple(Fraction(rng.randint(-5, 5)) for _ in range(players))
+                 for _ in range(count)]
+    pattern = RelationMatrix.super_envy_free(players)
+    probe, total, solution = probed(solve_relations, pattern, relations)
+    if relations:
+        assert verify_refutation(solution.refutation, pattern, relations)
+    else:
+        assert solution.margin == Fraction(1, players - 1)
     return [("sign", probe, total)]
 
 
@@ -142,15 +153,16 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     failed = False
-    print(f"{'rung':>7} {'seed':>4} {'LP':>5} {'LP shape':>9} {'crossover':>9} {'Bland':>6}"
+    print(f"{'rung':>8} {'seed':>4} {'LP':>5} {'LP shape':>9} {'crossover':>9} {'Bland':>6}"
           f" {'phases':>6} {'float s':>7} {'cert s':>7} {'total s':>7} {'fallbacks':>9}")
     ladder = [(rung, *(int(x) for x in spec.lower().split("x"))) for spec in args.rungs]
-    for run, players, grid in ladder + [(sign_rung, *SIGN_RUNG)]:
+    for run, players, size in ladder + [(sign_rung, *spec) for spec in SIGN_RUNGS]:
+        label = f"{players:>3} x {size:<3}" if run is rung else f"{players:>3} rel {size}"
         for seed in args.seeds:
-            for margin, probe, total in run(players, grid, seed):
+            for margin, probe, total in run(players, size, seed):
                 failed |= probe.fallbacks > 0 or (run is rung and probe.bland_phases > 1)
                 shape = f"{probe.shape[0]} x {probe.shape[1]}"
-                print(f"{players:>3} x {grid:<3}{seed:>4} {margin:>5} {shape:>9}"
+                print(f"{label:<9}{seed:>4} {margin:>5} {shape:>9}"
                       f" {probe.crossover_pivots:>9} {probe.bland_pivots:>6} {probe.bland_phases:>6}"
                       f" {probe.float_s:>7.3f} {probe.certify_s:>7.3f} {total:>7.3f}"
                       f" {probe.fallbacks:>9}")

@@ -38,6 +38,7 @@ from hyperfair import (
     sharing_matrix,
     solve_alpha,
     solve_relations,
+    verify_refutation,
     verify_relation_solution,
 )
 from hyperfair.problem_io import load_problem
@@ -132,7 +133,8 @@ def main(argv=None) -> int:
         pattern = load_problem(PROBLEMS / name).r
         sol = solve_relations(pattern, relations)
         if not sol.feasible:
-            print(f"    {name}: infeasible")
+            ok = verify_refutation(sol.refutation, pattern, relations)
+            print(f"    {name}: infeasible (refutation verified: {ok})")
             continue
         margin = ("unconstrained" if sol.margin is UNCONSTRAINED
                   else fmt(sol.margin))

@@ -61,6 +61,7 @@ from .relations import (
     RelationMatrix,
     RelationSolution,
     solve_relations,
+    verify_refutation,
     verify_relation_solution,
 )
 from .simplex import LpOutcome, LpProblem, LpStatus, certified_solve, simplex_solve
@@ -86,7 +87,7 @@ __all__ = [
     "delta_bound", "factor_delta_bound", "spectral_delta_bound", "stochastic_factor",
     "necessary_condition_check",
     "Relation", "RelationMatrix", "RelationSolution", "solve_relations",
-    "verify_relation_solution",
+    "verify_refutation", "verify_relation_solution",
     "WeightSystem", "Partition", "PartitionError", "InfeasibleError",
     "build_from_weights", "solve_alpha", "build_via_stochastic_factor", "factor_weights",
     "SharingMatrix", "FairnessReport", "sharing_matrix", "check_fairness",

@@ -11,7 +11,7 @@ floats, with the tolerance ``_EPS`` and the pivot limit
 ``_FLOAT_PIVOTS``, it is the float stage below; on Fractions, with
 tolerance 0 and no pivot limit, it is exact, and every sign test and
 ratio comparison with it.  The package's own LPs, the weight LP and the
-sign LP, enter as :mod:`hyperfair.linalg`'s integer rows of ``[A | b]``
+two sign LPs, enter as :mod:`hyperfair.linalg`'s integer rows of ``[A | b]``
 (a list of Python ints ``v`` with one positive int denominator ``d``
 standing for ``v / d``) laid out by :func:`_row`, with an
 :class:`_Objective`; an :class:`LpProblem` is converted to that form
@@ -21,12 +21,13 @@ either sign: phase 1 negates the rows where it is negative.  The
 reported optimum and witness are exact Fractions.
 
 :func:`simplex_solve` is that exact method, kept as the reference.
-:func:`certified_solve` answers the same problems faster, and both of
-the package's LPs go to its integer-row core, :func:`_certified_solve`.
+:func:`certified_solve` answers the same problems faster, and the
+package's LPs go to its integer-row core, :func:`_certified_solve`.
 The same two phases run in floats, from the same starting basis, and
 give only their final basis.  An LP handed over with a feasible
 ``start`` point (the weight LP's, at every margin, see
-:func:`hyperfair.partition.solve_alpha`) skips phase 1 by a crossover
+:func:`hyperfair.partition.solve_alpha`, and the sign pattern's
+alternative LP's, see :mod:`hyperfair.relations`) skips phase 1 by a crossover
 (Megiddo's purification): in floats, the point's support columns are
 pivoted into a basis, each nonbasic one then moves to 0 along its
 tableau column, swapping places with a basic column that reaches 0
@@ -102,15 +103,16 @@ _EPS = 1e-9
 
 #: Pivot limit of the float stage's Bland iterations: of phase 2 after a
 #: crossover, of both phases together otherwise.  Both phases run for an
-#: LP without a start point, the sign-pattern LP and a problem handed to
-#: :func:`certified_solve`.  The sign-pattern LP took at most 84 Bland
-#: pivots on the benchmark's 4-player patterns; the super-envy-free
-#: pattern under one random integer relation took 361 to 404 at 12
-#: players and 717 to 739 at 16, and under the relation of a dependent
-#: profile 167 at 12 players.  A 12-player weight LP on 16 cells takes
-#: some 190 crossover and phase-2 pivots at any margin.  A float run
-#: that would take more (it may cycle where exact Bland cannot) hands
-#: the problem to the exact :func:`_solve`.
+#: LP without a start point, the primal sign-pattern LP and a problem
+#: handed to :func:`certified_solve`.  The primal sign-pattern LP runs on
+#: feasible patterns only, and took at most 64 Bland pivots on the
+#: benchmark's feasible 4-player patterns and 391 on the 16-player
+#: super-envy-free pattern without relations.  A 12-player weight LP on
+#: 16 cells takes some 190 crossover and phase-2 pivots at any margin,
+#: and the alternative LP of a 16-player super-envy-free pattern under
+#: one random integer relation about 260 crossover and 50 to 70 phase-2
+#: pivots.  A float run that would take more (it may cycle where exact
+#: Bland cannot) hands the problem to the exact :func:`_solve`.
 _FLOAT_PIVOTS = 20_000
 
 

@@ -468,16 +468,12 @@ def factor_threshold(g: RatMatrix, k_rows, p):
 
 # -- grid oracle for sign-pattern feasibility ---------------------------
 
-def grid_sign_feasible(r_cells, relations, n, steps=None) -> bool:
-    """Sample proper matrices on a rational grid and test the pattern.
+def proper_basis(r_cells, relations, n) -> list[tuple[Fraction, ...]]:
+    """Basis of the proper matrices that are 0 on the "=" cells, row-major.
 
-    The equality constraints (zero row sums, relation columns, EQ
-    cells) are solved exactly first; the grid runs over coefficients of
-    the resulting kernel basis, so every sampled matrix satisfies the
-    equalities by construction and only the strict signs are tested.
+    The :func:`integer_kernel` of the equality constraints: zero row
+    sums, every relation against every column, and the EQ cells.
     """
-    if steps is None:
-        steps = [Fraction(k, 4) for k in range(-4, 5)]
     eq_rows = []
     for i in range(n):  # row sums
         row = [Fraction(0)] * (n * n)
@@ -496,7 +492,20 @@ def grid_sign_feasible(r_cells, relations, n, steps=None) -> bool:
                 row = [Fraction(0)] * (n * n)
                 row[i * n + j] = Fraction(1)
                 eq_rows.append(row)
-    basis = integer_kernel(RatMatrix.from_rows(eq_rows))
+    return integer_kernel(RatMatrix.from_rows(eq_rows))
+
+
+def grid_sign_feasible(r_cells, relations, n, steps=None) -> bool:
+    """Sample proper matrices on a rational grid and test the pattern.
+
+    The equality constraints are solved exactly first
+    (:func:`proper_basis`); the grid runs over coefficients of the
+    resulting kernel basis, so every sampled matrix satisfies the
+    equalities by construction and only the strict signs are tested.
+    """
+    if steps is None:
+        steps = [Fraction(k, 4) for k in range(-4, 5)]
+    basis = proper_basis(r_cells, relations, n)
     if not basis:
         # only the zero matrix satisfies the equalities
         return all(r_cells[i][j] == "=" for i in range(n) for j in range(n))

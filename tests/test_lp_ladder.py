@@ -29,3 +29,13 @@ def test_the_ladder_counts_a_fallback_to_exact_bland(monkeypatch, trio_profile, 
     probe, _, (_, forced) = ladder.probed(solve_alpha, trio_profile, trio_goal, uniform3, MAXIMIZE)
     assert forced == best
     assert probe.fallbacks == 1
+
+
+def test_a_sign_rung_runs_one_lp_without_a_fallback(monkeypatch):
+    # Under a relation the alternative LP refutes the pattern after a
+    # crossover, one Bland phase; with none the row test leaves the primal
+    # sign LP, both phases, to find the witness.  sign_rung asserts both.
+    ladder = _lp_ladder(monkeypatch)
+    for players, count, phases in ((12, 1, 1), (6, 0, 2)):
+        [(_, probe, _)] = ladder.sign_rung(players, count, 1)
+        assert probe.fallbacks == 0 and probe.bland_phases == phases

@@ -15,12 +15,21 @@ from hyperfair.relations import (
     Relation,
     RelationMatrix,
     RelationSolution,
+    _refutation,
+    _refutation_lp,
     solve_relations,
+    verify_refutation,
     verify_relation_solution,
 )
 
 from conftest import random_profile, random_proper_goal
-from oracles import grid_sign_feasible, integer_kernel, lp_bland_reference, weight_sign_lp
+from oracles import (
+    grid_sign_feasible,
+    integer_kernel,
+    lp_bland_reference,
+    proper_basis,
+    weight_sign_lp,
+)
 
 F = Fraction
 
@@ -73,9 +82,26 @@ def test_super_envy_free_builder():
 # -- the two running sign patterns -------------------------------------------
 
 def test_first_trio_pattern_is_infeasible(trio_relation):
-    sol = solve_relations(RelationMatrix.from_symbols(INFEASIBLE_SYMBOLS), [trio_relation])
+    r = RelationMatrix.from_symbols(INFEASIBLE_SYMBOLS)
+    sol = solve_relations(r, [trio_relation])
     assert sol == RelationSolution(False)
     assert sol.k is None and sol.margin is None
+    assert verify_refutation(sol.refutation, r, [trio_relation])
+
+
+def test_a_refutation_must_meet_every_strict_sign(trio_relation):
+    r = RelationMatrix.from_symbols(INFEASIBLE_SYMBOLS)
+    a, b = solve_relations(r, [trio_relation]).refutation
+    zero = (F(0),) * 3
+    assert not verify_refutation((zero, zero), r, [trio_relation])  # no strict cell > 0
+    assert not verify_refutation((a, tuple(-x for x in b)), r, [trio_relation])
+    # a row whose strict cells share one sign refutes with a alone
+    assert verify_refutation(((F(0), F(0), F(1)), zero), RelationMatrix.from_symbols(
+        [[">", "<", "="], ["<", ">", "="], ["=", ">", ">"]]), [trio_relation])
+    with pytest.raises(ValueError, match="sizes differ"):
+        verify_refutation((a,), r, [trio_relation])
+    with pytest.raises(ValueError, match="sizes differ"):
+        verify_refutation((a, b[:2]), r, [trio_relation])
 
 
 def test_second_trio_pattern_is_feasible(trio_relation):
@@ -119,6 +145,7 @@ def test_super_pattern_with_identical_measures_is_infeasible():
     # on opposite sides of zero
     sol = solve_relations(RelationMatrix.super_envy_free(2), [(F(1), F(-1))])
     assert not sol.feasible
+    assert verify_refutation(sol.refutation, RelationMatrix.super_envy_free(2), [(F(1), F(-1))])
 
 
 def test_solve_relations_rejects_mismatched_relation_length():
@@ -160,6 +187,8 @@ def test_two_player_patterns_exhaustively_no_relations():
         if sol.feasible and sol.has_strict:
             assert verify_relation_solution(sol.k, RelationMatrix.from_symbols(symbols), [])
             assert sol.margin > 0
+        if not sol.feasible:
+            assert verify_refutation(sol.refutation, RelationMatrix.from_symbols(symbols), [])
 
 
 def test_two_player_patterns_exhaustively_identical_measures():
@@ -171,6 +200,8 @@ def test_two_player_patterns_exhaustively_identical_measures():
         assert sol.feasible == grid_sign_feasible(symbols, [lam], 2), symbols
         if sol.feasible and sol.has_strict:
             assert verify_relation_solution(sol.k, r, [lam])
+        if not sol.feasible:
+            assert verify_refutation(sol.refutation, r, [lam])
 
 
 def test_three_player_patterns_sampled_no_relations():
@@ -199,6 +230,63 @@ def test_three_player_patterns_against_grid_oracle(flat):
         # the grid oracle only ever finds genuinely feasible points, so
         # it must come up empty on anything the solver rejects
         assert not grid_sign_feasible(symbols, [lam], 3)
+        assert verify_refutation(sol.refutation, r, [lam])
+
+
+def _z(refutation, relations, n) -> list[F]:
+    """Z = a 1^T + sum_l relations[l] b_l^T, row-major."""
+    a, *bs = refutation
+    return [a[i] + sum((lam[i] * b[j] for lam, b in zip(relations, bs)), F(0))
+            for i in range(n) for j in range(n)]
+
+
+def test_every_refutation_is_orthogonal_to_the_proper_matrices(trio_relation):
+    # Every infeasible verdict carries a refutation that passes
+    # verify_refutation, and its Z is orthogonal to each matrix of an
+    # independent basis of the proper matrices that vanish on "=" cells.
+    cases = [(INFEASIBLE_SYMBOLS, [trio_relation])]
+    rng, scales = random.Random(28), random.Random(5)
+    while len(cases) < 60:
+        n = rng.randint(2, 4)
+        profile = random_profile(rng, n, max_atoms=rng.choice([max(1, n - 1), 6]),
+                                 force_dependent=rng.random() < 0.5)
+        symbols = _signs(random_proper_goal(rng, profile).mat.to_rows())
+        if rng.random() < 0.7:  # a pattern drawn freely, often infeasible
+            symbols = [[rng.choice("<=>") for _ in row] for row in symbols]
+        # a relation's scale is free; a fractional one tests the LP's denominators
+        relations = [tuple(x / scales.randint(1, 5) for x in lam)
+                     for lam in measure_relations(profile)]
+        cases.append((symbols, relations))
+    refuted = set()
+    for symbols, relations in cases:
+        r = RelationMatrix.from_symbols(symbols)
+        sol = solve_relations(r, relations)
+        if sol.feasible:
+            assert sol.refutation is None
+            continue
+        refuted.add(len(relations))
+        assert verify_refutation(sol.refutation, r, relations), symbols
+        z = _z(sol.refutation, relations, r.n)
+        for e in proper_basis(symbols, relations, r.n):
+            assert sum(x * y for x, y in zip(z, e)) == 0
+    assert refuted == {0, 1, 2}
+
+
+def test_the_row_test_agrees_with_the_alternative_lp_without_relations():
+    # With no relation Z = a 1^T, so the LP finds a refutation exactly
+    # when some row's strict cells all have one sign.
+    patterns = [[list(cells[:2]), list(cells[2:])] for cells in product("<=>", repeat=4)]
+    rng = random.Random(20261020)
+    patterns += [[[rng.choice("<=>") for _ in range(n)] for _ in range(n)]
+                 for n in (3, 4) for _ in range(40)]
+    for symbols in patterns:
+        r = RelationMatrix.from_symbols(symbols)
+        if not r.has_strict:
+            continue
+        by_rows, by_lp = _refutation(r, []), _refutation_lp(r, [])
+        assert (by_rows is None) == (by_lp is None) == _row_wise_feasible(symbols), symbols
+        if by_lp is not None:
+            assert verify_refutation(by_lp, r, []) and verify_refutation(by_rows, r, [])
 
 
 def _sign_lp_by_fractions(r: RelationMatrix, relations):
@@ -283,7 +371,9 @@ def _signs(rows) -> list[list[str]]:
 
 def test_sign_lps_are_certified_without_bland(monkeypatch, trio_relation):
     # Each sign LP is one float run and one exact certificate: neither
-    # falls back to the exact Bland simplex.
+    # falls back to the exact Bland simplex.  A strict pattern under
+    # relations runs the alternative LP, and a feasible pattern the
+    # primal LP after it; without relations the row test runs no LP.
     float_runs, bland_runs = [], []
     float_basis, solve = simplex._float_basis, simplex._solve
     monkeypatch.setattr(simplex, "_float_basis",
@@ -299,18 +389,22 @@ def test_sign_lps_are_certified_without_bland(monkeypatch, trio_relation):
             symbols = [[rng.choice("<=>") for _ in row] for row in symbols]
         cases.append((symbols, measure_relations(profile)))
     patterns = [(RelationMatrix.from_symbols(s), rel) for s, rel in cases]
-    verdicts = [solve_relations(r, rel).feasible for r, rel in patterns if r.has_strict]
+    strict = [(r, rel) for r, rel in patterns if r.has_strict]
+    verdicts = [solve_relations(r, rel).feasible for r, rel in strict]
     assert verdicts[:2] == [False, True]
     assert True in verdicts[2:] and False in verdicts[2:]
-    assert len(float_runs) == len(verdicts)
+    with_relations = sum(1 for _, rel in strict if rel)
+    assert 0 < with_relations < len(strict)
+    assert len(float_runs) == with_relations + sum(verdicts)
     assert bland_runs == []
     # the counter sees a fallback: with no float basis, the same pattern
-    # goes to exact Bland once and gets the same verdict and witness
+    # goes to exact Bland once per LP, the alternative's and the primal's,
+    # and gets the same verdict and witness
     r, rel = patterns[1]
     certified = solve_relations(r, rel)
     monkeypatch.setattr(simplex, "_float_basis", lambda goal, base: None)
     assert solve_relations(r, rel) == certified and certified.feasible
-    assert len(bland_runs) == 1
+    assert len(bland_runs) == 2
 
 
 @settings(max_examples=40)
