@@ -23,7 +23,9 @@ whole call; and the fallbacks to the exact Bland simplex.  Exits 1 on
 any fallback, and on any weight LP whose float stage runs more than
 one Bland phase, as both weight LPs start at a feasible point and need
 no phase 1; the alternative LP starts at one too, and the primal sign
-LP has none and runs both.
+LP has none and runs both.  An LP with a start point gets the crossover
+as its only float run, so a weight or alternative LP whose crossover
+is lost shows as a fallback, not as a second Bland phase.
 
     PYTHONPATH=src python3 scripts/lp_ladder.py --rungs 8x16 12x16 --seeds 1 2
 """

@@ -31,17 +31,18 @@ alternative LP's, see :mod:`hyperfair.relations`) skips phase 1 by a crossover
 (Megiddo's purification): in floats, the point's support columns are
 pivoted into a basis, each nonbasic one then moves to 0 along its
 tableau column, swapping places with a basic column that reaches 0
-first, and Bland's phase 2 runs from the vertex this ends on.  If the
-floats lose the point on the way, the two phases run instead.  One
+first, and Bland's phase 2 runs from the vertex this ends on.  That is
+the LP's only float run: if the floats lose the point on the way, or
+phase 2 ends unbounded or at the pivot limit, no basis is found.  One
 exact forward elimination on the final basis's columns of ``[A | b]``,
 by ``linalg._pivot_on`` on the integer rows, certifies it: the rows it
 leaves over must vanish, the basic values, back-substituted, must be
 nonnegative and every reduced cost must have the optimal sign.  A
 certified basis gives the exact vertex and value, Bland's own whenever
 the two phases ran and the float comparisons agreed with the exact
-ones; anything uncertified, and every infeasible or unbounded float
-verdict, comes from the exact :func:`_solve` on the same rows.  So
-floats only pick the basis to test.
+ones; anything uncertified or not found, and every infeasible or
+unbounded float verdict, comes from the exact :func:`_solve` on the
+same rows.  So floats only pick the basis to test.
 """
 
 from __future__ import annotations
@@ -356,20 +357,18 @@ def _crossover(base: list[_Row], start: tuple[float, ...], c: list[float]) -> li
 def _float_basis(goal: _Objective, base: list[_Row]) -> list[int] | None:
     """Bland's final basis of ``goal`` over the rows ``base``, found in floats.
 
-    With a ``start`` point on the goal, the :func:`_crossover` basis.
-    Otherwise, or if that one is lost, the basis of :func:`_solve`'s own
+    With a ``start`` point on the goal, the :func:`_crossover` basis and
+    nothing else.  Otherwise the basis of :func:`_solve`'s own
     :func:`_two_phase`, run on floats with the tolerance ``_EPS``.
-    ``None`` when the floats end infeasible, unbounded or at the pivot
-    limit ``_FLOAT_PIVOTS``; ``OverflowError`` on an entry beyond float
-    range.
+    ``None`` when the floats lose the start point or end infeasible,
+    unbounded or at the pivot limit ``_FLOAT_PIVOTS``; ``OverflowError``
+    on an entry beyond float range.
     """
     nvars = len(goal.objective)
     sense = -1.0 if goal.maximize else 1.0
     c = [sense * float(x) for x in goal.objective]
     if goal.start is not None:
-        basis = _crossover(base, goal.start, c)
-        if basis is not None:
-            return basis
+        return _crossover(base, goal.start, c)
     rows, basis = _phase1_tableau(base, nvars)
     status, _, basis = _two_phase([[x / d for x in v] for v, d in rows], basis,
                                   nvars, c, _EPS, _FLOAT_PIVOTS)

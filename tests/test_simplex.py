@@ -151,6 +151,13 @@ def _pivot_stress_lp(rng):
     adds a redundant row; right-hand sides are zero, negative or
     positive, from a nonnegative point or at random (often infeasible).
     """
+    return _pivot_stress_draw(rng)[:3]
+
+
+def _pivot_stress_draw(rng):
+    """:func:`_pivot_stress_lp`'s objective, matrix and right-hand side, and
+    the nonnegative point the right-hand side was built from (``None``
+    where it was drawn at random)."""
     nvars, nrows = rng.randint(1, 5), rng.randint(1, 3)
     entries = [0, 0, 0, 1, 1, -1, 2, F(1, 2), F(-3, 2)]
     rows = [[F(rng.choice(entries)) for _ in range(nvars)] for _ in range(nrows)]
@@ -163,13 +170,14 @@ def _pivot_stress_lp(rng):
         scale = F(rng.choice([1, 2, -1, -2]))
         rows.append([scale * x for x in source])
     ncols = len(rows[0])
+    point = None
     if rng.random() < 0.6:
         point = [F(rng.choice([0, 0, 1, 2])) for _ in range(ncols)]
         rhs = [sum((a * x for a, x in zip(row, point)), F(0)) for row in rows]
     else:
         rhs = [F(rng.choice([0, 1, -1, 2])) for _ in rows]
     objective = tuple(F(rng.choice([-1, 0, 0, 1, 2])) for _ in range(ncols))
-    return objective, RatMatrix.from_rows(rows), tuple(rhs)
+    return objective, RatMatrix.from_rows(rows), tuple(rhs), point
 
 
 def _agrees_with_reference(objective, a, rhs, maximize, events=None) -> LpOutcome:
@@ -364,20 +372,66 @@ def test_certified_solve_takes_the_float_basis_it_can_prove(monkeypatch):
     assert calls == []
 
 
-def test_a_start_the_crossover_loses_runs_the_two_phases(monkeypatch):
+def _counting_float_two_phase(monkeypatch):
+    """Record the row count of every float run of ``_two_phase``; the exact
+    ``_solve`` runs it with tolerance 0, which is not recorded."""
+    runs, two_phase = [], simplex._two_phase
+
+    def counting(rows, basis, nvars, c, eps, budget):
+        if eps:
+            runs.append(len(rows))
+        return two_phase(rows, basis, nvars, c, eps, budget)
+
+    monkeypatch.setattr(simplex, "_two_phase", counting)
+    return runs
+
+
+def test_a_start_the_crossover_loses_falls_back_to_exact_bland(monkeypatch):
     # min x1 over x0 - x1 = -1, x2 = 1: the start (1, 0, 1) is off the
-    # first row, so the crossover's vertex puts x0 at -1 and is dropped
+    # first row, so the crossover's vertex puts x0 at -1 and is dropped;
+    # the crossover is the LP's only float run, and exact Bland answers
     rows = [([1, -1, 0, -1], 1), ([0, 0, 1, 1], 1)]
     goal = simplex._Objective((0, 1, 0), maximize=False, start=(1.0, 0.0, 1.0))
     assert simplex._crossover(rows, goal.start, [0.0, 1.0, 0.0]) is None
     expected = solve([0, 1, 0], [[1, -1, 0], [0, 0, 1]], [-1, 1], maximize=False)
-    phase1, tableau = [], simplex._phase1_tableau
-    monkeypatch.setattr(simplex, "_phase1_tableau",
-                        lambda base, nvars: phase1.append(nvars) or tableau(base, nvars))
+    float_runs = _counting_float_two_phase(monkeypatch)
     calls = _counting_solve(monkeypatch)
     assert simplex._certified_solve(goal, rows) == expected
     assert (expected.witness, expected.value) == ((0, 1, 1), 1)
-    assert phase1 == [3] and calls == []
+    assert float_runs == [] and calls == [(goal, rows)]
+
+
+def test_the_crossover_answers_the_stress_family_from_its_feasible_points(monkeypatch):
+    # Redundant rows, degenerate ties and unbounded LPs, 300 draws each
+    # started at the nonnegative point its right-hand side was built
+    # from and solved both ways: the crossover is the only float run, and
+    # every crossover that returns no basis is answered by one exact
+    # Bland run.
+    rng = random.Random(20174)
+    lps = []
+    while len(lps) < 600:
+        objective, a, rhs, point = _pivot_stress_draw(rng)
+        if point is not None:
+            start = tuple(map(float, point))
+            for maximize in (True, False):
+                problem = LpProblem(objective, a, rhs, maximize=maximize)
+                goal, rows = simplex._integer_lp(problem)
+                lps.append((goal._replace(start=start), rows, simplex_solve(problem)))
+    float_runs = _counting_float_two_phase(monkeypatch)
+    calls = _counting_solve(monkeypatch)
+    crossovers = []
+    crossover = simplex._crossover
+    monkeypatch.setattr(simplex, "_crossover",
+                        lambda base, start, c: crossovers.append(crossover(base, start, c))
+                        or crossovers[-1])
+    statuses = set()
+    for goal, rows, expected in lps:
+        out = simplex._certified_solve(goal, rows)
+        assert (out.status, out.value) == (expected.status, expected.value)
+        statuses.add(out.status)
+    assert float_runs == [] and len(crossovers) == len(lps)
+    assert len(calls) == crossovers.count(None)
+    assert statuses == {LpStatus.OPTIMAL, LpStatus.UNBOUNDED}
 
 
 def _overflow(problem, base):
