@@ -40,14 +40,16 @@ from typing import Iterable, Sequence
 
 Rational = Fraction
 
-_RAT_RE = re.compile(r"\s*([+-]?\d+)(?: */ *([1-9]\d*))?\s*")
+_RAT_RE = re.compile(r"\s*([+-]?[0-9]+)(?: */ *([1-9][0-9]*))?\s*")
 
 
 def rat(value: int | str | Fraction) -> Fraction:
     """Coerce an int, a Fraction, or a string like ``"-3/4"`` to a Fraction.
 
     A string is an optional sign and an integer, optionally followed by
-    ``/`` and a denominator that does not start with ``0``, with
+    ``/`` and a denominator that does not start with ``0``, both in the
+    ASCII digits ``0``-``9`` (a digit of any other script is refused, on
+    every Python version whatever its Unicode tables hold), with
     whitespace allowed around the whole and spaces (no other
     whitespace, on every Python version) around the slash.  One regex,
     ``_RAT_RE``, matches the whole string and captures the numerator

@@ -48,6 +48,7 @@ same rows.  So floats only pick the basis to test.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -238,36 +239,24 @@ def _phase1_tableau(base: list[_Row], nvars: int) -> tuple[list[_Row], list[int]
     an artificial variable, numbered in row order.
     """
     base = [([-x for x in v], d) if v[-1] < 0 else (v, d) for v, d in base]
-    nonzeros = [0] * nvars
-    for v, _ in base:
-        for j in range(nvars):
-            if v[j] != 0:
-                nonzeros[j] += 1
-    crash: list[int | None] = []
-    start: list[_Row] = []
-    for v, d in base:
-        # rhs / entry >= 0 with rhs >= 0: a zero rhs or a positive entry
-        col = next(
-            (j for j in range(nvars)
-             if v[j] != 0 and nonzeros[j] == 1 and (v[-1] == 0 or v[j] > 0)),
-            None,
-        )
-        crash.append(col)
-        start.append((v, d) if col is None else _unit_at(v, col))
-
-    art_slot = {i: k for k, i in enumerate(
-        i for i, col in enumerate(crash) if col is None)}
-    narts = len(art_slot)
+    supports = [_support(v[:-1]) for v, _ in base]
+    nonzeros = Counter(j for support in supports for j in support)
+    # rhs / entry >= 0 with rhs >= 0: a zero rhs or a positive entry
+    crash = [next((j for j in support if nonzeros[j] == 1 and (v[-1] == 0 or v[j] > 0)), None)
+             for (v, _), support in zip(base, supports)]
+    narts = crash.count(None)
     rows: list[_Row] = []
     basis: list[int] = []
-    for i, (v, d) in enumerate(start):
+    art = nvars
+    for (v, d), col in zip(base, crash):
         unit = [0] * narts
-        if crash[i] is None:
-            unit[art_slot[i]] = d
-            basis.append(nvars + art_slot[i])
+        if col is None:
+            col, art = art, art + 1
+            unit[col - nvars] = d
         else:
-            basis.append(crash[i])
+            v, d = _unit_at(v, col)
         rows.append((v[:-1] + unit + v[-1:], d))
+        basis.append(col)
     return rows, basis
 
 

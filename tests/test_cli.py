@@ -602,6 +602,27 @@ def test_float_in_problem_file_is_an_input_error(capsys, tmp_path):
     assert "breakpoints[1]" in err
 
 
+@pytest.mark.parametrize("zero", ["\u0660", "\U00011f50"], ids=["arabic_indic", "kawi"])
+def test_non_ascii_digit_in_problem_file_is_an_input_error(capsys, tmp_path, zero):
+    # a digit zero of another script in place of the file's "0"
+    problem = json.loads((PROBLEMS / "three_players.json").read_text())
+    assert problem["K"][0][1] == "0"
+    problem["K"][0][1] = zero
+    code, out, err = run(capsys, "solve", "--input", write(tmp_path, "p.json", problem))
+    assert code == EXIT_INVALID
+    assert ".K[0][1]" in err
+    assert out == ""
+
+
+def test_non_list_interval_entry_in_partition_file_is_an_input_error(capsys, tmp_path):
+    bad = write(tmp_path, "partition.json", {"intervals": ["0", [], []]})
+    code, out, err = run(capsys, "verify", "--input", str(PROBLEMS / "three_players.json"),
+                         "--partition", bad)
+    assert code == EXIT_INVALID
+    assert "intervals[0]: expected a list of [lo, hi] pairs" in err
+    assert out == ""
+
+
 def test_gap_in_partition_file_is_an_input_error(capsys, tmp_path):
     gap = write(tmp_path, "partition.json",
                 {"intervals": [[["0", "1/2"]], [["3/5", "1"]], []]})

@@ -241,6 +241,9 @@ def test_parse_partition_round_trip():
 def test_parse_partition_schema_errors():
     with pytest.raises(ProblemFormatError, match="'intervals'"):
         parse_partition({"pieces": []})
+    with pytest.raises(ProblemFormatError,
+                       match=r"^partition\.intervals\[0\]: expected a list of \[lo, hi\] pairs$"):
+        parse_partition({"intervals": ["0", [], []]})
     with pytest.raises(ProblemFormatError, match=r"intervals\[0\]\[1\]"):
         parse_partition({"intervals": [[["0", "1/2"], ["1/2"]]]})
     with pytest.raises(ProblemFormatError, match=r"intervals\[0\]\[0\]\[1\]"):
