@@ -233,11 +233,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, dict]:
     for key, value in fairness.items():
         print(f"  {key}: {value}")
 
-    failed = []
-    if problem.k is not None and fairness["hyper_envy_free"] is not True:
-        failed.append("hyper_envy_free")
-    if problem.r is not None and fairness["relation_satisfied"] is not True:
-        failed.append("relation_satisfied")
+    failed = [name for name in ("hyper_envy_free", "relation_satisfied") if fairness[name] is False]
     if failed:
         print(f"FAILED: {', '.join(failed)}")
         return EXIT_INFEASIBLE, report

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import DEFAULT_TOL, RatMatrix, _least, _nullity_and_enclosure, _to_row, rat
+from .linalg import DEFAULT_TOL, RatMatrix, _least, _nullity_and_enclosure, _to_row, fmt, rat
 from .linalg import smallest_eigenvalue  # noqa: F401  (the benchmark's tracer looks it up here)
 
 
@@ -61,7 +61,7 @@ class TargetPoint:
             raise ValueError("every share must be strictly positive")
         total = sum(self.shares, Fraction(0))
         if total != 1:
-            raise ValueError(f"shares must sum to 1, got {total}")
+            raise ValueError(f"shares must sum to 1, got {fmt(total)}")
 
     @staticmethod
     def make(shares: Sequence[int | str | Fraction]) -> TargetPoint:
@@ -274,7 +274,7 @@ def stochastic_factor(g: RatMatrix, g_plus: RatMatrix, k: GoalMatrix,
         )
     bound = factor_delta_bound(gk, p)
     if bound is not UNBOUNDED and delta > bound:
-        raise DeltaTooLargeError(f"margin {delta} drives the stochastic factor negative")
+        raise DeltaTooLargeError(f"margin {fmt(delta)} drives the stochastic factor negative")
     return HyperFreeCertificate(delta, factor, tgt)
 
 

@@ -55,17 +55,14 @@ def rat(value: int | str | Fraction) -> Fraction:
     ``_RAT_RE``, matches the whole string and captures the numerator
     and the denominator, and ``int`` reads each; so an integer longer
     than Python's string conversion limit (4300 digits by default)
-    raises ``ValueError``.
+    raises ``ValueError``.  A string that :func:`fmt` writes is read by
+    :func:`_read` without the regex, to the same value.
 
     Floats and decimal strings are rejected: they have no place in an
     exact pipeline, and accepting them would hide rounding at the door.
     """
     if isinstance(value, str):
-        match = _RAT_RE.fullmatch(value)
-        if match is None:
-            raise ValueError(f"expected an integer or 'num/den' string, got {value!r}")
-        num, den = match.groups()
-        return Fraction(int(num), int(den)) if den else Fraction(int(num))
+        return _read(value)[0]
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -75,32 +72,44 @@ def rat(value: int | str | Fraction) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__} {value!r}")
 
 
+def _read(text: str) -> tuple[Fraction, bool]:
+    """``(rat(text), fmt(rat(text)) == text)``, the package's one reader of number strings.
+
+    A string that :func:`fmt` writes, ``str(n)`` or ``str(n) + "/" +
+    str(d)`` with ``d > 1`` and ``n / d`` in lowest terms, is read by its
+    two integers alone; any other goes to ``_RAT_RE``.
+    """
+    num, slash, den = text.partition("/")
+    try:
+        n, d = int(num), int(den) if slash else 1
+    except ValueError:  # not two integers, or past the digit limit
+        pass
+    else:
+        if str(n) == num and (not slash or d > 1 and str(d) == den):
+            value = Fraction(n, d)
+            if value.denominator == d:  # in lowest terms
+                return value, True
+    match = _RAT_RE.fullmatch(text)
+    if match is None:
+        raise ValueError(f"expected an integer or 'num/den' string, got {text!r}")
+    num, den = match.groups()
+    return Fraction(int(num), int(den)) if den else Fraction(int(num)), False
+
+
 def fmt(value: Fraction) -> str:
     """Canonical string form: ``"num/den"`` in lowest terms, or ``"num"``.
 
     That is ``str(value)`` of a Fraction or an int.  An integer longer
     than the interpreter's limit on int-to-str digits (4300 by default)
-    is written out by :func:`_decimal`.
+    is written by :mod:`decimal`, which has no such limit.
     """
     try:
         return str(value)
     except ValueError:
-        num = _decimal(value.numerator)
-        return num if value.denominator == 1 else f"{num}/{_decimal(value.denominator)}"
+        from decimal import Decimal
 
-
-def _decimal(n: int) -> str:
-    """``str(n)``, whatever its length: a number past the digit limit is
-    split around ``10**k``, ``k`` about half its digits, and each half
-    written alone."""
-    if n < 0:
-        return "-" + _decimal(-n)
-    try:
-        return str(n)
-    except ValueError:
-        k = n.bit_length() * 3 // 20  # log10(2) is about 0.3
-        high, low = divmod(n, 10**k)
-        return _decimal(high) + _decimal(low).zfill(k)
+        num = str(Decimal(value.numerator))
+        return num if value.denominator == 1 else f"{num}/{Decimal(value.denominator)}"
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .linalg import RatMatrix, _products, _ratio_row, _Row, _to_row, kernel_basis, rat
+from .linalg import RatMatrix, _products, _ratio_row, _Row, _to_row, fmt, kernel_basis, rat
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,7 @@ class Interval:
     def __post_init__(self) -> None:
         (a, b), (c, d) = self.lo.as_integer_ratio(), self.hi.as_integer_ratio()
         if not 0 <= a * d <= c * b <= b * d:  # 0 <= lo <= hi <= 1, cross-multiplied
-            raise ValueError(f"interval [{self.lo}, {self.hi}] must satisfy 0 <= lo <= hi <= 1")
+            raise ValueError(f"interval [{fmt(self.lo)}, {fmt(self.hi)}] must satisfy 0 <= lo <= hi <= 1")
 
     @staticmethod
     def make(lo: int | str | Fraction, hi: int | str | Fraction) -> Interval:
@@ -44,7 +44,7 @@ class Interval:
         return self.hi - self.lo
 
     def __str__(self) -> str:
-        return f"[{self.lo}, {self.hi}]"
+        return f"[{fmt(self.lo)}, {fmt(self.hi)}]"
 
 
 # Cells per integer row.  A row holds its numerators over the lcm of its
@@ -97,7 +97,7 @@ class StepDensity:
             raise ValueError("density values must be nonnegative")
         mass = _mass(rows)
         if mass != 1:
-            raise ValueError(f"density must integrate to 1, got {mass}")
+            raise ValueError(f"density must integrate to 1, got {fmt(mass)}")
 
     @staticmethod
     def make(breakpoints: Sequence[int | str | Fraction],

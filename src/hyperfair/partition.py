@@ -40,7 +40,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .hyperfree import UNCONSTRAINED, GoalMatrix, TargetPoint, stochastic_factor
-from .linalg import RatMatrix, _columns, _products, _to_row, pseudo_inverse, rat
+from .linalg import RatMatrix, _columns, _products, _to_row, fmt, pseudo_inverse, rat
 from .measures import Interval, MeasureProfile, gram_matrix
 # simplex_solve stays importable from here, where the benchmark's tracer
 # (perfbench/spans.py) has always looked it up.
@@ -115,15 +115,15 @@ class Partition:
         for iv, owner in self.tiling:
             a, b = iv.lo.as_integer_ratio()
             if a * d > c * b:
-                raise PartitionError(f"coverage gap [{cursor}, {iv.lo}] is assigned to nobody")
+                raise PartitionError(f"coverage gap [{fmt(cursor)}, {fmt(iv.lo)}] is assigned to nobody")
             if a * d < c * b:
                 raise PartitionError(
-                    f"interval {iv} of player {owner} overlaps [{iv.lo}, {min(iv.hi, cursor)}]"
+                    f"interval {iv} of player {owner} overlaps [{fmt(iv.lo)}, {fmt(min(iv.hi, cursor))}]"
                 )
             cursor = iv.hi
             c, d = cursor.as_integer_ratio()
         if c != d:
-            raise PartitionError(f"coverage gap [{cursor}, 1] is assigned to nobody")
+            raise PartitionError(f"coverage gap [{fmt(cursor)}, 1] is assigned to nobody")
 
     @cached_property
     def tiling(self) -> list[tuple[Interval, int]]:
@@ -252,7 +252,7 @@ def solve_alpha(profile: MeasureProfile, k: GoalMatrix, p: TargetPoint,
     assert outcome.witness is not None
     x = outcome.witness
     if cap is not None and x[delta_var] < cap:
-        raise InfeasibleError(f"no weight system realizes the target at margin {cap}")
+        raise InfeasibleError(f"no weight system realizes the target at margin {fmt(cap)}")
     # a cap under MAXIMIZE is a zero goal's: any margin realizes the same target
     achieved = UNCONSTRAINED if delta == MAXIMIZE and cap is not None else x[delta_var]
     return _weight_rows(profile, [x[b * n: b * n + n] for b in range(blocks)]), achieved

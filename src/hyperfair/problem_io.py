@@ -4,8 +4,10 @@ Everything on disk is JSON with rationals as exact ``"num/den"``
 strings (plain integers are also accepted on input).  Floats are
 rejected with an error naming the offending field, never silently
 rounded; a field's name is spelled out only on that error path.  Each
-distinct number string of a file is read once per parse call.  A file
-whose numbers are all canonical strings (as :func:`fmt` writes them)
+distinct number string of a file is read once per parse call, by
+:mod:`hyperfair.linalg`'s one reader, which also tells whether the
+string is canonical (as :func:`fmt` writes it); this module reads no
+number text itself.  A file whose numbers are all canonical strings
 keeps them, and its reports echo them; otherwise they format each
 number, to the same text.  Reports are written as
 ``json.dumps(obj, indent=2)`` would write them.
@@ -21,7 +23,7 @@ from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from .hyperfree import GoalMatrix, TargetPoint
-from .linalg import RatMatrix, fmt, rat
+from .linalg import RatMatrix, _read, fmt, rat
 from .measures import Interval, StepDensity
 from .partition import MAXIMIZE, Partition
 from .relations import RelationMatrix
@@ -54,40 +56,20 @@ def parse_rational(value: Any, where: str) -> Fraction:
 class _Memo(dict):
     """``memo[x]`` is ``rat(x)``, read once per distinct string.
 
-    One memo serves one parse call, so a number repeated within a file
-    is read once.  A string that :func:`fmt` writes, ``str(n)`` or
-    ``str(n) + "/" + str(d)`` with ``d > 1`` and ``n / d`` in lowest
-    terms, is read by its two integers alone: each half goes to
-    ``int``, and the string is taken when ``str`` gives both halves
-    back.  Every other key goes to ``rat``, the one grammar, which
-    accepts or refuses it with its own message, and clears
-    ``canonical``; so ``canonical`` stays true while every key read is
-    a string that :func:`fmt` writes back unchanged.  Only ``str`` keys
-    are stored: ``True``, ``1.0`` and ``1`` hash like ``1`` but never
-    find a string key, so each is read (and refused or accepted) by
-    ``rat`` itself.  An unhashable element raises ``TypeError`` like
-    ``rat``.
+    One memo serves one parse call.  ``canonical`` stays true while
+    every key read is a string that :func:`fmt` writes back unchanged.
     """
 
     canonical = True
 
     def __missing__(self, key: Any) -> Fraction:
         if type(key) is str:
-            num, slash, den = key.partition("/")
-            try:
-                n, d = int(num), int(den) if slash else 1
-            except ValueError:  # not two integers, or past the digit limit
-                pass
-            else:
-                if str(n) == num and (not slash or d > 1 and str(d) == den):
-                    value = Fraction(n, d)
-                    if value.denominator == d:  # in lowest terms
-                        self[key] = value
-                        return value
-        value = rat(key)
-        if type(key) is str:
+            value, canonical = _read(key)
             self[key] = value
-        self.canonical = False
+        else:  # not stored: True, 1.0 and 1 hash alike, and rat reads or refuses each
+            value, canonical = rat(key), False
+        if not canonical:
+            self.canonical = False
         return value
 
 

@@ -4,6 +4,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import random
 import tempfile
 from fractions import Fraction
@@ -467,6 +468,17 @@ def test_verify_checks_sign_patterns(capsys, tmp_path):
     assert "FAILED: relation_satisfied" in out
 
 
+def test_verify_names_every_failed_check(capsys, tmp_path):
+    problem = json.loads((PROBLEMS / "three_players.json").read_text())
+    problem["R"] = json.loads((PROBLEMS / "three_players_feasible_pattern.json").read_text())["R"]
+    grab_all = write(tmp_path, "partition.json", {"intervals": [[["0", "1"]], [], []]})
+    code, out, _ = run(capsys, "verify", "--input", write(tmp_path, "p.json", problem),
+                       "--partition", grab_all)
+    assert code == EXIT_INFEASIBLE
+    assert "  hyper_envy_free: False\n" in out and "  relation_satisfied: False\n" in out
+    assert out.endswith("FAILED: hyper_envy_free, relation_satisfied\n")
+
+
 def _read_back(entry: str) -> Fraction:
     # int() keeps the interpreter's digit limit, so read 1000 digits at a time
     def integer(digits: str) -> int:
@@ -621,6 +633,48 @@ def test_non_list_interval_entry_in_partition_file_is_an_input_error(capsys, tmp
     assert code == EXIT_INVALID
     assert "intervals[0]: expected a list of [lo, hi] pairs" in err
     assert out == ""
+
+
+def _primes_above(lo, count):
+    primes, q = [], lo + 1 | 1
+    while len(primes) < count:
+        if all(q % f for f in range(3, math.isqrt(q) + 1, 2)):
+            primes.append(q)
+        q += 2
+    return primes
+
+
+def _reported(err: str, check: str) -> Fraction:
+    """The number an input error gives after ``check + ", got "``, read back exactly."""
+    assert err.startswith("error: ") and err.endswith("\n")
+    _, sep, text = err[:-1].partition(check + ", got ")
+    assert sep and len(text) > 4300
+    return _read_back(text)
+
+
+def test_density_mass_past_the_digit_limit_is_reported_in_full(capsys, tmp_path):
+    # 1,200 equal cells with values 1/q, q the first 1,200 primes above 2**20:
+    # the mass has a denominator of some 7,600 digits
+    primes = _primes_above(2**20, 1200)
+    cells = len(primes)
+    problem = {"players": 1, "densities": [{
+        "breakpoints": [str(F(j, cells)) for j in range(cells + 1)],
+        "values": [f"1/{q}" for q in primes],
+    }]}
+    code, out, err = run(capsys, "gram", "--input", write(tmp_path, "p.json", problem))
+    assert code == EXIT_INVALID and out == ""
+    assert ".densities[0]: density must integrate to 1, got " in err
+    assert _reported(err, "density must integrate to 1") == sum(F(1, cells * q) for q in primes)
+
+
+def test_share_sum_past_the_digit_limit_is_reported_in_full(capsys, tmp_path):
+    # shares 1/(10**1500 + k): pairwise coprime denominators, a sum of some 4,500 digits
+    problem = json.loads((PROBLEMS / "three_players.json").read_text())
+    problem["p"] = [f"1/{10**1500 + k}" for k in (7, 9, 21)]
+    code, out, err = run(capsys, "solve", "--input", write(tmp_path, "p.json", problem))
+    assert code == EXIT_INVALID and out == ""
+    assert "shares must sum to 1, got " in err
+    assert _reported(err, "shares must sum to 1") == sum(F(1, 10**1500 + k) for k in (7, 9, 21))
 
 
 def test_gap_in_partition_file_is_an_input_error(capsys, tmp_path):

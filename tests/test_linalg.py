@@ -741,7 +741,7 @@ def rational_spellings(draw):
 @example("0/5")
 @example("-3/4")
 def test_fmt_writes_back_exactly_the_canonical_spellings(text):
-    assert (linalg.fmt(rat(text)) == text) == is_canonical(text)
+    assert (linalg.fmt(rat(text)) == text) == is_canonical(text) == linalg._read(text)[1]
 
 
 @pytest.mark.parametrize("value, text", [

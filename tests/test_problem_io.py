@@ -8,7 +8,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, strategies as st
 
-from hyperfair import problem_io
+from hyperfair import linalg, problem_io
 from hyperfair.linalg import fmt, rat
 from hyperfair.measures import Interval, common_refinement
 from hyperfair.partition import Partition, PartitionError
@@ -532,17 +532,19 @@ def test_memo_reads_by_their_integers_exactly_the_strings_fmt_writes(text):
 
     def counting(value):
         seen.append(value)
-        return rat(value)
+        return pattern.fullmatch(value)
 
+    pattern = linalg._RAT_RE
+    regex = mock.patch.object(linalg, "_RAT_RE", mock.Mock(fullmatch=counting))
     memo = problem_io._Memo()
     try:
         expected = rat(text)
     except ValueError as exc:
-        with mock.patch.object(problem_io, "rat", counting), pytest.raises(ValueError) as raised:
+        with regex, pytest.raises(ValueError) as raised:
             memo[text]
         assert str(raised.value) == str(exc) and seen == [text]
         return
-    with mock.patch.object(problem_io, "rat", counting):
+    with regex:
         value = memo[text]
         assert memo[text] is value  # read once
     recognized = not seen
