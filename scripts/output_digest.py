@@ -230,6 +230,44 @@ def edge_commands(hf, workdir: Path) -> list[tuple[list[str], Path]]:
     return commands
 
 
+def exit_commands(workdir: Path) -> list[tuple[list[str], Path]]:
+    """Commands on variants of the bundled three-player problem, one for each
+    exit that the other groups never reach: ``solve``'s analysis only (no K,
+    no R); an improper K (``gram`` and ``solve``); a margin past the maximum;
+    a zero K at ``"max"`` (``"unbounded"`` and ``"unconstrained"``); an
+    all-``"="`` pattern; a pattern that the row test refutes; and ``verify``
+    of a partition that fails the hyper check."""
+    workdir.mkdir()
+    bundled = json.loads((PROBLEMS / "three_players.json").read_text(encoding="utf-8"))
+    base = {key: bundled[key] for key in ("players", "densities", "p")}
+    thirds = ["0", "1/3", "2/3", "1"]
+    independent = [{"breakpoints": thirds, "values": ["3" if i == j else "0" for j in range(3)]}
+                   for i in range(3)]
+    problems = {
+        "analysis_only": (base, ["solve"]),
+        "improper": ({**base, "K": [["1", "-1", "0"], ["0", "0", "0"], ["0", "0", "0"]]},
+                     ["gram", "solve"]),
+        "past_max": ({**bundled, "delta": "1/2"}, ["solve"]),
+        "zero_max": ({**base, "K": [["0"] * 3] * 3, "delta": "max"}, ["solve"]),
+        "all_equal": ({**base, "R": [["="] * 3] * 3}, ["solve"]),
+        "row_test": ({**base, "densities": independent, "R": [[">"] * 3, ["="] * 3, ["="] * 3]},
+                     ["solve"]),
+    }
+    commands = []
+    for name, (problem, argvs) in problems.items():
+        source = workdir / f"{name}.problem.json"
+        source.write_text(json.dumps(problem), encoding="utf-8")
+        for command in argvs:
+            report = workdir / f"{name}.{command}.json"
+            commands.append(([command, "--input", str(source), "--output", str(report)], report))
+    partition = workdir / "one_owner.partition.json"
+    partition.write_text(json.dumps({"intervals": [[["0", "1"]], [], []]}), encoding="utf-8")
+    report = workdir / "one_owner.verify.json"
+    commands.append((["verify", "--input", str(PROBLEMS / "three_players.json"),
+                      "--partition", str(partition), "--output", str(report)], report))
+    return commands
+
+
 def _routes(commands: list[tuple[list[str], Path]]) -> set:
     return {json.loads(report.read_text(encoding="utf-8")).get("route") for _, report in commands}
 
@@ -254,6 +292,7 @@ def all_digests() -> dict:
                 *noncanonical_files(work / f"noncanonical{kinds}", kinds))],
             "solve_fixed_lp/seed1": lp,
             "construction_edges": edge_commands(hf, work / "construction_edges"),
+            "exits": exit_commands(work / "exits"),
         }
         for name, commands in groups.items():
             digests[name] = {"commands": len(commands), "sha256": digest(hf.cli, commands)}

@@ -32,7 +32,7 @@ from .hyperfree import (
     is_proper,
     spectral_delta_bound,
 )
-from .linalg import _grid, _kernel_and_pseudo_inverse, fmt, rat
+from .linalg import _grid, fmt, kernel_basis, pseudo_inverse, rat
 from .measures import MeasureProfile, common_refinement, gram_matrix
 from .partition import MAXIMIZE, InfeasibleError, Partition, build_from_weights, factor_weights, solve_alpha
 from .problem_io import (
@@ -88,7 +88,7 @@ def _analysis(problem: Problem, tol: Fraction) -> tuple[dict, dict]:
     """Shared first stage: profile, Gram data, and bound block."""
     profile = common_refinement(problem.densities)
     g = gram_matrix(profile)
-    relations, g_plus = _kernel_and_pseudo_inverse(g)
+    relations, g_plus = kernel_basis(g), pseudo_inverse(g)  # one reduction of g
     p = problem.p if problem.p is not None else TargetPoint.uniform(problem.n)
 
     report: dict = {

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import DEFAULT_TOL, RatMatrix, _least, _nullity_and_enclosure, _to_row, fmt, rat
-from .linalg import smallest_eigenvalue  # noqa: F401  (the benchmark's tracer looks it up here)
+from .linalg import DEFAULT_TOL, RatMatrix, _least, _to_row, fmt, kernel_basis, rat, smallest_eigenvalue
 
 
 class _Sentinel:
@@ -222,9 +221,11 @@ def spectral_delta_bound(g: RatMatrix, k: GoalMatrix, p: TargetPoint,
     spectral norm, and ``min(p) * that / (n * max |k_ij|)`` is a valid
     margin.  Returns a rational enclosure of that quantity obtained
     from :func:`hyperfair.linalg.smallest_eigenvalue` at tolerance
-    ``tol``, whose inertia count at 0 also checks that ``g`` is
-    nonsingular.  The enclosed margin never exceeds :func:`delta_bound`;
-    the upper end can, by less than the enclosure's width, when the
+    ``tol``.  A singular ``g`` is refused by its
+    :func:`hyperfair.linalg.kernel_basis`, which reads ``g``'s one
+    reduction, so a ``g`` whose kernel is already known costs nothing
+    more.  The enclosed margin never exceeds :func:`delta_bound`; the
+    upper end can, by less than the enclosure's width, when the
     eigenvalue lies in the first cell ``(0, w]``.
     """
     if not g.is_square() or g.rows != k.n or p.n != k.n:
@@ -232,9 +233,9 @@ def spectral_delta_bound(g: RatMatrix, k: GoalMatrix, p: TargetPoint,
     worst = k.mat.max_abs()
     if worst == 0:
         raise ValueError("goal matrix must be nonzero")
-    nullity, lo, hi = _nullity_and_enclosure(g, tol)
-    if nullity:
+    if kernel_basis(g):
         raise ValueError("spectral bound needs independent measures (nonsingular matrix)")
+    lo, hi = smallest_eigenvalue(g, tol)
     scale = min(p.shares) / (Fraction(k.n) * worst)
     return scale * lo, scale * hi
 

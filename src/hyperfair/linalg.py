@@ -16,13 +16,15 @@ Row reduction and products run on integer rows (int numerators over
 one positive denominator per row, in lowest terms); a matrix's own are
 built once, as :attr:`RatMatrix.int_rows`, and only read.  ``_pivot_on``
 is the package's one column-pivot loop on integer rows, of the
-reduction of ``[m | I]`` (Gauss-Jordan, also behind :func:`rref`) and
-of :func:`hyperfair.simplex.certified_solve`'s certificate (forward
+reduction of ``[m | I]`` (Gauss-Jordan) and of
+:func:`hyperfair.simplex.certified_solve`'s certificate (forward
 elimination); only the inertia count has its own, Bareiss.
-``_products`` is its one exact sum of products.  One reduction of
-``[m | I]`` gives the kernel, the rank factors and the pseudo-inverse
-of ``m``, so ``hyperfair gram`` reduces G once: its right block gives
-a {1}-inverse ``X``, and the pseudo-inverse is ``P_row X P_col``, with
+``_products`` is its one exact sum of products.  A matrix's one
+reduction of ``[m | I]`` is built once too, as
+:attr:`RatMatrix.reduction`, and :func:`rref`, :func:`kernel_basis`,
+:func:`rank_factorization` and :func:`pseudo_inverse` all read it, so
+``hyperfair gram`` reduces G once: its right block gives a
+{1}-inverse ``X``, and the pseudo-inverse is ``P_row X P_col``, with
 the projectors onto the complements of the right and the left kernel
 built by exact Gram-Schmidt.
 """
@@ -33,6 +35,7 @@ import functools
 import math
 import operator
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -53,10 +56,13 @@ def rat(value: int | str | Fraction) -> Fraction:
     whitespace allowed around the whole and spaces (no other
     whitespace, on every Python version) around the slash.  One regex,
     ``_RAT_RE``, matches the whole string and captures the numerator
-    and the denominator, and ``int`` reads each; so an integer longer
-    than Python's string conversion limit (4300 digits by default)
-    raises ``ValueError``.  A string that :func:`fmt` writes is read by
-    :func:`_read` without the regex, to the same value.
+    and the denominator, and ``int`` reads each.  An integer with more
+    digits than Python's limit on converting strings to integers
+    (``sys.get_int_max_str_digits()``, 4300 by default, 0 for none)
+    raises ``ValueError`` with a message of this module that names its
+    digit count and the limit, the same on every Python version.  A
+    string that :func:`fmt` writes is read by :func:`_read` without the
+    regex, to the same value.
 
     Floats and decimal strings are rejected: they have no place in an
     exact pipeline, and accepting them would hide rounding at the door.
@@ -93,6 +99,11 @@ def _read(text: str) -> tuple[Fraction, bool]:
     if match is None:
         raise ValueError(f"expected an integer or 'num/den' string, got {text!r}")
     num, den = match.groups()
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # no limit before 3.10.7
+    for part, digits in (("numerator" if den else "integer", num.lstrip("+-")), ("denominator", den or "")):
+        if 0 < limit < len(digits):
+            raise ValueError(f"{part} has {len(digits)} digits, more than Python's limit of {limit} "
+                             "on integer strings")
     return Fraction(int(num), int(den)) if den else Fraction(int(num)), False
 
 
@@ -164,6 +175,26 @@ class RatMatrix:
         """Each row's integer numerators over its least common denominator,
         built once per matrix and shared by every reader, so read-only."""
         return tuple((tuple(v), d) for v, d in (_to_row(self.row(i)) for i in range(self.rows)))
+
+    @cached_property
+    def reduction(self) -> tuple[tuple[tuple[tuple[int, ...], int], ...], tuple[int, ...],
+                                 tuple[tuple[int, ...], ...]]:
+        """The one row reduction of ``[m | I]``: its integer rows, ``m``'s pivot
+        columns and the right kernel's primitive integer basis, built once per
+        matrix and shared by :func:`rref`, :func:`kernel_basis`,
+        :func:`rank_factorization` and :func:`pseudo_inverse`, so read-only.
+
+        Only the columns of ``m`` are pivoted, so the left block is
+        ``rref(m)`` and the right block is the row operations ``E`` with
+        ``E m = rref(m)``.  The rows past the pivots are zero in the left
+        block, and their right blocks span the left kernel of ``m``.
+        """
+        n = self.rows
+        work = [([*v, *(d if j == i else 0 for j in range(n))], d)
+                for i, (v, d) in enumerate(self.int_rows)]
+        pivots = _pivot_on(work, range(self.cols))
+        kernel = _right_kernel(work, pivots, self.cols)
+        return tuple((tuple(v), d) for v, d in work), tuple(pivots), tuple(map(tuple, kernel))
 
     def to_rows(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(self.rows)]
@@ -324,23 +355,6 @@ def _pivot_on(rows: list[_Row], columns: Sequence[int], below: bool = False) -> 
     return pivots
 
 
-def _reduce(m: RatMatrix) -> tuple[list[_Row], list[int]]:
-    """The one row reduction of ``[m | I]``: its integer rows and ``m``'s pivot columns.
-
-    Only the columns of ``m`` are pivoted, so the left block is
-    ``rref(m)`` and the right block is the row operations ``E`` with
-    ``E m = rref(m)``.  The rows past the pivots are zero in the left
-    block, and their right blocks span the left kernel of ``m``.
-    """
-    n = m.rows
-    work = []
-    for i in range(n):
-        v, d = _to_row(m.row(i))
-        v.extend(d if j == i else 0 for j in range(n))
-        work.append((v, d))
-    return work, _pivot_on(work, range(m.cols))
-
-
 def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
     """Reduced row echelon form and the pivot column indices.
 
@@ -348,12 +362,12 @@ def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
     the output deterministic; with exact arithmetic there is no
     numerical reason to prefer any other choice.
     """
-    work, pivots = _reduce(m)
+    work, pivots, _ = m.reduction
     flat = tuple(Fraction(x, d) for v, d in work for x in v[:m.cols])
-    return RatMatrix(m.rows, m.cols, flat), tuple(pivots)
+    return RatMatrix(m.rows, m.cols, flat), pivots
 
 
-def _primitive(v: list[int]) -> list[int]:
+def _primitive(v: Sequence[int]) -> list[int]:
     """The integer vector ``v`` divided by its content, first nonzero entry positive."""
     g = math.gcd(*v)
     if next(x for x in v if x) < 0:
@@ -378,11 +392,7 @@ def _right_kernel(work: list[_Row], pivots: list[int], w: int) -> list[list[int]
     return kernel
 
 
-def _canonical(kernel: list[list[int]]) -> list[tuple[Fraction, ...]]:
-    return [tuple(map(Fraction, x)) for x in kernel]
-
-
-def _projector(basis: list[list[int]], size: int) -> tuple[list[list[int]], int]:
+def _projector(basis: Sequence[Sequence[int]], size: int) -> tuple[list[list[int]], int]:
     """The orthogonal projector onto the complement of the span of ``basis``,
     as integer numerators over one denominator.
 
@@ -411,36 +421,6 @@ def _projector(basis: list[list[int]], size: int) -> tuple[list[list[int]], int]
     return proj, den
 
 
-def _right_block(work: list[_Row], w: int) -> RatMatrix:
-    """The right block of the reduced ``[m | I]``, ``m`` of width ``w``: ``m^-1``
-    when every row and every column of ``m`` is pivoted."""
-    return RatMatrix(len(work), len(work), tuple(Fraction(x, d) for v, d in work for x in v[w:]))
-
-
-def _pinv(work: list[_Row], pivots: list[int], right: list[list[int]], w: int) -> RatMatrix:
-    """:func:`pseudo_inverse` from the reduction of ``[m | I]`` and the right kernel.
-
-    ``X m`` has row ``pivots[k]`` equal to row ``k`` of ``rref(m)``, so
-    ``m X m`` is the rank factorization's ``c f = m``.  Only the pivot
-    rows of ``X`` are nonzero, so each entry of ``P_row X P_col`` is a
-    dot product of length ``len(pivots)``.  When every row and every
-    column is pivoted both kernels are empty, both projectors are ``I``
-    and ``X`` is the right block, ``m^-1``.
-    """
-    r = len(pivots)
-    if r == len(work) == w:
-        return _right_block(work, w)
-    p_row, d_row = _projector(right, w)
-    left = [_primitive(v[w:]) for v, _ in work[r:]]
-    p_col, d_col = _projector(left, len(work))
-    e = work[:r]
-    den = math.lcm(*(d for _, d in e))
-    # E P_col on integers over den * d_col; P_col is symmetric, so its rows are its columns
-    ep = [[den // d * sum(map(operator.mul, v[w:], col)) for col in p_col] for v, d in e]
-    cols = [([row[b] for row in ep], den * d_col) for b in range(len(work))]
-    return _products([([row[p] for p in pivots], d_row) for row in p_row], cols)
-
-
 def kernel_basis(m: RatMatrix) -> list[tuple[Fraction, ...]]:
     """Canonical basis of the right null space of ``m``.
 
@@ -448,8 +428,7 @@ def kernel_basis(m: RatMatrix) -> list[tuple[Fraction, ...]]:
     leading entry, so equal subspaces produce identical bases and tests
     can compare them literally.  A full-rank matrix yields ``[]``.
     """
-    work, pivots = _reduce(m)
-    return _canonical(_right_kernel(work, pivots, m.cols))
+    return [tuple(map(Fraction, x)) for x in m.reduction[2]]
 
 
 def rank_factorization(m: RatMatrix) -> tuple[RatMatrix, RatMatrix]:
@@ -461,7 +440,7 @@ def rank_factorization(m: RatMatrix) -> tuple[RatMatrix, RatMatrix]:
     exact.
     """
     w = m.cols
-    work, pivots = _reduce(m)
+    work, pivots, _ = m.reduction
     c = RatMatrix(m.rows, len(pivots), tuple(m[i, p] for i in range(m.rows) for p in pivots))
     f = RatMatrix(len(pivots), w, tuple(Fraction(x, d) for v, d in work[:len(pivots)] for x in v[:w]))
     return c, f
@@ -470,28 +449,37 @@ def rank_factorization(m: RatMatrix) -> tuple[RatMatrix, RatMatrix]:
 def pseudo_inverse(m: RatMatrix) -> RatMatrix:
     """Exact Moore-Penrose pseudo-inverse ``P_row X P_col``.
 
-    One reduction of ``[m | I]`` gives a {1}-inverse ``X`` of ``m`` (row
+    The reduction of ``[m | I]`` gives a {1}-inverse ``X`` of ``m`` (row
     ``pivots[k]`` is row ``k`` of the right block, every other row is
     zero), the right kernel from the left block and the left kernel
     from the right block of the rows that are zero in the left block.
-    Exact Gram-Schmidt over each kernel gives the orthogonal projectors
+    ``X m`` has row ``pivots[k]`` equal to row ``k`` of ``rref(m)``, so
+    ``m X m`` is the rank factorization's ``c f = m``.  Exact
+    Gram-Schmidt over each kernel gives the orthogonal projectors
     ``P_row = m+ m`` and ``P_col = m m+`` onto their complements, and
     ``m+ = P_row X P_col`` (Penrose 1955; Ben-Israel and Greville,
-    *Generalized Inverses*, section 1.5).  The formula holds for every
-    shape and rank.  For a nonsingular ``m`` both kernels are empty, so
-    the projectors are ``I`` and ``m+`` is the right block ``X = m^-1``
-    as it stands, with no Gram-Schmidt and no product.  The result is
+    *Generalized Inverses*, section 1.5).  Only the pivot rows of ``X``
+    are nonzero, so each entry of the product is a dot product of
+    length ``len(pivots)``.  The formula holds for every shape and
+    rank.  For a nonsingular ``m`` both kernels are empty, so the
+    projectors are ``I`` and ``m+`` is the right block ``X = m^-1`` as
+    it stands, with no Gram-Schmidt and no product.  The result is
     exact and satisfies the four Penrose identities with equality, not
     approximately.
     """
-    return _kernel_and_pseudo_inverse(m)[1]
-
-
-def _kernel_and_pseudo_inverse(m: RatMatrix) -> tuple[list[tuple[Fraction, ...]], RatMatrix]:
-    """:func:`kernel_basis` and :func:`pseudo_inverse` of ``m`` from its one reduction."""
-    work, pivots = _reduce(m)
-    right = _right_kernel(work, pivots, m.cols)
-    return _canonical(right), _pinv(work, pivots, right, m.cols)
+    work, pivots, right = m.reduction
+    w, r = m.cols, len(pivots)
+    if r == len(work) == w:
+        return RatMatrix(w, w, tuple(Fraction(x, d) for v, d in work for x in v[w:]))
+    p_row, d_row = _projector(right, w)
+    left = [_primitive(v[w:]) for v, _ in work[r:]]
+    p_col, d_col = _projector(left, len(work))
+    e = work[:r]
+    den = math.lcm(*(d for _, d in e))
+    # E P_col on integers over den * d_col; P_col is symmetric, so its rows are its columns
+    ep = [[den // d * sum(map(operator.mul, v[w:], col)) for col in p_col] for v, d in e]
+    cols = [([row[b] for row in ep], den * d_col) for b in range(len(work))]
+    return _products([([row[p] for p in pivots], d_row) for row in p_row], cols)
 
 
 def _inertia(a: list[list[int]]) -> tuple[int, int]:
@@ -625,11 +613,6 @@ def smallest_eigenvalue(m: RatMatrix, tol: Fraction | int | str = DEFAULT_TOL) -
     Returns ``(lo, hi)`` with ``lo < smallest nonzero eigenvalue <= hi``
     and ``hi - lo <= tol``; both ends are dyadic rationals.
     """
-    return _nullity_and_enclosure(m, tol)[1:]
-
-
-def _nullity_and_enclosure(m: RatMatrix, tol: Fraction | int | str) -> tuple[int, Fraction, Fraction]:
-    """The nullity of ``m``, its count at 0, and :func:`smallest_eigenvalue`'s enclosure."""
     tol = rat(tol)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -691,4 +674,4 @@ def _nullity_and_enclosure(m: RatMatrix, tol: Fraction | int | str) -> tuple[int
             hi = mid
         else:
             lo = mid
-    return nullity, Fraction(lo * bound, den << steps), Fraction(hi * bound, den << steps)
+    return Fraction(lo * bound, den << steps), Fraction(hi * bound, den << steps)

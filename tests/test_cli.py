@@ -113,8 +113,9 @@ def test_gram_and_solve_reduce_the_gram_matrix_once(capsys, tmp_path, monkeypatc
     # One reduction of the n x 2n block [G | I] gives the kernel and the
     # pseudo-inverse, for a singular G as for a nonsingular one: the
     # projectors onto the kernels' complements are built by Gram-Schmidt,
-    # not by a second reduction.  The spectral bound's nullity check
-    # reduces nothing.
+    # not by a second reduction.  The spectral bound's nullity check reads
+    # the kernel of the CLI's G, already reduced, and reduces nothing more;
+    # on a fresh singular G it reduces that matrix once.
     shapes = []
     pivot_on = linalg._pivot_on
 
@@ -144,7 +145,7 @@ def test_gram_and_solve_reduce_the_gram_matrix_once(capsys, tmp_path, monkeypatc
     g = RatMatrix.from_rows(TRIO_GRAM_ROWS)
     with pytest.raises(ValueError, match="nonsingular"):
         spectral_delta_bound(g, GoalMatrix.make(independent["K"]), TargetPoint.uniform(3))
-    assert shapes == []
+    assert shapes == [(3, 6)]
 
 
 # -- solve ----------------------------------------------------------------------

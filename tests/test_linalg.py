@@ -4,8 +4,10 @@ import ast
 import math
 import random
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, strategies as st
@@ -125,6 +127,33 @@ def test_rat_refuses_digits_outside_ascii_on_every_python_version(text):
         rat(text)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("1" * 4301, "integer has 4301 digits"),
+    (" -00" + "7" * 4299 + " ", "integer has 4301 digits"),  # sign and spaces are not digits
+    ("+" + "2" * 5000 + " / 3", "numerator has 5000 digits"),
+    ("1/" + "3" * 4301, "denominator has 4301 digits"),
+    ("4" * 4300 + "/" + "9" * 5000, "denominator has 5000 digits"),
+], ids=["integer", "integer_signed", "numerator", "denominator", "denominator_only"])
+def test_rat_names_the_digit_count_past_the_limit_on_every_python_version(text, message):
+    # the interpreter's own text differs between versions; this one does not
+    with pytest.raises(ValueError) as raised:
+        rat(text)
+    assert str(raised.value) == f"{message}, more than Python's limit of 4300 on integer strings"
+
+
+def test_rat_reads_the_digit_limit_when_it_reads_a_string():
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)  # no limit
+        assert rat("1/" + "3" * 5000) == F(1, int("3" * 5000))
+        sys.set_int_max_str_digits(640)
+        assert rat("-" + "7" * 640) == -int("7" * 640)
+        with pytest.raises(ValueError, match="^numerator has 641 digits, more than Python's limit of 640 "):
+            rat("7" * 641 + "/2")
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 @pytest.mark.parametrize("value, text", [
     (F(10**5000, 3), "1" + "0" * 5000 + "/3"),
     (F(-(10**5000) - 1), "-1" + "0" * 4999 + "1"),
@@ -222,6 +251,20 @@ def test_rref_matches_the_gauss_jordan_oracle(m):
     assert pivots == want_pivots
     assert red == RatMatrix(m.rows, m.cols, tuple(x for row in want for x in row))
     assert kernel_basis(m) == integer_kernel(m)
+
+
+@given(rectangular_matrices(), st.permutations(range(4)))
+@example(RatMatrix.zeros(0, 3), [0, 1, 2, 3])
+@example(RatMatrix.from_rows(TRIO_GRAM_ROWS), [3, 2, 1, 0])
+def test_rref_kernel_rank_factors_and_pseudo_inverse_share_one_reduction(m, order):
+    # whichever reads it first, the matrix's reduction of [m | I] is made
+    # once, and reading it again changes no later result
+    functions = [rref, kernel_basis, rank_factorization, pseudo_inverse]
+    with mock.patch.object(linalg, "_pivot_on", wraps=linalg._pivot_on) as pivot_on:
+        results = {i: functions[i](m) for i in order for _ in range(2)}
+    assert pivot_on.call_count == 1
+    for i, result in results.items():
+        assert result == functions[i](RatMatrix(m.rows, m.cols, m.entries))
 
 
 # -- kernel --------------------------------------------------------------
@@ -658,7 +701,7 @@ def test_pseudo_inverse_of_a_nonsingular_gram_matrix_is_the_right_block(monkeypa
         g = gram_matrix(random_independent_profile(rng))
         expected = RatMatrix.from_rows(adjugate_inverse(g.to_rows()))
         assert pseudo_inverse(g) == expected
-        assert linalg._kernel_and_pseudo_inverse(g) == ([], expected)
+        assert (kernel_basis(g), pseudo_inverse(g)) == ([], expected)
 
 
 @pytest.mark.parametrize("rows", [
