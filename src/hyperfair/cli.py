@@ -159,18 +159,15 @@ def cmd_solve(args: argparse.Namespace) -> tuple[int, dict]:
     k = problem.k
     if problem.r is not None:
         solution = solve_relations(problem.r, relations)
+        k = solution.k  # None, as is the margin, when the pattern is infeasible
+        report["feasibility"] = {"status": "feasible" if solution.feasible else "infeasible",
+                                 "margin": _text(solution.margin),
+                                 "k": None if k is None else matrix_to_strings(k.mat)}
         if not solution.feasible:
-            report["feasibility"] = {"status": "infeasible", "margin": None, "k": None}
             print("Sign pattern: infeasible (no proper goal matrix matches)")
             return EXIT_INFEASIBLE, report
-        report["feasibility"] = {
-            "status": "feasible",
-            "margin": _text(solution.margin),
-            "k": matrix_to_strings(solution.k.mat),
-        }
         print(f"Sign pattern: feasible (slack {report['feasibility']['margin']})")
         _print_matrix("Witness goal matrix", report["feasibility"]["k"])
-        k = solution.k
     elif k is None:
         print("Problem file has neither a goal matrix nor a sign pattern; analysis only.")
         return EXIT_OK, report

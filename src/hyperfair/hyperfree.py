@@ -4,10 +4,11 @@ A division plan is encoded by a target point ``p`` (one share per
 player, positive, summing to 1), a goal matrix ``K`` whose rows sum to
 zero, and a margin ``delta >= 0``; the matrix ``P + delta K`` (rows of
 ``P`` all equal ``p``) lists the value player ``i`` should assign to
-player ``j``'s piece.  Whether such a plan is realizable with measures
-whose Gram matrix is ``G`` hinges on two things: ``K`` must be proper
-(compatible with every linear relation among the measures), and
-``delta`` must be small enough that ``G^+ (P + delta K)`` stays
+player ``j``'s piece, and a realizable plan's is a
+:class:`SharingMatrix`.  Whether such a plan is realizable with
+measures whose Gram matrix is ``G`` hinges on two things: ``K`` must
+be proper (compatible with every linear relation among the measures),
+and ``delta`` must be small enough that ``G^+ (P + delta K)`` stays
 entrywise nonnegative.  This module computes the relevant bounds (the
 sharp one, :func:`factor_delta_bound`, and the coarser
 :func:`delta_bound`), an eigenvalue-based lower estimate of them, and
@@ -107,6 +108,31 @@ class GoalMatrix:
 
     def is_zero(self) -> bool:
         return all(e == 0 for e in self.mat.entries)
+
+
+@dataclass(frozen=True)
+class SharingMatrix:
+    """Row-stochastic matrix of cross-valuations, entries in [0, 1]: a realizable
+    plan's ``P + delta K``, or what :func:`hyperfair.verify.sharing_matrix` finds."""
+
+    mat: RatMatrix
+
+    def __post_init__(self) -> None:
+        if not self.mat.is_square():
+            raise ValueError("sharing matrix must be square")
+        rows = self.mat.int_rows
+        if any(x < 0 for v, _ in rows for x in v):
+            raise ValueError("sharing matrix entries must be nonnegative")
+        bad = [i for i, (v, d) in enumerate(rows) if sum(v) != d]
+        if bad:
+            raise ValueError(f"sharing matrix rows must sum to 1; rows {bad} do not")
+
+    @property
+    def n(self) -> int:
+        return self.mat.rows
+
+    def __getitem__(self, key: tuple[int, int]) -> Fraction:
+        return self.mat[key]
 
 
 @dataclass(frozen=True)
@@ -284,12 +310,10 @@ def necessary_condition_check(m: RatMatrix, delta: Fraction | int | str,
     """Audit a sharing matrix claimed to realize a uniform-target plan.
 
     Given a margin ``delta > 0`` and ``m``, which must pass
-    :class:`hyperfair.verify.SharingMatrix`'s checks, recover the
-    direction ``K = (m - P) / delta`` against the uniform target and
-    report whether it is proper.  Any realizable plan must pass.
+    :class:`SharingMatrix`'s checks, recover the direction
+    ``K = (m - P) / delta`` against the uniform target and report
+    whether it is proper.  Any realizable plan must pass.
     """
-    from .verify import SharingMatrix  # verify imports this module
-
     delta = rat(delta)
     if delta <= 0:
         raise ValueError("margin must be strictly positive")

@@ -536,13 +536,13 @@ _JACOBI_SWEEPS = 8
 _FLOAT_LEVELS = 44
 
 
-def _float_eigenvalue(m: RatMatrix, index: int) -> float:
-    """Float estimate of the ``index``-th smallest eigenvalue of the symmetric ``m``.
+def _float_spectrum(m: RatMatrix) -> list[float]:
+    """Float estimates of the eigenvalues of the symmetric ``m``, in ascending order.
 
     Cyclic Jacobi rotations on float copies of the entries, stopped
     when the off-diagonal part is negligible or after
-    ``_JACOBI_SWEEPS`` sweeps.  The result is a guess with no
-    guarantee: it may be inaccurate or not finite, and ``float`` raises
+    ``_JACOBI_SWEEPS`` sweeps.  The results are guesses with no
+    guarantee: they may be inaccurate or not finite, and ``float`` raises
     ``OverflowError`` on an entry beyond float range.
     """
     n = m.rows
@@ -572,7 +572,7 @@ def _float_eigenvalue(m: RatMatrix, index: int) -> float:
                     g, h = a[r][p], a[r][q]
                     a[r][p] = a[p][r] = g - s * (h + g * tau)
                     a[r][q] = a[q][r] = h + s * (g - h * tau)
-    return sorted(a[i][i] for i in range(n))[index]
+    return sorted(a[i][i] for i in range(n))
 
 
 def smallest_eigenvalue(m: RatMatrix, tol: Fraction | int | str = DEFAULT_TOL) -> tuple[Fraction, Fraction]:
@@ -593,12 +593,13 @@ def smallest_eigenvalue(m: RatMatrix, tol: Fraction | int | str = DEFAULT_TOL) -
     Every end is a multiple of ``w``, so each count is the inertia of
     an integer matrix, ``m``'s numerators over one denominator times a
     power of two less a multiple of the row-sum bound on the diagonal.
-    A float estimate of the smallest eigenvalue (:func:`_float_eigenvalue`)
-    picks the candidate ``j``, and two exact inertia counts at the
-    cell's ends certify it: a count of 0 at a lower end above 0 proves
-    the nullity 0, so the count at 0 is made only when that end is 0 or
-    counts more (a singular matrix or a bad estimate), and then the
-    estimate of the eigenvalue past the nullity picks the cell.  No
+    One run of :func:`_float_spectrum` estimates every eigenvalue.  The
+    smallest estimate picks the candidate ``j``, and two exact inertia
+    counts at the cell's ends certify it: a count of 0 at a lower end
+    above 0 proves the nullity 0, so the count at 0 is made only when
+    that end is 0 or counts more (a singular matrix or a bad estimate),
+    and then the estimate of the eigenvalue past the nullity, from the
+    same run, picks the cell.  No
     point is counted twice.  A ``tol`` below about ``2^-44`` of the row
     sum asks for a cell finer than the estimate resolves; when that
     cell fails, the estimate's cell at level ``_FLOAT_LEVELS`` is
@@ -639,11 +640,10 @@ def smallest_eigenvalue(m: RatMatrix, tol: Fraction | int | str = DEFAULT_TOL) -
             counts[t] = neg + zero
         return counts[t]
 
-    def estimate(index: int) -> tuple[int, int] | None:
-        try:
-            return _float_eigenvalue(m, index).as_integer_ratio()
-        except (OverflowError, ValueError):
-            return None
+    try:  # each estimate as an integer ratio, or None where it is not finite
+        estimates = [x.as_integer_ratio() if math.isfinite(x) else None for x in _float_spectrum(m)]
+    except OverflowError:  # an entry beyond float range
+        estimates = [None] * m.rows
 
     def cell(guess: tuple[int, int], level: int) -> int:
         # the lower end, in units, of the guess's cell among the 2^level cells
@@ -653,13 +653,13 @@ def smallest_eigenvalue(m: RatMatrix, tol: Fraction | int | str = DEFAULT_TOL) -
 
     # A count of 0 at the lower end of the estimate's cell, above 0, proves
     # the nullity 0; only otherwise is it counted at 0.
-    guess = estimate(0)
+    guess = estimates[0]
     t = cell(guess, steps) if guess else 0
     counts[0] = nullity = 0 if t and at_most(t) == 0 else at_most(0)
     if nullity == m.rows:
         raise ValueError("matrix has no nonzero eigenvalue")
     if nullity and guess:
-        guess = estimate(nullity)
+        guess = estimates[nullity]
     lo, hi = 0, top
     # The estimate's cell at level ``steps``, else at the finest level a
     # float resolves, from which the halving goes on down.

@@ -131,7 +131,8 @@ def solve_relations(r: RelationMatrix,
         # Only equalities: the zero matrix satisfies everything and no
         # positive slack is required of it.
         return RelationSolution(True, GoalMatrix.zero(n), UNCONSTRAINED, has_strict=False)
-    refutation = _refutation(r, relations)
+    strict_cells = [(i, j) for i in range(n) for j in range(n) if r[i, j] is not Relation.EQ]
+    refutation = _refutation(r, relations, strict_cells)
     if refutation is not None:
         return RelationSolution(False, refutation=refutation)
 
@@ -140,7 +141,6 @@ def solve_relations(r: RelationMatrix,
         return [(i * n + j, c), (n * n + i * n + j, -c)]
 
     t_var = 2 * n * n
-    strict_cells = [(i, j) for i in range(n) for j in range(n) if r[i, j] is not Relation.EQ]
     nvars = t_var + 1 + 2 * len(strict_cells)  # sign slacks then box slacks
     # The LP's integer rows of [A | b]; every entry but a relation's is
     # an integer, and every b is 0 or 1.  First, rows of k sum to zero.
@@ -169,17 +169,18 @@ def solve_relations(r: RelationMatrix,
     return RelationSolution(True, k, outcome.value, has_strict=True)
 
 
-def _refutation(r: RelationMatrix, relations: Sequence[Sequence[Fraction]]
-                ) -> tuple[tuple[Fraction, ...], ...] | None:
+def _refutation(r: RelationMatrix, relations: Sequence[Sequence[Fraction]],
+                strict_cells: Sequence[tuple[int, int]]) -> tuple[tuple[Fraction, ...], ...] | None:
     """Motzkin's alternative ``(a, b_1, ..., b_L)`` to the pattern, or ``None``
-    when the pattern is feasible.
+    when the pattern is feasible; ``strict_cells`` lists the pattern's
+    non-``=`` cells ``(i, j)`` in row-major order.
 
     Without relations ``Z = a 1^T``, so a row whose strict cells all have
     one sign refutes the pattern (``a`` is that sign there, 0 elsewhere),
     and nothing else can; with relations :func:`_refutation_lp` decides.
     """
     if relations:
-        return _refutation_lp(r, relations)
+        return _refutation_lp(r, relations, strict_cells)
     for i, row in enumerate(r.cells):
         signs = {c.sign for c in row} - {0}
         if len(signs) == 1:
@@ -189,13 +190,14 @@ def _refutation(r: RelationMatrix, relations: Sequence[Sequence[Fraction]]
     return None
 
 
-def _refutation_lp(r: RelationMatrix, relations: Sequence[Sequence[Fraction]]
-                   ) -> tuple[tuple[Fraction, ...], ...] | None:
+def _refutation_lp(r: RelationMatrix, relations: Sequence[Sequence[Fraction]],
+                   strict_cells: Sequence[tuple[int, int]]) -> tuple[tuple[Fraction, ...], ...] | None:
     """:func:`_refutation` by an LP, for any number of relations.
 
-    Maximize ``sum u`` subject to ``s_ij Z_ij - u_ij = 0`` on each strict
-    cell and ``sum u + w = 1``, over ``a`` and the ``b_l``, each split
-    into plus and minus parts, then ``u >= 0`` and ``w >= 0``.  Each
+    Maximize ``sum u`` subject to ``s_ij Z_ij - u_ij = 0`` on each of
+    ``strict_cells``, the pattern's non-``=`` cells, and
+    ``sum u + w = 1``, over ``a`` and the ``b_l``, each split into plus
+    and minus parts, then ``u >= 0`` and ``w >= 0``.  Each
     relation enters by its integer numerators over its denominator
     ``d_l``, so the LP's ``b_l`` is the refutation's over ``d_l``.  The
     point ``Z = 0``, ``w = 1`` is feasible and the last row bounds the
@@ -213,7 +215,6 @@ def _refutation_lp(r: RelationMatrix, relations: Sequence[Sequence[Fraction]]
                             for l, (ints, _) in enumerate(lams) if ints[i]]
         return [t for f, c in terms for t in ((f, c), (free + f, -c))]
 
-    strict_cells = [(i, j) for i in range(n) for j in range(n) if r[i, j] is not Relation.EQ]
     u = 2 * free
     nvars = u + len(strict_cells) + 1  # w last
     rows = [_row(nvars, z_ij(i, j, r[i, j].sign) + [(u + idx, -1)])

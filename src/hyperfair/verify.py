@@ -13,34 +13,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .hyperfree import UNCONSTRAINED, GoalMatrix, TargetPoint
+from .hyperfree import UNCONSTRAINED, GoalMatrix, SharingMatrix, TargetPoint
 from .linalg import RatMatrix, _least, _products, _ratio_row, _to_row
 from .measures import MeasureProfile
 from .partition import Partition
-
-
-@dataclass(frozen=True)
-class SharingMatrix:
-    """Row-stochastic matrix of cross-valuations, entries in [0, 1]."""
-
-    mat: RatMatrix
-
-    def __post_init__(self) -> None:
-        if not self.mat.is_square():
-            raise ValueError("sharing matrix must be square")
-        rows = self.mat.int_rows
-        if any(x < 0 for v, _ in rows for x in v):
-            raise ValueError("sharing matrix entries must be nonnegative")
-        bad = [i for i, (v, d) in enumerate(rows) if sum(v) != d]
-        if bad:
-            raise ValueError(f"sharing matrix rows must sum to 1; rows {bad} do not")
-
-    @property
-    def n(self) -> int:
-        return self.mat.rows
-
-    def __getitem__(self, key: tuple[int, int]) -> Fraction:
-        return self.mat[key]
 
 
 @dataclass(frozen=True)

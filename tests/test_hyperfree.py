@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,7 @@ from hyperfair.hyperfree import (
     stochastic_factor,
     target_matrix,
 )
-from hyperfair.linalg import RatMatrix, pseudo_inverse
+from hyperfair.linalg import RatMatrix, kernel_basis, pseudo_inverse
 from hyperfair.measures import StepDensity, common_refinement, gram_matrix, measure_relations
 from hyperfair.partition import MAXIMIZE, solve_alpha
 
@@ -29,6 +30,7 @@ from conftest import (
     TRIO_PINV_K_ROWS,
     TRIO_PINV_ROWS,
     TRIO_SHARING_ROWS,
+    blocky_profile,
     random_independent_profile,
     random_profile,
     random_proper_goal,
@@ -429,6 +431,31 @@ def test_margin_bounds_form_a_ladder(rng):
     factor = factor_threshold(g, k.mat.to_rows(), p.shares)
     _, lp_max = solve_alpha(profile, k, p, MAXIMIZE)
     assert delta_bound(g_plus, k, p) <= factor_delta_bound(g_plus @ k.mat, p) == factor <= lp_max
+
+
+def test_bound_ladder_holds_on_seeded_problems():
+    # 0 < delta_bound <= factor_delta_bound <= the LP maximum on every
+    # generator's problems; for a nonsingular G the theorem places the
+    # spectral cell's lower end at most delta_bound (its upper end may pass it)
+    rng = random.Random(20261021)
+    makers = [
+        lambda: random_independent_profile(rng),
+        lambda: random_profile(rng, force_dependent=True),
+        lambda: random_profile(rng),
+        lambda: blocky_profile(rng, "null"),
+        lambda: blocky_profile(rng, "dependent"),
+    ]
+    for make in makers * 30:
+        profile = make()
+        g = gram_matrix(profile)
+        g_plus = pseudo_inverse(g)
+        k = random_proper_goal(rng, profile)
+        p = random_target(rng, profile.n)
+        bound = delta_bound(g_plus, k, p)
+        _, lp_max = solve_alpha(profile, k, p, MAXIMIZE)
+        assert 0 < bound <= factor_delta_bound(g_plus @ k.mat, p) <= lp_max
+        if not kernel_basis(g):
+            assert spectral_delta_bound(g, k, p)[0] <= bound
 
 
 @pytest.mark.parametrize("call, message", [

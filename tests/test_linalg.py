@@ -563,12 +563,12 @@ def test_smallest_eigenvalue_falls_back_to_bisection_on_a_bad_estimate(monkeypat
     good = _oracle_cell(m, DEFAULT_TOL)
     width = good[1] - good[0]
 
-    def bad(matrix, index):
+    def bad(matrix):
         if estimate == "overflow":
             raise OverflowError("estimate out of range")
-        return BAD_ESTIMATES[estimate](good, width)
+        return [BAD_ESTIMATES[estimate](good, width)] * matrix.rows
 
-    monkeypatch.setattr(linalg, "_float_eigenvalue", bad)
+    monkeypatch.setattr(linalg, "_float_spectrum", bad)
     calls = _counting_inertia(monkeypatch)
     assert smallest_eigenvalue(m) == good
     assert len(calls) > 3  # the bisection ran
@@ -580,7 +580,7 @@ def test_smallest_eigenvalue_falls_back_to_bisection_on_a_bad_estimate(monkeypat
 ])
 def test_smallest_eigenvalue_clamps_an_estimate_outside_the_grid(monkeypatch, rows, estimate):
     m = RatMatrix.from_rows(rows)
-    monkeypatch.setattr(linalg, "_float_eigenvalue", lambda matrix, index: estimate)
+    monkeypatch.setattr(linalg, "_float_spectrum", lambda matrix: [estimate] * matrix.rows)
     calls = _counting_inertia(monkeypatch)
     assert smallest_eigenvalue(m) == _oracle_cell(m, DEFAULT_TOL)
     assert len(calls) <= 3
@@ -593,6 +593,17 @@ def test_smallest_eigenvalue_beyond_float_range():
     lo, hi = smallest_eigenvalue(m)
     assert lo < big <= hi and hi - lo <= DEFAULT_TOL
     assert (lo, hi) == _oracle_cell(m, DEFAULT_TOL)
+
+
+def test_smallest_eigenvalue_runs_the_float_spectrum_once(monkeypatch):
+    # a singular matrix reads the estimates at index 0 and at its nullity,
+    # both from one Jacobi run
+    runs, spectrum = [], linalg._float_spectrum
+    monkeypatch.setattr(linalg, "_float_spectrum", lambda m: runs.append(m) or spectrum(m))
+    for g in (trio_gram(), RatMatrix.identity(3)):
+        runs.clear()
+        assert smallest_eigenvalue(g) == _oracle_cell(g, DEFAULT_TOL)
+        assert runs == [g]
 
 
 def test_smallest_eigenvalue_certifies_the_estimate_with_three_inertia_counts(monkeypatch):
@@ -608,7 +619,7 @@ def test_smallest_eigenvalue_certifies_the_estimate_with_three_inertia_counts(mo
         cells.append(smallest_eigenvalue(g))
         assert len(calls) <= 3
     assert cells[0] == _oracle_cell(grams[0], DEFAULT_TOL)
-    monkeypatch.setattr(linalg, "_float_eigenvalue", lambda m, index: float("nan"))
+    monkeypatch.setattr(linalg, "_float_spectrum", lambda m: [float("nan")] * m.rows)
     assert [smallest_eigenvalue(g) for g in grams] == cells
 
 
@@ -638,7 +649,7 @@ def test_smallest_eigenvalue_below_float_resolution_bisects_from_the_estimate(mo
     cell = smallest_eigenvalue(m, tol)
     assert len(calls) <= steps - coarse + 5
     assert cell == _oracle_cell(m, tol)
-    monkeypatch.setattr(linalg, "_float_eigenvalue", lambda matrix, index: float("nan"))
+    monkeypatch.setattr(linalg, "_float_spectrum", lambda matrix: [float("nan")] * matrix.rows)
     calls.clear()
     assert smallest_eigenvalue(m, tol) == cell
     assert len(calls) == steps + 1  # the count at 0, then one per halving
@@ -654,7 +665,7 @@ def test_smallest_eigenvalue_of_a_nonsingular_gram_matrix_takes_two_inertia_coun
         width = max(sum(map(abs, g.row(i)), F(0)) for i in range(n))
         while width > DEFAULT_TOL:
             width /= 2
-        assert linalg._float_eigenvalue(g, 0) > width
+        assert linalg._float_spectrum(g)[0] > width
         calls.clear()
         cell = smallest_eigenvalue(g)
         assert len(calls) <= 2
@@ -674,7 +685,7 @@ def test_smallest_eigenvalue_of_a_zero_matrix_is_refused_without_a_count(monkeyp
 def test_smallest_eigenvalue_of_a_one_by_one_matrix(monkeypatch, entry, estimate):
     m = RatMatrix.from_rows([[entry]])
     if estimate == "nan":
-        monkeypatch.setattr(linalg, "_float_eigenvalue", lambda matrix, index: float("nan"))
+        monkeypatch.setattr(linalg, "_float_spectrum", lambda matrix: [float("nan")] * matrix.rows)
     calls = _counting_inertia(monkeypatch)
     if rat(entry) < 0:
         with pytest.raises(ValueError, match="matrix has no nonzero eigenvalue"):

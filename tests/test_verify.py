@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import ast
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+import hyperfair
+from hyperfair import hyperfree
 from hyperfair.hyperfree import UNCONSTRAINED, GoalMatrix, TargetPoint, is_proper
 from hyperfair.linalg import RatMatrix, _to_row, kernel_basis, pseudo_inverse
 from hyperfair.measures import Interval, StepDensity, common_refinement, gram_matrix, measure_of
@@ -44,6 +47,16 @@ def test_sharing_matrix_validation():
     m = trio_sharing()
     assert m.n == 3
     assert m[1, 2] == F(10, 27)
+
+
+def test_hyperfree_defines_the_sharing_matrix_type_and_imports_only_at_module_level():
+    # a plan's P + delta K is a sharing matrix too, so hyperfree owns the
+    # type and needs nothing from verify, which imports hyperfree
+    assert SharingMatrix is hyperfree.SharingMatrix is hyperfair.SharingMatrix
+    tree = ast.parse(open(hyperfree.__file__, encoding="utf-8").read())
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert all(node in tree.body for node in imports)
+    assert all(node.module != "verify" for node in imports)
 
 
 def test_sharing_matrix_of_the_trio_partition(trio_profile):
