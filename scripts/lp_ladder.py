@@ -45,6 +45,9 @@ from hyperfair.relations import RelationMatrix, solve_relations, verify_refutati
 #: players and number of random relations of the super-envy-free sign
 #: patterns, each run at every seed
 SIGN_RUNGS = ((12, 1), (16, 1), (16, 0))
+#: the default weight LP rungs, players x grid, and seeds
+RUNGS = ("8x16", "12x16")
+SEEDS = (1, 2)
 
 
 class _Probe:
@@ -122,12 +125,17 @@ def probed(solve, *args) -> tuple[_Probe, float, object]:
     return probe, total, answer
 
 
-def rung(players: int, grid: int, seed: int) -> list[tuple[str, _Probe, float]]:
-    """The maximum-margin and the half-margin call of one rung."""
+def rung_problem(players: int, grid: int, seed: int):
+    """The profile, goal matrix and target of one rung at one seed."""
     rng = random.Random(seed)
     profile = random_profile(rng, players, grid, dependent=False)
     k = random_goal(rng, gram_matrix(profile))
-    p = random_target(rng, players)
+    return profile, k, random_target(rng, players)
+
+
+def rung(players: int, grid: int, seed: int) -> list[tuple[str, _Probe, float]]:
+    """The maximum-margin and the half-margin call of one rung."""
+    profile, k, p = rung_problem(players, grid, seed)
     probe, total, (_, best) = probed(solve_alpha, profile, k, p, MAXIMIZE)
     half, half_total, _ = probed(solve_alpha, profile, k, p, best / 2)
     return [("max", probe, total), ("max/2", half, half_total)]
@@ -149,9 +157,9 @@ def sign_rung(players: int, count: int, seed: int) -> list[tuple[str, _Probe, fl
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--rungs", nargs="+", default=["8x16", "12x16"],
+    ap.add_argument("--rungs", nargs="+", default=list(RUNGS),
                     help="weight LP rungs, players x grid, e.g. 12x16")
-    ap.add_argument("--seeds", nargs="+", type=int, default=[1, 2])
+    ap.add_argument("--seeds", nargs="+", type=int, default=list(SEEDS))
     args = ap.parse_args(argv)
 
     failed = False

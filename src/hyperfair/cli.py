@@ -164,6 +164,8 @@ def cmd_solve(args: argparse.Namespace) -> tuple[int, dict]:
                                  "margin": _text(solution.margin),
                                  "k": None if k is None else matrix_to_strings(k.mat)}
         if not solution.feasible:
+            # Motzkin's alternative (a, b_1, ..., b_L), one b per kernel_basis vector
+            report["feasibility"]["refutation"] = [vector_to_strings(v) for v in solution.refutation]
             print("Sign pattern: infeasible (no proper goal matrix matches)")
             return EXIT_INFEASIBLE, report
         print(f"Sign pattern: feasible (slack {report['feasibility']['margin']})")

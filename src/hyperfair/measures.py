@@ -88,7 +88,7 @@ class StepDensity:
             raise ValueError("need at least two breakpoints")
         if bp[0] != 0 or bp[-1] != 1:
             raise ValueError("breakpoints must start at 0 and end at 1")
-        rows = _cell_rows(bp, vals)
+        rows = self.int_rows
         if any(any(map(operator.ge, b, b[1:])) for (b, _), _ in rows):
             raise ValueError("breakpoints must strictly increase")
         if len(vals) != len(bp) - 1:
@@ -98,6 +98,12 @@ class StepDensity:
         mass = _mass(rows)
         if mass != 1:
             raise ValueError(f"density must integrate to 1, got {fmt(mass)}")
+
+    @cached_property
+    def int_rows(self) -> list:
+        """:func:`_cell_rows` of the breakpoints and values, built once (by
+        validation) and only read."""
+        return _cell_rows(self.breakpoints, self.values)
 
     @staticmethod
     def make(breakpoints: Sequence[int | str | Fraction],
@@ -157,12 +163,20 @@ class MeasureProfile:
         return self.blocks[0][atom] is None
 
     @cached_property
+    def value_rows(self) -> tuple[_Row, ...]:
+        """Each player's atom values as one integer row, built once and only read:
+        the density's own value row (:attr:`StepDensity.int_rows`) when the
+        refinement kept its cells as they stood, in one chunk, else :func:`_to_row`."""
+        return tuple(d.int_rows[0][1] if row is d.values and len(row) <= _CHUNK else _to_row(row)
+                     for d, row in zip(self.densities, self.atom_values))
+
+    @cached_property
     def blocks(self) -> tuple[tuple[int | None, ...], tuple[tuple[int, ...], ...], tuple[_Row, ...]]:
         """Each atom's block of equal :func:`rn_weights` (``None`` where every
         density vanishes; numbered in order of first appearance), each block's
         primitive integer column of lifted density values, and each player's
         block measures as one integer row; built once and only read."""
-        values = [_to_row(row) for row in self.atom_values]
+        values = self.value_rows
         lengths, e = _to_row([atom.length for atom in self.atoms])
         common = math.lcm(*(d for _, d in values))
         lift = [(v, common // d) for v, d in values]

@@ -33,7 +33,6 @@ every atom of the block gets: the realizable sharing matrices do not change.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -111,33 +110,37 @@ class Partition:
     _text: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        cursor, (c, d) = Fraction(0), (0, 1)
-        for iv, owner in self.tiling:
-            a, b = iv.lo.as_integer_ratio()
-            if a * d > c * b:
-                raise PartitionError(f"coverage gap [{fmt(cursor)}, {fmt(iv.lo)}] is assigned to nobody")
-            if a * d < c * b:
+        cursor, c, d = Fraction(0), 0, 1
+        for _, lo, _, hi, owner, iv, a, b, e, f in self.records:
+            if a != c or b != d:
+                if a * d > c * b:
+                    raise PartitionError(f"coverage gap [{fmt(cursor)}, {fmt(lo)}] is assigned to nobody")
                 raise PartitionError(
-                    f"interval {iv} of player {owner} overlaps [{fmt(iv.lo)}, {fmt(min(iv.hi, cursor))}]"
-                )
-            cursor = iv.hi
-            c, d = cursor.as_integer_ratio()
+                    f"interval {iv} of player {owner} overlaps [{fmt(lo)}, {fmt(min(hi, cursor))}]")
+            cursor, c, d = hi, e, f
         if c != d:
             raise PartitionError(f"coverage gap [{fmt(cursor)}, 1] is assigned to nobody")
 
     @cached_property
-    def tiling(self) -> list[tuple[Interval, int]]:
-        """The intervals of positive length and their owners, ordered by (lo, hi);
-        rounded floats are monotone (``a / b`` is ``float()``'s), so Fractions are
-        compared only on float ties."""
-        keyed = []
+    def records(self) -> list[tuple]:
+        """One record per interval of positive length, ``(lo as a float, lo, hi as a
+        float, hi, owner, interval, *lo's integer pair, *hi's integer pair)``, in
+        order of (lo, hi) and then owner; built once and only read.  Rounded floats
+        are monotone (``a / b`` is ``float()``'s), so Fractions are compared only on
+        float ties, and records that tie on both ends are equal up to the owner."""
+        records = []
         for owner, ivs in enumerate(self.pieces):
             for iv in ivs:
                 (a, b), (c, d) = iv.lo.as_integer_ratio(), iv.hi.as_integer_ratio()
                 if a != c or b != d:
-                    keyed.append(((a / b, iv.lo, c / d, iv.hi), iv, owner))
-        keyed.sort(key=operator.itemgetter(0))
-        return [(iv, owner) for _, iv, owner in keyed]
+                    records.append((a / b, iv.lo, c / d, iv.hi, owner, iv, a, b, c, d))
+        records.sort()
+        return records
+
+    @cached_property
+    def tiling(self) -> list[tuple[Interval, int]]:
+        """The intervals of positive length and their owners, in :attr:`records` order."""
+        return [(iv, owner) for _, _, _, _, owner, iv, *_ in self.records]
 
     @property
     def n(self) -> int:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .hyperfree import UNCONSTRAINED, GoalMatrix, SharingMatrix, TargetPoint
-from .linalg import RatMatrix, _least, _products, _ratio_row, _to_row
+from .linalg import RatMatrix, _least, _products, _to_row
 from .measures import MeasureProfile
 from .partition import Partition
 
@@ -45,32 +45,34 @@ def sharing_matrix(profile: MeasureProfile, part: Partition) -> SharingMatrix:
     """Exact cross-valuation matrix of a partition.
 
     It is the product of the density values on the atoms with ``held``,
-    where ``held[a][j]`` is the length of player ``j``'s pieces inside
-    atom ``a``.  One walk along the partition's ``tiling`` and the atoms
-    compares their ends by cross-multiplication and adds each step's
-    ends to a cell of ``held``, summed once over the cell's own least
-    common denominator; each entry is one integer dot product.
+    where ``held[j][a]`` is the length of player ``j``'s pieces inside
+    atom ``a``.  Player ``j``'s row of ``held`` is one integer row over
+    the least common multiple of the atom ends' and ``j``'s piece ends'
+    denominators.  One walk along the partition's ``records`` and the atoms
+    compares their ends by cross-multiplication and adds each fragment's
+    length to its cell; each entry is one integer dot product.
     """
     if part.n != profile.n:
         raise ValueError(f"partition has {part.n} players, profile has {profile.n}")
-    n, atoms = profile.n, profile.atoms
+    atoms = profile.atoms
     ends = [iv.hi.as_integer_ratio() for iv in atoms]
-    held: list[list[list[tuple[int, int]]]] = [[[] for _ in range(n)] for _ in atoms]
-    a, cursor = 0, (0, 1)
-    for iv, j in part.tiling:
-        hi = iv.hi.as_integer_ratio()
-        while cursor != hi:
-            side = hi[0] * ends[a][1] - ends[a][0] * hi[1]
-            step = hi if side <= 0 else ends[a]
-            held[a][j] += (step, (-cursor[0], cursor[1]))
-            cursor = step
-            if side >= 0:
+    dens = [math.lcm(*(e for _, e in ends))] * profile.n
+    for _, _, _, _, j, _, _, b, _, d in part.records:
+        dens[j] = math.lcm(dens[j], b, d)
+    held = [[0] * len(atoms) for _ in dens]
+    a, x, y = 0, 0, 1  # the walk is at x/y, inside atom a
+    for _, _, _, _, j, _, _, _, c, d in part.records:
+        row, den = held[j], dens[j]
+        while x != c or y != d:  # to the nearer of the piece's end c/d and the atom's u/v
+            u, v = ends[a]
+            if c * v < u * d:
+                row[a] += c * (den // d) - x * (den // y)
+                x, y = c, d
+            else:
+                row[a] += u * (den // v) - x * (den // y)
+                x, y = u, v
                 a += 1
-    cells = [[(sum(x * (den // e) for x, e in cell), den)
-              for cell in column for den in [math.lcm(*(e for _, e in cell))]]
-             for column in zip(*held)]
-    values = [_to_row(row) for row in profile.atom_values]
-    return SharingMatrix(_products(values, [_ratio_row(column) for column in cells]))
+    return SharingMatrix(_products(profile.value_rows, list(zip(held, dens))))
 
 
 def rawlsian_distance(m: SharingMatrix | RatMatrix) -> Fraction:

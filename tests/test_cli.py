@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import importlib.util
 import io
 import json
 import math
@@ -17,6 +18,7 @@ from hyperfair import (GoalMatrix, Partition, RatMatrix, TargetPoint, cli, commo
                        factor_delta_bound, factor_weights, gram_matrix, linalg, problem_io, sharing_matrix,
                        spectral_delta_bound)
 from hyperfair.cli import EXIT_INFEASIBLE, EXIT_INVALID, EXIT_OK, main
+from hyperfair.relations import RelationMatrix, verify_refutation
 
 from conftest import (TRIO_GRAM_ROWS, TRIO_PINV_K_ROWS, TRIO_PINV_ROWS, TRIO_SHARING_ROWS, fine_tiling,
                       random_profile, random_proper_goal, random_target)
@@ -24,6 +26,7 @@ from conftest import (TRIO_GRAM_ROWS, TRIO_PINV_K_ROWS, TRIO_PINV_ROWS, TRIO_SHA
 F = Fraction
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def run(capsys, *argv):
@@ -210,8 +213,38 @@ def test_solve_rejects_an_infeasible_pattern(capsys, tmp_path):
     assert code == EXIT_INFEASIBLE
     assert "Sign pattern: infeasible" in out
     report = json.loads(out_path.read_text())
-    assert report["feasibility"] == {"status": "infeasible", "margin": None, "k": None}
+    assert report["feasibility"] == {"status": "infeasible", "margin": None, "k": None,
+                                     "refutation": [["0", "0", "0"], ["1/20", "0", "0"]]}
     assert "partition" not in report
+
+
+def test_every_infeasible_pool_pattern_ships_a_refutation_that_checks(monkeypatch, capsys, tmp_path):
+    # The sign patterns of the benchmark's seed-1 and seed-2 solve_max pools
+    # (160 problems each, as perfbench/run.py generates them): each infeasible
+    # report's refutation, read back from its strings, must prove the verdict
+    # against the report's own kernel basis; a feasible report has none.
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # workloads imports checker
+    spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    out_path, infeasible = tmp_path / "report.json", 0
+    for seed in (1, 2):
+        for problem in (s["problem"] for s in workloads.generate("solve_max", seed, 160)):
+            if "R" not in problem:
+                continue
+            code, _, _ = run(capsys, "solve", "--input", write(tmp_path, "p.json", problem),
+                             "--output", str(out_path))
+            report = json.loads(out_path.read_text())
+            feasibility = report["feasibility"]
+            assert code == (EXIT_OK if feasibility["status"] == "feasible" else EXIT_INFEASIBLE)
+            if code == EXIT_OK:
+                assert "refutation" not in feasibility
+                continue
+            infeasible += 1
+            refutation = [[linalg.rat(x) for x in v] for v in feasibility["refutation"]]
+            relations = [[linalg.rat(x) for x in v] for v in report["kernel_basis"]]
+            assert verify_refutation(refutation, RelationMatrix.from_symbols(problem["R"]), relations)
+    assert infeasible == 64
 
 
 def test_solve_builds_from_a_feasible_pattern(capsys, tmp_path):

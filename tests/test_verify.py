@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,8 +11,8 @@ import hyperfair
 from hyperfair import hyperfree
 from hyperfair.hyperfree import UNCONSTRAINED, GoalMatrix, TargetPoint, is_proper
 from hyperfair.linalg import RatMatrix, _to_row, kernel_basis, pseudo_inverse
-from hyperfair.measures import Interval, StepDensity, common_refinement, gram_matrix, measure_of
-from hyperfair.partition import Partition, build_from_weights, solve_alpha
+from hyperfair.measures import Interval, StepDensity, _cell_rows, common_refinement, gram_matrix, measure_of
+from hyperfair.partition import MAXIMIZE, Partition, build_from_weights, build_via_stochastic_factor, solve_alpha
 from hyperfair.relations import RelationMatrix
 from hyperfair.verify import (
     FairnessReport,
@@ -21,7 +22,7 @@ from hyperfair.verify import (
     sharing_matrix,
 )
 
-from conftest import TRIO_GRAM_ROWS, TRIO_SHARING_ROWS, fine_tiling, random_profile
+from conftest import TRIO_GRAM_ROWS, TRIO_SHARING_ROWS, fine_tiling, random_profile, random_proper_goal
 from oracles import fairness_verdicts, gram_by_atoms, refine, sharing_by_intervals
 
 F = Fraction
@@ -405,7 +406,35 @@ def test_audit_of_a_fine_tiling_matches_the_oracle(trio_profile, trio_goal, unif
         want["envy_free"], want["rawlsian"], want["hyper"])
 
 
-# -- the shared integer rows of a matrix --------------------------------------------
+# -- the shared integer rows of a matrix, a density, a profile and a partition ------
+
+def profiles():
+    """Densities on one shared grid of 4 cells, the trio's merged grid, and
+    one shared grid of 70 cells (two ``_cell_rows`` chunks per density)."""
+    quarters, seventieths = ["0", "1/4", "1/2", "3/4", "1"], [F(i, 70) for i in range(71)]
+    return {
+        "shared": common_refinement([StepDensity.normalized(quarters, values) for values in (
+            ["1", "1", "1", "1"], ["2", "2", "0", "1"], ["0", "1", "3", "2"])]),
+        "merged": common_refinement([
+            StepDensity.make(["0", "1/10", "1"], ["10", "0"]),
+            StepDensity.make(["0", "1/10", "1"], ["0", "10/9"]),
+            StepDensity.make(["0", "1"], ["1"]),
+        ]),
+        "long": common_refinement([StepDensity.normalized(seventieths, [(i * s) % 7 + 1 for i in range(70)])
+                                   for s in (1, 2, 3)]),
+    }
+
+
+def test_a_profile_takes_a_density_value_row_as_built_only_where_the_refinement_kept_its_cells():
+    built = profiles()
+    for name, profile in built.items():
+        for d, row, values in zip(profile.densities, profile.value_rows, profile.atom_values):
+            assert row == _to_row(values)
+            # a merged grid reads each density afresh, atom by atom, and a
+            # density of more than 64 cells keeps its values in two rows
+            assert (row is d.int_rows[0][1]) == (name == "shared")
+    assert [len(d.int_rows) for d in built["long"].densities] == [2, 2, 2]
+
 
 def test_every_reader_leaves_the_cached_integer_rows_as_built():
     m = RatMatrix.from_rows(TRIO_SHARING_ROWS)
@@ -422,6 +451,24 @@ def test_every_reader_leaves_the_cached_integer_rows_as_built():
     for mat in (m, k.mat):
         assert mat.int_rows == tuple((tuple(v), d) for v, d in map(_to_row, map(mat.row, range(3))))
     assert m @ m == first
+    # a density's rows, its profile's value rows and a partition's piece
+    # records, after the Gram matrix, both construction routes and the audit
+    rng = random.Random(5)
+    for profile in profiles().values():
+        goal, target = random_proper_goal(rng, profile), TargetPoint.uniform(profile.n)
+        g = gram_matrix(profile)
+        weights, _ = solve_alpha(profile, goal, target, MAXIMIZE)
+        parts = [build_from_weights(profile, weights),
+                 build_via_stochastic_factor(profile, goal, target, hyperfree.delta_bound(
+                     pseudo_inverse(g), goal, target))]
+        for part in parts:
+            check_fairness(sharing_matrix(profile, part), goal, target)
+        for d in profile.densities:
+            assert d.int_rows == _cell_rows(d.breakpoints, d.values)
+        assert profile.value_rows == tuple(map(_to_row, profile.atom_values))
+        assert gram_matrix(profile) == g
+        for part in parts:
+            assert part.records == Partition(part.pieces).records
 
 
 def test_the_audit_refuses_a_non_square_matrix_and_a_pattern_of_another_size():
