@@ -27,6 +27,17 @@ LP has none and runs both.  An LP with a start point gets the crossover
 as its only float run, so a weight or alternative LP whose crossover
 is lost shows as a fallback, not as a second Bland phase.
 
+Last, once and at seed 1 whatever ``--seeds`` says, the ladder decides
+``DEPENDENT_RUNG``: the super-envy-free pattern at 12 players under the four
+measure relations of a dependent 8-cell profile, drawn by
+``random_profile``.  Its 145 x 265 alternative LP is expected to fall
+back: the float crossover's phase 2 runs to the pivot limit, and the
+exact simplex answers from its own crossover with one more Bland phase.
+Its row prints as ``n dep cells``, with both runs' pivots and phases,
+and it fails the ladder if the exact run builds a phase-1 tableau or if
+``verify_refutation`` rejects the refutation.  It takes 20 to 35 s on a
+shared 2-vCPU host.
+
     PYTHONPATH=src python3 scripts/lp_ladder.py --rungs 8x16 12x16 --seeds 1 2
 """
 
@@ -40,11 +51,15 @@ from fractions import Fraction
 from random_roundtrip import random_goal, random_profile, random_target
 
 from hyperfair import MAXIMIZE, gram_matrix, simplex, solve_alpha
+from hyperfair.measures import measure_relations
 from hyperfair.relations import RelationMatrix, solve_relations, verify_refutation
 
 #: players and number of random relations of the super-envy-free sign
 #: patterns, each run at every seed
 SIGN_RUNGS = ((12, 1), (16, 1), (16, 0))
+#: players, cells and seed of the dependent profile whose super-envy-free
+#: pattern's alternative LP falls back to the exact simplex
+DEPENDENT_RUNG = (12, 8, 1)
 #: the default weight LP rungs, players x grid, and seeds
 RUNGS = ("8x16", "12x16")
 SEEDS = (1, 2)
@@ -56,21 +71,23 @@ class _Probe:
     ``simplex`` looks them up.
 
     Bland's iterations and pivots are the ones both arithmetics share, so
-    the exact pivots of a fallback would count too; a fallback fails the
-    ladder anyway.
+    the exact pivots of a fallback count too; a fallback fails the ladder
+    anyway, except on ``DEPENDENT_RUNG``, which counts the phase-1 tableaus
+    its fallback builds.
     """
 
     def __init__(self) -> None:
         self.shape = (0, 0)
         self.crossover_pivots = self.bland_pivots = self.bland_phases = self.fallbacks = 0
+        self.exact_phase1_tableaus = 0
         self.float_s = self.certify_s = 0.0
-        self._in_bland = False
+        self._in_bland = self._in_exact = False
         self._saved: dict = {}
 
     def __enter__(self) -> _Probe:
-        names = ("_float_basis", "_certify", "_iterate", "_pivot", "_solve")
+        names = ("_float_basis", "_certify", "_iterate", "_pivot", "_solve", "_phase1_tableau")
         self._saved = {name: getattr(simplex, name) for name in names}
-        float_basis, certify, iterate, pivot, exact = self._saved.values()
+        float_basis, certify, iterate, pivot, exact, phase1_tableau = self._saved.values()
 
         def timed_float_basis(goal, base):
             self.shape = (len(base), len(goal.objective))
@@ -104,9 +121,18 @@ class _Probe:
 
         def counted_exact(goal, base):
             self.fallbacks += 1
-            return exact(goal, base)
+            self._in_exact = True
+            try:
+                return exact(goal, base)
+            finally:
+                self._in_exact = False
 
-        wrappers = (timed_float_basis, timed_certify, counted_iterate, counted_pivot, counted_exact)
+        def counted_phase1_tableau(base, nvars):
+            self.exact_phase1_tableaus += self._in_exact
+            return phase1_tableau(base, nvars)
+
+        wrappers = (timed_float_basis, timed_certify, counted_iterate, counted_pivot, counted_exact,
+                    counted_phase1_tableau)
         for name, wrapper in zip(names, wrappers):
             setattr(simplex, name, wrapper)
         return self
@@ -155,12 +181,31 @@ def sign_rung(players: int, count: int, seed: int) -> list[tuple[str, _Probe, fl
     return [("sign", probe, total)]
 
 
+def dependent_rung(players: int, grid: int, seed: int) -> tuple[_Probe, float]:
+    """The super-envy-free pattern under the measure relations of one
+    dependent profile, which the exact simplex refutes after the float
+    run is lost."""
+    profile = random_profile(random.Random(seed), players, grid, dependent=True)
+    relations = measure_relations(profile)
+    pattern = RelationMatrix.super_envy_free(players)
+    probe, total, solution = probed(solve_relations, pattern, relations)
+    assert verify_refutation(solution.refutation, pattern, relations)
+    return probe, total
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--rungs", nargs="+", default=list(RUNGS),
                     help="weight LP rungs, players x grid, e.g. 12x16")
     ap.add_argument("--seeds", nargs="+", type=int, default=list(SEEDS))
     args = ap.parse_args(argv)
+
+    def show(label: str, seed: int, margin: str, probe: _Probe, total: float) -> None:
+        shape = f"{probe.shape[0]} x {probe.shape[1]}"
+        print(f"{label:<9}{seed:>4} {margin:>5} {shape:>9}"
+              f" {probe.crossover_pivots:>9} {probe.bland_pivots:>6} {probe.bland_phases:>6}"
+              f" {probe.float_s:>7.3f} {probe.certify_s:>7.3f} {total:>7.3f}"
+              f" {probe.fallbacks:>9}")
 
     failed = False
     print(f"{'rung':>8} {'seed':>4} {'LP':>5} {'LP shape':>9} {'crossover':>9} {'Bland':>6}"
@@ -171,11 +216,11 @@ def main(argv=None) -> int:
         for seed in args.seeds:
             for margin, probe, total in run(players, size, seed):
                 failed |= probe.fallbacks > 0 or (run is rung and probe.bland_phases > 1)
-                shape = f"{probe.shape[0]} x {probe.shape[1]}"
-                print(f"{label:<9}{seed:>4} {margin:>5} {shape:>9}"
-                      f" {probe.crossover_pivots:>9} {probe.bland_pivots:>6} {probe.bland_phases:>6}"
-                      f" {probe.float_s:>7.3f} {probe.certify_s:>7.3f} {total:>7.3f}"
-                      f" {probe.fallbacks:>9}")
+                show(label, seed, margin, probe, total)
+    players, cells, seed = DEPENDENT_RUNG
+    probe, total = dependent_rung(players, cells, seed)
+    failed |= probe.exact_phase1_tableaus > 0
+    show(f"{players:>3} dep {cells}", seed, "sign", probe, total)
     return 1 if failed else 0
 
 

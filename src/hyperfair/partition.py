@@ -244,10 +244,10 @@ def solve_alpha(profile: MeasureProfile, k: GoalMatrix, p: TargetPoint,
             terms = [(b * n + j, measure[b] * scale) for b in range(blocks)]
             terms.append((delta_var, -kij.numerator * (den // kij.denominator)))
             rows.append(_row(nvars, terms, pj.numerator * (den // pj.denominator), den))
-    start = tuple(map(float, p.shares)) * blocks + (0.0,)
+    start = p.shares * blocks + (0,)
     if cap is not None:  # delta + s = cap, with the slack s >= 0 last
         rows.append(_to_row([0] * delta_var + [1, 1, cap]))
-        start += (float(cap),)
+        start += (cap,)
 
     objective = (0,) * delta_var + (1,) + (0,) * (nvars - delta_var - 1)
     outcome = _certified_solve(_Objective(objective, start=start), rows)

@@ -221,7 +221,7 @@ def _refutation_lp(r: RelationMatrix, relations: Sequence[Sequence[Fraction]],
             for idx, (i, j) in enumerate(strict_cells)]
     rows.append(_row(nvars, [(u + idx, 1) for idx in range(len(strict_cells))] + [(nvars - 1, 1)], 1))
     objective = (0,) * u + (1,) * len(strict_cells) + (0,)
-    outcome = _certified_solve(_Objective(objective, start=(0.0,) * (nvars - 1) + (1.0,)), rows)
+    outcome = _certified_solve(_Objective(objective, start=(0,) * (nvars - 1) + (1,)), rows)
     assert outcome.status is LpStatus.OPTIMAL, "Z = 0 and w = 1 meet every row; the last bounds u"
     assert outcome.witness is not None
     if outcome.value == 0:

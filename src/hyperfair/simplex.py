@@ -5,10 +5,10 @@ subject to ``A x = b`` and ``x >= 0``.  All pivoting uses Bland's rule
 (smallest eligible index enters, smallest basic index breaks ratio
 ties), which rules out cycling.
 
-Bland's rule is written once, as :func:`_two_phase` over
-:func:`_pivot` and :func:`_iterate`, for rows of either number type: on
-floats, with the tolerance ``_EPS`` and the pivot limit
-``_FLOAT_PIVOTS``, it is the float stage below; on Fractions, with
+Bland's rule is written once, as :func:`_run` over :func:`_crossover`,
+:func:`_two_phase`, :func:`_pivot` and :func:`_iterate`, for rows of
+either number type: on floats, with the tolerance ``_EPS`` and the pivot
+limit ``_FLOAT_PIVOTS``, it is the float stage below; on Fractions, with
 tolerance 0 and no pivot limit, it is exact, and every sign test and
 ratio comparison with it.  The package's own LPs, the weight LP and the
 two sign LPs, enter as :mod:`hyperfair.linalg`'s integer rows of ``[A | b]``
@@ -20,29 +20,33 @@ once, by :func:`_integer_lp` in :func:`simplex_solve` and
 either sign: phase 1 negates the rows where it is negative.  The
 reported optimum and witness are exact Fractions.
 
-:func:`simplex_solve` is that exact method, kept as the reference.
-:func:`certified_solve` answers the same problems faster, and the
-package's LPs go to its integer-row core, :func:`_certified_solve`.
-The same two phases run in floats, from the same starting basis, and
-give only their final basis.  An LP handed over with a feasible
-``start`` point (the weight LP's, at every margin, see
-:func:`hyperfair.partition.solve_alpha`, and the sign pattern's
-alternative LP's, see :mod:`hyperfair.relations`) skips phase 1 by a crossover
-(Megiddo's purification): in floats, the point's support columns are
-pivoted into a basis, each nonbasic one then moves to 0 along its
-tableau column, swapping places with a basic column that reaches 0
-first, and Bland's phase 2 runs from the vertex this ends on.  That is
-the LP's only float run: if the floats lose the point on the way, or
-phase 2 ends unbounded or at the pivot limit, no basis is found.  One
+An LP handed over with a feasible ``start`` point (the weight LP's, at
+every margin, see :func:`hyperfair.partition.solve_alpha`, and the sign
+pattern's alternative LP's, see :mod:`hyperfair.relations`) skips phase 1
+by a crossover (Megiddo's purification), in either arithmetic: the
+point's support columns are pivoted into a basis, each nonbasic one then
+moves to 0 along its tableau column, swapping places with a basic column
+that reaches 0 first, and Bland's phase 2 runs from the vertex this ends
+on.  Phase 1 runs only for an LP without a start point, or after an
+exact crossover that ends infeasible, which a start point off the rows
+gives.
+
+:func:`simplex_solve` is the exact run from phase 1, kept as the
+reference.  :func:`certified_solve` answers the same problems faster,
+and the package's LPs go to its integer-row core,
+:func:`_certified_solve`.  The float run gives only its final basis; a
+float run that loses its start point, as floats may, gives none, and so
+does one that ends infeasible, unbounded or at the pivot limit.  One
 exact forward elimination on the final basis's columns of ``[A | b]``,
 by ``linalg._pivot_on`` on the integer rows, certifies it: the rows it
 leaves over must vanish, the basic values, back-substituted, must be
 nonnegative and every reduced cost must have the optimal sign.  A
 certified basis gives the exact vertex and value, Bland's own whenever
 the two phases ran and the float comparisons agreed with the exact
-ones; anything uncertified or not found, and every infeasible or
-unbounded float verdict, comes from the exact :func:`_solve` on the
-same rows.  So floats only pick the basis to test.
+ones; anything uncertified or not found comes from the exact run on the
+same rows, :func:`_solve`, which answers an LP with a start point from
+its exact crossover's vertex, with no phase 1.  So floats only pick the
+basis to test.
 """
 
 from __future__ import annotations
@@ -90,13 +94,14 @@ class _Objective(NamedTuple):
     """The objective of an LP handed over as integer rows, one coefficient per column.
 
     The package's LPs state it in ints, an :class:`LpProblem` in Fractions.
-    ``start``, when given, is a feasible point of the rows, one float per
-    column, from which the float stage crosses over to a vertex.
+    ``start``, when given, is a feasible point of the rows, exact, one
+    value per column, from which both the float run and the exact one
+    cross over to a vertex.
     """
 
     objective: tuple[int | Fraction, ...]
     maximize: bool = True
-    start: tuple[float, ...] | None = None
+    start: tuple[int | Fraction, ...] | None = None
 
 
 #: Tolerance of every sign test and ratio tie in :func:`certified_solve`'s
@@ -114,7 +119,12 @@ _EPS = 1e-9
 #: and the alternative LP of a 16-player super-envy-free pattern under
 #: one random integer relation about 260 crossover and 50 to 70 phase-2
 #: pivots.  A float run that would take more (it may cycle where exact
-#: Bland cannot) hands the problem to the exact :func:`_solve`.
+#: Bland cannot) hands the problem to the exact :func:`_solve`.  A capped
+#: run costs 10 to 19 s of float pivots on a 145 x 265 alternative LP (the
+#: 12-player pattern of ``scripts/lp_ladder.py``'s dependent rung, on a
+#: shared 2-vCPU host), and the exact run then crosses over and takes 537
+#: phase-2 pivots in 9 to 15 s, where a restart from phase 1 took 155 to
+#: 175 s.
 _FLOAT_PIVOTS = 20_000
 
 
@@ -286,81 +296,96 @@ def simplex_solve(problem: LpProblem) -> LpOutcome:
 def _solve(goal: _Objective, base: list[_Row]) -> LpOutcome:
     """:func:`simplex_solve` on the integer rows ``base`` of ``[A | b]``, ``b`` of either sign.
 
-    The float stage's :func:`_two_phase`, run on Fractions with tolerance 0
-    and no pivot limit; the vertex is read off its final rows.
+    :func:`_run` on Fractions; the vertex is read off its final rows.
     """
-    nvars = len(goal.objective)
-    rows, basis = _phase1_tableau(base, nvars)
-    # zeros stay ints, which the tableau's sign tests read fast
-    status, rows, basis = _two_phase([[Fraction(x, d) if x else 0 for x in v] for v, d in rows],
-                                     basis, nvars, _min_costs(goal), 0, math.inf)
-    if status != "optimal":
-        return LpOutcome(LpStatus(status))
-    return _vertex(goal, basis, (Fraction(row[-1]) for row in rows))
+    status, rows, basis = _run(goal, base, 0, math.inf)
+    return (_vertex(goal, basis, (Fraction(row[-1]) for row in rows)) if status == "optimal"
+            else LpOutcome(LpStatus(status)))
 
 
-# -- the float stage and the exact certificate of certified_solve --------
-
-def _crossover(base: list[_Row], start: tuple[float, ...], c: list[float]) -> list[int] | None:
-    """Bland's phase-2 basis of min ``c . x`` over the rows ``base``, from the
-    feasible point ``start``, in floats; ``None`` if the floats lose it.
+def _crossover(rows: list[list], start: tuple, eps: float) -> tuple[list[list], list[int] | None]:
+    """The tableau and basis of a vertex of the converted rows ``rows`` of
+    ``[A | b]``, reached from the feasible point ``start`` in their
+    arithmetic, with sign tests up to ``eps``; no basis if a basic value
+    ends below ``-eps``.
 
     Each row pivots on its largest entry in a support column of ``start``
-    not yet basic, else in a zero-valued one, and is dropped as redundant
-    without either.  Each nonbasic support column then moves to 0 along
-    its tableau column, the basic values following; a basic value that
-    reaches 0 first leaves, and the column enters in its row.
+    not yet basic, else in any other, and is dropped as redundant without
+    either (no basis if its right-hand side is then beyond ``eps``).  Each
+    nonbasic support column then moves to 0 along its tableau column, the
+    basic values following; a basic value that reaches 0 first leaves,
+    and the column enters in its row.
     """
-    nvars = len(start)
-    rows = [[x / d for x in v] for v, d in base]
     basis = [-1] * len(rows)
-    support = [j for j in range(nvars) if start[j] > 0.0]
-    zeros = [j for j in range(nvars) if start[j] == 0.0]
+    support = [j for j in range(len(start)) if start[j] > 0]
+    others = [j for j in range(len(start)) if start[j] <= 0]
     for r, row in enumerate(rows):
-        for columns in (support, zeros):
+        for columns in (support, others):
             col = max(columns, key=lambda j: abs(row[j]), default=None)
-            if col is not None and abs(row[col]) > _EPS:
+            if col is not None and abs(row[col]) > eps:
                 columns.remove(col)
                 _pivot(rows, basis, None, r, col)
                 break
+    lost = any(bi < 0 and abs(row[-1]) > eps for row, bi in zip(rows, basis))
     rows = [row for row, bi in zip(rows, basis) if bi >= 0]
     basis = [bi for bi in basis if bi >= 0]
     x = list(start)
     for j in support:  # the support columns left nonbasic
         leaving, step = None, x[j]
         for i, row in enumerate(rows):
-            if row[j] < -_EPS and x[basis[i]] / -row[j] < step:
+            if row[j] < -eps and x[basis[i]] / -row[j] < step:
                 leaving, step = i, x[basis[i]] / -row[j]
         for row, bi in zip(rows, basis):
             x[bi] += row[j] * step
         x[j] -= step
         if leaving is not None:
-            x[basis[leaving]] = 0.0
+            x[basis[leaving]] = 0
             _pivot(rows, basis, None, leaving, j)
-    if any(row[-1] < -_EPS for row in rows):
-        return None
-    status, _ = _iterate(rows, basis, _costs(rows, basis, c), nvars, _EPS, _FLOAT_PIVOTS)
-    return basis if status == "optimal" else None
+    return rows, None if lost or any(row[-1] < -eps for row in rows) else basis
 
+
+def _tableau(rows: list[_Row], exact: bool) -> list[list]:
+    """The integer rows ``rows`` on Fractions, their zeros kept as ints,
+    which the tableau's sign tests read fast, if ``exact``; else on floats."""
+    return ([[Fraction(x, d) if x else 0 for x in v] for v, d in rows] if exact
+            else [[x / d for x in v] for v, d in rows])
+
+
+def _run(goal: _Objective, base: list[_Row], eps: float, budget: float) -> tuple[str, list, list]:
+    """Bland's run of ``goal`` over the integer rows ``base``, with sign tests
+    and ratio ties up to ``eps`` and at most ``budget`` pivots per
+    :func:`_iterate` call: on Fractions if ``eps`` is 0, else on floats.
+
+    With a ``start`` point, phase 2 from the :func:`_crossover`'s vertex;
+    a float run that loses the point ends ``"infeasible"``.  Without one,
+    or when the exact crossover ends infeasible, :func:`_two_phase` from
+    :func:`_phase1_tableau`.  Returns the status and the final rows and
+    basis.
+    """
+    nvars, c, exact = len(goal.objective), _min_costs(goal), eps == 0
+    start = goal.start if exact or goal.start is None else tuple(map(float, goal.start))
+    if start is not None:
+        rows, basis = _crossover(_tableau(base, exact), start, eps)
+        if basis is not None:
+            status, _ = _iterate(rows, basis, _costs(rows, basis, c), nvars, eps, budget)
+            return status, rows, basis
+        if not exact:
+            return "infeasible", rows, []
+    rows, basis = _phase1_tableau(base, nvars)
+    return _two_phase(_tableau(rows, exact), basis, nvars, c, eps, budget)
+
+
+# -- the float stage and the exact certificate of certified_solve --------
 
 def _float_basis(goal: _Objective, base: list[_Row]) -> list[int] | None:
-    """Bland's final basis of ``goal`` over the rows ``base``, found in floats.
+    """Bland's final basis of ``goal`` over the rows ``base``, found in floats
+    by :func:`_run`.
 
-    With a ``start`` point on the goal, the :func:`_crossover` basis and
-    nothing else.  Otherwise the basis of :func:`_solve`'s own
-    :func:`_two_phase`, run on floats with the tolerance ``_EPS``.
     ``None`` when the floats lose the start point or end infeasible,
     unbounded or at the pivot limit ``_FLOAT_PIVOTS``; ``OverflowError``
     on an entry beyond float range.
     """
-    nvars = len(goal.objective)
-    sense = -1.0 if goal.maximize else 1.0
-    c = [sense * float(x) for x in goal.objective]
-    if goal.start is not None:
-        return _crossover(base, goal.start, c)
-    rows, basis = _phase1_tableau(base, nvars)
-    status, _, basis = _two_phase([[x / d for x in v] for v, d in rows], basis,
-                                  nvars, c, _EPS, _FLOAT_PIVOTS)
+    status, _, basis = _run(goal, base, _EPS, _FLOAT_PIVOTS)
     return basis if status == "optimal" else None
 
 

@@ -39,3 +39,18 @@ def test_a_sign_rung_runs_one_lp_without_a_fallback(monkeypatch):
     for players, count, phases in ((12, 1, 1), (6, 0, 2)):
         [(_, probe, _)] = ladder.sign_rung(players, count, 1)
         assert probe.fallbacks == 0 and probe.bland_phases == phases
+
+
+def test_the_probe_counts_the_phase_1_tableaus_a_fallback_builds(monkeypatch, trio_profile, trio_goal,
+                                                                  uniform3):
+    # The dependent rung fails on a fallback that builds a phase-1
+    # tableau.  With no float basis, the weight LP's exact run crosses
+    # over from its start point and builds none; the primal sign LP has
+    # no start point, and its exact run builds one.
+    ladder = _lp_ladder(monkeypatch)
+    monkeypatch.setattr(simplex, "_float_basis", lambda goal, base: None)
+    probe, _, (_, best) = ladder.probed(solve_alpha, trio_profile, trio_goal, uniform3, MAXIMIZE)
+    assert best == Fraction(1, 3)
+    assert probe.fallbacks == 1 and probe.exact_phase1_tableaus == 0
+    [(_, probe, _)] = ladder.sign_rung(6, 0, 1)
+    assert probe.fallbacks == 1 and probe.exact_phase1_tableaus == 1

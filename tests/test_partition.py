@@ -537,8 +537,9 @@ def test_the_crossover_reaches_the_exact_maximum_without_a_fallback(monkeypatch)
         _, best = solve_alpha(profile, random_proper_goal(rng, profile), random_target(rng, n),
                               MAXIMIZE)
         goal, rows = lps[-1]
-        assert goal.start is not None and crossovers[-1] is not None
-        assert exact(goal, rows).value == best
+        assert goal.start is not None and crossovers[-1][1] is not None
+        # exact Bland from phase 1, which runs no crossover
+        assert exact(goal._replace(start=None), rows).value == best
         nulls = sum(map(profile.is_null_atom, range(len(profile.atoms))))
         seen["null"] += nulls > 0
         seen["repeated"] += (len(goal.objective) - 1) // n < len(profile.atoms) - nulls
@@ -556,7 +557,7 @@ def test_a_rejected_crossover_basis_falls_back_to_exact_bland(monkeypatch):
     monkeypatch.setattr(simplex, "_certify", lambda goal, base, basis: None)
     bland = _counted(monkeypatch, "_solve")
     assert solve_alpha(profile, k, p, MAXIMIZE)[1] == best
-    assert crossovers[0] is not None and len(bland) == 1
+    assert crossovers[0][1] is not None and len(bland) == 1
 
 
 def test_solve_alpha_refuses_a_goal_of_another_size(trio_profile, uniform3):
@@ -593,6 +594,28 @@ def test_the_weight_lp_builds_no_phase_1_tableau(monkeypatch, trio_profile, trio
         zero = GoalMatrix.zero(profile.n)
         assert solve_alpha(profile, zero, p, MAXIMIZE)[1] is UNCONSTRAINED
         assert solve_alpha(profile, zero, p, best)[1] == best
+
+
+def test_a_lost_float_run_is_answered_from_the_exact_crossover(monkeypatch, trio_profile, trio_goal,
+                                                              uniform3):
+    # With no float basis, the exact run crosses over from the weight LP's
+    # start point and runs phase 2 from its vertex: no phase-1 tableau is
+    # built, and status and value are the certified ones, with the frozen
+    # trio weights at 1/6.
+    lps = _recorded_weight_lps(monkeypatch)
+    assert solve_alpha(trio_profile, trio_goal, uniform3, MAXIMIZE)[1] == F(1, 3)
+    assert solve_alpha(trio_profile, trio_goal, uniform3, F(1, 6)) == (TRIO_WEIGHTS, F(1, 6))
+    certified = [simplex._certified_solve(goal, rows) for goal, rows in lps]
+
+    def refuse(base, nvars):
+        raise _Phase1Built
+
+    monkeypatch.setattr(simplex, "_float_basis", lambda goal, base: None)
+    monkeypatch.setattr(simplex, "_phase1_tableau", refuse)
+    bland = _counted(monkeypatch, "_solve")
+    assert solve_alpha(trio_profile, trio_goal, uniform3, MAXIMIZE)[1] == F(1, 3)
+    assert solve_alpha(trio_profile, trio_goal, uniform3, F(1, 6)) == (TRIO_WEIGHTS, F(1, 6))
+    assert [(out.status, out.value) for out in bland] == [(out.status, out.value) for out in certified]
 
 
 def test_a_fixed_margin_is_feasible_exactly_up_to_the_maximum():

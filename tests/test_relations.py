@@ -21,6 +21,7 @@ from hyperfair.relations import (
     verify_refutation,
     verify_relation_solution,
 )
+from hyperfair.simplex import LpStatus
 
 from conftest import random_profile, random_proper_goal
 from oracles import (
@@ -406,6 +407,31 @@ def test_sign_lps_are_certified_without_bland(monkeypatch, trio_relation):
     monkeypatch.setattr(simplex, "_float_basis", lambda goal, base: None)
     assert solve_relations(r, rel) == certified and certified.feasible
     assert len(bland_runs) == 2
+
+
+def test_a_lost_float_run_refutes_the_pattern_from_the_exact_crossover(monkeypatch, trio_relation):
+    # With no float basis, the alternative LP is answered by the exact
+    # crossover from Z = 0, w = 1 and phase 2 from its vertex: no phase-1
+    # tableau is built, status and value are the certified ones, and the
+    # refutation checks.
+    r = RelationMatrix.from_symbols(INFEASIBLE_SYMBOLS)
+    float_basis, certify, solve = simplex._float_basis, simplex._certify, simplex._solve
+    exact_runs = []
+
+    def refuse(base, nvars):
+        raise AssertionError("a phase-1 tableau was built")
+
+    monkeypatch.setattr(simplex, "_float_basis", lambda goal, base: None)
+    monkeypatch.setattr(simplex, "_phase1_tableau", refuse)
+    monkeypatch.setattr(simplex, "_solve",
+                        lambda goal, base: exact_runs.append((goal, base, solve(goal, base)))
+                        or exact_runs[-1][2])
+    solution = solve_relations(r, [trio_relation])
+    assert not solution.feasible
+    assert verify_refutation(solution.refutation, r, [trio_relation])
+    [(goal, base, out)] = exact_runs
+    certified = certify(goal, base, float_basis(goal, base))
+    assert (out.status, out.value) == (certified.status, certified.value) == (LpStatus.OPTIMAL, 1)
 
 
 @settings(max_examples=40)

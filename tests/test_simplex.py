@@ -386,52 +386,99 @@ def _counting_float_two_phase(monkeypatch):
     return runs
 
 
+def _counting_phase1_tableaus(monkeypatch):
+    """Record the row count of every phase-1 tableau built."""
+    built, phase1_tableau = [], simplex._phase1_tableau
+    monkeypatch.setattr(simplex, "_phase1_tableau",
+                        lambda base, nvars: built.append(len(base)) or phase1_tableau(base, nvars))
+    return built
+
+
 def test_a_start_the_crossover_loses_falls_back_to_exact_bland(monkeypatch):
     # min x1 over x0 - x1 = -1, x2 = 1: the start (1, 0, 1) is off the
-    # first row, so the crossover's vertex puts x0 at -1 and is dropped;
-    # the crossover is the LP's only float run, and exact Bland answers
+    # first row, so the crossover's vertex puts x0 at -1 and is dropped,
+    # in floats and exactly; the crossover is the LP's only float run,
+    # and exact Bland answers from phase 1
     rows = [([1, -1, 0, -1], 1), ([0, 0, 1, 1], 1)]
-    goal = simplex._Objective((0, 1, 0), maximize=False, start=(1.0, 0.0, 1.0))
-    assert simplex._crossover(rows, goal.start, [0.0, 1.0, 0.0]) is None
+    goal = simplex._Objective((0, 1, 0), maximize=False, start=(1, 0, 1))
+    for exact, eps in ((False, simplex._EPS), (True, 0)):
+        assert simplex._crossover(simplex._tableau(rows, exact), goal.start, eps)[1] is None
     expected = solve([0, 1, 0], [[1, -1, 0], [0, 0, 1]], [-1, 1], maximize=False)
     float_runs = _counting_float_two_phase(monkeypatch)
     calls = _counting_solve(monkeypatch)
+    phase1_tableaus = _counting_phase1_tableaus(monkeypatch)
     assert simplex._certified_solve(goal, rows) == expected
     assert (expected.witness, expected.value) == ((0, 1, 1), 1)
-    assert float_runs == [] and calls == [(goal, rows)]
+    assert float_runs == [] and calls == [(goal, rows)] and phase1_tableaus == [2]
 
 
 def test_the_crossover_answers_the_stress_family_from_its_feasible_points(monkeypatch):
     # Redundant rows, degenerate ties and unbounded LPs, 300 draws each
     # started at the nonnegative point its right-hand side was built
-    # from and solved both ways: the crossover is the only float run, and
-    # every crossover that returns no basis is answered by one exact
-    # Bland run.
+    # from and solved both ways: the float crossover is the only float
+    # run, and every float run that returns no basis (its crossover lost
+    # or its phase 2 unbounded) is answered by one exact run, which
+    # crosses over from the same point and never loses it, so it builds
+    # no phase-1 tableau.
     rng = random.Random(20174)
     lps = []
     while len(lps) < 600:
         objective, a, rhs, point = _pivot_stress_draw(rng)
         if point is not None:
-            start = tuple(map(float, point))
             for maximize in (True, False):
                 problem = LpProblem(objective, a, rhs, maximize=maximize)
                 goal, rows = simplex._integer_lp(problem)
-                lps.append((goal._replace(start=start), rows, simplex_solve(problem)))
+                lps.append((goal._replace(start=tuple(point)), rows, simplex_solve(problem)))
     float_runs = _counting_float_two_phase(monkeypatch)
     calls = _counting_solve(monkeypatch)
-    crossovers = []
-    crossover = simplex._crossover
-    monkeypatch.setattr(simplex, "_crossover",
-                        lambda base, start, c: crossovers.append(crossover(base, start, c))
-                        or crossovers[-1])
+    phase1_tableaus = _counting_phase1_tableaus(monkeypatch)
+    crossovers = {False: [], True: []}  # exact or not: whether each one lost its point
+    crossover, float_basis = simplex._crossover, simplex._float_basis
+    float_bases = []
+
+    def counting(rows, start, eps):
+        rows, basis = crossover(rows, start, eps)
+        crossovers[eps == 0].append(basis is None)
+        return rows, basis
+
+    monkeypatch.setattr(simplex, "_crossover", counting)
+    monkeypatch.setattr(simplex, "_float_basis",
+                        lambda goal, base: float_bases.append(float_basis(goal, base))
+                        or float_bases[-1])
     statuses = set()
     for goal, rows, expected in lps:
         out = simplex._certified_solve(goal, rows)
         assert (out.status, out.value) == (expected.status, expected.value)
         statuses.add(out.status)
-    assert float_runs == [] and len(crossovers) == len(lps)
-    assert len(calls) == crossovers.count(None)
+    assert float_runs == [] and len(crossovers[False]) == len(lps)
+    assert len(float_bases) == len(lps) and len(calls) == float_bases.count(None) > 0
+    assert crossovers[True] == [False] * len(calls) and phase1_tableaus == []
     assert statuses == {LpStatus.OPTIMAL, LpStatus.UNBOUNDED}
+
+
+def test_the_exact_run_answers_from_any_start_point():
+    # A start point off the rows, negative entries or an inconsistent
+    # system included, must not change the exact answer: the exact
+    # crossover then ends infeasible, or on a vertex of the rows, and the
+    # run goes on from phase 1 or from that vertex.
+    rng = random.Random(20175)
+    for rows, start in [([([1, 1], 1), ([1, 2], 1)], (1,)),  # x0 = 1 and x0 = 2
+                        ([([0, 1, 1], 1), ([1, 0, 1], 1)], (1, -1))]:  # x1 = 1 off the start
+        goal = simplex._Objective((1,) * len(start), start=start)
+        assert simplex._solve(goal, rows) == simplex._solve(goal._replace(start=None), rows)
+    routes = set()
+    for _ in range(300):
+        objective, a, rhs = _pivot_stress_lp(rng)
+        problem = LpProblem(objective, a, rhs, maximize=rng.random() < 0.5)
+        goal, rows = simplex._integer_lp(problem)
+        start = tuple(F(rng.choice([-1, 0, 0, 1, 2, F(1, 2)])) for _ in objective)
+        out = simplex._solve(goal._replace(start=start), rows)
+        expected = simplex_solve(problem)
+        assert (out.status, out.value) == (expected.status, expected.value)
+        lost = simplex._crossover(simplex._tableau(rows, True), start, 0)[1] is None
+        routes.add((lost, out.status))
+    assert routes >= {(True, LpStatus.INFEASIBLE), (True, LpStatus.OPTIMAL), (False, LpStatus.OPTIMAL),
+                      (False, LpStatus.UNBOUNDED)}
 
 
 def _overflow(problem, base):
