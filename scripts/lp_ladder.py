@@ -14,29 +14,34 @@ whose entries of both signs make the pattern infeasible, so that the
 alternative LP refutes it; and at 16 players with no relation, where
 the pattern is feasible with slack 1/15 and the row test leaves the
 primal sign LP to find it; these rungs print as ``n rel count``.  For
-every rung, seed and LP it prints the LP's shape; the float pivots
-outside Bland's iterations (the crossover's, and the drive-out of
-artificials if phase 1 ran), those inside them, and the number of
-Bland runs (1, phase 2, after a crossover; 2 where both phases ran);
-the seconds of the float stage, of the exact certificate and of the
-whole call; and the fallbacks to the exact Bland simplex.  Exits 1 on
-any fallback, and on any weight LP whose float stage runs more than
-one Bland phase, as both weight LPs start at a feasible point and need
-no phase 1; the alternative LP starts at one too, and the primal sign
-LP has none and runs both.  An LP with a start point gets the crossover
-as its only float run, so a weight or alternative LP whose crossover
-is lost shows as a fallback, not as a second Bland phase.
+every rung, seed and LP it prints the LP's shape; the pivots outside
+Bland's iterations (the crossover's, and the drive-out of artificials if
+phase 1 ran); the float run's pivot limit, ``simplex._FLOAT_PIVOTS``
+times the LP's rows and columns; Bland's pivots in floats and in
+Fractions, and the number of Bland runs (1, phase 2, after a crossover;
+2 where both phases ran); the seconds of the float stage, of the exact
+certificate and of the whole call; and the fallbacks to the exact Bland
+simplex.  Exits 1 on any fallback, on any float run that takes more
+than half its pivot limit, and on any weight LP whose float stage runs
+more than one Bland phase, as both weight LPs start at a feasible point
+and need no phase 1; the alternative LP starts at one too, and the
+primal sign LP has none and runs both.  An LP with a start point gets
+the crossover as its only float run, so a weight or alternative LP
+whose crossover is lost shows as a fallback, not as a second Bland
+phase.
 
 Last, once and at seed 1 whatever ``--seeds`` says, the ladder decides
 ``DEPENDENT_RUNG``: the super-envy-free pattern at 12 players under the four
 measure relations of a dependent 8-cell profile, drawn by
 ``random_profile``.  Its 145 x 265 alternative LP is expected to fall
-back: the float crossover's phase 2 runs to the pivot limit, and the
-exact simplex answers from its own crossover with one more Bland phase.
-Its row prints as ``n dep cells``, with both runs' pivots and phases,
-and it fails the ladder if the exact run builds a phase-1 tableau or if
-``verify_refutation`` rejects the refutation.  It takes 20 to 35 s on a
-shared 2-vCPU host.
+back: the float crossover's phase 2 runs to the pivot limit, 1,640
+pivots, and the exact simplex answers from its own crossover with one
+more Bland phase, 537 pivots.  Its row prints as ``n dep cells``, with
+both runs' pivots and phases, and it fails the ladder unless its float
+run stops exactly at its limit, or if the exact run builds a phase-1
+tableau or ``verify_refutation`` rejects the refutation.  It is checked
+on these counts, not on seconds; it takes 8 to 13 s on a shared 2-vCPU
+host.
 
     PYTHONPATH=src python3 scripts/lp_ladder.py --rungs 8x16 12x16 --seeds 1 2
 """
@@ -70,16 +75,19 @@ class _Probe:
     of the LPs solved inside ``with probe:``, by wrapping them where
     ``simplex`` looks them up.
 
-    Bland's iterations and pivots are the ones both arithmetics share, so
-    the exact pivots of a fallback count too; a fallback fails the ladder
-    anyway, except on ``DEPENDENT_RUNG``, which counts the phase-1 tableaus
-    its fallback builds.
+    ``budget`` is the float run's pivot limit, the budget of the first
+    Bland iteration outside the exact ``_solve``, or ``None`` if the float
+    run never reached one.  Bland's pivots count apart in each arithmetic;
+    the crossover's and the phases count in both, but a fallback fails the
+    ladder anyway, except on ``DEPENDENT_RUNG``, which counts the phase-1
+    tableaus its fallback builds.
     """
 
     def __init__(self) -> None:
         self.shape = (0, 0)
-        self.crossover_pivots = self.bland_pivots = self.bland_phases = self.fallbacks = 0
-        self.exact_phase1_tableaus = 0
+        self.budget = None
+        self.crossover_pivots = self.float_pivots = self.exact_pivots = 0
+        self.bland_phases = self.fallbacks = self.exact_phase1_tableaus = 0
         self.float_s = self.certify_s = 0.0
         self._in_bland = self._in_exact = False
         self._saved: dict = {}
@@ -106,6 +114,8 @@ class _Probe:
 
         def counted_iterate(*args):
             self.bland_phases += 1
+            if self.budget is None and not self._in_exact:
+                self.budget = args[-1]
             self._in_bland = True
             try:
                 return iterate(*args)
@@ -113,8 +123,10 @@ class _Probe:
                 self._in_bland = False
 
         def counted_pivot(*args):
-            if self._in_bland:
-                self.bland_pivots += 1
+            if self._in_bland and self._in_exact:
+                self.exact_pivots += 1
+            elif self._in_bland:
+                self.float_pivots += 1
             else:
                 self.crossover_pivots += 1
             return pivot(*args)
@@ -202,24 +214,27 @@ def main(argv=None) -> int:
 
     def show(label: str, seed: int, margin: str, probe: _Probe, total: float) -> None:
         shape = f"{probe.shape[0]} x {probe.shape[1]}"
-        print(f"{label:<9}{seed:>4} {margin:>5} {shape:>9}"
-              f" {probe.crossover_pivots:>9} {probe.bland_pivots:>6} {probe.bland_phases:>6}"
+        budget = "-" if probe.budget is None else probe.budget
+        print(f"{label:<9}{seed:>4} {margin:>5} {shape:>9} {probe.crossover_pivots:>9} {budget:>6}"
+              f" {probe.float_pivots:>6} {probe.exact_pivots:>6} {probe.bland_phases:>6}"
               f" {probe.float_s:>7.3f} {probe.certify_s:>7.3f} {total:>7.3f}"
               f" {probe.fallbacks:>9}")
 
     failed = False
-    print(f"{'rung':>8} {'seed':>4} {'LP':>5} {'LP shape':>9} {'crossover':>9} {'Bland':>6}"
-          f" {'phases':>6} {'float s':>7} {'cert s':>7} {'total s':>7} {'fallbacks':>9}")
+    print(f"{'rung':>8} {'seed':>4} {'LP':>5} {'LP shape':>9} {'crossover':>9} {'budget':>6}"
+          f" {'float':>6} {'exact':>6} {'phases':>6} {'float s':>7} {'cert s':>7} {'total s':>7}"
+          f" {'fallbacks':>9}")
     ladder = [(rung, *(int(x) for x in spec.lower().split("x"))) for spec in args.rungs]
     for run, players, size in ladder + [(sign_rung, *spec) for spec in SIGN_RUNGS]:
         label = f"{players:>3} x {size:<3}" if run is rung else f"{players:>3} rel {size}"
         for seed in args.seeds:
             for margin, probe, total in run(players, size, seed):
-                failed |= probe.fallbacks > 0 or (run is rung and probe.bland_phases > 1)
+                failed |= (probe.fallbacks > 0 or (run is rung and probe.bland_phases > 1)
+                           or probe.float_pivots > probe.budget / 2)
                 show(label, seed, margin, probe, total)
     players, cells, seed = DEPENDENT_RUNG
     probe, total = dependent_rung(players, cells, seed)
-    failed |= probe.exact_phase1_tableaus > 0
+    failed |= probe.exact_phase1_tableaus > 0 or probe.float_pivots != probe.budget
     show(f"{players:>3} dep {cells}", seed, "sign", probe, total)
     return 1 if failed else 0
 

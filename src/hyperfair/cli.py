@@ -22,11 +22,11 @@ from fractions import Fraction
 
 from .hyperfree import (
     UNBOUNDED,
-    UNCONSTRAINED,
     DEFAULT_TOL,
     GoalMatrix,
     TargetPoint,
     _delta_bound_of,
+    _Margin,
     factor_delta_bound,
     factor_matrix,
     is_proper,
@@ -60,14 +60,10 @@ def _print_matrix(title: str, cells: list[list[str]]) -> None:
 
 
 def _text(x) -> str | None:
-    """Report form of a margin or bound: a rational, a sentinel's name, or None."""
+    """Report form of a margin or bound: a rational, a sentinel's value, or None."""
     if x is None:
         return None
-    if x is UNBOUNDED:
-        return "unbounded"
-    if x is UNCONSTRAINED:
-        return "unconstrained"
-    return fmt(x)
+    return x.value if isinstance(x, _Margin) else fmt(x)
 
 
 def _fairness_dict(report: FairnessReport) -> dict:

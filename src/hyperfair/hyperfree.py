@@ -18,26 +18,29 @@ the stochastic factor itself, all in exact rational arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
 from .linalg import DEFAULT_TOL, RatMatrix, _least, _to_row, fmt, kernel_basis, rat, smallest_eigenvalue
 
 
-class _Sentinel:
-    __slots__ = ("_name",)
+class _Margin(Enum):
+    """A margin or bound that is no rational; its value is its report text."""
 
-    def __init__(self, name: str) -> None:
-        object.__setattr__(self, "_name", name)
+    UNBOUNDED = "unbounded"
+    UNCONSTRAINED = "unconstrained"
 
     def __repr__(self) -> str:
-        return self._name
+        return self.name
+
+    __str__ = __repr__
 
 
 #: Returned by the margin bounds when no finite margin constraint exists.
-UNBOUNDED = _Sentinel("UNBOUNDED")
+UNBOUNDED = _Margin.UNBOUNDED
 #: Used where a margin exists but is not pinned down by the problem.
-UNCONSTRAINED = _Sentinel("UNCONSTRAINED")
+UNCONSTRAINED = _Margin.UNCONSTRAINED
 
 
 class ImproperMatrixError(ValueError):

@@ -7,11 +7,12 @@ ties), which rules out cycling.
 
 Bland's rule is written once, as :func:`_run` over :func:`_crossover`,
 :func:`_two_phase`, :func:`_pivot` and :func:`_iterate`, for rows of
-either number type: on floats, with the tolerance ``_EPS`` and the pivot
-limit ``_FLOAT_PIVOTS``, it is the float stage below; on Fractions, with
-tolerance 0 and no pivot limit, it is exact, and every sign test and
-ratio comparison with it.  The package's own LPs, the weight LP and the
-two sign LPs, enter as :mod:`hyperfair.linalg`'s integer rows of ``[A | b]``
+either number type: on floats, with the tolerance ``_EPS`` and a pivot
+limit of ``_FLOAT_PIVOTS`` per row and column of the LP, it is the float
+stage below; on Fractions, with tolerance 0 and no pivot limit, it is
+exact, and every sign test and ratio comparison with it.  The package's
+own LPs, the weight LP and the two sign LPs, enter as
+:mod:`hyperfair.linalg`'s integer rows of ``[A | b]``
 (a list of Python ints ``v`` with one positive int denominator ``d``
 standing for ``v / d``) laid out by :func:`_row`, with an
 :class:`_Objective`; an :class:`LpProblem` is converted to that form
@@ -108,24 +109,14 @@ class _Objective(NamedTuple):
 #: float stage.
 _EPS = 1e-9
 
-#: Pivot limit of the float stage's Bland iterations: of phase 2 after a
-#: crossover, of both phases together otherwise.  Both phases run for an
-#: LP without a start point, the primal sign-pattern LP and a problem
-#: handed to :func:`certified_solve`.  The primal sign-pattern LP runs on
-#: feasible patterns only, and took at most 64 Bland pivots on the
-#: benchmark's feasible 4-player patterns and 391 on the 16-player
-#: super-envy-free pattern without relations.  A 12-player weight LP on
-#: 16 cells takes some 190 crossover and phase-2 pivots at any margin,
-#: and the alternative LP of a 16-player super-envy-free pattern under
-#: one random integer relation about 260 crossover and 50 to 70 phase-2
-#: pivots.  A float run that would take more (it may cycle where exact
-#: Bland cannot) hands the problem to the exact :func:`_solve`.  A capped
-#: run costs 10 to 19 s of float pivots on a 145 x 265 alternative LP (the
-#: 12-player pattern of ``scripts/lp_ladder.py``'s dependent rung, on a
-#: shared 2-vCPU host), and the exact run then crosses over and takes 537
-#: phase-2 pivots in 9 to 15 s, where a restart from phase 1 took 155 to
-#: 175 s.
-_FLOAT_PIVOTS = 20_000
+#: Bland pivots of the float stage per row and column of ``[A | b]``: an
+#: LP with m rows and n columns gets ``_FLOAT_PIVOTS * (m + n)`` for both
+#: phases together, or for phase 2 after a crossover.  Every float run of
+#: the seed-1 and seed-2 ``solve_max`` pools and of ``scripts/lp_ladder.py``'s
+#: default rungs took at most 0.74 (m + n) pivots, at least 5.4 times below
+#: the limit.  A float run that would take more (it may cycle where exact
+#: Bland cannot) hands the problem to the exact :func:`_solve`.
+_FLOAT_PIVOTS = 4
 
 
 def _pivot(rows: list[list], basis: list[int], cost: list | None, row: int, col: int) -> None:
@@ -298,7 +289,7 @@ def _solve(goal: _Objective, base: list[_Row]) -> LpOutcome:
 
     :func:`_run` on Fractions; the vertex is read off its final rows.
     """
-    status, rows, basis = _run(goal, base, 0, math.inf)
+    status, rows, basis = _run(goal, base, 0)
     return (_vertex(goal, basis, (Fraction(row[-1]) for row in rows)) if status == "optimal"
             else LpOutcome(LpStatus(status)))
 
@@ -351,10 +342,12 @@ def _tableau(rows: list[_Row], exact: bool) -> list[list]:
             else [[x / d for x in v] for v, d in rows])
 
 
-def _run(goal: _Objective, base: list[_Row], eps: float, budget: float) -> tuple[str, list, list]:
+def _run(goal: _Objective, base: list[_Row], eps: float) -> tuple[str, list, list]:
     """Bland's run of ``goal`` over the integer rows ``base``, with sign tests
-    and ratio ties up to ``eps`` and at most ``budget`` pivots per
-    :func:`_iterate` call: on Fractions if ``eps`` is 0, else on floats.
+    and ratio ties up to ``eps``: on Fractions, with no pivot limit, if
+    ``eps`` is 0; else on floats, where its Bland pivots, of phase 2 or of
+    both phases together, number at most ``_FLOAT_PIVOTS`` per row and
+    column of ``base`` (``"capped"`` past that).
 
     With a ``start`` point, phase 2 from the :func:`_crossover`'s vertex;
     a float run that loses the point ends ``"infeasible"``.  Without one,
@@ -363,6 +356,7 @@ def _run(goal: _Objective, base: list[_Row], eps: float, budget: float) -> tuple
     basis.
     """
     nvars, c, exact = len(goal.objective), _min_costs(goal), eps == 0
+    budget = math.inf if exact else _FLOAT_PIVOTS * (len(base) + nvars)
     start = goal.start if exact or goal.start is None else tuple(map(float, goal.start))
     if start is not None:
         rows, basis = _crossover(_tableau(base, exact), start, eps)
@@ -382,10 +376,10 @@ def _float_basis(goal: _Objective, base: list[_Row]) -> list[int] | None:
     by :func:`_run`.
 
     ``None`` when the floats lose the start point or end infeasible,
-    unbounded or at the pivot limit ``_FLOAT_PIVOTS``; ``OverflowError``
-    on an entry beyond float range.
+    unbounded or at the pivot limit, ``_FLOAT_PIVOTS`` times the rows and
+    columns of ``base``; ``OverflowError`` on an entry beyond float range.
     """
-    status, _, basis = _run(goal, base, _EPS, _FLOAT_PIVOTS)
+    status, _, basis = _run(goal, base, _EPS)
     return basis if status == "optimal" else None
 
 

@@ -54,3 +54,18 @@ def test_the_probe_counts_the_phase_1_tableaus_a_fallback_builds(monkeypatch, tr
     assert probe.fallbacks == 1 and probe.exact_phase1_tableaus == 0
     [(_, probe, _)] = ladder.sign_rung(6, 0, 1)
     assert probe.fallbacks == 1 and probe.exact_phase1_tableaus == 1
+
+
+def test_the_probe_reports_the_float_pivot_limit(monkeypatch, trio_profile, trio_goal, uniform3):
+    # The ladder fails any LP whose float run takes over half its limit,
+    # and the dependent rung unless its float run stops at the limit; a
+    # zero limit stops the trio weight LP's, which then falls back.
+    ladder = _lp_ladder(monkeypatch)
+    probe, _, _ = ladder.probed(solve_alpha, trio_profile, trio_goal, uniform3, MAXIMIZE)
+    rows, columns = probe.shape
+    assert probe.budget == 4 * (rows + columns) and 0 < probe.float_pivots <= probe.budget / 2
+    assert probe.fallbacks == probe.exact_pivots == 0
+    monkeypatch.setattr(simplex, "_FLOAT_PIVOTS", 0)
+    probe, _, (_, best) = ladder.probed(solve_alpha, trio_profile, trio_goal, uniform3, MAXIMIZE)
+    assert best == Fraction(1, 3)
+    assert probe.budget == probe.float_pivots == 0 and probe.fallbacks == 1

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 from itertools import product
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
 from hyperfair import simplex
-from hyperfair.hyperfree import UNCONSTRAINED, GoalMatrix
+from hyperfair.hyperfree import UNBOUNDED, UNCONSTRAINED, GoalMatrix
 from hyperfair.linalg import RatMatrix
 from hyperfair.measures import measure_relations
 from hyperfair.relations import (
@@ -129,6 +131,18 @@ def test_all_equalities_need_no_slack(trio_relation):
     assert not sol.has_strict
     assert sol.margin is UNCONSTRAINED
     assert sol.k.is_zero()
+
+
+def test_the_margin_sentinels_survive_copy_and_pickle(trio_relation):
+    # Callers test a margin by identity, so a copied or unpickled
+    # sentinel must be the same object, and a solution that holds one
+    # must equal its copy.
+    for sentinel in (UNBOUNDED, UNCONSTRAINED):
+        assert copy.deepcopy(sentinel) is sentinel
+        assert pickle.loads(pickle.dumps(sentinel)) is sentinel
+    sol = solve_relations(RelationMatrix.from_symbols([["="] * 3] * 3), [trio_relation])
+    assert sol.margin is UNCONSTRAINED
+    assert copy.deepcopy(sol) == sol and pickle.loads(pickle.dumps(sol)) == sol
 
 
 def test_super_pattern_without_relations_has_margin_one_over_n_minus_one():

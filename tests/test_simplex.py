@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -8,7 +9,9 @@ from hypothesis import given, strategies as st
 
 from hyperfair import simplex
 from hyperfair.linalg import RatMatrix
+from hyperfair.measures import measure_relations
 from hyperfair.partition import MAXIMIZE, solve_alpha
+from hyperfair.relations import RelationMatrix, solve_relations
 from hyperfair.simplex import LpOutcome, LpProblem, LpStatus, certified_solve, simplex_solve
 
 from conftest import random_profile, random_proper_goal, random_target
@@ -515,6 +518,72 @@ def test_the_float_pivot_limit_falls_back_to_bland(monkeypatch):
     calls.clear()
     assert certified_solve(SMALL_LP) == expected
     assert calls == [simplex._integer_lp(SMALL_LP)]  # Bland needs a pivot here
+
+
+def _recording_runs(monkeypatch):
+    """Record every float run and every exact ``_solve`` run as ``(kind,
+    rows, columns, calls)``, ``calls`` holding the pivot budget each of its
+    ``_iterate`` calls got and the budget it left."""
+    runs, calls, iterate = [], [], simplex._iterate
+
+    def recording_iterate(*args):
+        status, left = iterate(*args)
+        calls.append((args[-1], left))
+        return status, left
+
+    def recording(kind, run):
+        def wrapper(goal, base):
+            start = len(calls)
+            try:
+                return run(goal, base)
+            finally:
+                runs.append((kind, len(base), len(goal.objective), calls[start:]))
+        return wrapper
+
+    monkeypatch.setattr(simplex, "_iterate", recording_iterate)
+    monkeypatch.setattr(simplex, "_float_basis", recording("float", simplex._float_basis))
+    monkeypatch.setattr(simplex, "_solve", recording("exact", simplex._solve))
+    return runs
+
+
+def test_a_float_run_gets_its_pivot_limit_from_its_rows_and_columns(monkeypatch, trio_profile,
+                                                                   trio_goal, uniform3):
+    # SMALL_LP runs both phases, the trio weight LP phase 2 after a
+    # crossover; each float run may take _FLOAT_PIVOTS Bland pivots per
+    # row and column of [A | b] in all, so phase 2 gets what phase 1
+    # left, and the exact run has no limit.
+    runs = _recording_runs(monkeypatch)
+    certified_solve(SMALL_LP)
+    solve_alpha(trio_profile, trio_goal, uniform3, MAXIMIZE)
+    simplex_solve(SMALL_LP)
+    assert [kind for kind, *_ in runs] == ["float", "float", "exact"]
+    (_, m, n, both_phases), (_, m2, n2, [(budget, _)]), (_, _, _, exact) = runs
+    assert (m, n) == (2, 4) and (m2, n2) != (m, n)
+    assert both_phases[0][0] == simplex._FLOAT_PIVOTS * (m + n) == 24
+    assert both_phases[1][0] == both_phases[0][1]
+    assert budget == simplex._FLOAT_PIVOTS * (m2 + n2)
+    assert exact and all(limit == math.inf for limit, _ in exact)
+
+
+def test_no_float_run_of_the_sampled_lps_uses_half_its_pivot_limit(monkeypatch):
+    # Weight LPs at the maximum margin and at half of it, and sign LPs,
+    # the alternative LP under measure relations and the primal sign LP
+    # of both phases, all within half the float stage's limit.
+    runs = _recording_runs(monkeypatch)
+    rng = random.Random(20176)
+    for _ in range(30):
+        profile = random_profile(rng, max_atoms=8, force_dependent=rng.random() < 0.5)
+        k, p = random_proper_goal(rng, profile), random_target(rng, profile.n)
+        _, best = solve_alpha(profile, k, p, MAXIMIZE)
+        solve_alpha(profile, k, p, best / 2)
+        pattern = RelationMatrix.from_symbols([[rng.choice("<=>") for _ in range(profile.n)]
+                                               for _ in range(profile.n)])
+        solve_relations(pattern, measure_relations(profile))
+        solve_relations(RelationMatrix.super_envy_free(profile.n), measure_relations(profile))
+    float_runs = [calls for kind, _, _, calls in runs if kind == "float"]
+    assert len(float_runs) == len(runs) and {len(calls) for calls in float_runs} == {1, 2}
+    for calls in float_runs:
+        assert calls[0][0] - calls[-1][1] <= calls[0][0] / 2
 
 
 @pytest.mark.parametrize("huge", [10**400, F(1, 10**400)])
