@@ -325,11 +325,9 @@ def _eliminate(row: _Row, pivot_row: _Row, col: int, support: list[int]) -> _Row
     """
     (v, d), (u, e) = row, pivot_row
     f = v[col]
-    w = v.copy() if e == 1 else [e * x for x in v]
+    w = [e * x for x in v]
     for j in support:
         w[j] -= f * u[j]
-    if d * e == 1:
-        return w, 1
     return _lowest_terms(w, d * e)
 
 

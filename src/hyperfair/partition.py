@@ -41,8 +41,8 @@ from typing import Sequence
 from .hyperfree import UNCONSTRAINED, GoalMatrix, TargetPoint, stochastic_factor
 from .linalg import RatMatrix, _columns, _products, _to_row, fmt, pseudo_inverse, rat
 from .measures import Interval, MeasureProfile, gram_matrix
-# simplex_solve stays importable from here, where the benchmark's tracer
-# (perfbench/spans.py) has always looked it up.
+# simplex_solve stays importable from here for the benchmark's tracer, which
+# perfbench/test_perfbench.py::test_tracer_wraps_each_caller_namespace checks.
 from .simplex import LpStatus, _certified_solve, _Objective, _row, simplex_solve  # noqa: F401
 
 #: Mode marker for :func:`solve_alpha`: maximize the margin instead of fixing it.
@@ -110,37 +110,35 @@ class Partition:
     _text: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        cursor, c, d = Fraction(0), 0, 1
-        for _, lo, _, hi, owner, iv, a, b, e, f in self.records:
+        c, d = 0, 1  # the validated cover is [0, c/d]
+        for _, lo, _, hi, owner, a, b, e, f in self.records:
             if a != c or b != d:
+                cursor = Fraction(c, d)
                 if a * d > c * b:
                     raise PartitionError(f"coverage gap [{fmt(cursor)}, {fmt(lo)}] is assigned to nobody")
-                raise PartitionError(
-                    f"interval {iv} of player {owner} overlaps [{fmt(lo)}, {fmt(min(hi, cursor))}]")
-            cursor, c, d = hi, e, f
+                raise PartitionError(f"interval [{fmt(lo)}, {fmt(hi)}] of player {owner} "
+                                     f"overlaps [{fmt(lo)}, {fmt(min(hi, cursor))}]")
+            c, d = e, f
         if c != d:
-            raise PartitionError(f"coverage gap [{fmt(cursor)}, 1] is assigned to nobody")
+            raise PartitionError(f"coverage gap [{fmt(Fraction(c, d))}, 1] is assigned to nobody")
 
     @cached_property
     def records(self) -> list[tuple]:
-        """One record per interval of positive length, ``(lo as a float, lo, hi as a
-        float, hi, owner, interval, *lo's integer pair, *hi's integer pair)``, in
-        order of (lo, hi) and then owner; built once and only read.  Rounded floats
-        are monotone (``a / b`` is ``float()``'s), so Fractions are compared only on
-        float ties, and records that tie on both ends are equal up to the owner."""
+        """One record per interval of positive length, in order of (lo, hi) and
+        then owner; built once and only read.  Its nine fields are ``(lo as a
+        float, lo, hi as a float, hi, owner, lo's numerator, lo's denominator,
+        hi's numerator, hi's denominator)``, the integer pairs in lowest terms.
+        Rounded floats are monotone (``a / b`` is ``float()``'s), so Fractions
+        are compared only on float ties, and records that tie on both ends are
+        equal up to the owner."""
         records = []
         for owner, ivs in enumerate(self.pieces):
             for iv in ivs:
                 (a, b), (c, d) = iv.lo.as_integer_ratio(), iv.hi.as_integer_ratio()
                 if a != c or b != d:
-                    records.append((a / b, iv.lo, c / d, iv.hi, owner, iv, a, b, c, d))
+                    records.append((a / b, iv.lo, c / d, iv.hi, owner, a, b, c, d))
         records.sort()
         return records
-
-    @cached_property
-    def tiling(self) -> list[tuple[Interval, int]]:
-        """The intervals of positive length and their owners, in :attr:`records` order."""
-        return [(iv, owner) for _, _, _, _, owner, iv, *_ in self.records]
 
     @property
     def n(self) -> int:

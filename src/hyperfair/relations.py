@@ -29,8 +29,8 @@ from typing import Sequence
 
 from .hyperfree import UNCONSTRAINED, GoalMatrix, is_proper
 from .linalg import RatMatrix, _to_row
-# simplex_solve stays importable from here, where the benchmark's tracer
-# (perfbench/spans.py) has always looked it up.
+# simplex_solve stays importable from here for the benchmark's tracer, which
+# perfbench/test_perfbench.py::test_tracer_wraps_each_caller_namespace checks.
 from .simplex import LpStatus, _certified_solve, _Objective, _row, simplex_solve  # noqa: F401
 
 

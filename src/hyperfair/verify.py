@@ -57,11 +57,11 @@ def sharing_matrix(profile: MeasureProfile, part: Partition) -> SharingMatrix:
     atoms = profile.atoms
     ends = [iv.hi.as_integer_ratio() for iv in atoms]
     dens = [math.lcm(*(e for _, e in ends))] * profile.n
-    for _, _, _, _, j, _, _, b, _, d in part.records:
+    for _, _, _, _, j, _, b, _, d in part.records:
         dens[j] = math.lcm(dens[j], b, d)
     held = [[0] * len(atoms) for _ in dens]
     a, x, y = 0, 0, 1  # the walk is at x/y, inside atom a
-    for _, _, _, _, j, _, _, _, c, d in part.records:
+    for _, _, _, _, j, _, _, c, d in part.records:
         row, den = held[j], dens[j]
         while x != c or y != d:  # to the nearer of the piece's end c/d and the atom's u/v
             u, v = ends[a]

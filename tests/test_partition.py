@@ -160,7 +160,7 @@ def test_partition_names_a_doubled_interval():
 def test_partition_validates_a_fine_tiling_with_distinct_denominators():
     pieces = fine_tiling()
     part = Partition(pieces)
-    assert [(iv.lo, iv.hi) for iv, _ in part.tiling] == sorted(
+    assert [(lo, hi) for _, lo, _, hi, *_ in part.records] == sorted(
         (iv.lo, iv.hi) for ivs in pieces for iv in ivs)
     assert sum((part.total_length(j) for j in range(3)), F(0)) == 1
     moved = list(pieces[0])
